@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure in the paper's
-// evaluation (the harness of DESIGN.md §4), plus the ablation
-// comparisons of DESIGN.md §5 and micro-benchmarks of the hot paths.
+// evaluation, plus ablations that compare a production model against
+// its simpler alternative, and micro-benchmarks of the hot paths.
 //
 // Each BenchmarkTableN / BenchmarkFigureN runs the corresponding
 // artifact generator at a reduced scale so the full suite stays
@@ -69,13 +69,13 @@ func BenchmarkFigure17TPCDS(b *testing.B)      { benchArtifact(b, "figure17", 0.
 func BenchmarkFigure18Straggler(b *testing.B)  { benchArtifact(b, "figure18", 0.1) }
 func BenchmarkFigure19Depletion(b *testing.B)  { benchArtifact(b, "figure19", 0.1) }
 
-// --- Extensions (beyond the paper; DESIGN.md substitutions table) ---
+// --- Extensions (beyond the paper) ---
 
 func BenchmarkExtensionCPUBurst(b *testing.B)  { benchArtifact(b, "ext-cpuburst", 0.5) }
 func BenchmarkExtensionDiurnal(b *testing.B)   { benchArtifact(b, "ext-diurnal", 0.1) }
 func BenchmarkExtensionScenarios(b *testing.B) { benchArtifact(b, "ext-scenarios", 0.1) }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 // BenchmarkAblationBucketIntegration compares the production
 // closed-form token-bucket integration against a naive fixed-step
@@ -148,43 +148,6 @@ func BenchmarkAblationCIMethod(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := stats.BootstrapCI(xs, stats.Median, 0.95, 1000, bs); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationEventQueue compares the binary-heap scheduler with
-// per-event cost under churn (schedule + drain cycles).
-func BenchmarkAblationEventQueue(b *testing.B) {
-	src := simrand.New(11)
-	times := make([]float64, 512)
-	for i := range times {
-		times[i] = src.Float64() * 1e5
-	}
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := netem.NewEngine()
-			for _, at := range times {
-				e.Schedule(at, func() {})
-			}
-			e.Drain(len(times) + 1)
-		}
-	})
-	// The calendar-queue comparator lives unexported in netem and is
-	// exercised by its package tests; here the heap is benchmarked
-	// against re-sorting a slice per event, the simplest alternative.
-	b.Run("sorted-slice", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pending := append([]float64(nil), times...)
-			for len(pending) > 0 {
-				min := 0
-				for j, at := range pending {
-					if at < pending[min] {
-						min = j
-					}
-				}
-				pending[min] = pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
 			}
 		}
 	})

@@ -3,27 +3,37 @@
 // Performance Reproducible in Modern Cloud Networks?" (Uta et al.,
 // NSDI 2020).
 //
-// The package re-exports the stable public surface of the internal
-// packages:
+// The package re-exports the public surface of the internal packages
+// that the examples and documentation use:
 //
-//   - experiment design and statistical validation (internal/core)
-//   - nonparametric statistics and hypothesis tests (internal/stats)
-//   - CONFIRM repetition planning (internal/confirm)
-//   - the token-bucket shaper model and parameter inference
-//     (internal/tokenbucket)
-//   - the network emulator and cloud profiles (internal/netem,
-//     internal/cloudmodel)
+//   - designed experiments and platform fingerprints (internal/core):
+//     RunExperiment, DefaultDesign, Fingerprint
+//   - descriptive statistics and inter-rater agreement
+//     (internal/stats): Median, Quantile, Summarize, CohenKappa
+//   - CONFIRM repetition planning (internal/confirm): Confirm
+//   - the token-bucket shaper model (internal/tokenbucket):
+//     NewTokenBucket
+//   - cloud path profiles over the network emulator
+//     (internal/cloudmodel, internal/netem): EC2Profile, Shaper
 //   - the Spark-like execution simulator and workload suites
-//     (internal/spark, internal/workloads)
-//   - the persistent campaign store and longitudinal drift analysis
-//     (internal/store, internal/longitudinal)
+//     (internal/spark, internal/workloads): Table4Cluster, HiBench,
+//     TPCDS, WorkloadByName
+//   - the declarative experiment-spec API (internal/expspec):
+//     NewExperiment, DecodeExperiment, CompileExperiment, and the
+//     arrival processes of its workloads: section
+//   - deterministic concurrent campaign matrices (internal/fleet):
+//     RunFleet
+//   - the persistent campaign store (internal/store): OpenStore,
+//     CampaignSpecKey; cross-run drift analysis of stored runs is
+//     reached through cmd/drift
 //   - distributed campaign sharding with a byte-identical merge
-//     (internal/shard, cmd/campaignd)
+//     (internal/shard, cmd/campaignd): RunShardedCampaign, MergeShards
 //   - deterministic fault injection and the coordinator's resilience
-//     layer (internal/faults, internal/shard)
-//   - composable adverse-condition scenarios (internal/scenario)
-//   - the declarative experiment-spec API (internal/expspec)
-//   - figure/table regeneration (internal/figures)
+//     layer (internal/faults, internal/shard): BuildFaultPlan,
+//     InjectShardFaults, ClassifyShardError
+//   - composable adverse-condition scenarios (internal/scenario):
+//     AdverseScenario, BuildScenario
+//   - figure/table regeneration (internal/figures): GenerateArtifact
 //
 // Quick start:
 //
@@ -45,7 +55,6 @@ import (
 	"cloudvar/internal/faults"
 	"cloudvar/internal/figures"
 	"cloudvar/internal/fleet"
-	"cloudvar/internal/longitudinal"
 	"cloudvar/internal/netem"
 	"cloudvar/internal/scenario"
 	"cloudvar/internal/shard"
@@ -55,30 +64,14 @@ import (
 	"cloudvar/internal/store"
 	"cloudvar/internal/tokenbucket"
 	"cloudvar/internal/trace"
-	"cloudvar/internal/workload"
 	"cloudvar/internal/workloads"
 )
 
-// Randomness.
-type (
-	// Rand is a deterministic random source with named substreams.
-	Rand = simrand.Source
-	// QuantileDist samples from quantile-specified distributions.
-	QuantileDist = simrand.QuantileDist
-)
+// Rand is a deterministic random source with named substreams.
+type Rand = simrand.Source
 
 // NewRand returns a deterministic random source.
 func NewRand(seed uint64) *Rand { return simrand.New(seed) }
-
-// Statistics.
-type (
-	// Summary is a descriptive statistics bundle.
-	Summary = stats.Summary
-	// Interval is a confidence interval.
-	Interval = stats.Interval
-	// TestResult is a hypothesis-test outcome.
-	TestResult = stats.TestResult
-)
 
 // Statistical functions.
 var (
@@ -86,52 +79,26 @@ var (
 	Median = stats.Median
 	// Quantile returns an arbitrary sample quantile.
 	Quantile = stats.Quantile
-	// Summarize computes a descriptive Summary.
+	// Summarize computes a descriptive summary.
 	Summarize = stats.Summarize
-	// MedianCI computes a nonparametric median confidence interval.
-	MedianCI = stats.MedianCI
-	// QuantileCI computes a nonparametric quantile CI (Le Boudec).
-	QuantileCI = stats.QuantileCI
-	// ShapiroWilk tests normality.
-	ShapiroWilk = stats.ShapiroWilk
-	// MannWhitneyU tests two samples for distribution equality.
-	MannWhitneyU = stats.MannWhitneyU
 	// CohenKappa measures inter-rater agreement.
 	CohenKappa = stats.CohenKappa[string]
 )
 
 // Experiment methodology (the paper's Section 5 guidance).
 type (
-	// Design specifies repetitions, confidence and hygiene.
-	Design = core.Design
-	// Result is a designed experiment's outcome.
-	Result = core.Result
 	// Trial produces one measurement.
 	Trial = core.Trial
-	// Environment exposes reset/rest hooks to the runner.
-	Environment = core.Environment
-	// ValidationReport is the iid-assumption check battery.
-	ValidationReport = core.ValidationReport
-	// PlatformFingerprint is the F5.2 baseline record.
-	PlatformFingerprint = core.Fingerprint
 	// FingerprintConfig tunes fingerprint micro-benchmarks.
 	FingerprintConfig = core.FingerprintConfig
-	// ConfirmAnalysis is a CONFIRM repetition-planning trace.
-	ConfirmAnalysis = confirm.Analysis
 )
 
 // Methodology functions.
 var (
 	// RunExperiment executes a designed experiment.
 	RunExperiment = core.Run
-	// RunSuite executes several experiments in randomised order.
-	RunSuite = core.RunSuite
 	// DefaultDesign returns the recommended fixed design.
 	DefaultDesign = core.DefaultDesign
-	// ValidateSamples runs the F5.4 statistical checks.
-	ValidateSamples = core.Validate
-	// CompareMedians tests whether two results are distinguishable.
-	CompareMedians = core.CompareMedians
 	// Fingerprint micro-benchmarks an emulated network path.
 	Fingerprint = core.FingerprintShaper
 	// Confirm runs CONFIRM over a measurement sequence.
@@ -142,48 +109,23 @@ var (
 type (
 	// Shaper is an egress rate controller.
 	Shaper = netem.Shaper
-	// Network is the fluid-flow emulator.
-	Network = netem.Network
-	// VNICModel captures virtual-NIC latency/retransmission behaviour.
-	VNICModel = netem.VNICModel
 	// TokenBucketParams parameterises the EC2-style shaper.
 	TokenBucketParams = tokenbucket.Params
-	// TokenBucket is a continuous-time token bucket.
-	TokenBucket = tokenbucket.Bucket
 	// CloudProfile bundles a cloud's shaper and vNIC models.
 	CloudProfile = cloudmodel.Profile
 )
 
 // Emulation constructors.
 var (
-	// NewNetwork builds an empty fluid-flow network.
-	NewNetwork = netem.NewNetwork
 	// NewTokenBucket builds a token bucket.
 	NewTokenBucket = tokenbucket.New
-	// InferTokenBucket recovers bucket parameters from a trace.
-	InferTokenBucket = tokenbucket.InferParams
 	// EC2Profile models an Amazon c5-family path.
 	EC2Profile = cloudmodel.EC2Profile
-	// GCEProfile models a Google Cloud path.
-	GCEProfile = cloudmodel.GCEProfile
-	// HPCCloudProfile models the private research cloud.
-	HPCCloudProfile = cloudmodel.HPCCloudProfile
-	// EC2VNIC and GCEVNIC are the measured vNIC models.
-	EC2VNIC = netem.EC2VNIC
-	GCEVNIC = netem.GCEVNIC
 )
 
-// Big-data simulation.
-type (
-	// SparkCluster is the Spark-like execution simulator.
-	SparkCluster = spark.Cluster
-	// SparkJob is a stage DAG.
-	SparkJob = spark.Job
-	// SparkRunOptions tunes one job execution (sampling hooks).
-	SparkRunOptions = spark.RunOptions
-	// Workload is a named benchmark profile.
-	Workload = workloads.App
-)
+// SparkRunOptions tunes one job execution on the Spark-like
+// execution simulator (sampling hooks).
+type SparkRunOptions = spark.RunOptions
 
 // Workload catalogs.
 var (
@@ -203,31 +145,12 @@ var (
 // builder produce the same artifact, and its canonical hash rides
 // into every stored run's manifest.
 type (
-	// ExperimentSpec is the versioned experiment-spec document.
-	ExperimentSpec = expspec.Document
-	// ExperimentBuilder assembles a spec document fluently.
-	ExperimentBuilder = expspec.Builder
 	// ExperimentPlan is a compiled document: the executable campaign
 	// plus store/drift/output/artifact plans.
 	ExperimentPlan = expspec.Plan
-	// ExperimentCampaign is the document's campaign section.
-	ExperimentCampaign = expspec.Campaign
-	// ExperimentProfile selects one cloud/instance combination.
-	ExperimentProfile = expspec.ProfileRef
-	// ExperimentScenario selects an adverse-condition scenario with
-	// optional parameter overrides.
-	ExperimentScenario = expspec.ScenarioRef
 	// ExperimentStopping is the document's campaign.stopping section:
 	// CONFIRM-driven sequential stopping instead of fixed repetitions.
 	ExperimentStopping = expspec.Stopping
-	// ExperimentStore is the document's results-store section.
-	ExperimentStore = expspec.Store
-	// ExperimentDrift is the document's drift-comparison section.
-	ExperimentDrift = expspec.Drift
-	// ExperimentOutput is the document's output-artifact section.
-	ExperimentOutput = expspec.Output
-	// ExperimentArtifacts is the document's figure/table section.
-	ExperimentArtifacts = expspec.Artifacts
 )
 
 // Experiment-spec functions.
@@ -248,135 +171,45 @@ var (
 	BuildScenario = scenario.Build
 )
 
-// Multi-client traffic engine: named clients with SLO classes and
-// arrival processes, replayed deterministically over every campaign
-// cell's measured path (internal/workload). Declare traffic in a spec
-// document's workloads: section (or WithClient on the builder); the
-// compiled campaign reports per-SLO-class request latency.
-type (
-	// WorkloadSection is the document's structured workloads: section.
-	WorkloadSection = expspec.WorkloadSection
-	// WorkloadClient is one named traffic source of the section.
-	WorkloadClient = expspec.WorkloadClient
-	// WorkloadArrival selects a client's inter-arrival process.
-	WorkloadArrival = expspec.WorkloadArrival
-	// WorkloadSpec is the engine-level traffic spec a campaign carries.
-	WorkloadSpec = workload.Spec
-	// WorkloadMetrics holds one cell's per-client request latencies.
-	WorkloadMetrics = workload.CellMetrics
-	// ClassResult is one SLO class's aggregated tail-latency result
-	// within a campaign group.
-	ClassResult = fleet.ClassResult
-)
-
-// Traffic-engine functions.
+// Arrival processes for the multi-client traffic engine: a spec
+// document's workloads: section (or WithClient on the builder) names
+// clients with SLO classes and these inter-arrival processes, and the
+// compiled campaign reports per-SLO-class request latency
+// (internal/workload).
 var (
 	// PoissonArrival builds a memoryless arrival process (CV = 1).
 	PoissonArrival = expspec.PoissonArrival
 	// GammaArrival builds gamma inter-arrivals with a chosen
 	// coefficient of variation (cv > 1 bursty, cv < 1 regular).
 	GammaArrival = expspec.GammaArrival
-	// WeibullArrival builds Weibull inter-arrivals with a chosen shape
-	// (shape < 1 heavy-tailed).
-	WeibullArrival = expspec.WeibullArrival
-	// TraceArrival replays recorded arrival times verbatim.
-	TraceArrival = expspec.TraceArrival
-	// ReadTraceCSV reads a recorded arrival trace (time_sec CSV).
-	ReadTraceCSV = workload.ReadTraceCSV
-	// WriteTraceCSV records arrival times as a replayable trace.
-	WriteTraceCSV = workload.WriteTraceCSV
 )
 
-// Fleet orchestration: deterministic concurrent campaign matrices.
-type (
-	// CampaignSpec declares a clouds x regimes x repetitions matrix.
-	CampaignSpec = fleet.CampaignSpec
-	// CampaignCell is one (profile, regime, repetition) unit.
-	CampaignCell = fleet.Cell
-	// CampaignCellResult is one cell's outcome.
-	CampaignCellResult = fleet.CellResult
-	// CampaignFleetResult aggregates a whole fleet run.
-	CampaignFleetResult = fleet.CampaignResult
-	// CampaignProgress reports cell completions to a progress hook.
-	CampaignProgress = fleet.Progress
-	// CampaignStopping configures CONFIRM-driven sequential stopping
-	// on a campaign spec (repetition counts decided by achieved CI
-	// precision).
-	CampaignStopping = fleet.StoppingSpec
-	// CampaignGroupPrecision is one group's achieved CI precision
-	// under sequential stopping.
-	CampaignGroupPrecision = fleet.GroupPrecision
-	// CampaignConfig parameterises one measurement campaign cell.
-	CampaignConfig = cloudmodel.CampaignConfig
-	// RegimeComparison holds one profile's per-regime series.
-	RegimeComparison = cloudmodel.RegimeComparison
-	// TransferRegime is a network access pattern (full-speed, 10-30,
-	// 5-30).
-	TransferRegime = trace.Regime
-)
+// CampaignSpec declares a clouds x regimes x repetitions matrix:
+// deterministic concurrent campaign orchestration (internal/fleet).
+type CampaignSpec = fleet.CampaignSpec
 
 // Fleet and campaign functions.
 var (
 	// RunFleet executes a campaign matrix across a bounded worker
 	// pool; output is bit-identical at any worker count.
 	RunFleet = fleet.Run
-	// RunCampaign measures one profile under one regime.
-	RunCampaign = cloudmodel.RunCampaign
-	// RunAllRegimes measures one profile under every standard regime,
-	// concurrently and deterministically.
-	RunAllRegimes = cloudmodel.RunAllRegimes
 	// StandardRegimes returns the paper's three access regimes.
 	StandardRegimes = trace.Regimes
-	// RegimeByName resolves a standard regime by its paper label.
-	RegimeByName = trace.RegimeByName
 	// DefaultCampaignConfig returns the paper's campaign settings.
 	DefaultCampaignConfig = cloudmodel.DefaultCampaignConfig
-	// BuildExperimentResult assembles a Result from collected samples.
-	BuildExperimentResult = core.BuildResult
 )
 
-// Persistent results store and longitudinal drift analysis.
-type (
-	// ResultStore is the on-disk, content-addressed campaign store.
-	ResultStore = store.Store
-	// StoredRun is one open run; it implements CampaignSink.
-	StoredRun = store.Run
-	// RunManifest describes a stored run (spec identity + keys,
-	// platform fingerprints).
-	RunManifest = store.Manifest
-	// StoredCellRecord is one persisted campaign cell.
-	StoredCellRecord = store.CellRecord
-	// CampaignSpecIdentity is the canonical hashable form of a spec.
-	CampaignSpecIdentity = store.SpecIdentity
-	// CampaignSink receives completed cells and supplies persisted
-	// ones for resume.
-	CampaignSink = fleet.Sink
-	// DriftRunData is one stored run loaded for drift analysis.
-	DriftRunData = longitudinal.RunData
-	// DriftOptions parameterises the drift analysis.
-	DriftOptions = longitudinal.Options
-	// DriftReport is the cross-run replication verdict.
-	DriftReport = longitudinal.Report
-)
+// StoredCellRecord is one persisted campaign cell of the on-disk,
+// content-addressed campaign store (internal/store).
+type StoredCellRecord = store.CellRecord
 
-// Store and drift functions.
+// Store functions.
 var (
 	// OpenStore opens (creating if needed) a results store directory.
 	OpenStore = store.Open
 	// CampaignSpecKey hashes a spec's full identity, seed included —
 	// the resume gate.
 	CampaignSpecKey = store.SpecKey
-	// CampaignMatrixKey hashes the seed-independent identity — the
-	// longitudinal comparability gate.
-	CampaignMatrixKey = store.MatrixKey
-	// LoadStoredRuns loads stored runs for drift analysis, baseline
-	// first.
-	LoadStoredRuns = longitudinal.Load
-	// AnalyzeDrift compares two or more runs of the same matrix.
-	AnalyzeDrift = longitudinal.Analyze
-	// FingerprintCampaign measures the F5.2 baseline of every profile
-	// in a spec, on substreams independent of all campaign cells.
-	FingerprintCampaign = fleet.FingerprintProfiles
 )
 
 // Distributed campaigns: shard a campaign's cell matrix across worker
@@ -388,20 +221,11 @@ type (
 	ShardCampaign = shard.Campaign
 	// ShardWorker executes assigned cells into a shard-stamped store.
 	ShardWorker = shard.Worker
-	// ShardAssignmentSet is the deterministic cell→shard partition.
-	ShardAssignmentSet = shard.AssignmentSet
-	// ShardStamp marks a store as shard index/count of a campaign.
-	ShardStamp = store.ShardStamp
-	// ShardStoreData is one shard store's complete contents — what a
-	// worker hands back and MergeShards consumes.
-	ShardStoreData = store.ShardData
 	// StoredRunMeta is the creation metadata shared by every shard of
 	// a campaign (fingerprints, spec document, encoding).
 	StoredRunMeta = store.RunMeta
 	// InProcShardWorker runs shards inside the coordinator process.
 	InProcShardWorker = shard.InProcWorker
-	// HTTPShardWorker drives a remote campaignd -worker over HTTP.
-	HTTPShardWorker = shard.HTTPWorker
 )
 
 // Distributed-campaign functions.
@@ -410,8 +234,6 @@ var (
 	// the campaign's SpecKey, so reassignment after worker death
 	// reproduces identical bytes.
 	ShardOwner = shard.Owner
-	// AssignShards partitions a campaign's cells across n shards.
-	AssignShards = shard.Assign
 	// RunShardedCampaign executes a campaign across the workers and
 	// collects the shard-stamped stores.
 	RunShardedCampaign = shard.Run
@@ -434,21 +256,12 @@ type (
 	// FaultInjector holds per-worker fault state compiled from a plan;
 	// wire it in with InjectShardFaults or its HTTP Transport.
 	FaultInjector = faults.Injector
-	// InjectedFault is the error an injector produces for crash,
-	// error-burst, and partition windows; always transient.
-	InjectedFault = faults.Error
 	// ShardRetryPolicy tunes the coordinator's resilience layer:
 	// attempts, capped backoff, breaker threshold, jitter seed.
 	ShardRetryPolicy = shard.RetryPolicy
-	// ShardErrorClass is the retry/abort classification of a worker
-	// error.
-	ShardErrorClass = shard.ErrorClass
 	// ShardStatusError is a non-2xx answer from a worker, carrying the
 	// HTTP status that classifies it.
 	ShardStatusError = shard.StatusError
-	// ShardHealthChecker is implemented by workers that can answer
-	// half-open circuit-breaker probes.
-	ShardHealthChecker = shard.HealthChecker
 )
 
 // Fault-injection functions and classification results.
@@ -478,68 +291,19 @@ type (
 	AdverseScenario = scenario.Scenario
 	// ScenarioCondition is one composable adverse-condition primitive.
 	ScenarioCondition = scenario.Condition
-	// ScenarioEnv is the campaign context conditions compile against.
-	ScenarioEnv = scenario.Env
-	// ScenarioIdentity is the name+params record carried into the
-	// store manifest.
-	ScenarioIdentity = fleet.ScenarioID
-)
-
-// Scenario condition primitives, for composing new scenarios.
-type (
-	// ScenarioOverlay is a constant capacity depression.
-	ScenarioOverlay = scenario.Overlay
 	// ScenarioWindow is a depression inside one time window.
 	ScenarioWindow = scenario.Window
 	// ScenarioRamp moves capacity linearly between two factors.
 	ScenarioRamp = scenario.Ramp
-	// ScenarioDiurnal is the day/night cycle condition.
-	ScenarioDiurnal = scenario.Diurnal
-	// ScenarioCorrelate is the correlated cross-VM episode condition.
-	ScenarioCorrelate = scenario.Correlate
-	// ScenarioPerVM is the per-VM persistent slowdown condition.
-	ScenarioPerVM = scenario.PerVM
-	// ScenarioFlipRegime is the mid-campaign token-bucket drain.
-	ScenarioFlipRegime = scenario.FlipRegime
 )
 
-// Scenario registry and primitives.
-var (
-	// ScenarioByName resolves a registered scenario.
-	ScenarioByName = scenario.ByName
-	// ScenarioNames lists the registered scenario names, sorted.
-	ScenarioNames = scenario.Names
-	// AllScenarios returns every registered scenario in name order.
-	AllScenarios = scenario.All
-	// RegisterScenario adds a user-defined scenario to the registry.
-	RegisterScenario = scenario.Register
-	// NoisyNeighborScenario builds the correlated cross-VM depression
-	// scenario with explicit parameters.
-	NoisyNeighborScenario = scenario.NoisyNeighbor
-	// DiurnalCongestionScenario builds the day/night cycle scenario.
-	DiurnalCongestionScenario = scenario.DiurnalCongestion
-	// RegimeFlipScenario builds the mid-campaign bucket-drain scenario.
-	RegimeFlipScenario = scenario.RegimeFlip
-	// LossBurstScenario builds the correlated loss-episode scenario.
-	LossBurstScenario = scenario.LossBurst
-	// StragglersScenario builds the per-VM slowdown scenario.
-	StragglersScenario = scenario.Stragglers
-)
-
-// Figure regeneration.
-type (
-	// Artifact is one regenerated table or figure.
-	Artifact = figures.Table
-	// ArtifactConfig controls seed and scale.
-	ArtifactConfig = figures.Config
-)
+// ArtifactConfig controls the seed and scale of figure regeneration.
+type ArtifactConfig = figures.Config
 
 // Artifact functions.
 var (
 	// GenerateArtifact regenerates one paper table/figure by ID.
 	GenerateArtifact = figures.Generate
-	// GenerateAllArtifacts regenerates everything.
-	GenerateAllArtifacts = figures.GenerateAll
 	// ArtifactIDs lists the regenerable artifacts.
 	ArtifactIDs = figures.IDs
 )

@@ -15,7 +15,7 @@ pkg: cloudvar/internal/stats
 cpu: Fake CPU @ 3.00GHz
 BenchmarkStatsQuantile/n=32-8         	     100	       341.8 ns/op	       0 B/op	       0 allocs/op
 BenchmarkStatsQuantile/n=1024-8       	     100	     54255 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEngineRunUntil-16            	      50	     58060 ns/op	   21672 B/op	     523 allocs/op
+BenchmarkNetworkManyFlows-16          	      50	     58060 ns/op	   21672 B/op	     523 allocs/op
 BenchmarkNoMem                        	    1000	      12.5 ns/op
 PASS
 ok  	cloudvar/internal/stats	1.234s
@@ -33,7 +33,7 @@ func TestParseBench(t *testing.T) {
 	if rs[0] != want {
 		t.Fatalf("rs[0] = %+v, want %+v", rs[0], want)
 	}
-	if rs[2].Name != "BenchmarkEngineRunUntil" || rs[2].AllocsPerOp != 523 || rs[2].BytesPerOp != 21672 {
+	if rs[2].Name != "BenchmarkNetworkManyFlows" || rs[2].AllocsPerOp != 523 || rs[2].BytesPerOp != 21672 {
 		t.Fatalf("rs[2] = %+v", rs[2])
 	}
 	if rs[3].Name != "BenchmarkNoMem" || rs[3].NsPerOp != 12.5 {
@@ -162,7 +162,7 @@ func TestRunUpdateThenGate(t *testing.T) {
 	if code := run(args, &stdout, &stderr); code != 1 {
 		t.Fatalf("regressed gate = %d, want 1", code)
 	}
-	if !strings.Contains(stderr.String(), "BenchmarkEngineRunUntil") {
+	if !strings.Contains(stderr.String(), "BenchmarkNetworkManyFlows") {
 		t.Fatalf("stderr should name the regressed benchmark: %q", stderr.String())
 	}
 }

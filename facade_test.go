@@ -1,13 +1,87 @@
 package cloudvar_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	cloudvar "cloudvar"
 )
+
+// facadeNames is the committed public surface of cloudvar.go: the names
+// the examples, the tests of this package, README.md,
+// docs/ARCHITECTURE.md and the package doc's quick start use, plus Rand,
+// which NewRand's signature names. Adding or removing an export means
+// editing this list in the same change.
+var facadeNames = []string{
+	"AdverseScenario", "ArtifactConfig", "ArtifactIDs", "BuildFaultPlan",
+	"BuildScenario", "CampaignSpec", "CampaignSpecKey", "ClassifyShardError",
+	"CloudProfile", "CohenKappa", "CompileExperiment", "Confirm",
+	"DecodeExperiment", "DecodeExperimentFile", "DefaultCampaignConfig",
+	"DefaultDesign", "EC2Profile", "ExperimentPlan", "ExperimentStopping",
+	"FaultInjector", "FaultPlan", "FaultPlanNames", "Fingerprint",
+	"FingerprintConfig", "GammaArrival", "GenerateArtifact", "HiBench",
+	"InProcShardWorker", "InjectShardFaults", "Median", "MergeShards",
+	"NewExperiment", "NewRand", "NewTokenBucket", "OpenStore",
+	"PoissonArrival", "Quantile", "Rand", "RunExperiment", "RunFleet",
+	"RunShardedCampaign", "ScenarioCondition", "ScenarioRamp",
+	"ScenarioWindow", "Shaper", "ShardCampaign", "ShardErrFatal",
+	"ShardErrTransient", "ShardOwner", "ShardRetryPolicy", "ShardStatusError",
+	"ShardWorker", "SparkRunOptions", "StandardRegimes", "StoredCellRecord",
+	"StoredRunMeta", "Summarize", "TPCDS", "Table4Cluster",
+	"TokenBucketParams", "Trial", "WorkloadByName",
+}
+
+// TestFacadeExportsPinnedNames parses cloudvar.go and fails when its
+// exported top-level names differ from facadeNames.
+func TestFacadeExportsPinnedNames(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "cloudvar.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				got = append(got, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						got = append(got, sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, name := range sp.Names {
+						if name.IsExported() {
+							got = append(got, name.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, name := range got {
+		if !slices.Contains(facadeNames, name) {
+			t.Errorf("cloudvar.go exports %s, which is not in facadeNames", name)
+		}
+	}
+	for _, name := range facadeNames {
+		if !slices.Contains(got, name) {
+			t.Errorf("facadeNames lists %s, which cloudvar.go does not export", name)
+		}
+	}
+	if len(got) != len(facadeNames) {
+		t.Errorf("cloudvar.go exports %d names, facadeNames pins %d", len(got), len(facadeNames))
+	}
+}
 
 // TestFacadeEndToEnd drives the public API through the library's
 // primary user journey: build a cloud profile, fingerprint it, run a

@@ -258,7 +258,7 @@ func Table4(cfg Config) (Table, error) {
 	}
 	t.AddRow("HiBench", "BigData", "Token-bucket (Figure 14)", "Spark-sim (this repo)", d(workloads.Table4Nodes))
 	t.AddRow("TPC-DS", "SF-2000", "Token-bucket (Figure 14)", "Spark-sim (this repo)", d(workloads.Table4Nodes))
-	t.AddNote("paper substrate: Spark 2.4.0 + Hadoop 2.7.3 on 12x16-core nodes; here: the internal/spark simulator (DESIGN.md substitution table)")
+	t.AddNote("paper substrate: Spark 2.4.0 + Hadoop 2.7.3 on 12x16-core nodes; here: the internal/spark simulator")
 	t.AddNote("HiBench apps: %d; TPC-DS queries: %d", len(workloads.HiBench()), len(workloads.TPCDS()))
 	return t, nil
 }

@@ -1,3 +1,17 @@
+// Package netem is a deterministic fluid-model network emulator. It
+// plays the role Linux tc played in the paper (Section 4.2): a
+// controllable substrate that reproduces cloud traffic-shaping
+// behaviour — token buckets, per-core QoS, stochastic noise — without
+// the confounding variability of a real cloud.
+//
+// Network moves flows at their max-min fair-share rates through NICs
+// whose egress is a Shaper. Its virtual clock advances in exact steps,
+// each ending at the next flow completion or shaper regime transition,
+// so no integration error accumulates and a run replays bit for bit
+// from the same inputs and seeds. RunIperf and ServeRequests drive a
+// single shaped path with one saturating stream or with a request
+// stream; VNICModel adds the virtual NIC's latency and retransmission
+// behaviour.
 package netem
 
 import (

@@ -1,13 +1,10 @@
 package shard_test
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"sync"
 	"testing"
 
+	"cloudvar/internal/fleet"
 	"cloudvar/internal/shard"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
@@ -49,176 +46,95 @@ func TestOwnerIsPureAndStable(t *testing.T) {
 	}
 }
 
-// TestAssignPartitionsAllCellsOnce checks Assign against the real
-// cell matrix: every label lands in exactly one shard, in enumeration
-// order, in the shard Owner names.
-func TestAssignPartitionsAllCellsOnce(t *testing.T) {
-	spec := testutil.TwoCloudSpec(t, 41, 0)
-	specKey := testutil.SpecKeys(t, spec)[0]
-	var labels []string
-	for _, c := range spec.Cells() {
-		labels = append(labels, c.Label())
+// recordingWorker wraps a storeless in-process worker and records the
+// labels of every Execute call, in the order the coordinator sent them.
+type recordingWorker struct {
+	inner shard.InProcWorker
+
+	mu    sync.Mutex
+	calls [][]string
+}
+
+func (w *recordingWorker) Begin(rc shard.RunContext, index, count int) error {
+	return w.inner.Begin(rc, index, count)
+}
+
+func (w *recordingWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
+	labels := make([]string, len(cells))
+	for i, c := range cells {
+		labels[i] = c.Label()
 	}
-	for _, n := range []int{1, 2, 5, 17} {
-		a, err := shard.Assign(specKey, labels, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("Assign produced an invalid set at %d shards: %v", n, err)
-		}
-		var total int
-		pos := make(map[string]int, len(labels))
-		for i, label := range labels {
-			pos[label] = i
-		}
-		for s, part := range a.Cells {
-			total += len(part)
-			last := -1
-			for _, label := range part {
-				if pos[label] < last {
-					t.Errorf("shard %d labels out of enumeration order", s)
+	w.mu.Lock()
+	w.calls = append(w.calls, labels)
+	w.mu.Unlock()
+	return w.inner.Execute(cells)
+}
+
+func (w *recordingWorker) Shard() (store.ShardData, bool, error) { return w.inner.Shard() }
+func (w *recordingWorker) Close() error                          { return w.inner.Close() }
+
+// TestRunPartitionsAllCellsOnce checks the partition shard.Run
+// actually sends: over a healthy fleet, every cell reaches worker
+// Owner(specKey, label, n) exactly once, and each Execute call lists
+// its cells in campaign enumeration order. Byte identity alone cannot
+// catch a misplaced cell, because substreams are keyed by label.
+func TestRunPartitionsAllCellsOnce(t *testing.T) {
+	adaptive := testutil.EC2Spec(t, 7, 0)
+	adaptive.Repetitions = 8
+	adaptive.Stopping = fleet.StoppingSpec{ErrorBound: 0.001, MaxReps: 12}
+	specs := map[string]fleet.CampaignSpec{
+		"fixed":    testutil.TwoCloudSpec(t, 41, 0),
+		"adaptive": adaptive,
+	}
+	const n = 3
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			specKey := testutil.SpecKeys(t, spec)[0]
+			// The single-process run fixes the cell set and its
+			// enumeration order, independently of the coordinator.
+			ref, err := fleet.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := make(map[string]int, len(ref.Cells))
+			for i, c := range ref.Cells {
+				pos[c.Cell.Label()] = i
+			}
+			workers := make([]*recordingWorker, n)
+			fleetWorkers := make([]shard.Worker, n)
+			for i := range workers {
+				workers[i] = &recordingWorker{}
+				fleetWorkers[i] = workers[i]
+			}
+			if _, _, err := shard.Run(shard.Campaign{Spec: spec, RunID: "r1", Workers: fleetWorkers}); err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[string]int, len(pos))
+			for w, rw := range workers {
+				for _, call := range rw.calls {
+					last := -1
+					for _, label := range call {
+						p, ok := pos[label]
+						if !ok {
+							t.Fatalf("worker %d executed %s, which is not a campaign cell", w, label)
+						}
+						if p <= last {
+							t.Errorf("worker %d: %s out of enumeration order within one Execute call", w, label)
+						}
+						last = p
+						if own := shard.Owner(specKey, label, n); own != w {
+							t.Errorf("cell %s ran on worker %d, Owner names %d", label, w, own)
+						}
+						seen[label]++
+					}
 				}
-				last = pos[label]
 			}
-		}
-		if total != len(labels) {
-			t.Errorf("%d shards hold %d labels, want %d", n, total, len(labels))
-		}
-	}
-}
-
-func TestAssignRejectsBadInput(t *testing.T) {
-	if _, err := shard.Assign("k", []string{"a"}, 0); err == nil {
-		t.Error("Assign accepted zero shards")
-	}
-	if _, err := shard.Assign("", []string{"a"}, 2); err == nil {
-		t.Error("Assign accepted an empty spec key")
-	}
-	if _, err := shard.Assign("k", []string{"a", "a"}, 2); err == nil {
-		t.Error("Assign accepted a duplicate label")
-	}
-	if _, err := shard.Assign("k", []string{""}, 2); err == nil {
-		t.Error("Assign accepted an empty label")
-	}
-}
-
-// TestDecodeAssignmentsRefusesRemappedCell is the anti-tamper check:
-// an assignment set that moves a cell off its Owner shard must not
-// decode, or a corrupt coordinator could silently re-map substreams.
-func TestDecodeAssignmentsRefusesRemappedCell(t *testing.T) {
-	a, err := shard.Assign("deadbeef", []string{"x/rep0", "y/rep0", "z/rep0"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shard.DecodeAssignments(b); err != nil {
-		t.Fatalf("round trip rejected: %v", err)
-	}
-	// Swap the two shards' cell lists: same labels, wrong owners.
-	a.Cells[0], a.Cells[1] = a.Cells[1], a.Cells[0]
-	swapped, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shard.DecodeAssignments(swapped); err == nil {
-		t.Error("decoder accepted a partition that re-maps cells across shards")
-	} else if !strings.Contains(err.Error(), "Owner assigns") {
-		t.Errorf("want an owner-mismatch refusal, got: %v", err)
-	}
-}
-
-// assignSeeds are the fuzz seeds, shared between FuzzDecodeAssignments
-// and the committed-corpus check.
-func assignSeeds(t testing.TB) map[string][]byte {
-	t.Helper()
-	valid, err := shard.Assign("a0b1c2", []string{"x/rep0", "y/rep0", "z/rep0", "w/rep1"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	validBytes, err := valid.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{
-		"seed-valid":        validBytes,
-		"seed-empty":        []byte(``),
-		"seed-not-json":     []byte(`not json`),
-		"seed-wrong-shape":  []byte(`{"spec_key":"k","shards":"two","cells":[]}`),
-		"seed-zero-shards":  []byte(`{"spec_key":"k","shards":0,"cells":[]}`),
-		"seed-no-key":       []byte(`{"shards":1,"cells":[["a"]]}`),
-		"seed-short-cells":  []byte(`{"spec_key":"k","shards":3,"cells":[["a"]]}`),
-		"seed-wrong-owner":  []byte(`{"spec_key":"k","shards":2,"cells":[[],["x/rep0","y/rep0","z/rep0"]]}`),
-		"seed-dup-label":    []byte(`{"spec_key":"k","shards":1,"cells":[["a","a"]]}`),
-		"seed-empty-label":  []byte(`{"spec_key":"k","shards":1,"cells":[[""]]}`),
-		"seed-null-cells":   []byte(`{"spec_key":"k","shards":1,"cells":null}`),
-		"seed-deep-nesting": []byte(`{"spec_key":"k","shards":1,"cells":[[{"a":1}]]}`),
-	}
-}
-
-// FuzzDecodeAssignments hammers the transport decoder: it must never
-// panic, and anything it accepts must validate and survive an
-// encode/decode round trip unchanged (idempotent recovery).
-func FuzzDecodeAssignments(f *testing.F) {
-	for _, data := range assignSeeds(f) {
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := shard.DecodeAssignments(data)
-		if err != nil {
-			return
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("decoder accepted an invalid assignment set: %v", err)
-		}
-		b, err := a.Encode()
-		if err != nil {
-			t.Fatalf("accepted set does not re-encode: %v", err)
-		}
-		again, err := shard.DecodeAssignments(b)
-		if err != nil {
-			t.Fatalf("re-encoded set does not decode: %v", err)
-		}
-		b2, err := again.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != string(b2) {
-			t.Fatalf("encode∘decode is not a fixed point:\n first %s\nsecond %s", b, b2)
-		}
-	})
-}
-
-var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed corpus under testdata/fuzz from the in-code seeds")
-
-// TestAssignSeedCorpusCommitted keeps the committed seed corpus
-// (testdata/fuzz/FuzzDecodeAssignments, which `go test -fuzz` picks up
-// alongside the f.Add seeds) in lockstep with the in-code seeds. Run
-// with -update to regenerate the files.
-func TestAssignSeedCorpusCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeAssignments")
-	for name, data := range assignSeeds(t) {
-		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		path := filepath.Join(dir, name)
-		if *updateCorpus {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
+			for label := range pos {
+				if seen[label] != 1 {
+					t.Errorf("cell %s executed %d times, want exactly once", label, seen[label])
+				}
 			}
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("seed %s is not committed (run with -update): %v", name, err)
-		}
-		if string(got) != want {
-			t.Errorf("committed seed %s diverged from the in-code seed (run with -update)", name)
-		}
+		})
 	}
 }
 

@@ -170,9 +170,9 @@ func MinSamplesForQuantileCI(q, conf float64) int {
 
 // BootstrapCI computes a percentile-bootstrap confidence interval for
 // an arbitrary statistic. It exists as the ablation comparator for the
-// order-statistic method (DESIGN.md §5): the binomial method needs no
-// resampling and is what the paper uses, but bootstrap generalises to
-// statistics without order-statistic theory.
+// order-statistic method (BenchmarkAblationCIMethod): the binomial
+// method needs no resampling and is what the paper uses, but bootstrap
+// generalises to statistics without order-statistic theory.
 func BootstrapCI(xs []float64, statistic func([]float64) float64, conf float64, resamples int, src *simrand.Source) (Interval, error) {
 	n := len(xs)
 	iv := Interval{Confidence: conf, N: n}
