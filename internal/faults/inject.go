@@ -197,7 +197,9 @@ func (s *WorkerState) Events() int {
 }
 
 // tornBudget is how many response-body bytes survive a torn response
-// — enough to be plausibly mid-JSON, never enough to parse.
+// — enough to reach into a frame header or a JSON envelope, never a
+// whole cell; the read fails after them either way, so a torn answer
+// never decodes.
 const tornBudget = 16
 
 // Transport wraps an http.RoundTripper with worker i's fault

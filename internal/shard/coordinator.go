@@ -182,14 +182,15 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 }
 
 // collectShards gathers every worker's persisted shard store. A
-// collection failure is tolerated only for workers already marked
-// dead; their cells are handled by the coverage check in Run.
+// transient collection failure is tolerated only for workers already
+// marked dead; their cells are handled by the coverage check in Run.
+// A fatal one (wire skew) fails the campaign whoever answered it.
 func collectShards(workers []Worker, dead *deadSet) ([]store.ShardData, error) {
 	var shards []store.ShardData
 	for i, w := range workers {
 		d, ok, err := w.Shard()
 		if err != nil {
-			if dead.is(i) {
+			if dead.is(i) && Classify(err) != ClassFatal {
 				continue
 			}
 			return nil, fmt.Errorf("shard: collecting worker %d store: %w", i, err)

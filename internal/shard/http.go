@@ -1,22 +1,31 @@
 package shard
 
 // HTTP transport: a campaignd worker process exposes its shard
-// execution over a small JSON API, and HTTPWorker is the
-// coordinator-side client. The wire format carries cell labels out
-// and full series back; JSON round-trips float64 exactly (shortest
-// representation), and the client rebuilds summaries with
+// execution over a small HTTP API, and HTTPWorker is the
+// coordinator-side client. The control plane is JSON — execute
+// requests (spec document, metadata, cell labels), manifests, spec
+// documents and the error envelope — but cells travel only as the
+// store's CRC frames (store.AppendCellFrame), in the binary media type
+// application/vnd.cloudvar.frames. Frames carry every float
+// bit-exactly, and the client rebuilds summaries with
 // fleet.SummarizeStored — the same append-order replay the store's
 // resume path uses — so a cell that crossed the wire is byte-identical
 // to one executed locally.
 //
 //	POST /v1/execute  — run cells of a campaign, creating (or, after
 //	                    a restart, resuming) the worker's
-//	                    shard-stamped store run on first use
-//	GET  /v1/shard    — the worker's persisted shard (store.ShardData)
+//	                    shard-stamped store run on first use; answers
+//	                    a frame or an error per cell
+//	                    (appendExecuteResponse)
+//	GET  /v1/shard    — the worker's persisted shard, as
+//	                    store.ShardData.Encode bytes
 //	POST /v1/close    — release a campaign's store handle
 //	GET  /v1/health   — heartbeat (the breaker's half-open probe)
 //	GET  /healthz     — liveness
 //
+// A 200 answer from execute or shard in any other media type comes
+// from a worker speaking another wire format; the client refuses it as
+// a fatal wire-skew error instead of retrying it into local fallback.
 // Errors travel as a uniform JSON envelope (ErrorBody) with the
 // status repeated in the body, so clients never have to scrape
 // plain-text bodies; request bodies are capped with MaxBytesReader.
@@ -30,10 +39,12 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"sync"
 	"time"
@@ -42,8 +53,6 @@ import (
 	"cloudvar/internal/expspec"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
-	"cloudvar/internal/trace"
-	"cloudvar/internal/workload"
 )
 
 // executeRequest is the body of POST /v1/execute.
@@ -87,18 +96,107 @@ func metaFromWire(m executeMeta) store.RunMeta {
 	}
 }
 
-// executeResponse is the body of a successful POST /v1/execute.
-type executeResponse struct {
-	Results []wireResult `json:"results"`
+// framesMediaType is the Content-Type of the answers that carry
+// cells: execute results and store.ShardData.
+const framesMediaType = "application/vnd.cloudvar.frames"
+
+// appendExecuteResponse encodes the answer to POST /v1/execute, one
+// result per requested cell, in request order. Per-cell errors travel
+// as strings — they are campaign facts, not transport failures.
+//
+//	response := uvarint(count) result{count}
+//	result   := byte(0) frame                   (store.AppendCellFrame)
+//	          | byte(1) str(label) str(error)
+//	str      := uvarint(len) bytes
+func appendExecuteResponse(dst []byte, results []fleet.CellResult) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(results)))
+	for _, res := range results {
+		if res.Err != nil {
+			dst = append(dst, 1)
+			dst = appendWireString(dst, res.Cell.Label())
+			dst = appendWireString(dst, res.Err.Error())
+			continue
+		}
+		rec, err := store.NewCellRecord(res)
+		if err != nil {
+			return nil, err
+		}
+		if dst, err = store.AppendCellFrame(append(dst, 0), rec); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
-// wireResult is one cell's outcome in transit. Per-cell errors travel
-// as strings — they are campaign facts, not transport failures.
-type wireResult struct {
-	Label    string                `json:"label"`
-	Series   *trace.Series         `json:"series,omitempty"`
-	Workload *workload.CellMetrics `json:"workload,omitempty"`
-	Error    string                `json:"error,omitempty"`
+func appendWireString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// decodeExecuteResponse decodes the answer to an execute request for
+// cells: exactly one result per cell, in order, each naming its cell,
+// and nothing after the last. Summaries are left to the caller, which
+// knows the campaign's summary mode.
+func decodeExecuteResponse(b []byte, cells []fleet.Cell) ([]fleet.CellResult, error) {
+	n, off := binary.Uvarint(b)
+	if off <= 0 {
+		return nil, fmt.Errorf("malformed result count")
+	}
+	if n != uint64(len(cells)) {
+		return nil, fmt.Errorf("%d results for %d cells", n, len(cells))
+	}
+	results := make([]fleet.CellResult, len(cells))
+	for i, cell := range cells {
+		if off >= len(b) {
+			return nil, fmt.Errorf("truncated before result %d of %d", i, n)
+		}
+		tag := b[off]
+		off++
+		res := fleet.CellResult{Cell: cell}
+		var label string
+		switch tag {
+		case 0:
+			rec, m, err := store.DecodeCellFrame(b[off:])
+			if err != nil {
+				return nil, fmt.Errorf("result %d: %w", i, err)
+			}
+			off += m
+			label, res.Series, res.Workload = rec.Label, rec.Series, rec.Workload
+		case 1:
+			var msg string
+			var err error
+			if label, off, err = readWireString(b, off); err != nil {
+				return nil, fmt.Errorf("result %d label: %w", i, err)
+			}
+			if msg, off, err = readWireString(b, off); err != nil {
+				return nil, fmt.Errorf("result %d error: %w", i, err)
+			}
+			res.Err = errors.New(msg)
+		default:
+			return nil, fmt.Errorf("result %d has tag %d, want 0 (frame) or 1 (error)", i, tag)
+		}
+		if want := cell.Label(); label != want {
+			return nil, fmt.Errorf("result %d is cell %s, want %s", i, label, want)
+		}
+		results[i] = res
+	}
+	if off != len(b) {
+		return nil, fmt.Errorf("%d trailing bytes after %d results", len(b)-off, n)
+	}
+	return results, nil
+}
+
+func readWireString(b []byte, off int) (string, int, error) {
+	n, k := binary.Uvarint(b[off:])
+	if k <= 0 {
+		return "", 0, fmt.Errorf("malformed length at offset %d", off)
+	}
+	off += k
+	// Compare in uint64 space: int(n) of a length >= 2^63 is negative.
+	if n > uint64(len(b)-off) {
+		return "", 0, fmt.Errorf("string of %d bytes at offset %d exceeds the body", n, off)
+	}
+	return string(b[off : off+int(n)]), off + int(n), nil
 }
 
 // WorkerServer is the worker-process side of the HTTP transport: it
@@ -288,19 +386,13 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := executeResponse{Results: make([]wireResult, len(results))}
-	for i, res := range results {
-		wr := wireResult{Label: res.Cell.Label()}
-		if res.Err != nil {
-			wr.Error = res.Err.Error()
-		} else {
-			wr.Series = res.Series
-			wr.Workload = res.Workload
-		}
-		resp.Results[i] = wr
+	b, err := appendExecuteResponse(nil, results)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Header().Set("Content-Type", framesMediaType)
+	w.Write(b)
 }
 
 func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
@@ -342,7 +434,7 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", framesMediaType)
 	w.Write(b)
 }
 
@@ -415,7 +507,7 @@ func (w *HTTPWorker) Begin(rc RunContext, index, count int) error {
 }
 
 // Execute implements Worker: ship labels out, rebuild full results
-// from the returned series.
+// from the returned frames.
 func (w *HTTPWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 	labels := make([]string, len(cells))
 	for i, c := range cells {
@@ -433,45 +525,27 @@ func (w *HTTPWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: encoding execute request: %w", err)
 	}
-	var resp executeResponse
-	if err := w.post("/v1/execute", body, &resp); err != nil {
+	b, err := w.frames(http.MethodPost, "/v1/execute", body)
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(cells) {
-		return nil, fmt.Errorf("shard: worker %s returned %d results for %d cells", w.URL, len(resp.Results), len(cells))
+	results, err := decodeExecuteResponse(b, cells)
+	if err != nil {
+		return nil, fmt.Errorf("shard: decoding worker %s execute response: %w", w.URL, err)
 	}
-	results := make([]fleet.CellResult, len(cells))
-	for i, wr := range resp.Results {
-		if wr.Label != labels[i] {
-			return nil, fmt.Errorf("shard: worker %s result %d is cell %s, want %s", w.URL, i, wr.Label, labels[i])
+	for i := range results {
+		if results[i].Err == nil {
+			results[i].Summary = fleet.SummarizeStored(w.rc.Spec.Summarize, results[i].Series)
 		}
-		res := fleet.CellResult{Cell: cells[i]}
-		if wr.Error != "" {
-			res.Err = errors.New(wr.Error)
-		} else if wr.Series == nil {
-			return nil, fmt.Errorf("shard: worker %s returned cell %s with neither series nor error", w.URL, wr.Label)
-		} else {
-			res.Series = wr.Series
-			res.Summary = fleet.SummarizeStored(w.rc.Spec.Summarize, wr.Series)
-			res.Workload = wr.Workload
-		}
-		results[i] = res
 	}
 	return results, nil
 }
 
 // Shard implements Worker: fetch the worker's persisted shard store.
 func (w *HTTPWorker) Shard() (store.ShardData, bool, error) {
-	resp, err := w.client().Get(w.URL + "/v1/shard?run=" + w.rc.RunID)
-	if err != nil {
-		return store.ShardData{}, false, fmt.Errorf("shard: fetching shard from %s: %w", w.URL, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return store.ShardData{}, false, fmt.Errorf("shard: fetching shard from %s: %w", w.URL, err)
-	}
-	if resp.StatusCode == http.StatusNotFound {
+	b, err := w.frames(http.MethodGet, "/v1/shard?run="+w.rc.RunID, nil)
+	var se *StatusError
+	if errors.As(err, &se) && se.Code == http.StatusNotFound {
 		// The worker never persisted anything for this run — the
 		// server checks its disk store as well as its memory, so even
 		// a restarted worker only 404s when it held no cells (every
@@ -480,8 +554,8 @@ func (w *HTTPWorker) Shard() (store.ShardData, bool, error) {
 		// lost to this answer.
 		return store.ShardData{}, false, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return store.ShardData{}, false, &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
+	if err != nil {
+		return store.ShardData{}, false, err
 	}
 	d, err := store.DecodeShardData(b)
 	if err != nil {
@@ -493,26 +567,8 @@ func (w *HTTPWorker) Shard() (store.ShardData, bool, error) {
 // Health implements HealthChecker: the breaker's half-open probe. A
 // nil return means the worker process is up and answering.
 func (w *HTTPWorker) Health() error {
-	ctx := context.Background()
-	if w.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.AttemptTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.URL+"/v1/health", nil)
-	if err != nil {
-		return fmt.Errorf("shard: probing worker %s: %w", w.URL, err)
-	}
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return fmt.Errorf("shard: probing worker %s: %w", w.URL, err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
-	}
-	return nil
+	_, _, err := w.call(http.MethodGet, "/v1/health", nil)
+	return err
 }
 
 // Close implements Worker: release the remote store handle. A dead
@@ -522,45 +578,72 @@ func (w *HTTPWorker) Close() error {
 	if w.rc.RunID == "" {
 		return nil
 	}
-	resp, err := w.client().Post(w.URL+"/v1/close?run="+w.rc.RunID, "text/plain", nil)
-	if err != nil {
-		return nil
-	}
-	resp.Body.Close()
+	_, _, _ = w.call(http.MethodPost, "/v1/close?run="+w.rc.RunID, nil)
 	return nil
 }
 
-// post issues one JSON request/response round trip, bounded by
-// AttemptTimeout when set. Any failure — transport, deadline, torn
-// body, non-2xx — is a worker-level error the coordinator's retry
-// machinery classifies: StatusError carries the code for the
-// transient/fatal split, everything else is transient.
-func (w *HTTPWorker) post(path string, body []byte, out any) error {
+// wireSkewError is a 200 answer to a cell-carrying call in a media
+// type other than framesMediaType: the worker speaks another wire
+// format. Every retry would fail the same way, and falling back to
+// local execution would hide a deployment error, so Classify makes it
+// fatal.
+type wireSkewError struct {
+	url, path, contentType string
+}
+
+func (e *wireSkewError) Error() string {
+	return fmt.Sprintf("shard: worker %s answered %s with Content-Type %q, want %s — coordinator and worker speak different wire formats",
+		e.url, e.path, e.contentType, framesMediaType)
+}
+
+// frames is call for the cell-carrying endpoints: it also requires the
+// 200 answer to be in framesMediaType.
+func (w *HTTPWorker) frames(method, path string, body []byte) ([]byte, error) {
+	ct, b, err := w.call(method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != framesMediaType {
+		return nil, &wireSkewError{url: w.URL, path: path, contentType: ct}
+	}
+	return b, nil
+}
+
+// call issues one request (a JSON body when body is non-nil), bounded
+// by AttemptTimeout when set, and returns the Content-Type and body of
+// a 200 answer. Any failure — transport, deadline, torn body, non-2xx —
+// is a worker-level error the coordinator's retry machinery
+// classifies: StatusError carries the code for the transient/fatal
+// split, everything else is transient.
+func (w *HTTPWorker) call(method, path string, body []byte) (string, []byte, error) {
 	ctx := context.Background()
 	if w.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, w.AttemptTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, w.URL+path, rd)
+	if err != nil {
+		return "", nil, fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := w.client().Do(req)
 	if err != nil {
-		return fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
+		return "", nil, fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
+		return "", nil, fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
+		return "", nil, &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
 	}
-	if err := json.Unmarshal(b, out); err != nil {
-		return fmt.Errorf("shard: decoding worker %s response: %w", w.URL, err)
-	}
-	return nil
+	return resp.Header.Get("Content-Type"), b, nil
 }

@@ -122,6 +122,59 @@ func TestHTTPWorkerAttemptTimeoutCutsSlowHeaders(t *testing.T) {
 	}
 }
 
+func TestHTTPWorkerShardAttemptTimeout(t *testing.T) {
+	// A worker that hangs while serving its shard must not block the
+	// coordinator's collection forever: the per-attempt deadline cuts
+	// GET /v1/shard like any other call.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	w, _ := beginHTTPWorker(t, srv.URL, 30*time.Millisecond)
+	start := time.Now()
+	_, ok, err := w.Shard()
+	if err == nil || ok {
+		t.Fatalf("hung shard endpoint answered ok=%v err=%v", ok, err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("per-attempt deadline took %v to fire", elapsed)
+	}
+	if shard.Classify(err) != shard.ClassTransient {
+		t.Errorf("a deadline must classify transient: %v", err)
+	}
+}
+
+func TestHTTPWorkerWireSkewIsFatal(t *testing.T) {
+	// A worker answering 200 in JSON speaks another wire format. That is
+	// a deployment error every retry repeats: it must classify fatal
+	// and fail the campaign, not end in silent local fallback.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"results":[]}`)
+	}))
+	defer srv.Close()
+	w, cells := beginHTTPWorker(t, srv.URL, 0)
+	if _, err := w.Execute(cells); err == nil || shard.Classify(err) != shard.ClassFatal {
+		t.Errorf("execute answered in JSON: err %v, want a fatal wire-skew error", err)
+	}
+	if _, _, err := w.Shard(); err == nil || shard.Classify(err) != shard.ClassFatal {
+		t.Errorf("shard answered in JSON: err %v, want a fatal wire-skew error", err)
+	}
+
+	plan := compileLoopbackDoc(t, loopbackDoc)
+	_, _, err := shard.Run(shard.Campaign{
+		Spec:     plan.Campaign.Spec,
+		SpecDoc:  plan.Bytes,
+		RunID:    "r1",
+		Meta:     store.RunMeta{CreatedUnix: 1},
+		Workers:  []shard.Worker{&shard.HTTPWorker{URL: srv.URL}},
+		Fallback: &shard.InProcWorker{},
+	})
+	if err == nil || !strings.Contains(err.Error(), "wire format") {
+		t.Fatalf("campaign over a skewed worker: err %v, want the wire-skew error", err)
+	}
+}
+
 func TestHTTPWorkerHealth(t *testing.T) {
 	srv := httptest.NewServer(shard.NewWorkerServer(t.TempDir()).Handler())
 	w := &shard.HTTPWorker{URL: srv.URL}

@@ -45,10 +45,15 @@ const (
 )
 
 // Classify assigns a worker error to its retry class. 4xx worker
-// responses — except 408 (timeout) and 429 (pressure) — are fatal;
-// everything else (transport errors, deadlines, torn responses, 5xx,
-// injected faults) is transient.
+// responses — except 408 (timeout) and 429 (pressure) — are fatal, and
+// so is a 200 answer in the wrong media type (wire skew between
+// binaries); everything else (transport errors, deadlines, torn
+// responses, 5xx, injected faults) is transient.
 func Classify(err error) ErrorClass {
+	var skew *wireSkewError
+	if errors.As(err, &skew) {
+		return ClassFatal
+	}
 	var se *StatusError
 	if errors.As(err, &se) {
 		if se.Code >= 400 && se.Code < 500 &&

@@ -12,7 +12,11 @@ import (
 	"cloudvar/internal/workload"
 )
 
-// Columnar cell encoding: the week-long-campaign storage format.
+// Columnar cell encoding: the week-long-campaign storage format, and
+// the only form a cell record takes outside memory in a columnar
+// campaign — on disk, on the worker↔coordinator wire (ShardData and
+// internal/shard's execute answers carry these frames) and inside the
+// merge.
 //
 // JSONL spends ~17 bytes of decimal text per float; a campaign bin
 // series is smooth (bandwidth wobbles around a plateau, time advances
@@ -24,26 +28,35 @@ import (
 //
 // File layout (cells.col, append-only, one frame per cell):
 //
-//	frame  := uvarint(len(payload)) || crc32-IEEE(payload) LE || payload
-//	payload:= uvarint(cellSchema)
-//	          str(label) str(cloud) str(instance) str(regime)
-//	          uvarint(rep)
-//	          str(seriesLabel) float64bits(intervalSec) LE
-//	          uvarint(npoints)
-//	          fcol(TimeSec) fcol(BandwidthGbps) icol(Retransmissions)
-//	          fcol(RTTms) fcol(CPUFrac)
-//	          byte(hasWorkload) [uvarint(len) json(workload)]
-//	str    := uvarint(len) || bytes
-//	fcol   := npoints × varint(bits_i - bits_{i-1})   (wrapping, bits_{-1}=0)
-//	icol   := npoints × varint(v_i - v_{i-1})         (v_{-1}=0)
+//	frame    := uvarint(len(payload)) || crc32-IEEE(payload) LE || payload
+//	payload  := uvarint(cellSchema)
+//	            str(label) str(cloud) str(instance) str(regime)
+//	            uvarint(rep)
+//	            str(seriesLabel) float64bits(intervalSec) LE
+//	            uvarint(npoints)
+//	            fcol(TimeSec) fcol(BandwidthGbps) icol(Retransmissions)
+//	            fcol(RTTms) fcol(CPUFrac)
+//	            workload
+//	workload := byte(0)                               (no workload)
+//	          | byte(2) ulen(clients) client*
+//	          | byte(1) uvarint(len) json(workload)   (read only)
+//	client   := str(id) str(class) ulen(latencies) lcol
+//	str      := uvarint(len) || bytes
+//	ulen     := uvarint(0) for a nil slice | uvarint(n+1) for n elements
+//	fcol     := npoints × varint(bits_i - bits_{i-1})   (wrapping, bits_{-1}=0)
+//	lcol     := the same delta coding over one client's latencies
+//	icol     := npoints × varint(v_i - v_{i-1})         (v_{-1}=0)
 //
 // The CRC rides inside the frame so torn-tail recovery stays purely
 // structural (same contract as JSONL's "drop text after the last
 // newline"): an interrupted append is truncated at the frame start,
 // while a CRC or decode failure on a *complete* frame is loud
-// corruption, never silently dropped. Workload metrics are a JSON blob
-// — they are ragged per-client structures that don't columnarise, and
-// reusing the JSON codec keeps one source of truth for their shape.
+// corruption, never silently dropped. Workload latencies are columns
+// like the series: ulen keeps nil and empty slices apart, so a decoded
+// record re-marshals to the same JSON as the one encoded. Flag 1 (the
+// workload as a JSON blob) is what stores written before flag 2 hold;
+// it is still read, and the merge rewrites such cells as flag 2. An
+// empty series decodes with nil Points.
 
 // Cell-encoding names as stamped in the manifest. The empty string
 // means JSONL so every pre-columnar manifest reads back unchanged.
@@ -80,23 +93,6 @@ const (
 	maxColumnarFrame  = 1 << 30
 )
 
-// appendUvarint / appendVarint are binary.PutUvarint/PutVarint onto a
-// growing slice.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-func appendVarint(dst []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutVarint(tmp[:], v)]...)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // encodeCellPayload appends rec's columnar payload (no framing) to dst.
 func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 	if rec.Series == nil {
@@ -105,74 +101,138 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 	if len(rec.Label) > maxColumnarString || len(rec.Series.Label) > maxColumnarString {
 		return nil, fmt.Errorf("store: cell %s: label too long to encode", rec.Label)
 	}
-	dst = appendUvarint(dst, uint64(rec.Schema))
+	pts := rec.Series.Points
+	dst = binary.AppendUvarint(dst, uint64(rec.Schema))
 	dst = appendString(dst, rec.Label)
 	dst = appendString(dst, rec.Cloud)
 	dst = appendString(dst, rec.Instance)
 	dst = appendString(dst, rec.Regime)
-	dst = appendUvarint(dst, uint64(rec.Rep))
+	dst = binary.AppendUvarint(dst, uint64(rec.Rep))
 	dst = appendString(dst, rec.Series.Label)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Series.IntervalSec))
-	pts := rec.Series.Points
-	dst = appendUvarint(dst, uint64(len(pts)))
-	for _, col := range []func(trace.Point) float64{
-		func(p trace.Point) float64 { return p.TimeSec },
-		func(p trace.Point) float64 { return p.BandwidthGbps },
-	} {
-		dst = appendFloatColumn(dst, pts, col)
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(pts)))
+	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.TimeSec })
+	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.BandwidthGbps })
 	prev := int64(0)
-	for _, p := range pts {
-		v := int64(p.Retransmissions)
-		dst = appendVarint(dst, v-prev)
+	for i := range pts {
+		v := int64(pts[i].Retransmissions)
+		dst = binary.AppendVarint(dst, v-prev)
 		prev = v
 	}
-	for _, col := range []func(trace.Point) float64{
-		func(p trace.Point) float64 { return p.RTTms },
-		func(p trace.Point) float64 { return p.CPUFrac },
-	} {
-		dst = appendFloatColumn(dst, pts, col)
-	}
+	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.RTTms })
+	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.CPUFrac })
 	if rec.Workload == nil {
 		return append(dst, 0), nil
 	}
-	wl, err := json.Marshal(rec.Workload)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding cell %s workload: %w", rec.Label, err)
+	dst = append(dst, 2)
+	clients := rec.Workload.Clients
+	dst = appendLen(dst, clients == nil, len(clients))
+	for _, c := range clients {
+		if len(c.ID) > maxColumnarString || len(c.Class) > maxColumnarString {
+			return nil, fmt.Errorf("store: cell %s: workload client name too long to encode", rec.Label)
+		}
+		dst = appendString(dst, c.ID)
+		dst = appendString(dst, c.Class)
+		dst = appendLen(dst, c.LatencyMs == nil, len(c.LatencyMs))
+		prev := uint64(0)
+		for _, v := range c.LatencyMs {
+			bits := math.Float64bits(v)
+			dst = binary.AppendVarint(dst, int64(bits-prev))
+			prev = bits
+		}
 	}
-	dst = append(dst, 1)
-	dst = appendUvarint(dst, uint64(len(wl)))
-	return append(dst, wl...), nil
+	return dst, nil
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendLen appends a ulen: 0 for a nil slice, n+1 for n elements.
+func appendLen(dst []byte, isNil bool, n int) []byte {
+	if isNil {
+		return append(dst, 0)
+	}
+	return binary.AppendUvarint(dst, uint64(n)+1)
 }
 
 // appendFloatColumn delta-encodes one float column on IEEE-754 bit
 // patterns: wrapping subtraction of consecutive Float64bits, zigzag
 // varint. Bit-exact for every value, NaN payloads included, and small
 // for the smooth columns campaigns produce.
-func appendFloatColumn(dst []byte, pts []trace.Point, get func(trace.Point) float64) []byte {
+func appendFloatColumn(dst []byte, pts []trace.Point, get func(*trace.Point) float64) []byte {
 	prev := uint64(0)
-	for _, p := range pts {
-		bits := math.Float64bits(get(p))
-		dst = appendVarint(dst, int64(bits-prev))
+	for i := range pts {
+		bits := math.Float64bits(get(&pts[i]))
+		dst = binary.AppendVarint(dst, int64(bits-prev))
 		prev = bits
 	}
 	return dst
 }
 
-// appendFrame frames one payload (length header + CRC) onto dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// frameHeaderMax is the widest frame header: a maximal length varint
+// and the CRC.
+const frameHeaderMax = binary.MaxVarintLen64 + 4
+
+// AppendCellFrame appends rec to dst as one complete frame — a
+// cells.col record, and the unit a cell record crosses the wire in.
+// On error dst is returned unchanged.
+func AppendCellFrame(dst []byte, rec CellRecord) ([]byte, error) {
+	// Encode the payload behind room for the widest header, then close
+	// the gap once its length (and so the header's width) is known:
+	// one memmove instead of a scratch buffer and a copy.
+	start := len(dst)
+	var hdr [frameHeaderMax]byte
+	out, err := encodeCellPayload(append(dst, hdr[:]...), rec)
+	if err != nil {
+		return dst[:start], err
+	}
+	payload := out[start+frameHeaderMax:]
+	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
+	n = copy(out[start:], hdr[:n+4])
+	n += copy(out[start+n:], payload)
+	return out[:start+n], nil
 }
 
-// appendCellFrame appends rec as one complete frame to dst.
-func appendCellFrame(dst []byte, rec CellRecord) ([]byte, error) {
-	payload, err := encodeCellPayload(nil, rec)
+// DecodeCellFrame decodes the complete frame at the start of b and
+// returns its record and the frame's length in bytes. It is the strict
+// reader for frames that arrive whole (ShardData, execute answers):
+// a frame cut short anywhere, a CRC mismatch, an undecodable payload
+// or a schema this binary does not speak is an error.
+func DecodeCellFrame(b []byte) (CellRecord, int, error) {
+	payloadStart, payloadLen, tornAt, err := nextFrame(b, 0)
 	if err != nil {
-		return dst, err
+		return CellRecord{}, 0, err
 	}
-	return appendFrame(dst, payload), nil
+	if tornAt >= 0 {
+		return CellRecord{}, 0, fmt.Errorf("frame truncated: %d bytes hold no complete frame", len(b))
+	}
+	rec, err := decodeFrame(b, payloadStart, payloadLen)
+	if err != nil {
+		return CellRecord{}, 0, err
+	}
+	return rec, payloadStart + payloadLen, nil
+}
+
+// decodeFrame checks the CRC of the complete frame whose payload is
+// b[payloadStart:payloadStart+payloadLen], decodes the payload, and
+// refuses a schema outside this binary's range.
+func decodeFrame(b []byte, payloadStart, payloadLen int) (CellRecord, error) {
+	payload := b[payloadStart : payloadStart+payloadLen]
+	if got, want := crc32.ChecksumIEEE(payload), frameCRC(b, payloadStart); got != want {
+		return CellRecord{}, fmt.Errorf("crc %08x != recorded %08x", got, want)
+	}
+	rec, err := decodeCellPayload(payload)
+	if err != nil {
+		return CellRecord{}, err
+	}
+	if rec.Schema < MinSchemaVersion || rec.Schema > SchemaVersion {
+		return CellRecord{}, fmt.Errorf("cell %q has schema %d, this binary speaks %d-%d",
+			rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
+	}
+	return rec, nil
 }
 
 // colReader is a bounds-checked cursor over a payload.
@@ -210,6 +270,25 @@ func (r *colReader) str() (string, error) {
 	s := string(r.b[r.off : r.off+int(n)])
 	r.off += int(n)
 	return s, nil
+}
+
+// count reads a ulen: isNil for 0, else the element count n, refused
+// unless the remaining payload could hold n elements of at least
+// minBytes each. The comparison is in uint64 space — a count >= 2^63
+// would wrap negative through int() and slip past an int comparison
+// straight into make().
+func (r *colReader) count(minBytes uint64) (n int, isNil bool, err error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, false, err
+	}
+	if v == 0 {
+		return 0, true, nil
+	}
+	if v-1 > uint64(len(r.b)-r.off)/minBytes {
+		return 0, false, fmt.Errorf("count %d at offset %d exceeds remaining payload %d", v-1, r.off, len(r.b)-r.off)
+	}
+	return int(v - 1), false, nil
 }
 
 func (r *colReader) u64le() (uint64, error) {
@@ -316,28 +395,86 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 	switch flag {
 	case 0:
 	case 1:
-		n, err := r.uvarint()
-		if err != nil {
-			return fail("workload length", err)
-		}
-		// Compare in uint64 space before converting: int(n) of a huge
-		// length is negative and would make the slice bound below panic.
-		if n > uint64(len(payload)-r.off) {
-			return CellRecord{}, fmt.Errorf("workload blob of %d bytes exceeds payload", n)
-		}
-		var wl workload.CellMetrics
-		if err := json.Unmarshal(payload[r.off:r.off+int(n)], &wl); err != nil {
+		if rec.Workload, err = readWorkloadJSON(r); err != nil {
 			return fail("workload blob", err)
 		}
-		r.off += int(n)
-		rec.Workload = &wl
+	case 2:
+		if rec.Workload, err = readWorkload(r); err != nil {
+			return fail("workload", err)
+		}
 	default:
-		return CellRecord{}, fmt.Errorf("workload flag %d is not 0 or 1", flag)
+		return CellRecord{}, fmt.Errorf("workload flag %d is not 0, 1 or 2", flag)
 	}
 	if r.off != len(payload) {
 		return CellRecord{}, fmt.Errorf("%d trailing bytes after record", len(payload)-r.off)
 	}
 	return rec, nil
+}
+
+// readWorkload decodes a flag-2 workload: the client columns.
+func readWorkload(r *colReader) (*workload.CellMetrics, error) {
+	// A client costs at least 3 bytes: two empty strings and a ulen.
+	n, isNil, err := r.count(3)
+	if err != nil {
+		return nil, fmt.Errorf("clients: %w", err)
+	}
+	wl := &workload.CellMetrics{}
+	if !isNil {
+		wl.Clients = make([]workload.ClientMetrics, n)
+	}
+	for i := range wl.Clients {
+		c := &wl.Clients[i]
+		if c.ID, err = r.str(); err != nil {
+			return nil, fmt.Errorf("client %d id: %w", i, err)
+		}
+		if c.Class, err = r.str(); err != nil {
+			return nil, fmt.Errorf("client %d class: %w", i, err)
+		}
+		// A latency costs at least one varint byte.
+		m, isNil, err := r.count(1)
+		if err != nil {
+			return nil, fmt.Errorf("client %d latencies: %w", i, err)
+		}
+		if !isNil {
+			c.LatencyMs = make([]float64, m)
+		}
+		prev := uint64(0)
+		for j := range c.LatencyMs {
+			d, err := r.varint()
+			if err != nil {
+				return nil, fmt.Errorf("client %d latency column: %w", i, err)
+			}
+			prev += uint64(d)
+			c.LatencyMs[j] = math.Float64frombits(prev)
+		}
+	}
+	return wl, nil
+}
+
+// readWorkloadJSON decodes a flag-1 workload, the JSON blob stores
+// written before flag 2 hold. Client names get the same length cap as
+// flag 2's strings, so every record this reader accepts re-encodes.
+func readWorkloadJSON(r *colReader) (*workload.CellMetrics, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("length: %w", err)
+	}
+	// Compare in uint64 space before converting: int(n) of a huge
+	// length is negative and would make the slice bound below panic.
+	if n > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("%d bytes exceed payload", n)
+	}
+	var wl workload.CellMetrics
+	if err := json.Unmarshal(r.b[r.off:r.off+int(n)], &wl); err != nil {
+		return nil, err
+	}
+	r.off += int(n)
+	for _, c := range wl.Clients {
+		if len(c.ID) > maxColumnarString || len(c.Class) > maxColumnarString {
+			return nil, fmt.Errorf("client name exceeds %d bytes", maxColumnarString)
+		}
+	}
+	return &wl, nil
 }
 
 func readFloatColumn(r *colReader, pts []trace.Point, set func(*trace.Point, float64)) error {
@@ -399,19 +536,11 @@ func readCellsColumnar(b []byte) ([]CellRecord, error) {
 		if tornAt >= 0 {
 			break // torn tail: everything before it is intact
 		}
-		payload := b[payloadStart : payloadStart+payloadLen]
-		if got, want := crc32.ChecksumIEEE(payload), frameCRC(b, payloadStart); got != want {
-			return nil, fmt.Errorf("frame at offset %d: crc %08x != recorded %08x", off, got, want)
-		}
-		rec, err := decodeCellPayload(payload)
+		rec, err := decodeFrame(b, payloadStart, payloadLen)
 		if err != nil {
 			return nil, fmt.Errorf("frame at offset %d: %w", off, err)
 		}
 		off = payloadStart + payloadLen
-		if rec.Schema < MinSchemaVersion || rec.Schema > SchemaVersion {
-			return nil, fmt.Errorf("cell %q has schema %d, this binary speaks %d-%d",
-				rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
-		}
 		if rec.Series == nil || seen[rec.Label] {
 			continue
 		}

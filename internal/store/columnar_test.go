@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -84,7 +85,7 @@ func encodeAll(t *testing.T, recs []CellRecord) []byte {
 	var buf []byte
 	var err error
 	for _, rec := range recs {
-		if buf, err = appendCellFrame(buf, rec); err != nil {
+		if buf, err = AppendCellFrame(buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,6 +139,14 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
+// appendFrame frames a raw payload (length header + CRC) onto dst, for
+// hand-built frames the encoder would never write.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
 // hostileLengthFrames builds CRC-valid frames whose payloads claim
 // absurd element counts: a uvarint >= 2^63 wraps negative through a
 // bare int() conversion, so a guard comparing in int space would admit
@@ -163,11 +172,28 @@ func hostileLengthFrames(tb testing.TB) map[string][]byte {
 	}
 	npoints := binary.AppendUvarint(prefix(), 1<<63)
 	wl := binary.AppendUvarint(prefix(), 0) // empty series
-	wl = append(wl, 1)                      // workload-present flag
+	wl = append(wl, 1)                      // flag 1: JSON workload blob
 	wl = binary.AppendUvarint(wl, 1<<63)    // huge blob length
+	// Flag-2 workloads: every count is a ulen (n+1), so 1<<63+1 claims
+	// 2^63 elements.
+	cols := func() []byte {
+		return append(binary.AppendUvarint(prefix(), 0), 2) // empty series, flag 2
+	}
+	clients := binary.AppendUvarint(cols(), 1<<63+1)
+	client := func() []byte {
+		b := binary.AppendUvarint(cols(), 2) // one client
+		return str(str(b, "chat"), "interactive")
+	}
+	latencies := binary.AppendUvarint(client(), 1<<63+1)
+	// Three latencies claimed, two one-byte varints present: one past
+	// what the remaining payload can hold.
+	pastEnd := append(binary.AppendUvarint(client(), 4), 0x02, 0x02)
 	return map[string][]byte{
-		"huge-npoints":  appendFrame(nil, npoints),
-		"huge-workload": appendFrame(nil, wl),
+		"huge-npoints":           appendFrame(nil, npoints),
+		"huge-workload":          appendFrame(nil, wl),
+		"huge-clients":           appendFrame(nil, clients),
+		"huge-latencies":         appendFrame(nil, latencies),
+		"latencies-past-payload": appendFrame(nil, pastEnd),
 	}
 }
 
@@ -211,7 +237,7 @@ func TestColumnarShapes(t *testing.T) {
 	t.Run("wrong schema is an error not a skip", func(t *testing.T) {
 		rec := recs[0]
 		rec.Schema = 1
-		frame, err := appendCellFrame(nil, rec)
+		frame, err := AppendCellFrame(nil, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +328,7 @@ func validColumnarSeedFrame(tb testing.TB) []byte {
 	tb.Helper()
 	s := trace.NewSeries("seed/rep0", 10)
 	s.Points = []trace.Point{{TimeSec: 0, BandwidthGbps: 9.5, Retransmissions: 1, RTTms: 0.2, CPUFrac: 0.4}}
-	b, err := appendCellFrame(nil, CellRecord{Schema: 2, Label: "seed/rep0", Cloud: "ec2", Instance: "c5.xlarge", Regime: "full-speed", Series: s})
+	b, err := AppendCellFrame(nil, CellRecord{Schema: 2, Label: "seed/rep0", Cloud: "ec2", Instance: "c5.xlarge", Regime: "full-speed", Series: s})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -568,5 +594,183 @@ func TestCreateRejectsUnknownEncoding(t *testing.T) {
 	}
 	if run.Manifest().Schema != 2 {
 		t.Fatalf("JSONL run schema = %d, want 2 (encoding must not bump it)", run.Manifest().Schema)
+	}
+}
+
+// flag1Frame frames rec the way stores written before flag 2 hold it:
+// the workload as a JSON blob behind flag 1.
+func flag1Frame(t *testing.T, rec CellRecord) []byte {
+	t.Helper()
+	wl := rec.Workload
+	rec.Workload = nil
+	payload, err := encodeCellPayload(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append(payload[:len(payload)-1], 1) // flag 0 -> 1
+	payload = binary.AppendUvarint(payload, uint64(len(blob)))
+	return appendFrame(nil, append(payload, blob...))
+}
+
+// TestFlag1FrameCompat: a workload cell framed by the encoder that
+// wrote flag 1 (testdata/compat, committed as that encoder wrote it,
+// with the record's JSON beside it) keeps decoding to the record it
+// was written from, and re-encodes as flag-2 columns.
+func TestFlag1FrameCompat(t *testing.T) {
+	frame, err := os.ReadFile(filepath.Join("testdata", "compat", "flag1-frame.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "compat", "flag1-record.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.TrimSuffix(want, []byte("\n"))
+	if !bytes.Contains(frame, []byte(`{"clients":[`)) {
+		t.Fatal("fixture holds no JSON workload blob: it is not a flag-1 frame")
+	}
+	rec, n, err := DecodeCellFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(frame) {
+		t.Fatalf("decoded %d of the frame's %d bytes", n, len(frame))
+	}
+	if got, _ := json.Marshal(rec); !bytes.Equal(got, want) {
+		t.Fatalf("flag-1 frame decoded to a different record:\n got %s\nwant %s", got, want)
+	}
+	if again := flag1Frame(t, rec); !bytes.Equal(again, frame) {
+		t.Error("flag1Frame does not reproduce the committed frame")
+	}
+	re, err := AppendCellFrame(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(re, []byte(`"clients"`)) || len(re) >= len(frame) {
+		t.Errorf("re-encoded frame (%d bytes, flag-1 %d) still carries the JSON blob", len(re), len(frame))
+	}
+	rec2, _, err := DecodeCellFrame(re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(rec2); !bytes.Equal(got, want) {
+		t.Fatalf("flag-2 re-encoding changed the record:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMergeShardsFlag1Duplicate: a shard resumed over a store written
+// before flag 2 holds flag-1 frames beside flag-2 ones. When another
+// shard holds the same cell as flag 2, the merge must take the two
+// copies as the duplicate they are and write the merged run all in
+// flag 2 — byte-identical to a single-process run.
+func TestMergeShardsFlag1Duplicate(t *testing.T) {
+	spec := goldenSpec(t)
+	spec.Workers = 1
+	spec.Workload = &workload.Spec{
+		AggregateRPS: 1,
+		Clients: []workload.Client{
+			{ID: "chat", RateFraction: 0.75, SLOClass: "interactive", Arrival: workload.Arrival{Process: workload.Poisson}},
+			{ID: "batch", RateFraction: 0.25, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
+		},
+	}
+	cells := spec.Cells()
+	run := func(st *Store, runID string, shard *ShardStamp, cells []fleet.Cell) {
+		t.Helper()
+		r, err := st.CreateWithMeta(runID, spec, RunMeta{CreatedUnix: 1, Encoding: EncodingColumnar, Shard: shard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := spec
+		s.Sink = r
+		if _, err := fleet.RunCells(s, cells); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	single, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(single, "r1", nil, cells)
+
+	// Shard 0 holds every cell, the overlapping one rewritten as the
+	// old encoder wrote it; shard 1 holds that cell as flag 2.
+	overlap := cells[1].Label()
+	stA, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(stA, "s", &ShardStamp{Index: 0, Count: 2}, cells)
+	path := filepath.Join(stA.Dir(), "runs", "s", "cells.col")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readCellsColumnar(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mixed []byte
+	for _, rec := range recs {
+		if rec.Label == overlap {
+			if rec.Workload == nil {
+				t.Fatal("overlapping cell carries no workload")
+			}
+			mixed = append(mixed, flag1Frame(t, rec)...)
+			continue
+		}
+		if mixed, err = AppendCellFrame(mixed, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, mixed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stB, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(stB, "s", &ShardStamp{Index: 1, Count: 2}, cells[1:])
+
+	var shards []ShardData
+	for _, st := range []*Store{stA, stB} {
+		d, err := LoadShard(st, "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, d)
+	}
+	dst, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, len(cells))
+	for i, c := range cells {
+		labels[i] = c.Label()
+	}
+	merged, err := MergeShards(dst, "r1", shards, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer merged.Close()
+	got, err := os.ReadFile(filepath.Join(dst.Dir(), "runs", "r1", "cells.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(single.Dir(), "runs", "r1", "cells.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("merged cells.col (%d bytes) differs from the single-process run's (%d bytes)", len(got), len(want))
+	}
+	if bytes.Contains(got, []byte(`"clients"`)) {
+		t.Error("merged run still holds a flag-1 JSON blob")
 	}
 }

@@ -16,20 +16,23 @@ package store
 // that were never part of the same campaign, and the merge refuses.
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // ShardData is one shard store's complete contents — the unit a
 // worker ships back to the coordinator (over HTTP in campaignd, by
 // value in tests). It round-trips through Encode/DecodeShardData.
 type ShardData struct {
-	Manifest Manifest     `json:"manifest"`
-	Cells    []CellRecord `json:"cells"`
+	Manifest Manifest
+	Cells    []CellRecord
 }
 
 // LoadShard reads one shard-stamped run out of a store. Unstamped
@@ -54,25 +57,84 @@ func LoadShard(s *Store, runID string) (ShardData, error) {
 	return d, nil
 }
 
-// Encode serialises the shard data for transport.
+// minCellFrame is the smallest complete cell frame: a one-byte length
+// and the CRC around a payload of one-byte varints, empty strings, the
+// fixed64 interval and the workload flag.
+const minCellFrame = 1 + 4 + 17
+
+// Encode serialises the shard data for transport: the manifest as
+// length-prefixed JSON, the cell count, then one AppendCellFrame frame
+// per cell — whichever encoding the shard store uses on disk, cells
+// cross the wire as frames.
+//
+//	shardData := uvarint(len(manifest)) json(manifest) uvarint(ncells) frame{ncells}
 func (d ShardData) Encode() ([]byte, error) {
-	b, err := json.Marshal(d)
+	m, err := json.Marshal(d.Manifest)
 	if err != nil {
-		return nil, fmt.Errorf("store: encoding shard data: %w", err)
+		return nil, fmt.Errorf("store: encoding shard manifest: %w", err)
+	}
+	b := binary.AppendUvarint(nil, uint64(len(m)))
+	b = append(b, m...)
+	b = binary.AppendUvarint(b, uint64(len(d.Cells)))
+	for _, rec := range d.Cells {
+		if b, err = AppendCellFrame(b, rec); err != nil {
+			return nil, fmt.Errorf("store: encoding shard data: %w", err)
+		}
 	}
 	return b, nil
 }
 
-// DecodeShardData parses and validates transported shard data. It
-// never panics on malformed input, and accepted data re-encodes to an
-// equivalent value (the fuzz target's recovery contract).
+// DecodeShardData parses and validates transported shard data. The
+// body must hold exactly the encoded cell count of complete frames:
+// truncation anywhere (a frame boundary included), a CRC mismatch or
+// trailing bytes is an error. It never panics on malformed input, and
+// accepted data re-encodes to an equivalent value (the fuzz target's
+// recovery contract).
 func DecodeShardData(b []byte) (ShardData, error) {
-	var d ShardData
-	if err := json.Unmarshal(b, &d); err != nil {
+	d, err := decodeShardData(b)
+	if err != nil {
 		return ShardData{}, fmt.Errorf("store: decoding shard data: %w", err)
 	}
 	if err := d.Validate(); err != nil {
 		return ShardData{}, err
+	}
+	return d, nil
+}
+
+func decodeShardData(b []byte) (ShardData, error) {
+	r := &colReader{b: b}
+	n, err := r.uvarint()
+	if err != nil {
+		return ShardData{}, fmt.Errorf("manifest length: %w", err)
+	}
+	if n > uint64(len(b)-r.off) {
+		return ShardData{}, fmt.Errorf("manifest of %d bytes exceeds the %d bytes left", n, len(b)-r.off)
+	}
+	var d ShardData
+	if err := json.Unmarshal(b[r.off:r.off+int(n)], &d.Manifest); err != nil {
+		return ShardData{}, fmt.Errorf("manifest: %w", err)
+	}
+	r.off += int(n)
+	count, err := r.uvarint()
+	if err != nil {
+		return ShardData{}, fmt.Errorf("cell count: %w", err)
+	}
+	if count > uint64(len(b)-r.off)/minCellFrame {
+		return ShardData{}, fmt.Errorf("%d cells cannot fit in the %d bytes left", count, len(b)-r.off)
+	}
+	if count > 0 {
+		d.Cells = make([]CellRecord, count)
+	}
+	for i := range d.Cells {
+		rec, n, err := DecodeCellFrame(b[r.off:])
+		if err != nil {
+			return ShardData{}, fmt.Errorf("cell %d of %d: %w", i, count, err)
+		}
+		d.Cells[i] = rec
+		r.off += n
+	}
+	if r.off != len(b) {
+		return ShardData{}, fmt.Errorf("%d trailing bytes after %d cells", len(b)-r.off, count)
 	}
 	return d, nil
 }
@@ -142,7 +204,10 @@ func (d ShardData) Validate() error {
 // of the same spec. Shards disagreeing on any campaign identity —
 // SpecKey, MatrixKey, the spec identity (stopping policy included),
 // encoding, fingerprints, shard count — are refused loudly, as are
-// overlapping cells whose bytes differ.
+// overlapping cells whose bytes differ. Each record is encoded once,
+// in the run's own encoding, and those bytes are both the duplicate
+// check and the merged cells file — so a cell a pre-flag-2 shard store
+// holds as flag 1 compares, and is written, as flag 2.
 //
 // want is the coordinator's completeness expectation: the labels of
 // every successfully measured cell (exactly the set some worker
@@ -229,36 +294,42 @@ func MergeShards(dst *Store, runID string, shards []ShardData, want []string) (*
 		indexes[m.Shard.Index] = m.RunID
 	}
 
-	// Gather the union of cells. Duplicate labels across shards are
-	// legitimate only when byte-identical — the worker-failure
-	// reassignment overlap; anything else is two different
-	// measurements claiming one identity, which must never merge.
-	merged := make(map[string]CellRecord)
-	encoded := make(map[string][]byte)
-	for _, d := range shards {
-		for _, rec := range d.Cells {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return nil, fmt.Errorf("store: encoding cell %s: %w", rec.Label, err)
-			}
-			if prev, ok := encoded[rec.Label]; ok {
-				if !bytes.Equal(prev, b) {
-					return nil, fmt.Errorf("store: refusing merge: cell %s appears in two shards with different bytes — the shards were not produced by the same deterministic campaign", rec.Label)
-				}
-				continue
-			}
-			merged[rec.Label] = rec
-			encoded[rec.Label] = b
+	// Canonical matrix order: profiles as declared, then regimes, then
+	// repetitions — the fleet's enumeration order, so the merged file
+	// matches what a sequential single-process run persists. The sort
+	// is stable, so every label's copies end up adjacent in shard order.
+	profileIdx := make(map[string]int, len(ref.Spec.Profiles))
+	for i, p := range ref.Spec.Profiles {
+		profileIdx[p.Cloud+"/"+p.Instance] = i
+	}
+	regimeIdx := make(map[string]int, len(ref.Spec.Regimes))
+	for i, r := range ref.Spec.Regimes {
+		regimeIdx[r.Name] = i
+	}
+	var cells []mergeCell
+	for s := range shards {
+		for i := range shards[s].Cells {
+			// Validation pinned every record to the manifest's matrix, so
+			// the index lookups cannot miss.
+			rec := &shards[s].Cells[i]
+			cells = append(cells, mergeCell{profileIdx[rec.Cloud+"/"+rec.Instance], regimeIdx[rec.Regime], rec.Rep, rec})
 		}
 	}
+	slices.SortStableFunc(cells, func(a, b mergeCell) int {
+		return cmp.Or(cmp.Compare(a.profile, b.profile), cmp.Compare(a.regime, b.regime), cmp.Compare(a.rep, b.rep))
+	})
 
 	if want != nil {
+		have := make(map[string]bool, len(cells))
+		for _, c := range cells {
+			have[c.rec.Label] = true
+		}
 		wantSet := make(map[string]bool, len(want))
 		missing := 0
 		first := ""
 		for _, label := range want {
 			wantSet[label] = true
-			if _, ok := merged[label]; !ok {
+			if !have[label] {
 				missing++
 				if first == "" {
 					first = label
@@ -268,29 +339,12 @@ func MergeShards(dst *Store, runID string, shards []ShardData, want []string) (*
 		if missing > 0 {
 			return nil, fmt.Errorf("store: refusing merge: %d of %d expected cells are in no shard store (first missing: %s) — a worker's persisted cells were lost without re-execution, and a silently thinner run must never commit as complete", missing, len(want), first)
 		}
-		for label := range merged {
-			if !wantSet[label] {
-				return nil, fmt.Errorf("store: refusing merge: shard cell %s is not in the campaign's expected cell set", label)
+		for _, c := range cells {
+			if !wantSet[c.rec.Label] {
+				return nil, fmt.Errorf("store: refusing merge: shard cell %s is not in the campaign's expected cell set", c.rec.Label)
 			}
 		}
 	}
-
-	// Canonical matrix order: profiles as declared, then regimes, then
-	// repetitions — the fleet's enumeration order, so the merged cell
-	// sequence matches what a sequential single-process run persists.
-	profileIdx := make(map[string]int, len(ref.Spec.Profiles))
-	for i, p := range ref.Spec.Profiles {
-		profileIdx[p.Cloud+"/"+p.Instance] = i
-	}
-	regimeIdx := make(map[string]int, len(ref.Spec.Regimes))
-	for i, r := range ref.Spec.Regimes {
-		regimeIdx[r.Name] = i
-	}
-	order := make([]CellRecord, 0, len(merged))
-	for _, rec := range merged {
-		order = append(order, rec)
-	}
-	sortCells(order, profileIdx, regimeIdx)
 
 	m := ref
 	m.RunID = runID
@@ -304,56 +358,56 @@ func MergeShards(dst *Store, runID string, shards []ShardData, want []string) (*
 		m.Schema = 4
 	}
 	err = dst.commitRun(m, func(dir string) error {
-		return writeCellFile(filepath.Join(dir, cellsFileName(m.Encoding)), m.Encoding, order)
+		return writeMergedCells(filepath.Join(dir, cellsFileName(m.Encoding)), m.Encoding, cells)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return dst.openRun(m)
+	// The cells file was staged whole, so unlike a resumed run there is
+	// no torn tail to repair before appending.
+	return dst.appendRun(m)
 }
 
-// sortCells orders records by (profile declaration index, regime
-// declaration index, repetition). Validation pinned every record to
-// the manifest's matrix, so the index lookups cannot miss.
-func sortCells(recs []CellRecord, profileIdx, regimeIdx map[string]int) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		pa, pb := profileIdx[a.Cloud+"/"+a.Instance], profileIdx[b.Cloud+"/"+b.Instance]
-		if pa != pb {
-			return pa < pb
-		}
-		ra, rb := regimeIdx[a.Regime], regimeIdx[b.Regime]
-		if ra != rb {
-			return ra < rb
-		}
-		return a.Rep < b.Rep
-	})
+// mergeCell is one shard record with its canonical sort key.
+type mergeCell struct {
+	profile, regime, rep int
+	rec                  *CellRecord
 }
 
-// writeCellFile writes records as one complete cell file in the given
-// encoding — the merge-time equivalent of Run.Put's append path,
-// producing the same bytes per record.
-func writeCellFile(path, enc string, recs []CellRecord) error {
-	var buf []byte
-	var payload []byte
-	for _, rec := range recs {
-		if enc == EncodingColumnar {
-			var err error
-			payload, err = encodeCellPayload(payload[:0], rec)
-			if err != nil {
-				return err
+// writeMergedCells writes the canonically sorted shard records to path
+// as one cell file, encoding each record once in enc. Those bytes are
+// both the duplicate check and the file: a label's copies are
+// adjacent, and a later copy is legitimate only when its bytes equal
+// the kept copy's — the worker-failure reassignment overlap; anything
+// else is two different measurements claiming one identity, which must
+// never merge.
+func writeMergedCells(path, enc string, cells []mergeCell) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("store: writing merged cells: %w", err)
+	}
+	defer f.Close()
+	w := bufio.NewWriter(f)
+	var kept, cur []byte
+	for i, c := range cells {
+		if cur, err = appendRecord(cur[:0], enc, *c.rec); err != nil {
+			return err
+		}
+		if i > 0 && c.rec.Label == cells[i-1].rec.Label {
+			if !bytes.Equal(cur, kept) {
+				return fmt.Errorf("store: refusing merge: cell %s appears in two shards with different bytes — the shards were not produced by the same deterministic campaign", c.rec.Label)
 			}
-			buf = appendFrame(buf, payload)
 			continue
 		}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: encoding cell %s: %w", rec.Label, err)
+		if _, err := w.Write(cur); err != nil {
+			return fmt.Errorf("store: writing merged cells: %w", err)
 		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
+		kept, cur = cur, kept
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("store: writing merged cells: %w", err)
+	}
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: writing merged cells: %w", err)
 	}
 	return nil

@@ -477,9 +477,9 @@ type Run struct {
 
 	mu sync.Mutex
 	f  *os.File
-	// payload and frame are the columnar encoder's reusable buffers;
-	// contents never outlive one Put.
-	payload, frame []byte
+	// buf is Put's reusable encode buffer; its contents never outlive
+	// one Put.
+	buf []byte
 	// completed caches the first Completed load so callers (a CLI
 	// banner, then fleet.Run) do not re-read and re-decode the whole
 	// cells file. It is never mutated after the load — callers hold it
@@ -505,6 +505,13 @@ func (s *Store) openRun(m Manifest) (*Run, error) {
 	if err := repair(path); err != nil {
 		return nil, fmt.Errorf("store: repairing run %q cells: %w", m.RunID, err)
 	}
+	return s.appendRun(m)
+}
+
+// appendRun opens a run whose cells file holds no torn tail for
+// appending.
+func (s *Store) appendRun(m Manifest) (*Run, error) {
+	path := filepath.Join(s.runDir(m.RunID), cellsFileName(m.Encoding))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening run %q cells: %w", m.RunID, err)
@@ -589,9 +596,26 @@ func NewCellRecord(res fleet.CellResult) (CellRecord, error) {
 	}, nil
 }
 
+// appendRecord appends rec to dst in the cell encoding enc: a CRC
+// frame for columnar runs, a JSON line for JSONL runs. Put and the
+// shard merge both write through it, so a merged record's bytes are
+// the bytes a single-process run appends.
+func appendRecord(dst []byte, enc string, rec CellRecord) ([]byte, error) {
+	if enc == EncodingColumnar {
+		return AppendCellFrame(dst, rec)
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return dst, fmt.Errorf("store: encoding cell %s: %w", rec.Label, err)
+	}
+	dst = append(dst, b...)
+	return append(dst, '\n'), nil
+}
+
 // Put implements fleet.Sink: append one successful cell as a single
-// fsynced JSONL line. Safe for concurrent use; errored cells are
-// rejected rather than persisted.
+// fsynced record in the run's encoding (a JSONL line or a cells.col
+// frame). Safe for concurrent use; errored cells are rejected rather
+// than persisted.
 func (r *Run) Put(res fleet.CellResult) error {
 	rec, err := NewCellRecord(res)
 	if err != nil {
@@ -599,23 +623,11 @@ func (r *Run) Put(res fleet.CellResult) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var b []byte
-	if r.manifest.Encoding == EncodingColumnar {
-		payload, err := encodeCellPayload(r.payload[:0], rec)
-		if err != nil {
-			return err
-		}
-		r.payload = payload
-		r.frame = appendFrame(r.frame[:0], payload)
-		b = r.frame
-	} else {
-		var err error
-		b, err = json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: encoding cell %s: %w", rec.Label, err)
-		}
-		b = append(b, '\n')
+	b, err := appendRecord(r.buf[:0], r.manifest.Encoding, rec)
+	if err != nil {
+		return err
 	}
+	r.buf = b
 	if _, err := r.f.Write(b); err != nil {
 		return fmt.Errorf("store: appending cell %s: %w", rec.Label, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
+	"cloudvar/internal/workload"
 )
 
 // The store's two hot paths are cell append (once per completed cell,
@@ -162,27 +163,40 @@ func BenchmarkStoreRecoveryColumnar(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreShardMerge measures MergeShards — the campaignd
-// coordinator's per-campaign cost of recombining worker stores:
-// cross-shard identity verification, duplicate detection against the
-// re-marshaled record bytes, canonical reordering, and the staged
-// write of the merged run.
-func BenchmarkStoreShardMerge(b *testing.B) {
+// workloadBenchSpec is testutil.EC2Spec serving a two-client traffic
+// mix, so every cell carries per-request latency columns.
+func workloadBenchSpec(b *testing.B) fleet.CampaignSpec {
 	spec := testutil.EC2Spec(b, 7, 1)
-	cells := benchCells(b)
-	meta := store.RunMeta{CreatedUnix: 1}
-	const shards = 2
+	spec.Workload = &workload.Spec{
+		AggregateRPS: 2,
+		Clients: []workload.Client{
+			{ID: "chat", RateFraction: 0.75, SLOClass: "interactive", Arrival: workload.Arrival{Process: workload.Poisson}},
+			{ID: "batch", RateFraction: 0.25, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
+		},
+	}
+	return spec
+}
+
+// shardStores runs spec once and persists its cells round-robin into
+// n shard-stamped stores in encoding enc, returning the loaded shards.
+func shardStores(b *testing.B, spec fleet.CampaignSpec, enc string, n int) []store.ShardData {
+	b.Helper()
+	res, err := fleet.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		b.Fatal(err)
+	}
 	var data []store.ShardData
-	for i := 0; i < shards; i++ {
+	for i := 0; i < n; i++ {
 		st := testutil.TempStore(b)
-		m := meta
-		m.Shard = &store.ShardStamp{Index: i, Count: shards}
-		run, err := st.CreateWithMeta("s", spec, m)
+		run, err := st.CreateWithMeta("s", spec, store.RunMeta{CreatedUnix: 1, Encoding: enc, Shard: &store.ShardStamp{Index: i, Count: n}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j, c := range cells {
-			if j%shards != i {
+		for j, c := range res.Cells {
+			if j%n != i {
 				continue
 			}
 			if err := run.Put(c); err != nil {
@@ -198,16 +212,60 @@ func BenchmarkStoreShardMerge(b *testing.B) {
 		}
 		data = append(data, d)
 	}
-	dst := testutil.TempStore(b)
+	return data
+}
+
+// BenchmarkStoreShardMerge measures MergeShards — the campaignd
+// coordinator's per-campaign cost of recombining worker stores:
+// cross-shard identity verification, encoding each record once in the
+// run's encoding (the bytes that both detect differing duplicates and
+// form the merged file), canonical reordering, and the staged write of
+// the merged run. The columnar case carries workload latency columns.
+func BenchmarkStoreShardMerge(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec func(*testing.B) fleet.CampaignSpec
+		enc  string
+	}{
+		{"jsonl", func(b *testing.B) fleet.CampaignSpec { return testutil.EC2Spec(b, 7, 1) }, store.EncodingJSONL},
+		{"columnar-workload", workloadBenchSpec, store.EncodingColumnar},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			data := shardStores(b, c.spec(b), c.enc, 2)
+			dst := testutil.TempStore(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run, err := store.MergeShards(dst, fmt.Sprintf("m%d", i), data, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := run.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreShardCodec measures the shard wire codec a worker and
+// the coordinator run on every collection: Encode and DecodeShardData
+// of a workload-carrying columnar shard.
+func BenchmarkStoreShardCodec(b *testing.B) {
+	d := shardStores(b, workloadBenchSpec(b), store.EncodingColumnar, 1)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, err := store.MergeShards(dst, fmt.Sprintf("m%d", i), data, nil)
+		enc, err := d.Encode()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := run.Close(); err != nil {
+		got, err := store.DecodeShardData(enc)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if len(got.Cells) != len(d.Cells) {
+			b.Fatalf("decoded %d cells, want %d", len(got.Cells), len(d.Cells))
 		}
 	}
 }

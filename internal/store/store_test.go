@@ -136,6 +136,11 @@ func TestMatrixKeyIgnoresSeedOnly(t *testing.T) {
 func TestCreateResumeRoundTrip(t *testing.T) {
 	st := testutil.TempStore(t)
 	spec := testSpec(t, 7)
+	// Cells returns append order and fleet.Run appends in completion
+	// order; one worker completes cells in enumeration order, so this
+	// pass can check the order index by index. The default-workers
+	// pass at the end checks what holds at any worker count.
+	spec.Workers = 1
 
 	run, err := st.Create("day1", spec, nil, 1700000000)
 	if err != nil {
@@ -219,6 +224,48 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 	wantMatrix, _ := store.MatrixKey(testSpec(t, 7))
 	if ms[0].SpecKey != wantKey || ms[0].MatrixKey != wantMatrix {
 		t.Fatal("manifest keys do not match the spec's")
+	}
+
+	// At the default worker count cells are appended as they complete,
+	// in any order: the store must still hold exactly the campaign's
+	// labels, each with its series bit-exact.
+	par := testSpec(t, 7)
+	parStore := testutil.TempStore(t)
+	parRun, err := parStore.Create("day1", par, nil, 1700000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par.Sink = parRun
+	parRes, err := fleet.Run(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parRes.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := parRun.Close(); err != nil {
+		t.Fatal(err)
+	}
+	parCells, err := parStore.Cells("day1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parCells) != len(res.Cells) {
+		t.Fatalf("default workers persisted %d cells, want %d", len(parCells), len(res.Cells))
+	}
+	stored := make(map[string]*trace.Series, len(parCells))
+	for _, rec := range parCells {
+		stored[rec.Label] = rec.Series
+	}
+	for _, want := range res.Cells {
+		got, ok := stored[want.Cell.Label()]
+		if !ok {
+			t.Errorf("default workers persisted no cell %s", want.Cell.Label())
+			continue
+		}
+		if !testutil.SeriesEqual(got, want.Series) {
+			t.Errorf("cell %s series at default workers differs from the one-worker run", want.Cell.Label())
+		}
 	}
 }
 
