@@ -10,7 +10,6 @@ package cloudmodel
 
 import (
 	"fmt"
-	"sort"
 
 	"cloudvar/internal/netem"
 	"cloudvar/internal/simrand"
@@ -45,26 +44,16 @@ func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg Campai
 	}
 
 	// Generate each client's stream from its own named substream, then
-	// merge into one arrival-ordered request list. Ties break by spec
-	// declaration order — a fixed rule, so the merge is deterministic.
+	// merge the streams into one arrival-ordered request list. Ties
+	// break by spec declaration order — a fixed rule, so the merge is
+	// deterministic.
 	streams := make([][]float64, len(spec.Clients))
 	total := 0
 	for i, c := range spec.Clients {
 		streams[i] = c.Stream(spec.AggregateRPS, cfg.DurationSec, substream("client/"+c.ID), nil)
 		total += len(streams[i])
 	}
-	reqs := make([]netem.Request, 0, total)
-	for i, ts := range streams {
-		for _, t := range ts {
-			reqs = append(reqs, netem.Request{TimeSec: t, Client: i})
-		}
-	}
-	sort.SliceStable(reqs, func(a, b int) bool {
-		if reqs[a].TimeSec != reqs[b].TimeSec {
-			return reqs[a].TimeSec < reqs[b].TimeSec
-		}
-		return reqs[a].Client < reqs[b].Client
-	})
+	reqs := mergeStreams(streams, total)
 
 	latencies, err := netem.ServeRequests(reqs, spec.RequestGbit(), env, p.VNIC, cfg.WriteBytes, substream("serve"))
 	if err != nil {
@@ -84,4 +73,29 @@ func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg Campai
 		cm.LatencyMs = append(cm.LatencyMs, latencies[i])
 	}
 	return out, nil
+}
+
+// mergeStreams merges per-client arrival streams into one request list
+// ordered by (time, client index), each client's requests in stream
+// order — the order a stable sort by that key gives, without sorting.
+// It needs every stream non-decreasing, which Client.Stream guarantees:
+// stochastic gaps are non-negative, and Arrival.Validate refuses a
+// trace time that decreases. Each step takes the earliest head, the
+// lowest client index on a tie; a spec has a handful of clients, so
+// each step scans every head.
+func mergeStreams(streams [][]float64, total int) []netem.Request {
+	reqs := make([]netem.Request, 0, total)
+	next := make([]int, len(streams))
+	for len(reqs) < total {
+		best := -1
+		var at float64
+		for i, ts := range streams {
+			if next[i] < len(ts) && (best < 0 || ts[next[i]] < at) {
+				best, at = i, ts[next[i]]
+			}
+		}
+		reqs = append(reqs, netem.Request{TimeSec: at, Client: best})
+		next[best]++
+	}
+	return reqs
 }

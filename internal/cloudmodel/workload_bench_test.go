@@ -1,0 +1,57 @@
+package cloudmodel_test
+
+import (
+	"testing"
+
+	"cloudvar/internal/cloudmodel"
+	"cloudvar/internal/fleet"
+	"cloudvar/internal/scenario"
+	"cloudvar/internal/simrand"
+	"cloudvar/internal/testutil"
+	"cloudvar/internal/trace"
+	"cloudvar/internal/workload"
+)
+
+// BenchmarkRunWorkload measures request serving for one campaign cell:
+// the repository's two-class traffic mix (examples/workloads: 2 RPS of
+// 8192 KB, web 0.7 poisson interactive, etl 0.3 gamma CV 2 batch)
+// replayed over one 0.2 h full-speed c5.xlarge cell under the
+// noisy-neighbor scenario. The cell's series is measured once; each
+// iteration generates the client streams, merges them and serves them,
+// as every traffic-carrying cell of a campaign does.
+//
+//	go test ./internal/cloudmodel -run '^$' -bench BenchmarkRunWorkload -benchmem -count 10
+func BenchmarkRunWorkload(b *testing.B) {
+	spec := testutil.EC2Spec(b, 42, 1)
+	spec.Regimes = []trace.Regime{trace.FullSpeed}
+	spec.Repetitions = 1
+	spec.Config = cloudmodel.DefaultCampaignConfig(0.2 * 3600)
+	sc, err := scenario.ByName("noisy-neighbor")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if spec, err = sc.Expand(spec); err != nil {
+		b.Fatal(err)
+	}
+	cell := spec.Cells()[0]
+	series, err := cloudmodel.RunCampaign(cell.Profile, cell.Regime, spec.Config, fleet.CellSource(spec.Seed, cell))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix := workload.Spec{AggregateRPS: 2, RequestKB: 8192, Clients: []workload.Client{
+		{ID: "web", RateFraction: 0.7, SLOClass: "interactive", Arrival: workload.Arrival{Process: workload.Poisson}},
+		{ID: "etl", RateFraction: 0.3, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
+	}}
+	substream := func(name string) *simrand.Source { return fleet.WorkloadSource(spec.Seed, cell, name) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := cloudmodel.RunWorkload(mix, series, cell.Profile, spec.Config, substream)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m.Requests() == 0 {
+			b.Fatal("no requests served")
+		}
+	}
+}

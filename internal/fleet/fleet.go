@@ -832,6 +832,7 @@ func groupResults(spec CampaignSpec, cells []CellResult) []GroupResult {
 	// the p99 of its served-request latencies, per SLO class.
 	classSamples := make(map[key]map[string][]float64)
 	classRequests := make(map[key]map[string]int)
+	var tails workload.TailScratch
 
 	for _, c := range cells {
 		k := key{c.Cell.Profile.Cloud, c.Cell.Profile.Instance, c.Cell.Regime.Name}
@@ -851,12 +852,9 @@ func groupResults(spec CampaignSpec, cells []CellResult) []GroupResult {
 			classSamples[k] = make(map[string][]float64)
 			classRequests[k] = make(map[string]int)
 		}
-		for class, lats := range c.Workload.ClassLatencies() {
-			if len(lats) == 0 {
-				continue
-			}
-			classSamples[k][class] = append(classSamples[k][class], stats.Quantile(lats, 0.99))
-			classRequests[k][class] += len(lats)
+		for _, tail := range c.Workload.ClassTails(&tails) {
+			classSamples[k][tail.Class] = append(classSamples[k][tail.Class], tail.P99)
+			classRequests[k][tail.Class] += tail.Requests
 		}
 	}
 	for k, gi := range idx {

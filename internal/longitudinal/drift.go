@@ -29,6 +29,7 @@ import (
 	"cloudvar/internal/core"
 	"cloudvar/internal/stats"
 	"cloudvar/internal/store"
+	"cloudvar/internal/workload"
 )
 
 // RunData is one stored run loaded for analysis.
@@ -322,16 +323,14 @@ func classDrift(runs []RunData, opts Options) []GroupDrift {
 	type classKey struct{ cloud, instance, regime, class string }
 	samples := make(map[classKey][]map[int]float64)
 	var order []classKey
+	var tails workload.TailScratch
 	for i, r := range runs {
 		for _, cell := range r.Cells {
 			if cell.Workload == nil {
 				continue
 			}
-			for class, lats := range cell.Workload.ClassLatencies() {
-				if len(lats) == 0 {
-					continue
-				}
-				k := classKey{cell.Cloud, cell.Instance, cell.Regime, class}
+			for _, tail := range cell.Workload.ClassTails(&tails) {
+				k := classKey{cell.Cloud, cell.Instance, cell.Regime, tail.Class}
 				if _, ok := samples[k]; !ok {
 					samples[k] = make([]map[int]float64, len(runs))
 					order = append(order, k)
@@ -339,7 +338,7 @@ func classDrift(runs []RunData, opts Options) []GroupDrift {
 				if samples[k][i] == nil {
 					samples[k][i] = make(map[int]float64)
 				}
-				samples[k][i][cell.Rep] = stats.Quantile(lats, 0.99)
+				samples[k][i][cell.Rep] = tail.P99
 			}
 		}
 	}

@@ -23,9 +23,12 @@ package shard
 //	GET  /v1/health   — heartbeat (the breaker's half-open probe)
 //	GET  /healthz     — liveness
 //
-// A 200 answer from execute or shard in any other media type comes
-// from a worker speaking another wire format; the client refuses it as
-// a fatal wire-skew error instead of retrying it into local fallback.
+// Both frames answers are encoded into one buffer sized up front and
+// carry a Content-Length, so the client reads each into one allocation
+// of that length (capped by maxBodyPrealloc). A 200 answer from
+// execute or shard in any other media type comes from a worker
+// speaking another wire format; the client refuses it as a fatal
+// wire-skew error instead of retrying it into local fallback.
 // Errors travel as a uniform JSON envelope (ErrorBody) with the
 // status repeated in the body, so clients never have to scrape
 // plain-text bodies; request bodies are capped with MaxBytesReader.
@@ -46,6 +49,8 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -108,20 +113,34 @@ const framesMediaType = "application/vnd.cloudvar.frames"
 //	result   := byte(0) frame                   (store.AppendCellFrame)
 //	          | byte(1) str(label) str(error)
 //	str      := uvarint(len) bytes
+//
+// The answer's length is computed first, so dst grows at most once.
 func appendExecuteResponse(dst []byte, results []fleet.CellResult) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(results)))
-	for _, res := range results {
+	recs := make([]store.CellRecord, len(results))
+	size := binary.MaxVarintLen64 + store.CellFrameHeadroom
+	for i, res := range results {
 		if res.Err != nil {
-			dst = append(dst, 1)
-			dst = appendWireString(dst, res.Cell.Label())
-			dst = appendWireString(dst, res.Err.Error())
+			size += 1 + wireStringLen(res.Cell.Label()) + wireStringLen(res.Err.Error())
 			continue
 		}
 		rec, err := store.NewCellRecord(res)
 		if err != nil {
 			return nil, err
 		}
-		if dst, err = store.AppendCellFrame(append(dst, 0), rec); err != nil {
+		recs[i] = rec
+		size += 1 + store.CellFrameLen(rec)
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.AppendUvarint(dst, uint64(len(results)))
+	for i, res := range results {
+		if res.Err != nil {
+			dst = append(dst, 1)
+			dst = appendWireString(dst, res.Cell.Label())
+			dst = appendWireString(dst, res.Err.Error())
+			continue
+		}
+		var err error
+		if dst, err = store.AppendCellFrame(append(dst, 0), recs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -131,6 +150,11 @@ func appendExecuteResponse(dst []byte, results []fleet.CellResult) ([]byte, erro
 func appendWireString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+func wireStringLen(s string) int {
+	var n [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(n[:], uint64(len(s))) + len(s)
 }
 
 // decodeExecuteResponse decodes the answer to an execute request for
@@ -391,7 +415,14 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	writeFrames(w, b)
+}
+
+// writeFrames answers with a frames body and its Content-Length, which
+// lets the client read the body into one allocation.
+func writeFrames(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", framesMediaType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.Write(b)
 }
 
@@ -434,8 +465,7 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", framesMediaType)
-	w.Write(b)
+	writeFrames(w, b)
 }
 
 func (s *WorkerServer) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -638,7 +668,7 @@ func (w *HTTPWorker) call(method, path string, body []byte) (string, []byte, err
 		return "", nil, fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp)
 	if err != nil {
 		return "", nil, fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
 	}
@@ -646,4 +676,26 @@ func (w *HTTPWorker) call(method, path string, body []byte) (string, []byte, err
 		return "", nil, &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
 	}
 	return resp.Header.Get("Content-Type"), b, nil
+}
+
+// maxBodyPrealloc caps the allocation a response's Content-Length may
+// size before any byte of the body has arrived. A worker's frames
+// answer for one batch or one shard stays far below it.
+const maxBodyPrealloc = 64 << 20
+
+// readBody reads a response body. A body of declared length up to
+// maxBodyPrealloc is read into one allocation of exactly that length;
+// one that ends early fails like any torn read. A body of unknown
+// length — the torn-response fault's among them — or of a larger
+// declared length grows as its bytes arrive, so a lying header cannot
+// size the allocation.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyPrealloc {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	return io.ReadAll(resp.Body)
 }

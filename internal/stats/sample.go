@@ -11,8 +11,9 @@ import (
 // every order-statistic query — quantiles, percentile batches, ECDF
 // evaluation, histograms, nonparametric confidence intervals — from
 // the same sorted buffer. It is the allocation-free core the
-// copy-and-sort-per-call package functions (Quantile, Percentiles,
-// Summarize, QuantileCI, ...) are thin wrappers over.
+// copy-and-sort-per-call package functions (Percentiles, Summarize,
+// QuantileCI, ...) are thin wrappers over; a single Quantile selects
+// instead (SelectQuantile).
 //
 // The zero value is an empty sample ready for Reset. Reset reuses the
 // internal buffers, so a Sample held across loop iterations (one per
@@ -65,7 +66,7 @@ func (s *Sample) Reset(xs []float64) *Sample {
 }
 
 // loadSorted loads and sorts xs without capturing moments — the
-// cheaper path for order-statistic-only wrappers (Quantile, CIs).
+// cheaper path for order-statistic-only wrappers (Percentiles, CIs).
 func (s *Sample) loadSorted(xs []float64) {
 	s.momentsValid = false
 	s.sorted = append(s.sorted[:0], xs...)

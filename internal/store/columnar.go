@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 
 	"cloudvar/internal/trace"
@@ -194,6 +195,92 @@ func AppendCellFrame(dst []byte, rec CellRecord) ([]byte, error) {
 	n = copy(out[start:], hdr[:n+4])
 	n += copy(out[start+n:], payload)
 	return out[:start+n], nil
+}
+
+// CellFrameLen returns the length of the frame AppendCellFrame appends
+// for rec, so a caller can size one buffer for many frames. While it
+// encodes, AppendCellFrame writes up to CellFrameHeadroom bytes past
+// the frame's end, so such a buffer needs that much spare capacity
+// too. A record AppendCellFrame refuses has no frame; its length here
+// is meaningless.
+func CellFrameLen(rec CellRecord) int {
+	if rec.Series == nil {
+		return 0
+	}
+	n := cellPayloadLen(rec)
+	return uvarintLen(uint64(n)) + 4 + n
+}
+
+// CellFrameHeadroom is the spare capacity, beyond the total of their
+// CellFrameLen, that a buffer needs to take frames without growing:
+// AppendCellFrame encodes behind a reserved widest header and then
+// closes the gap.
+const CellFrameHeadroom = frameHeaderMax
+
+// cellPayloadLen is the length of encodeCellPayload's output for rec,
+// computed field by field in the same order.
+func cellPayloadLen(rec CellRecord) int {
+	pts := rec.Series.Points
+	n := uvarintLen(uint64(rec.Schema)) +
+		stringLen(rec.Label) + stringLen(rec.Cloud) + stringLen(rec.Instance) + stringLen(rec.Regime) +
+		uvarintLen(uint64(rec.Rep)) +
+		stringLen(rec.Series.Label) + 8 +
+		uvarintLen(uint64(len(pts)))
+	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.TimeSec })
+	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.BandwidthGbps })
+	prev := int64(0)
+	for i := range pts {
+		v := int64(pts[i].Retransmissions)
+		n += varintLen(v - prev)
+		prev = v
+	}
+	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.RTTms })
+	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.CPUFrac })
+	n++ // workload flag
+	if rec.Workload == nil {
+		return n
+	}
+	clients := rec.Workload.Clients
+	n += lenLen(clients == nil, len(clients))
+	for _, c := range clients {
+		n += stringLen(c.ID) + stringLen(c.Class) + lenLen(c.LatencyMs == nil, len(c.LatencyMs))
+		prev := uint64(0)
+		for _, v := range c.LatencyMs {
+			cur := math.Float64bits(v)
+			n += varintLen(int64(cur - prev))
+			prev = cur
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's encoding of v: the
+// uvarint of its zigzag form.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// lenLen is the length of appendLen's encoding.
+func lenLen(isNil bool, n int) int {
+	if isNil {
+		return 1
+	}
+	return uvarintLen(uint64(n) + 1)
+}
+
+// floatColumnLen is the length of appendFloatColumn's encoding.
+func floatColumnLen(pts []trace.Point, get func(*trace.Point) float64) int {
+	n := 0
+	prev := uint64(0)
+	for i := range pts {
+		cur := math.Float64bits(get(&pts[i]))
+		n += varintLen(int64(cur - prev))
+		prev = cur
+	}
+	return n
 }
 
 // DecodeCellFrame decodes the complete frame at the start of b and

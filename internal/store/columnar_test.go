@@ -9,12 +9,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"cloudvar/internal/fleet"
@@ -90,6 +92,54 @@ func encodeAll(t *testing.T, recs []CellRecord) []byte {
 		}
 	}
 	return buf
+}
+
+// TestCellFrameLenExact: CellFrameLen is the length AppendCellFrame
+// appends, for every record shape — hostile floats, nil and empty
+// workload slices, latency columns whose deltas need every varint
+// width — and a buffer sized by it plus CellFrameHeadroom takes the
+// frames without growing, which is how ShardData.Encode sizes its body.
+func TestCellFrameLenExact(t *testing.T) {
+	recs := columnarRecords(t)
+	wide := make([]float64, 0, 64)
+	for i := 0; i < 64; i++ {
+		wide = append(wide, math.Float64frombits(uint64(1)<<i))
+	}
+	for i, wl := range []*workload.CellMetrics{
+		{},
+		{Clients: []workload.ClientMetrics{}},
+		{Clients: []workload.ClientMetrics{{ID: "nil"}, {ID: "empty", Class: "c", LatencyMs: []float64{}}}},
+		{Clients: []workload.ClientMetrics{{ID: "wide", Class: strings.Repeat("x", 200), LatencyMs: wide}}},
+		{Clients: []workload.ClientMetrics{{ID: "nan", LatencyMs: []float64{math.NaN(), math.Inf(-1), -0.0, 1e-300}}}},
+	} {
+		rec := recs[0]
+		rec.Label = fmt.Sprintf("workload-%d/rep%d", i, i*1000)
+		rec.Rep = i * 1000
+		rec.Schema = cellSchema(wl)
+		rec.Workload = wl
+		recs = append(recs, rec)
+	}
+	total := 0
+	for _, rec := range recs {
+		frame, err := AppendCellFrame(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CellFrameLen(rec); got != len(frame) {
+			t.Errorf("%s: CellFrameLen = %d, frame is %d bytes", rec.Label, got, len(frame))
+		}
+		total += len(frame)
+	}
+	buf := make([]byte, 0, total+CellFrameHeadroom)
+	for _, rec := range recs {
+		var err error
+		if buf, err = AppendCellFrame(buf, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(buf) != total || cap(buf) != total+CellFrameHeadroom {
+		t.Errorf("frames grew their sized buffer: len %d cap %d, sized %d+%d", len(buf), cap(buf), total, CellFrameHeadroom)
+	}
 }
 
 // TestColumnarRoundTrip: encode → decode → re-encode is byte-identical
@@ -426,6 +476,16 @@ func FuzzColumnarDecode(f *testing.F) {
 			}
 			if enc2 := encodeAll(t, dec1); !bytes.Equal(enc1, enc2) {
 				t.Fatal("encode(decode(enc1)) != enc1: canonical encoding is not a fixed point")
+			}
+
+			// (6) CellFrameLen sizes every accepted record's frame
+			// exactly.
+			size := 0
+			for _, rec := range before {
+				size += CellFrameLen(rec)
+			}
+			if size != len(enc1) {
+				t.Fatalf("CellFrameLen totals %d bytes, the frames take %d", size, len(enc1))
 			}
 		}
 

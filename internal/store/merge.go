@@ -65,7 +65,8 @@ const minCellFrame = 1 + 4 + 17
 // Encode serialises the shard data for transport: the manifest as
 // length-prefixed JSON, the cell count, then one AppendCellFrame frame
 // per cell — whichever encoding the shard store uses on disk, cells
-// cross the wire as frames.
+// cross the wire as frames. The body is written into one buffer sized
+// up front.
 //
 //	shardData := uvarint(len(manifest)) json(manifest) uvarint(ncells) frame{ncells}
 func (d ShardData) Encode() ([]byte, error) {
@@ -73,7 +74,11 @@ func (d ShardData) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding shard manifest: %w", err)
 	}
-	b := binary.AppendUvarint(nil, uint64(len(m)))
+	size := uvarintLen(uint64(len(m))) + len(m) + uvarintLen(uint64(len(d.Cells))) + CellFrameHeadroom
+	for _, rec := range d.Cells {
+		size += CellFrameLen(rec)
+	}
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(len(m)))
 	b = append(b, m...)
 	b = binary.AppendUvarint(b, uint64(len(d.Cells)))
 	for _, rec := range d.Cells {

@@ -236,6 +236,9 @@ func TestDecodeShardDataStrict(t *testing.T) {
 		if !bytes.Equal(again, data) {
 			t.Errorf("%s: decode then encode changed the bytes", name)
 		}
+		if cap(again) != len(again)+CellFrameHeadroom {
+			t.Errorf("%s: Encode's %d-byte body sits in a %d-byte buffer: it was not sized up front", name, len(again), cap(again))
+		}
 		for n := 0; n < len(data); n++ {
 			if _, err := DecodeShardData(data[:n]); err == nil {
 				t.Fatalf("%s: the %d-byte prefix of a %d-byte body decoded", name, n, len(data))

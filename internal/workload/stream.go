@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cloudvar/internal/simrand"
+	"cloudvar/internal/stats"
 )
 
 // Stream generates the client's request arrival times over
@@ -94,4 +95,55 @@ func (m *CellMetrics) ClassLatencies() map[string][]float64 {
 		out[c.Class] = append(out[c.Class], c.LatencyMs...)
 	}
 	return out
+}
+
+// ClassTail is one SLO class's tail over one cell: the p99 of its
+// requests' latencies and how many requests it served.
+type ClassTail struct {
+	Class    string
+	P99      float64
+	Requests int
+}
+
+// TailScratch holds the buffers behind CellMetrics.ClassTails. The
+// zero value is ready; one TailScratch serves any number of cells.
+type TailScratch struct {
+	lats  []float64
+	tails []ClassTail
+}
+
+// ClassTails returns, for each SLO class that served a request, the
+// p99 of the class's pooled latencies (stats.Quantile of its
+// ClassLatencies entry, bit for bit) and its request count, in order of
+// the class's first client. The latencies are gathered into s and the
+// p99 selected there, so a reused s allocates nothing; the result
+// aliases s and is valid until s is used again.
+func (m *CellMetrics) ClassTails(s *TailScratch) []ClassTail {
+	s.tails = s.tails[:0]
+	for i, c := range m.Clients {
+		if m.classBefore(i, c.Class) {
+			continue
+		}
+		s.lats = s.lats[:0]
+		for _, o := range m.Clients[i:] {
+			if o.Class == c.Class {
+				s.lats = append(s.lats, o.LatencyMs...)
+			}
+		}
+		if len(s.lats) == 0 {
+			continue
+		}
+		s.tails = append(s.tails, ClassTail{Class: c.Class, P99: stats.SelectQuantile(s.lats, 0.99), Requests: len(s.lats)})
+	}
+	return s.tails
+}
+
+// classBefore reports whether a client before index i has the class.
+func (m *CellMetrics) classBefore(i int, class string) bool {
+	for _, c := range m.Clients[:i] {
+		if c.Class == class {
+			return true
+		}
+	}
+	return false
 }

@@ -16,9 +16,9 @@
 // boundaries and machines.
 //
 // The package deliberately sits at the bottom of the stack (its only
-// repo dependency is simrand): netem serves the streams over shaped
-// paths, cloudmodel glues the two, fleet fans cells out, and
-// internal/expspec compiles the spec document's workloads: section
+// repo dependencies are simrand and stats): netem serves the streams
+// over shaped paths, cloudmodel glues the two, fleet fans cells out,
+// and internal/expspec compiles the spec document's workloads: section
 // into a Spec.
 package workload
 
