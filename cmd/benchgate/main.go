@@ -101,7 +101,7 @@ var runSuite = func(s Suite, stderr io.Writer) ([]byte, error) {
 	return cmd.Output()
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(.*)`)
 
 // parseBench extracts benchmark results from `go test -bench` output.
 func parseBench(out []byte) ([]Result, error) {
@@ -119,11 +119,21 @@ func parseBench(out []byte) ([]Result, error) {
 		if r.NsPerOp, err = strconv.ParseFloat(m[3], 64); err != nil {
 			return nil, fmt.Errorf("benchgate: parsing %q: %w", line, err)
 		}
-		if m[4] != "" {
-			if r.BytesPerOp, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return nil, fmt.Errorf("benchgate: parsing %q: %w", line, err)
+		// After ns/op come value-unit pairs: the metrics a benchmark
+		// reports itself (b.ReportMetric), then -benchmem's B/op and
+		// allocs/op.
+		rest := strings.Fields(m[4])
+		for i := 0; i+1 < len(rest); i += 2 {
+			var dst *float64
+			switch rest[i+1] {
+			case "B/op":
+				dst = &r.BytesPerOp
+			case "allocs/op":
+				dst = &r.AllocsPerOp
+			default:
+				continue
 			}
-			if r.AllocsPerOp, err = strconv.ParseFloat(m[5], 64); err != nil {
+			if *dst, err = strconv.ParseFloat(rest[i], 64); err != nil {
 				return nil, fmt.Errorf("benchgate: parsing %q: %w", line, err)
 			}
 		}

@@ -39,6 +39,16 @@ func TestParseBench(t *testing.T) {
 	if rs[3].Name != "BenchmarkNoMem" || rs[3].NsPerOp != 12.5 {
 		t.Fatalf("rs[3] = %+v", rs[3])
 	}
+	// A metric the benchmark reports itself sits between ns/op and
+	// B/op; the allocation figures after it are still read.
+	rs, err = parseBench([]byte("BenchmarkStoreCellCodec/decode-2 \t      50\t    586882 ns/op\t        13.58 ns/value\t  352400 B/op\t       7 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = Result{Name: "BenchmarkStoreCellCodec/decode", Iterations: 50, NsPerOp: 586882, BytesPerOp: 352400, AllocsPerOp: 7}
+	if len(rs) != 1 || rs[0] != want {
+		t.Fatalf("parsed %+v, want [%+v]", rs, want)
+	}
 }
 
 func TestStripProcs(t *testing.T) {

@@ -174,9 +174,14 @@ type Report struct {
 // Replication means this label, not the raw numbers, survives a
 // re-run.
 func Conclusion(rec store.CellRecord) string {
+	return conclusion(rec.Series.Bandwidths())
+}
+
+// conclusion is Conclusion of a cell's bandwidth column.
+func conclusion(bw []float64) string {
 	// CoV needs only the first two moments — identical bits to
 	// Summary().CoV without sorting the series.
-	cov := stats.CoefficientOfVariation(rec.Series.Bandwidths())
+	cov := stats.CoefficientOfVariation(bw)
 	switch {
 	case cov < 0.05:
 		return "stable (CoV < 5%)"
@@ -222,10 +227,34 @@ func Analyze(runs []RunData, opts Options) (*Report, error) {
 		rep.CellCounts = append(rep.CellCounts, len(r.Cells))
 	}
 	rep.Fingerprints = fingerprintChecks(runs, opts.FingerprintTolerance)
-	rep.Groups = groupDrift(runs, opts)
+	cells := summarizeCells(runs)
+	rep.Groups = groupDrift(runs, cells, opts)
 	rep.Classes = classDrift(runs, opts)
-	rep.Kappa = kappaChecks(runs)
+	rep.Kappa = kappaChecks(runs, cells)
 	return rep, nil
+}
+
+// cellSummary is what the analysis reads from one cell's bandwidth
+// column: its mean, the repetition's sample in groupDrift, and its
+// Conclusion, compared in kappaChecks.
+type cellSummary struct {
+	mean       float64
+	conclusion string
+}
+
+// summarizeCells reads every cell's bandwidth column once, into one
+// reused scratch, and summarises it; out[i][j] is runs[i].Cells[j]'s.
+func summarizeCells(runs []RunData) [][]cellSummary {
+	out := make([][]cellSummary, len(runs))
+	var bw []float64
+	for i, r := range runs {
+		out[i] = make([]cellSummary, len(r.Cells))
+		for j, cell := range r.Cells {
+			bw = cell.Series.AppendBandwidths(bw[:0])
+			out[i][j] = cellSummary{mean: stats.Mean(bw), conclusion: conclusion(bw)}
+		}
+	}
+	return out
 }
 
 func fingerprintChecks(runs []RunData, tol float64) []FingerprintCheck {
@@ -249,7 +278,7 @@ func fingerprintChecks(runs []RunData, tol float64) []FingerprintCheck {
 	return out
 }
 
-func groupDrift(runs []RunData, opts Options) []GroupDrift {
+func groupDrift(runs []RunData, cells [][]cellSummary, opts Options) []GroupDrift {
 	// Collect per-run samples per group: one sample per repetition,
 	// its series' mean bandwidth — the same rollup fleet.Run feeds
 	// core.BuildResult.
@@ -257,7 +286,7 @@ func groupDrift(runs []RunData, opts Options) []GroupDrift {
 	samples := make(map[groupKey][]map[int]float64) // group -> runIdx -> rep -> mean
 	var order []groupKey
 	for i, r := range runs {
-		for _, cell := range r.Cells {
+		for j, cell := range r.Cells {
 			k := groupKey{cell.Cloud, cell.Instance, cell.Regime}
 			if _, ok := samples[k]; !ok {
 				samples[k] = make([]map[int]float64, len(runs))
@@ -266,7 +295,7 @@ func groupDrift(runs []RunData, opts Options) []GroupDrift {
 			if samples[k][i] == nil {
 				samples[k][i] = make(map[int]float64)
 			}
-			samples[k][i][cell.Rep] = stats.Mean(cell.Series.Bandwidths())
+			samples[k][i][cell.Rep] = cells[i][j].mean
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -391,21 +420,21 @@ func classDrift(runs []RunData, opts Options) []GroupDrift {
 	return out
 }
 
-func kappaChecks(runs []RunData) []KappaResult {
+func kappaChecks(runs []RunData, cells [][]cellSummary) []KappaResult {
 	base := make(map[string]string, len(runs[0].Cells))
-	for _, cell := range runs[0].Cells {
-		base[cell.Label] = Conclusion(cell)
+	for j, cell := range runs[0].Cells {
+		base[cell.Label] = cells[0][j].conclusion
 	}
 	var out []KappaResult
-	for _, r := range runs[1:] {
+	for i, r := range runs[1:] {
 		res := KappaResult{RunID: r.Manifest.RunID}
 		var a, b []string
-		for _, cell := range r.Cells {
+		for j, cell := range r.Cells {
 			conclBase, ok := base[cell.Label]
 			if !ok {
 				continue
 			}
-			concl := Conclusion(cell)
+			concl := cells[i+1][j].conclusion
 			a = append(a, conclBase)
 			b = append(b, concl)
 			if concl != conclBase {

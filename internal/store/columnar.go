@@ -26,6 +26,8 @@ import (
 // bit-exact: floats are delta-encoded on their IEEE-754 bit patterns
 // (wrapping uint64 subtraction, zigzag varint), never on their values,
 // so every float — NaN payloads included — round-trips identically.
+// Columns are coded a word at a time, deltaChunk values per step, with
+// exactly the bytes encoding/binary writes and the inputs it accepts.
 //
 // File layout (cells.col, append-only, one frame per cell):
 //
@@ -112,16 +114,9 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 	dst = appendString(dst, rec.Series.Label)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Series.IntervalSec))
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
-	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.TimeSec })
-	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.BandwidthGbps })
-	prev := int64(0)
-	for i := range pts {
-		v := int64(pts[i].Retransmissions)
-		dst = binary.AppendVarint(dst, v-prev)
-		prev = v
+	for f := range pointFields {
+		dst = appendColumn(dst, column{field: f, pts: pts})
 	}
-	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.RTTms })
-	dst = appendFloatColumn(dst, pts, func(p *trace.Point) float64 { return p.CPUFrac })
 	if rec.Workload == nil {
 		return append(dst, 0), nil
 	}
@@ -135,12 +130,7 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 		dst = appendString(dst, c.ID)
 		dst = appendString(dst, c.Class)
 		dst = appendLen(dst, c.LatencyMs == nil, len(c.LatencyMs))
-		prev := uint64(0)
-		for _, v := range c.LatencyMs {
-			bits := math.Float64bits(v)
-			dst = binary.AppendVarint(dst, int64(bits-prev))
-			prev = bits
-		}
+		dst = appendColumn(dst, column{field: latencyField, lat: c.LatencyMs})
 	}
 	return dst, nil
 }
@@ -156,20 +146,6 @@ func appendLen(dst []byte, isNil bool, n int) []byte {
 		return append(dst, 0)
 	}
 	return binary.AppendUvarint(dst, uint64(n)+1)
-}
-
-// appendFloatColumn delta-encodes one float column on IEEE-754 bit
-// patterns: wrapping subtraction of consecutive Float64bits, zigzag
-// varint. Bit-exact for every value, NaN payloads included, and small
-// for the smooth columns campaigns produce.
-func appendFloatColumn(dst []byte, pts []trace.Point, get func(*trace.Point) float64) []byte {
-	prev := uint64(0)
-	for i := range pts {
-		bits := math.Float64bits(get(&pts[i]))
-		dst = binary.AppendVarint(dst, int64(bits-prev))
-		prev = bits
-	}
-	return dst
 }
 
 // frameHeaderMax is the widest frame header: a maximal length varint
@@ -226,16 +202,9 @@ func cellPayloadLen(rec CellRecord) int {
 		uvarintLen(uint64(rec.Rep)) +
 		stringLen(rec.Series.Label) + 8 +
 		uvarintLen(uint64(len(pts)))
-	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.TimeSec })
-	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.BandwidthGbps })
-	prev := int64(0)
-	for i := range pts {
-		v := int64(pts[i].Retransmissions)
-		n += varintLen(v - prev)
-		prev = v
+	for f := range pointFields {
+		n += columnLen(column{field: f, pts: pts})
 	}
-	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.RTTms })
-	n += floatColumnLen(pts, func(p *trace.Point) float64 { return p.CPUFrac })
 	n++ // workload flag
 	if rec.Workload == nil {
 		return n
@@ -244,22 +213,13 @@ func cellPayloadLen(rec CellRecord) int {
 	n += lenLen(clients == nil, len(clients))
 	for _, c := range clients {
 		n += stringLen(c.ID) + stringLen(c.Class) + lenLen(c.LatencyMs == nil, len(c.LatencyMs))
-		prev := uint64(0)
-		for _, v := range c.LatencyMs {
-			cur := math.Float64bits(v)
-			n += varintLen(int64(cur - prev))
-			prev = cur
-		}
+		n += columnLen(column{field: latencyField, lat: c.LatencyMs})
 	}
 	return n
 }
 
 // uvarintLen is the length of binary.AppendUvarint's encoding of v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// varintLen is the length of binary.AppendVarint's encoding of v: the
-// uvarint of its zigzag form.
-func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
@@ -271,16 +231,226 @@ func lenLen(isNil bool, n int) int {
 	return uvarintLen(uint64(n) + 1)
 }
 
-// floatColumnLen is the length of appendFloatColumn's encoding.
-func floatColumnLen(pts []trace.Point, get func(*trace.Point) float64) int {
-	n := 0
-	prev := uint64(0)
-	for i := range pts {
-		cur := math.Float64bits(get(&pts[i]))
-		n += varintLen(int64(cur - prev))
-		prev = cur
+// Column kernels. Every fcol, icol and lcol has one coding: zigzag
+// varints of the wrapping differences between consecutive 64-bit
+// words, a float's IEEE-754 bits or an int's two's complement. A
+// column moves between a record and its bytes deltaChunk values at a
+// time through a stack array of words, gathered from or scattered to
+// one trace.Point field or one client's LatencyMs, so the kernels run
+// with no closure call, no per-value error and no heap scratch. They
+// code a varint of up to 8 bytes with one 8-byte load or store and
+// leave wider varints, and those within 8 bytes of the end of the
+// payload or of the buffer's capacity, to encoding/binary: the bytes
+// written and the inputs accepted are exactly encoding/binary's.
+
+// deltaChunk is how many values of a column the kernels take per step.
+const deltaChunk = 256
+
+// Column fields: the series columns in payload order, then a client's
+// latencies.
+const (
+	timeField = iota
+	bandwidthField
+	retransmissionsField
+	rttField
+	cpuField
+	latencyField
+)
+
+// pointFields names the series columns, indexed by field.
+var pointFields = [...]string{"time column", "bandwidth column", "retransmissions column", "rtt column", "cpu column"}
+
+// column is one delta-coded column of a record: field of pts, or lat
+// when field is latencyField.
+type column struct {
+	field int
+	pts   []trace.Point
+	lat   []float64
+}
+
+func (c column) len() int {
+	if c.field == latencyField {
+		return len(c.lat)
 	}
-	return n
+	return len(c.pts)
+}
+
+// gather loads the column's values i to i+len(words)-1 into words.
+func (c column) gather(words []uint64, i int) {
+	if c.field == latencyField {
+		for j, v := range c.lat[i : i+len(words)] {
+			words[j] = math.Float64bits(v)
+		}
+		return
+	}
+	pts := c.pts[i : i+len(words)]
+	switch c.field {
+	case timeField:
+		for j := range pts {
+			words[j] = math.Float64bits(pts[j].TimeSec)
+		}
+	case bandwidthField:
+		for j := range pts {
+			words[j] = math.Float64bits(pts[j].BandwidthGbps)
+		}
+	case retransmissionsField:
+		for j := range pts {
+			words[j] = uint64(pts[j].Retransmissions)
+		}
+	case rttField:
+		for j := range pts {
+			words[j] = math.Float64bits(pts[j].RTTms)
+		}
+	case cpuField:
+		for j := range pts {
+			words[j] = math.Float64bits(pts[j].CPUFrac)
+		}
+	}
+}
+
+// scatter stores words as the column's values i to i+len(words)-1.
+func (c column) scatter(words []uint64, i int) {
+	if c.field == latencyField {
+		lat := c.lat[i : i+len(words)]
+		for j, w := range words {
+			lat[j] = math.Float64frombits(w)
+		}
+		return
+	}
+	pts := c.pts[i : i+len(words)]
+	switch c.field {
+	case timeField:
+		for j, w := range words {
+			pts[j].TimeSec = math.Float64frombits(w)
+		}
+	case bandwidthField:
+		for j, w := range words {
+			pts[j].BandwidthGbps = math.Float64frombits(w)
+		}
+	case retransmissionsField:
+		for j, w := range words {
+			pts[j].Retransmissions = int(w)
+		}
+	case rttField:
+		for j, w := range words {
+			pts[j].RTTms = math.Float64frombits(w)
+		}
+	case cpuField:
+		for j, w := range words {
+			pts[j].CPUFrac = math.Float64frombits(w)
+		}
+	}
+}
+
+// appendColumn appends c's varints to dst.
+func appendColumn(dst []byte, c column) []byte {
+	var words [deltaChunk]uint64
+	prev := uint64(0)
+	for i, n := 0, c.len(); i < n; i += deltaChunk {
+		w := words[:min(n-i, deltaChunk)]
+		c.gather(w, i)
+		dst, prev = appendDeltas(dst, w, prev)
+	}
+	return dst
+}
+
+// columnLen is the length of appendColumn's encoding of c.
+func columnLen(c column) int {
+	var words [deltaChunk]uint64
+	size, prev := 0, uint64(0)
+	for i, n := 0, c.len(); i < n; i += deltaChunk {
+		w := words[:min(n-i, deltaChunk)]
+		c.gather(w, i)
+		for _, v := range w {
+			size += uvarintLen(zigzag(v - prev))
+			prev = v
+		}
+	}
+	return size
+}
+
+// column decodes c's varints at the cursor into c's values.
+func (r *colReader) column(c column) error {
+	var words [deltaChunk]uint64
+	prev := uint64(0)
+	for i, n := 0, c.len(); i < n; i += deltaChunk {
+		w := words[:min(n-i, deltaChunk)]
+		var err error
+		if r.off, prev, err = decodeDeltas(r.b, r.off, w, prev); err != nil {
+			return err
+		}
+		c.scatter(w, i)
+	}
+	return nil
+}
+
+// zigzag is the uvarint binary.AppendVarint writes for the wrapping
+// difference d: small magnitudes of either sign become small values.
+func zigzag(d uint64) uint64 { return d<<1 ^ uint64(int64(d)>>63) }
+
+// appendDeltas is the encode kernel. It appends the zigzag varint of
+// each word's wrapping difference from the one before it (prev before
+// the first) and returns dst and the last word. A varint of up to 8
+// bytes has its 7-bit groups spread one to a byte by three
+// mask-and-shift steps and is written with one 8-byte store while dst
+// has 8 bytes of spare capacity; the store's zero bytes past the varint
+// stay beyond len(dst).
+func appendDeltas(dst []byte, words []uint64, prev uint64) ([]byte, uint64) {
+	for _, w := range words {
+		u := zigzag(w - prev)
+		prev = w
+		n := len(dst)
+		if u >= 1<<56 || cap(dst)-n < 8 {
+			dst = binary.AppendUvarint(dst, u)
+			continue
+		}
+		x := u&0x000000000fffffff | (u&0x00fffffff0000000)<<4
+		x = x&0x00003fff00003fff | (x&0x0fffc0000fffc000)<<2
+		x = x&0x007f007f007f007f | (x&0x3f803f803f803f80)<<1
+		size := uvarintLen(u)
+		x |= 0x8080808080808080 & (uint64(1)<<(8*size-8) - 1) // stop bits on all but the last byte
+		binary.LittleEndian.PutUint64(dst[n:n+8], x)
+		dst = dst[:n+size]
+	}
+	return dst, prev
+}
+
+// decodeDeltas is the decode kernel, appendDeltas' inverse. It fills
+// words from the varints at b[off:], accumulating their zigzag
+// differences from prev, and returns the offset past the last varint
+// and the last word. A varint that ends within the 8-byte word loaded
+// at off takes its length from the first byte with a clear stop bit,
+// and three mask-and-shift steps pack its 7-bit groups. A 9- or 10-byte
+// varint, and one that starts fewer than 8 bytes before the end of b,
+// goes through binary.Uvarint. On error the offset is the refused
+// varint's.
+func decodeDeltas(b []byte, off int, words []uint64, prev uint64) (int, uint64, error) {
+	for i := range words {
+		var x, stops uint64
+		if off <= len(b)-8 {
+			x = binary.LittleEndian.Uint64(b[off:])
+			stops = ^x & 0x8080808080808080
+		}
+		var u uint64
+		if stops != 0 {
+			end := bits.TrailingZeros64(stops) + 1 // the varint's length in bits
+			x &= uint64(0x7f7f7f7f7f7f7f7f) >> (64 - end)
+			x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
+			x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
+			u = x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
+			off += end >> 3
+		} else {
+			v, n := binary.Uvarint(b[off:])
+			if n <= 0 {
+				return off, prev, varintError("varint", off, n)
+			}
+			u = v
+			off += n
+		}
+		prev += u>>1 ^ -(u & 1)
+		words[i] = prev
+	}
+	return off, prev, nil
 }
 
 // DecodeCellFrame decodes the complete frame at the start of b and
@@ -331,19 +501,20 @@ type colReader struct {
 func (r *colReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("truncated uvarint at offset %d", r.off)
+		return 0, varintError("uvarint", r.off, n)
 	}
 	r.off += n
 	return v, nil
 }
 
-func (r *colReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at offset %d", r.off)
+// varintError names why binary.Uvarint refused the varint at off: it
+// returns n == 0 for one the payload cuts short and n < 0 for one that
+// overflows 64 bits.
+func varintError(kind string, off, n int) error {
+	if n < 0 {
+		return fmt.Errorf("overflowing %s at offset %d", kind, off)
 	}
-	r.off += n
-	return v, nil
+	return fmt.Errorf("truncated %s at offset %d", kind, off)
 }
 
 func (r *colReader) str() (string, error) {
@@ -452,27 +623,10 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 	if n > 0 {
 		series.Points = make([]trace.Point, n)
 	}
-	pts := series.Points
-	if err := readFloatColumn(r, pts, func(p *trace.Point, v float64) { p.TimeSec = v }); err != nil {
-		return fail("time column", err)
-	}
-	if err := readFloatColumn(r, pts, func(p *trace.Point, v float64) { p.BandwidthGbps = v }); err != nil {
-		return fail("bandwidth column", err)
-	}
-	prev := int64(0)
-	for i := range pts {
-		d, err := r.varint()
-		if err != nil {
-			return fail("retransmissions column", err)
+	for f, name := range pointFields {
+		if err := r.column(column{field: f, pts: series.Points}); err != nil {
+			return fail(name, err)
 		}
-		prev += d
-		pts[i].Retransmissions = int(prev)
-	}
-	if err := readFloatColumn(r, pts, func(p *trace.Point, v float64) { p.RTTms = v }); err != nil {
-		return fail("rtt column", err)
-	}
-	if err := readFloatColumn(r, pts, func(p *trace.Point, v float64) { p.CPUFrac = v }); err != nil {
-		return fail("cpu column", err)
 	}
 	rec.Series = series
 	flag, err := r.byte()
@@ -525,14 +679,8 @@ func readWorkload(r *colReader) (*workload.CellMetrics, error) {
 		if !isNil {
 			c.LatencyMs = make([]float64, m)
 		}
-		prev := uint64(0)
-		for j := range c.LatencyMs {
-			d, err := r.varint()
-			if err != nil {
-				return nil, fmt.Errorf("client %d latency column: %w", i, err)
-			}
-			prev += uint64(d)
-			c.LatencyMs[j] = math.Float64frombits(prev)
+		if err := r.column(column{field: latencyField, lat: c.LatencyMs}); err != nil {
+			return nil, fmt.Errorf("client %d latency column: %w", i, err)
 		}
 	}
 	return wl, nil
@@ -562,19 +710,6 @@ func readWorkloadJSON(r *colReader) (*workload.CellMetrics, error) {
 		}
 	}
 	return &wl, nil
-}
-
-func readFloatColumn(r *colReader, pts []trace.Point, set func(*trace.Point, float64)) error {
-	prev := uint64(0)
-	for i := range pts {
-		d, err := r.varint()
-		if err != nil {
-			return err
-		}
-		prev += uint64(d)
-		set(&pts[i], math.Float64frombits(prev))
-	}
-	return nil
 }
 
 // nextFrame parses one frame header at b[off:]. It distinguishes a

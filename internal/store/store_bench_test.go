@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
@@ -21,7 +22,14 @@ import (
 // successful cell results, the records the benchmarks replay.
 func benchCells(b *testing.B) []fleet.CellResult {
 	b.Helper()
-	res, err := fleet.Run(testutil.EC2Spec(b, 7, 1))
+	return benchSpecCells(b, testutil.EC2Spec(b, 7, 1))
+}
+
+// benchSpecCells runs spec once and returns its successful cell
+// results.
+func benchSpecCells(b *testing.B, spec fleet.CampaignSpec) []fleet.CellResult {
+	b.Helper()
+	res, err := fleet.Run(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,6 +276,57 @@ func BenchmarkStoreShardCodec(b *testing.B) {
 			b.Fatalf("decoded %d cells, want %d", len(got.Cells), len(d.Cells))
 		}
 	}
+}
+
+// BenchmarkStoreCellCodec measures the columnar cell codec on its own,
+// over one 24-hour EC2 cell of 8,640 bins — the cell shape of the §3
+// campaign every store read, shard collection, merge and Put codes.
+// encode appends the cell's frame to a reused buffer; decode runs
+// DecodeCellFrame on it. Both report ns/value, a value being one
+// point field (five per bin).
+//
+//	go test ./internal/store -run '^$' -bench BenchmarkStoreCellCodec -benchmem
+func BenchmarkStoreCellCodec(b *testing.B) {
+	spec := testutil.EC2Spec(b, 7, 1)
+	spec.Regimes = spec.Regimes[:1]
+	spec.Repetitions = 1
+	spec.Config = cloudmodel.DefaultCampaignConfig(24 * 3600)
+	rec, err := store.NewCellRecord(benchSpecCells(b, spec)[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	values := 5 * len(rec.Series.Points)
+	if values != 5*8640 {
+		b.Fatalf("cell has %d bins, want 8640", len(rec.Series.Points))
+	}
+	frame, err := store.AppendCellFrame(nil, rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perValue := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(frame)+store.CellFrameHeadroom)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if buf, err = store.AppendCellFrame(buf[:0], rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perValue(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, n, err := store.DecodeCellFrame(frame); err != nil || n != len(frame) {
+				b.Fatalf("decoded %d of %d bytes: %v", n, len(frame), err)
+			}
+		}
+		perValue(b)
+	})
 }
 
 // TestColumnarCompressionRatio is the size gate the columnar format
