@@ -181,7 +181,9 @@ func BenchmarkAblationShuffleModel(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			n.RunWhileActive(1e6)
+			for n.ActiveFlows() > 0 && n.Now() < 1e6 {
+				n.RunUntilEvent(1e6)
+			}
 		}
 	})
 	b.Run("aggregate-pipe", func(b *testing.B) {

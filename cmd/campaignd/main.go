@@ -41,6 +41,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"cloudvar/internal/shard"
 )
 
 func main() {
@@ -83,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *workerList != "" {
 			return fatal(fmt.Errorf("-workers is a coordinator flag; a worker has no fleet"))
 		}
-		ws := newWorkerServer(*dir)
+		ws := shard.NewWorkerServer(*dir)
 		handler = ws.Handler()
 		drain = ws.Close
 		fmt.Fprintf(stdout, "campaignd: worker serving shards into %s on %s\n", *dir, *listen)

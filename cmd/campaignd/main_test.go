@@ -116,7 +116,7 @@ func singleProcessReference(t *testing.T, doc string) (fleet.CampaignSpec, [2]st
 	spec := plan.Campaign.Spec
 	keys := testutil.SpecKeys(t, spec)
 	st := testutil.TempStore(t)
-	run, err := st.Create("ref", spec, nil, 1)
+	run, err := st.CreateWithMeta("ref", spec, store.RunMeta{CreatedUnix: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

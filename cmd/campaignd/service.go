@@ -28,13 +28,6 @@ import (
 	"cloudvar/internal/store"
 )
 
-// newWorkerServer is the worker-mode API: internal/shard's worker
-// server, verbatim. The caller owns Close — graceful shutdown flushes
-// and closes every run handle the worker still has open.
-func newWorkerServer(dir string) *shard.WorkerServer {
-	return shard.NewWorkerServer(dir)
-}
-
 // run statuses, in lifecycle order.
 const (
 	statusQueued  = "queued"
@@ -141,13 +134,6 @@ func (s *service) handler() http.Handler {
 	return mux
 }
 
-// httpError writes the service's JSON error envelope — the same shape
-// the worker API uses, so every error in the system parses the same
-// way.
-func httpError(w http.ResponseWriter, status int, err error) {
-	shard.WriteHTTPError(w, status, err)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
@@ -165,26 +151,26 @@ func (s *service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &mbe) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, status, err)
+		shard.WriteHTTPError(w, status, err)
 		return
 	}
 	doc, err := expspec.Decode(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		shard.WriteHTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	plan, err := expspec.Compile(doc)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		shard.WriteHTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	if plan.Campaign == nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("campaignd: spec has no campaign section"))
+		shard.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("campaignd: spec has no campaign section"))
 		return
 	}
 	specKey, err := store.SpecKey(plan.Campaign.Spec)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		shard.WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// The run's name: the spec's own store.runId when it declares one,
@@ -212,7 +198,7 @@ func (s *service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// to the service's fleet — mirror expspec's own
 		// shards-vs-workers agreement rule and refuse.
 		if declared > 0 && declared != len(workers) {
-			httpError(w, http.StatusConflict, fmt.Errorf("campaignd: spec declares sharding.shards=%d but the service runs %d workers (each worker owns one shard; align them or name the workers in the spec)", declared, len(workers)))
+			shard.WriteHTTPError(w, http.StatusConflict, fmt.Errorf("campaignd: spec declares sharding.shards=%d but the service runs %d workers (each worker owns one shard; align them or name the workers in the spec)", declared, len(workers)))
 			return
 		}
 		shards = len(workers)
@@ -222,7 +208,7 @@ func (s *service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	if rs, ok := s.runs[runID]; ok {
 		if rs.SpecHash != plan.Hash {
-			httpError(w, http.StatusConflict, fmt.Errorf("campaignd: run %s already submitted from a different spec (hash %.12s vs %.12s)", runID, rs.SpecHash, plan.Hash))
+			shard.WriteHTTPError(w, http.StatusConflict, fmt.Errorf("campaignd: run %s already submitted from a different spec (hash %.12s vs %.12s)", runID, rs.SpecHash, plan.Hash))
 			return
 		}
 		writeJSON(w, rs)
@@ -240,7 +226,7 @@ func (s *service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// campaign. SpecKey is the arbiter, exactly as in resume.
 	if m, err := s.st.Manifest(runID); err == nil {
 		if m.SpecKey != specKey {
-			httpError(w, http.StatusConflict, fmt.Errorf("campaignd: store already holds run %s for a different campaign (spec key %.12s vs %.12s)", runID, m.SpecKey, specKey))
+			shard.WriteHTTPError(w, http.StatusConflict, fmt.Errorf("campaignd: store already holds run %s for a different campaign (spec key %.12s vs %.12s)", runID, m.SpecKey, specKey))
 			return
 		}
 		rs.Status = statusDone
@@ -253,7 +239,7 @@ func (s *service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.queue <- rs:
 	default:
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("campaignd: run queue is full"))
+		shard.WriteHTTPError(w, http.StatusServiceUnavailable, fmt.Errorf("campaignd: run queue is full"))
 		return
 	}
 	s.register(rs)
@@ -287,7 +273,7 @@ func (s *service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("campaignd: unknown run %q", r.PathValue("id")))
+		shard.WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("campaignd: unknown run %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, snap)
@@ -298,12 +284,12 @@ func (s *service) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *service) handleManifest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !store.ValidRunID(id) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("campaignd: %q is not a valid run id", id))
+		shard.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("campaignd: %q is not a valid run id", id))
 		return
 	}
 	b, err := os.ReadFile(filepath.Join(s.dir, "runs", id, "manifest.json"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("campaignd: no stored manifest for run %q", id))
+		shard.WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("campaignd: no stored manifest for run %q", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -316,17 +302,17 @@ func (s *service) handleDrift(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	baseline := r.URL.Query().Get("baseline")
 	if baseline == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("campaignd: drift needs ?baseline=RUNID"))
+		shard.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("campaignd: drift needs ?baseline=RUNID"))
 		return
 	}
 	runs, err := longitudinal.Load(s.st, baseline, id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		shard.WriteHTTPError(w, http.StatusNotFound, err)
 		return
 	}
 	report, err := longitudinal.Analyze(runs, longitudinal.Options{})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		shard.WriteHTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/markdown")

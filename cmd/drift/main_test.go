@@ -40,7 +40,7 @@ func seedStore(t *testing.T) string {
 			Config:      cloudmodel.DefaultCampaignConfig(60),
 			Seed:        day.seed,
 		}
-		run, err := st.Create(day.id, spec, nil, 0)
+		run, err := st.CreateWithMeta(day.id, spec, store.RunMeta{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestShowSpec(t *testing.T) {
 	}
 
 	// A run persisted without a spec document says so.
-	legacy, err := st.Create("legacy", plan.Campaign.Spec, nil, 0)
+	legacy, err := st.CreateWithMeta("legacy", plan.Campaign.Spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRunRefusesMismatchedScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, spec := range map[string]fleet.CampaignSpec{"quiet": quiet, "noisy": noisy} {
-		run, err := st.Create(id, spec, nil, 0)
+		run, err := st.CreateWithMeta(id, spec, store.RunMeta{})
 		if err != nil {
 			t.Fatal(err)
 		}

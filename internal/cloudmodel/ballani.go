@@ -56,12 +56,6 @@ func BallaniCloudByName(name string) (BallaniCloud, error) {
 	return BallaniCloud{}, fmt.Errorf("cloudmodel: unknown Ballani cloud %q (want A-H)", name)
 }
 
-// Dist returns the quantile-interpolated sampling distribution in
-// Mb/s.
-func (c BallaniCloud) Dist() *simrand.QuantileDist {
-	return simrand.MustQuantileDist(ballaniProbs, c.PercentilesMbps[:])
-}
-
 // DistGbps returns the distribution rescaled to Gb/s, the unit the
 // emulator works in.
 func (c BallaniCloud) DistGbps() *simrand.QuantileDist {
@@ -71,9 +65,6 @@ func (c BallaniCloud) DistGbps() *simrand.QuantileDist {
 	}
 	return simrand.MustQuantileDist(ballaniProbs, values)
 }
-
-// MedianMbps returns the distribution's median.
-func (c BallaniCloud) MedianMbps() float64 { return c.PercentilesMbps[2] }
 
 // IQRMbps returns the interquartile range, the width statistic the
 // paper's Figure 3 outcome correlates with.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"cloudvar/internal/fleet/pool"
 	"cloudvar/internal/netem"
 	"cloudvar/internal/simrand"
 	"cloudvar/internal/stats"
@@ -182,62 +181,19 @@ type RegimeComparison struct {
 	Series map[string]*trace.Series
 }
 
-// RunAllRegimes measures every standard regime against fresh VM pairs
-// from the profile (fresh pair per regime, as the paper did). The
-// regimes run concurrently across GOMAXPROCS workers; because each
-// regime draws from its own named substream of src, the result is
-// bit-identical to a sequential run.
+// RunAllRegimes measures every standard regime, in order, against
+// fresh VM pairs from the profile (fresh pair per regime, as the paper
+// did). Each regime draws from its own named substream of src, and the
+// regimes share one scratch arena, which never leaks into results.
 func RunAllRegimes(p Profile, cfg CampaignConfig, src *simrand.Source) (RegimeComparison, error) {
-	return RunAllRegimesWorkers(p, cfg, src, 0)
-}
-
-// RunAllRegimesWorkers is RunAllRegimes with an explicit worker bound
-// (<= 0 means GOMAXPROCS).
-func RunAllRegimesWorkers(p Profile, cfg CampaignConfig, src *simrand.Source, workers int) (RegimeComparison, error) {
-	regimes := trace.Regimes()
-	// Derive every substream up front: Substream reads but never
-	// advances the parent state, so the derivation is order-free and
-	// matches what a sequential loop would hand each regime.
-	srcs := make([]*simrand.Source, len(regimes))
-	for i, regime := range regimes {
-		srcs[i] = src.Substream("campaign/" + regime.Name)
-	}
-	// One scratch arena per worker: a worker's campaigns run strictly
-	// in sequence, and the scratch never leaks into results.
-	scratches := make([]CampaignScratch, pool.NumWorkers(workers, len(regimes)))
-	series, errs := pool.CollectWorker(len(regimes), workers, func(w, i int) (*trace.Series, error) {
-		return RunCampaignScratch(p, regimes[i], cfg, srcs[i], &scratches[w])
-	})
 	out := RegimeComparison{Profile: p, Series: make(map[string]*trace.Series)}
-	for i, regime := range regimes {
-		if errs[i] != nil {
-			return out, fmt.Errorf("cloudmodel: regime %s: %w", regime.Name, errs[i])
+	var scratch CampaignScratch
+	for _, regime := range trace.Regimes() {
+		series, err := RunCampaignScratch(p, regime, cfg, src.Substream("campaign/"+regime.Name), &scratch)
+		if err != nil {
+			return out, fmt.Errorf("cloudmodel: regime %s: %w", regime.Name, err)
 		}
-		out.Series[regime.Name] = series[i]
+		out.Series[regime.Name] = series
 	}
 	return out, nil
-}
-
-// SlowdownVsBest computes, for each regime, how much slower its mean
-// send-phase bandwidth is than the best regime's — the "approximately
-// 3x and 7x slowdowns" comparison of Figure 6.
-func (rc RegimeComparison) SlowdownVsBest() map[string]float64 {
-	best := 0.0
-	means := make(map[string]float64, len(rc.Series))
-	for name, s := range rc.Series {
-		m := stats.Mean(s.Bandwidths())
-		means[name] = m
-		if m > best {
-			best = m
-		}
-	}
-	out := make(map[string]float64, len(means))
-	for name, m := range means {
-		if m > 0 {
-			out[name] = best / m
-		} else {
-			out[name] = math.Inf(1)
-		}
-	}
-	return out
 }

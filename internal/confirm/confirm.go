@@ -110,9 +110,6 @@ func (t *Tracker) Push(x float64) {
 	t.points = append(t.points, pt)
 }
 
-// N returns the number of measurements pushed so far.
-func (t *Tracker) N() int { return t.sample.N() }
-
 // Latest returns the most recent Point; ok is false before the second
 // measurement. Latest.WithinBound is the sequential-stopping signal:
 // the CI over everything seen so far fits the bound.
@@ -247,7 +244,7 @@ func (a Analysis) RequiredRepetitions() int {
 }
 
 // FiniteIntervals returns the number of points whose CI was achieved
-// (finite bounds) — the points WidthSeries and Diverging operate on.
+// (finite bounds) — the points Diverging operates on.
 // Zero means the sequence never reached the sample size the requested
 // confidence needs: no statement about its width trend is possible,
 // and Diverging's false is "no evidence", not "healthy".
@@ -266,10 +263,9 @@ func (a Analysis) FiniteIntervals() int {
 // diagnostic of non-iid repetitions. For iid data CI widths shrink
 // like 1/sqrt(n), so the mean half-width of the last third of points
 // sits well below the first third's; drifting data inverts the
-// relationship. It walks the same finite-width series WidthSeries
-// returns, without materialising it. False means either a healthy
-// trend or too few finite intervals (< 9) to judge — use
-// FiniteIntervals to tell the two apart.
+// relationship. It walks the finite-width points in place. False
+// means either a healthy trend or too few finite intervals (< 9) to
+// judge — use FiniteIntervals to tell the two apart.
 func (a Analysis) Diverging() bool {
 	total := a.FiniteIntervals()
 	if total < 9 {
@@ -294,17 +290,4 @@ func (a Analysis) Diverging() bool {
 	early := earlySum / float64(third)
 	late := lateSum / float64(total-2*third)
 	return late > early*1.15
-}
-
-// WidthSeries returns (n, half-width) pairs for plotting; NaN widths
-// are skipped.
-func (a Analysis) WidthSeries() (ns []int, halfWidths []float64) {
-	for _, pt := range a.Points {
-		if math.IsNaN(pt.Lo) {
-			continue
-		}
-		ns = append(ns, pt.N)
-		halfWidths = append(halfWidths, (pt.Hi-pt.Lo)/2)
-	}
-	return ns, halfWidths
 }

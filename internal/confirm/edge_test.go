@@ -226,8 +226,8 @@ func TestTrackerMatchesAnalyzeQuantile(t *testing.T) {
 		for _, x := range xs {
 			tr.Push(x)
 		}
-		if tr.N() != len(xs) {
-			t.Fatalf("tracker N = %d, want %d", tr.N(), len(xs))
+		if tr.sample.N() != len(xs) {
+			t.Fatalf("tracker N = %d, want %d", tr.sample.N(), len(xs))
 		}
 		got := tr.Analysis()
 		// %+v compares NaN fields as text, which DeepEqual cannot.

@@ -138,47 +138,6 @@ func TestEnvironmentHooks(t *testing.T) {
 	}
 }
 
-func TestRunSuiteRandomizedBalanced(t *testing.T) {
-	src := simrand.New(6)
-	counts := map[string]int{}
-	items := []SuiteItem{
-		{Name: "a", Trial: func() (float64, error) { counts["a"]++; return 1, nil }},
-		{Name: "b", Trial: func() (float64, error) { counts["b"]++; return 2, nil }},
-	}
-	results, err := RunSuite(items, Design{Repetitions: 10}, nil, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["a"] != 10 || counts["b"] != 10 {
-		t.Errorf("unbalanced suite: %v", counts)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results for %d items", len(results))
-	}
-	for name, r := range results {
-		if len(r.Samples) != 10 {
-			t.Errorf("%s: %d samples", name, len(r.Samples))
-		}
-	}
-}
-
-func TestRunSuiteValidation(t *testing.T) {
-	src := simrand.New(7)
-	ok := []SuiteItem{{Name: "a", Trial: noisyTrial(8, 1, 0.1)}}
-	if _, err := RunSuite(nil, Design{Repetitions: 3}, nil, src); err == nil {
-		t.Error("empty suite should error")
-	}
-	if _, err := RunSuite(ok, Design{Adaptive: true, MaxRepetitions: 50}, nil, src); err == nil {
-		t.Error("adaptive suite should error")
-	}
-	if _, err := RunSuite(ok, Design{Repetitions: 3}, nil, nil); err == nil {
-		t.Error("nil source should error")
-	}
-	if _, err := RunSuite([]SuiteItem{{Name: "x"}}, Design{Repetitions: 3}, nil, src); err == nil {
-		t.Error("nil trial should error")
-	}
-}
-
 func TestValidateIIDPath(t *testing.T) {
 	src := simrand.New(9)
 	iid := make([]float64, 80)
@@ -186,8 +145,8 @@ func TestValidateIIDPath(t *testing.T) {
 		iid[i] = src.Normal(50, 2)
 	}
 	rep := Validate(iid)
-	if !rep.IID() {
-		t.Errorf("iid data failed IID check: %+v", rep.Findings())
+	if rep.IndependenceErr != nil || rep.Independence.RejectAt05 || rep.StationarityErr != nil || !rep.Stationarity.Stationary {
+		t.Errorf("iid data failed the independence or stationarity check: %+v", rep.Findings())
 	}
 
 	drifting := make([]float64, 80)
@@ -195,9 +154,6 @@ func TestValidateIIDPath(t *testing.T) {
 		drifting[i] = 50 + float64(i) + src.Normal(0, 1)
 	}
 	rep = Validate(drifting)
-	if rep.IID() {
-		t.Error("drifting data passed IID check")
-	}
 	findings := rep.Findings()
 	if len(findings) == 0 {
 		t.Fatal("drifting data produced no findings")
@@ -210,7 +166,7 @@ func TestValidateIIDPath(t *testing.T) {
 
 func TestValidateShortSample(t *testing.T) {
 	rep := Validate([]float64{1, 2})
-	if rep.IID() {
+	if rep.IndependenceErr == nil && rep.StationarityErr == nil {
 		t.Error("unverifiable assumptions must not pass (the paper's point)")
 	}
 	if len(rep.Findings()) == 0 {

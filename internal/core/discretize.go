@@ -46,9 +46,3 @@ func Discretize(s *trace.Series, windowSec, conf, errBound float64) (Discretized
 	out.Validation = Validate(medians)
 	return out, nil
 }
-
-// WindowsNeeded returns how many windows of measurement the CONFIRM
-// extrapolation calls for, or -1 when it cannot tell.
-func (d DiscretizedAnalysis) WindowsNeeded() int {
-	return d.Confirm.RequiredRepetitions()
-}

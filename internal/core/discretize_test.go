@@ -32,7 +32,7 @@ func TestDiscretizeOnHPCCloudCampaign(t *testing.T) {
 	if da.Confirm.ConvergedAt <= 0 {
 		t.Errorf("stochastic cloud did not converge: %+v", da.Confirm.FinalPoint())
 	}
-	if needed := da.WindowsNeeded(); needed <= 0 || needed > 16 {
+	if needed := da.Confirm.RequiredRepetitions(); needed <= 0 || needed > 16 {
 		t.Errorf("windows needed = %d", needed)
 	}
 }

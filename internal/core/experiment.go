@@ -10,8 +10,7 @@
 //     (Design.Adaptive, Result.Planning).
 //   - F5.4: test samples for normality, independence and
 //     stationarity; rest and reset infrastructure so runs are truly
-//     independent; randomise experiment order (Validate, Design.RestSec,
-//     Design.FreshEnv, Suite).
+//     independent (Validate, Design.RestSec, Design.FreshEnv).
 //   - F5.5: record platform details alongside results (Metadata).
 package core
 
@@ -20,7 +19,6 @@ import (
 	"math"
 
 	"cloudvar/internal/confirm"
-	"cloudvar/internal/simrand"
 	"cloudvar/internal/stats"
 )
 
@@ -138,9 +136,9 @@ type Result struct {
 // BuildResult assembles a Result from already-collected samples: the
 // descriptive summary, nonparametric median CI, CONFIRM planning trace
 // and F5.4 validation battery. Zero confidence/errorBound take the
-// paper defaults (0.95, 0.05). Run, RunSuite and the fleet
-// orchestrator all funnel their samples through here so every path
-// reports identically.
+// paper defaults (0.95, 0.05). Run and the fleet orchestrator both
+// funnel their samples through here so every path reports
+// identically.
 func BuildResult(name string, samples []float64, confidence, errorBound float64) Result {
 	if confidence == 0 {
 		confidence = 0.95
@@ -221,75 +219,4 @@ func Run(name string, design Design, env Environment, trial Trial) (Result, erro
 	built := BuildResult(name, res.Samples, design.Confidence, design.ErrorBound)
 	built.Converged = built.Converged || res.Converged
 	return built, nil
-}
-
-// SuiteItem names one experiment in a randomised suite.
-type SuiteItem struct {
-	Name  string
-	Trial Trial
-}
-
-// RunSuite executes several experiments with their repetitions
-// interleaved in randomised order — the F5.4 defence against
-// self-interference, where experiment k's traffic perturbs experiment
-// k+1 through hidden token-bucket state.
-func RunSuite(items []SuiteItem, design Design, env Environment, src *simrand.Source) (map[string]Result, error) {
-	design = design.withDefaults()
-	if design.Adaptive {
-		return nil, fmt.Errorf("core: randomised suites need a fixed design")
-	}
-	if err := design.Validate(); err != nil {
-		return nil, err
-	}
-	if len(items) == 0 {
-		return nil, fmt.Errorf("core: empty suite")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("core: nil random source")
-	}
-	if env == nil {
-		env = NopEnvironment{}
-	}
-
-	// Build the randomised schedule: every (item, repetition) pair,
-	// shuffled.
-	type slot struct{ item int }
-	var schedule []slot
-	for i := range items {
-		if items[i].Trial == nil {
-			return nil, fmt.Errorf("core: suite item %q has nil trial", items[i].Name)
-		}
-		for r := 0; r < design.Repetitions; r++ {
-			schedule = append(schedule, slot{item: i})
-		}
-	}
-	src.Shuffle(len(schedule), func(a, b int) {
-		schedule[a], schedule[b] = schedule[b], schedule[a]
-	})
-
-	samples := make(map[string][]float64, len(items))
-	for k, s := range schedule {
-		if design.FreshEnv {
-			if err := env.Reset(); err != nil {
-				return nil, fmt.Errorf("core: suite reset at slot %d: %w", k, err)
-			}
-		}
-		if design.RestSec > 0 && k > 0 {
-			if err := env.Rest(design.RestSec); err != nil {
-				return nil, fmt.Errorf("core: suite rest at slot %d: %w", k, err)
-			}
-		}
-		name := items[s.item].Name
-		v, err := items[s.item].Trial()
-		if err != nil {
-			return nil, fmt.Errorf("core: suite %q slot %d: %w", name, k, err)
-		}
-		samples[name] = append(samples[name], v)
-	}
-
-	out := make(map[string]Result, len(items))
-	for _, it := range items {
-		out[it.Name] = BuildResult(it.Name, samples[it.Name], design.Confidence, design.ErrorBound)
-	}
-	return out, nil
 }

@@ -41,18 +41,6 @@ func Validate(samples []float64) ValidationReport {
 	return rep
 }
 
-// IID reports whether the sequence looks independent and identically
-// distributed enough for classical analysis: the independence check
-// passes and stationarity holds (or could not be assessed for lack of
-// data, in which case the benefit of the doubt is NOT given — the
-// paper's position is that unverified assumptions are the problem).
-func (r ValidationReport) IID() bool {
-	if r.IndependenceErr != nil || r.StationarityErr != nil {
-		return false
-	}
-	return !r.Independence.RejectAt05 && r.Stationarity.Stationary
-}
-
 // Findings renders the report as actionable recommendations, echoing
 // Section 5's guidance. An empty slice means no red flags.
 func (r ValidationReport) Findings() []string {

@@ -90,21 +90,6 @@ func (b *Builder) WithWorkers(n int) *Builder {
 	return b
 }
 
-// WithConfidence sets the per-group median-CI parameters.
-func (b *Builder) WithConfidence(confidence, errorBound float64) *Builder {
-	c := b.campaign()
-	c.Confidence, c.ErrorBound = confidence, errorBound
-	return b
-}
-
-// WithSummarize selects the cell-summary computation: "exact" (or "")
-// for the default, "sketch" for the bounded-memory t-digest with the
-// committed error contract.
-func (b *Builder) WithSummarize(mode string) *Builder {
-	b.campaign().Summarize = mode
-	return b
-}
-
 // WithStopping enables CONFIRM-driven sequential stopping: the
 // campaign stops repeating a (profile, regime) group once its CI's
 // relative error fits errBound, up to maxReps repetitions per group.
@@ -131,22 +116,6 @@ func (b *Builder) WithScenario(name string, params map[string]float64) *Builder 
 	return b
 }
 
-// WithApps selects big-data application profiles by name.
-func (b *Builder) WithApps(names ...string) *Builder {
-	b.doc.Apps = append(b.doc.Apps, names...)
-	return b
-}
-
-// WithWorkloads selects big-data application profiles by name.
-//
-// Deprecated: application profiles are the apps: section since schema
-// version 2; use WithApps. WithWorkloads now shares the name of the
-// traffic-client methods (WithWorkloadRate, WithClient, WithTrace)
-// only for compatibility.
-func (b *Builder) WithWorkloads(names ...string) *Builder {
-	return b.WithApps(names...)
-}
-
 // workloads returns the workloads section, creating it on first use.
 func (b *Builder) workloads() *WorkloadSection {
 	if b.doc.Workloads == nil {
@@ -167,8 +136,7 @@ func (b *Builder) WithWorkloadRate(aggregateRPS, requestKB float64) *Builder {
 // WithClient adds one traffic client: a named source taking
 // rateFraction of the aggregate rate, reported under sloClass (""
 // means the default class), generating arrivals from the given
-// process — see PoissonArrival, GammaArrival, WeibullArrival and
-// TraceArrival.
+// process — see PoissonArrival and GammaArrival.
 func (b *Builder) WithClient(id, sloClass string, rateFraction float64, arrival WorkloadArrival) *Builder {
 	w := b.workloads()
 	w.Clients = append(w.Clients, WorkloadClient{
@@ -177,50 +145,11 @@ func (b *Builder) WithClient(id, sloClass string, rateFraction float64, arrival 
 	return b
 }
 
-// WithTrace adds a traffic client that replays recorded arrival times
-// verbatim — shorthand for WithClient(id, sloClass, rateFraction,
-// TraceArrival(times...)).
-func (b *Builder) WithTrace(id, sloClass string, rateFraction float64, times ...float64) *Builder {
-	return b.WithClient(id, sloClass, rateFraction, TraceArrival(times...))
-}
-
 // WithStore persists campaign cells to the named results store under
 // the given run ID.
 func (b *Builder) WithStore(dir, runID string) *Builder {
 	resume := b.doc.Store != nil && b.doc.Store.Resume
 	b.doc.Store = &Store{Dir: dir, RunID: runID, Resume: resume}
-	return b
-}
-
-// WithResume reopens an interrupted stored run instead of creating a
-// fresh one.
-func (b *Builder) WithResume() *Builder {
-	if b.doc.Store == nil {
-		b.doc.Store = &Store{}
-	}
-	b.doc.Store.Resume = true
-	return b
-}
-
-// WithStoreEncoding selects the cell-record encoding for new stored
-// runs: "jsonl" (or "") for the default, "columnar" for the
-// delta-encoded cells.col format. Operational only — it never moves
-// the document's hash.
-func (b *Builder) WithStoreEncoding(encoding string) *Builder {
-	if b.doc.Store == nil {
-		b.doc.Store = &Store{}
-	}
-	b.doc.Store.Encoding = encoding
-	return b
-}
-
-// WithSharding distributes the campaign across worker processes:
-// shards is the partition width (0 means one shard per worker, or 1
-// with no workers), workers are campaignd worker base URLs (none
-// means in-process shards). Operational only — a sharded campaign
-// merges byte-identically, so it keeps the document's hash.
-func (b *Builder) WithSharding(shards int, workers ...string) *Builder {
-	b.doc.Sharding = &Sharding{Shards: shards, Workers: workers}
 	return b
 }
 

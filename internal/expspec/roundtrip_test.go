@@ -15,6 +15,7 @@ import (
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/scenario"
 	"cloudvar/internal/testutil"
+	"cloudvar/internal/workload"
 )
 
 // genDocument generates a random valid document from rng.
@@ -49,8 +50,8 @@ func genDocument(rng *rand.Rand) expspec.Document {
 		c.Confidence, c.ErrorBound = 0.9, 0.1
 	}
 	if rng.Intn(3) == 0 {
-		names := scenario.Names()
-		c.Scenario = &expspec.ScenarioRef{Name: names[rng.Intn(len(names))]}
+		all := scenario.All()
+		c.Scenario = &expspec.ScenarioRef{Name: all[rng.Intn(len(all))].Name}
 	}
 	doc.Campaign = c
 
@@ -61,8 +62,8 @@ func genDocument(rng *rand.Rand) expspec.Document {
 		arrivals := []expspec.WorkloadArrival{
 			expspec.PoissonArrival(),
 			expspec.GammaArrival(0.5 + rng.Float64()*2),
-			expspec.WeibullArrival(0.5 + rng.Float64()*2),
-			expspec.TraceArrival(0, 0.5, 1.25, 3),
+			{Process: workload.Weibull, Shape: 0.5 + rng.Float64()*2},
+			{Process: workload.Trace, Times: []float64{0, 0.5, 1.25, 3}},
 		}
 		w := &expspec.WorkloadSection{AggregateRPS: 1 + rng.Float64()*20}
 		if rng.Intn(2) == 0 {

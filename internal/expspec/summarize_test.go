@@ -96,13 +96,13 @@ func TestCompileCarriesSummarizeAndEncoding(t *testing.T) {
 		WithRegimes("full-speed").
 		WithDuration(0.01).
 		WithSeed(7).
-		WithSummarize("sketch").
 		WithStore("results", "day1").
-		WithStoreEncoding("columnar").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc.Campaign.Summarize = "sketch"
+	doc.Store.Encoding = "columnar"
 	plan, err := expspec.Compile(doc)
 	if err != nil {
 		t.Fatal(err)

@@ -73,17 +73,6 @@ func GammaArrival(cv float64) WorkloadArrival {
 	return WorkloadArrival{Process: workload.Gamma, CV: cv}
 }
 
-// WeibullArrival returns Weibull-distributed inter-arrivals with the
-// given shape (shape < 1 is heavy-tailed).
-func WeibullArrival(shape float64) WorkloadArrival {
-	return WorkloadArrival{Process: workload.Weibull, Shape: shape}
-}
-
-// TraceArrival replays recorded arrival times verbatim.
-func TraceArrival(times ...float64) WorkloadArrival {
-	return WorkloadArrival{Process: workload.Trace, Times: append([]float64(nil), times...)}
-}
-
 // canonical validates and defaults the workloads section, with errors
 // naming full field paths. It mirrors workload.Spec.Validate — the
 // engine-level gate — but reports in the document's vocabulary.

@@ -70,7 +70,7 @@ func TestInjectorIsDeterministic(t *testing.T) {
 	if len(a.Victims()) != 2 {
 		t.Errorf("victims %v, want 2 of them", a.Victims())
 	}
-	if got := a.Plan().Params["at"]; got != 0 {
+	if got := a.plan.Params["at"]; got != 0 {
 		t.Errorf("resolved at = %v, want the registry default 0", got)
 	}
 	// The victim cap: more victims than workers afflicts everyone.
@@ -169,7 +169,7 @@ func TestWindowSemantics(t *testing.T) {
 		if err := s.Health(); err != nil {
 			t.Errorf("probe past the partition window failed: %v", err)
 		}
-		if got := s.Events(); got != 3 {
+		if got := s.events; got != 3 {
 			t.Errorf("event clock at %d, want 3", got)
 		}
 	})
@@ -206,13 +206,6 @@ func TestWindowSemantics(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestInjectedErrorIsTransient(t *testing.T) {
-	e := &Error{Msg: "faults: injected"}
-	if !e.Transient() {
-		t.Error("injected faults must classify as transient — they model infrastructure, not protocol")
-	}
 }
 
 // TestTornBody pins the truncation contract: at most tornBudget bytes

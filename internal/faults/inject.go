@@ -11,14 +11,13 @@ import (
 	"cloudvar/internal/simrand"
 )
 
-// Error is an injected fault. Transient reports true: injected
-// failures model infrastructure misbehaviour — exactly the class of
-// error the resilience layer must retry, never the class that aborts
-// a campaign.
+// Error is an injected fault. Injected failures model infrastructure
+// misbehaviour — exactly the class of error the resilience layer must
+// retry (shard.Classify rates it transient), never the class that
+// aborts a campaign.
 type Error struct{ Msg string }
 
-func (e *Error) Error() string   { return e.Msg }
-func (e *Error) Transient() bool { return true }
+func (e *Error) Error() string { return e.Msg }
 
 // Decision is what one gated interaction should suffer.
 type Decision struct {
@@ -77,9 +76,6 @@ func (p Plan) Injector(seed uint64, workers int) (*Injector, error) {
 	}
 	return &Injector{plan: built, victims: victims, states: states}, nil
 }
-
-// Plan returns the resolved plan the injector was compiled from.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Victims returns the afflicted worker indexes, sorted.
 func (in *Injector) Victims() []int { return append([]int(nil), in.victims...) }
@@ -187,13 +183,6 @@ func (s *WorkerState) Health() error {
 		}
 	}
 	return nil
-}
-
-// Events returns how many interactions the worker has been gated on.
-func (s *WorkerState) Events() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.events
 }
 
 // tornBudget is how many response-body bytes survive a torn response

@@ -29,9 +29,6 @@ type Config struct {
 	Scale float64
 }
 
-// DefaultConfig returns a full-scale configuration.
-func DefaultConfig() Config { return Config{Seed: 1912_09256, Scale: 1} }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Scale <= 0 || c.Scale > 1 {
@@ -193,25 +190,6 @@ func GenerateEach(cfg Config, workers int) ([]ArtifactResult, error) {
 		if errs[i] != nil {
 			out[i].Err = fmt.Errorf("figures: generating %s: %w", id, errs[i])
 		}
-	}
-	return out, nil
-}
-
-// GenerateAll produces every artifact in ID order, running the
-// generators concurrently. On failure it returns the tables preceding
-// the first failing ID plus that artifact's error, matching the
-// historical sequential contract.
-func GenerateAll(cfg Config) ([]Table, error) {
-	results, err := GenerateEach(cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	var out []Table
-	for _, r := range results {
-		if r.Err != nil {
-			return out, r.Err
-		}
-		out = append(out, r.Table)
 	}
 	return out, nil
 }

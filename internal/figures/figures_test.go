@@ -16,8 +16,8 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("scale %g should fail", s)
 		}
 	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	if err := (Config{Seed: 1, Scale: 1}).Validate(); err != nil {
+		t.Errorf("full-scale config invalid: %v", err)
 	}
 }
 
@@ -111,14 +111,18 @@ func TestAllArtifactsGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates every artifact")
 	}
-	tables, err := GenerateAll(quick)
+	results, err := GenerateEach(quick, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != len(IDs()) {
-		t.Fatalf("generated %d artifacts, want %d", len(tables), len(IDs()))
+	if len(results) != len(IDs()) {
+		t.Fatalf("generated %d artifacts, want %d", len(results), len(IDs()))
 	}
-	for _, tbl := range tables {
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+		tbl := r.Table
 		if tbl.ID == "" || tbl.Title == "" {
 			t.Errorf("artifact missing metadata: %+v", tbl.ID)
 		}

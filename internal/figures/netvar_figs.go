@@ -106,7 +106,7 @@ func Figure5(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	src := simrand.New(cfg.Seed)
-	rc, err := cloudmodel.RunAllRegimesWorkers(p, cloudmodel.DefaultCampaignConfig(cfg.campaignDuration()), src, 1)
+	rc, err := cloudmodel.RunAllRegimes(p, cloudmodel.DefaultCampaignConfig(cfg.campaignDuration()), src)
 	if err != nil {
 		return Table{}, err
 	}
@@ -135,7 +135,7 @@ func Figure6(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	src := simrand.New(cfg.Seed)
-	rc, err := cloudmodel.RunAllRegimesWorkers(p, cloudmodel.DefaultCampaignConfig(cfg.campaignDuration()), src, 1)
+	rc, err := cloudmodel.RunAllRegimes(p, cloudmodel.DefaultCampaignConfig(cfg.campaignDuration()), src)
 	if err != nil {
 		return Table{}, err
 	}
@@ -282,7 +282,7 @@ func Figure9(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	rc, err := cloudmodel.RunAllRegimesWorkers(gce, ccfg, src.Substream("fig9/gce-regimes"), 1)
+	rc, err := cloudmodel.RunAllRegimes(gce, ccfg, src.Substream("fig9/gce-regimes"))
 	if err != nil {
 		return t, err
 	}
@@ -318,7 +318,7 @@ func Figure10(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		rc, err := cloudmodel.RunAllRegimesWorkers(p, cloudmodel.DefaultCampaignConfig(dur), src.Substream("fig10/"+cloud), 1)
+		rc, err := cloudmodel.RunAllRegimes(p, cloudmodel.DefaultCampaignConfig(dur), src.Substream("fig10/"+cloud))
 		if err != nil {
 			return t, err
 		}

@@ -550,17 +550,6 @@ func (r CampaignResult) Err() error {
 		len(failed), len(r.Cells), failed[0].Cell.Label(), failed[0].Err)
 }
 
-// Series returns the successful series keyed by cell label.
-func (r CampaignResult) Series() map[string]*trace.Series {
-	out := make(map[string]*trace.Series)
-	for _, c := range r.Cells {
-		if c.Err == nil {
-			out[c.Cell.Label()] = c.Series
-		}
-	}
-	return out
-}
-
 // CellSource derives the random substream for one cell of a campaign
 // seeded with seed. Exposed so tests and external replayers can
 // regenerate any single cell without running the fleet.

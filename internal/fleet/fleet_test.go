@@ -94,8 +94,17 @@ func TestRunCellFailureIsolation(t *testing.T) {
 	}
 
 	// Healthy cells are bit-identical to the all-healthy run.
-	hseries := hres.Series()
-	mseries := mres.Series()
+	seriesByLabel := func(res fleet.CampaignResult) map[string]*trace.Series {
+		out := make(map[string]*trace.Series)
+		for _, c := range res.Cells {
+			if c.Err == nil {
+				out[c.Cell.Label()] = c.Series
+			}
+		}
+		return out
+	}
+	hseries := seriesByLabel(hres)
+	mseries := seriesByLabel(mres)
 	if len(mseries) != len(hseries) {
 		t.Fatalf("%d healthy series in mixed run, want %d", len(mseries), len(hseries))
 	}

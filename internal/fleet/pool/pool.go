@@ -1,9 +1,8 @@
 // Package pool provides a deterministic bounded-concurrency fan-out
 // primitive: results are keyed by input index, so the output of a
 // parallel run is independent of worker count and completion order.
-// It is the low-level substrate of internal/fleet, small enough that
-// packages fleet itself depends on (cloudmodel, figures) can use it
-// without an import cycle.
+// It is the low-level substrate of internal/fleet; figures also uses it
+// directly to generate artifacts concurrently.
 package pool
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudvar/internal/fleet"
+	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/workload"
 )
@@ -119,7 +120,7 @@ func TestWorkloadResumeByteIdentical(t *testing.T) {
 	st := testutil.TempStore(t)
 	spec := workloadSpec(t, 7, 8)
 
-	full, err := st.Create("full", spec, nil, 0)
+	full, err := st.CreateWithMeta("full", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestWorkloadResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	interrupted, err := st.Create("half", spec, nil, 0)
+	interrupted, err := st.CreateWithMeta("half", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}

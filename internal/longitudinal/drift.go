@@ -168,15 +168,6 @@ type Report struct {
 	Options Options
 }
 
-// Conclusion reduces one cell to the categorical claim an
-// experimenter would publish about it: the variability band of its
-// bandwidth CoV, in the vocabulary of the paper's Section 3 figures.
-// Replication means this label, not the raw numbers, survives a
-// re-run.
-func Conclusion(rec store.CellRecord) string {
-	return conclusion(rec.Series.Bandwidths())
-}
-
 // conclusion is Conclusion of a cell's bandwidth column.
 func conclusion(bw []float64) string {
 	// CoV needs only the first two moments — identical bits to

@@ -6,6 +6,7 @@ import (
 	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/longitudinal"
+	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/workload"
 )
@@ -29,7 +30,7 @@ func BenchmarkDriftAnalyze(b *testing.B) {
 			{ID: "web", RateFraction: 0.7, SLOClass: "interactive", Arrival: workload.Arrival{Process: workload.Poisson}},
 			{ID: "etl", RateFraction: 0.3, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
 		}}
-		run, err := st.Create(runID, spec, nil, 0)
+		run, err := st.CreateWithMeta(runID, spec, store.RunMeta{})
 		if err != nil {
 			b.Fatal(err)
 		}

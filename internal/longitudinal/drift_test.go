@@ -28,7 +28,7 @@ func testSpec(t *testing.T, seed uint64, workers int) fleet.CampaignSpec {
 // restored from disk).
 func runPersisted(t *testing.T, st *store.Store, runID string, spec fleet.CampaignSpec) (fleet.CampaignResult, int) {
 	t.Helper()
-	run, err := st.Create(runID, spec, nil, 0)
+	run, err := st.CreateWithMeta(runID, spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestResumeByteIdentical(t *testing.T) {
 
 			// Interrupted run: persist only the first half of the
 			// cells, as if the process died mid-campaign.
-			interrupted, err := st.Create("bravo", spec, nil, 0)
+			interrupted, err := st.CreateWithMeta("bravo", spec, store.RunMeta{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestAdaptiveResumeByteIdentical(t *testing.T) {
 			spec := adaptiveTestSpec(t, 7, workers)
 			full, _ := runPersisted(t, st, "alpha", spec)
 
-			interrupted, err := st.Create("bravo", spec, nil, 0)
+			interrupted, err := st.CreateWithMeta("bravo", spec, store.RunMeta{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 	ref, _ := runPersisted(t, st, "ref", testSpec(t, 7, 1))
 
 	spec1 := testSpec(t, 7, 1)
-	partial, err := st.Create("mixed", spec1, nil, 0)
+	partial, err := st.CreateWithMeta("mixed", spec1, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,6 @@ func NewRateLimiter(budgetBytes, refillBytesPerSec, highBytesPerSec, lowBytesPer
 	return l, nil
 }
 
-// NewConstantLimiter paces at a fixed rate with no bucket dynamics.
-func NewConstantLimiter(bytesPerSec float64) (*RateLimiter, error) {
-	if bytesPerSec <= 0 {
-		return nil, fmt.Errorf("measure: rate must be positive")
-	}
-	return NewRateLimiter(0, 0, bytesPerSec, bytesPerSec)
-}
-
 // Tokens returns the current token level in bytes.
 func (l *RateLimiter) Tokens() float64 {
 	l.mu.Lock()

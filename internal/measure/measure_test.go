@@ -46,10 +46,10 @@ func TestBulkTransfer(t *testing.T) {
 	}
 	// Give the server a beat to drain its receive buffer.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.BytesReceived() < res.TotalBytes && time.Now().Before(deadline) {
+	for s.bytesReceived.Load() < res.TotalBytes && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := s.BytesReceived(); got != res.TotalBytes {
+	if got := s.bytesReceived.Load(); got != res.TotalBytes {
 		t.Errorf("server received %d, client sent %d", got, res.TotalBytes)
 	}
 }
@@ -72,7 +72,7 @@ func TestBulkConfigValidation(t *testing.T) {
 func TestShapedBulkRespectsRate(t *testing.T) {
 	s := startServer(t)
 	const targetBytesPerSec = 4 << 20 // 4 MiB/s = ~33.5 Mbps
-	lim, err := NewConstantLimiter(targetBytesPerSec)
+	lim, err := NewRateLimiter(0, 0, targetBytesPerSec, targetBytesPerSec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,8 @@ func TestConcurrentSessions(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if s.Sessions() != 8 {
-		t.Errorf("sessions = %d, want 8", s.Sessions())
+	if s.sessions.Load() != 8 {
+		t.Errorf("sessions = %d, want 8", s.sessions.Load())
 	}
 }
 
@@ -250,14 +250,11 @@ func TestRateLimiterValidation(t *testing.T) {
 			t.Errorf("case %d should fail", i)
 		}
 	}
-	if _, err := NewConstantLimiter(0); err == nil {
-		t.Error("zero-rate constant limiter should fail")
-	}
 }
 
 func TestRateLimiterPacingMath(t *testing.T) {
 	// Deterministic clock: verify pacing spacing without sleeping.
-	lim, err := NewConstantLimiter(1000) // 1000 B/s
+	lim, err := NewRateLimiter(0, 0, 1000, 1000) // 1000 B/s
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package measure
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -49,12 +48,6 @@ func NewServer() (*Server, error) {
 
 // Addr returns the server's dialable address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// BytesReceived returns the total bulk payload received.
-func (s *Server) BytesReceived() int64 { return s.bytesReceived.Load() }
-
-// Sessions returns the number of accepted connections.
-func (s *Server) Sessions() int64 { return s.sessions.Load() }
 
 // Close stops the listener and waits for in-flight sessions.
 func (s *Server) Close() error {
@@ -146,6 +139,3 @@ func (s *Server) serveEcho(conn net.Conn) {
 // maxPingBytes bounds echo payloads (1 MiB), protecting the server
 // from absurd length prefixes.
 const maxPingBytes = 1 << 20
-
-// ErrServerClosed is returned by clients dialing a closed server.
-var ErrServerClosed = errors.New("measure: server closed")

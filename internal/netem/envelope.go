@@ -41,9 +41,6 @@ func NewEnvelopeShaper(inner Shaper, factor func(tSec float64) float64, maxStepS
 	return &EnvelopeShaper{inner: inner, factor: factor, maxStepSec: maxStepSec}, nil
 }
 
-// Elapsed returns the virtual time the shaper has lived through.
-func (e *EnvelopeShaper) Elapsed() float64 { return e.elapsed }
-
 // Inner returns the wrapped shaper (for bucket inspection by
 // conditions that act on the underlying QoS state).
 func (e *EnvelopeShaper) Inner() Shaper { return e.inner }

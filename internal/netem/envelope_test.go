@@ -48,8 +48,8 @@ func TestEnvelopeShaperStepFunction(t *testing.T) {
 	if moved := sh.Transfer(1e9, 5); math.Abs(moved-50) > 1e-9 {
 		t.Errorf("recovered 5 s moved %g Gbit, want 50", moved)
 	}
-	if sh.Elapsed() != 25 {
-		t.Errorf("elapsed %g, want 25", sh.Elapsed())
+	if sh.elapsed != 25 {
+		t.Errorf("elapsed %g, want 25", sh.elapsed)
 	}
 }
 

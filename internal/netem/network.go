@@ -65,9 +65,6 @@ type Flow struct {
 	rate float64 // current max-min assigned rate
 }
 
-// Rate returns the flow's currently assigned rate in Gbps.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Network is the fluid-flow simulator: flows progress at their max-min
 // fair-share rates through shaped NICs, with the virtual clock
 // advancing in exact steps bounded by flow completions and shaper
@@ -317,9 +314,6 @@ func (n *Network) step(maxDt float64) float64 {
 	return dt
 }
 
-// CompletedFlows returns the count of flows finished since creation.
-func (n *Network) CompletedFlows() int { return n.completed }
-
 func (n *Network) removeFlow(f *Flow) {
 	n.flows = removeFromSlice(n.flows, f)
 	f.Src.outFlows = removeFromSlice(f.Src.outFlows, f)
@@ -354,15 +348,6 @@ func (n *Network) RunUntil(t float64) {
 		n.step(t - n.now)
 	}
 	n.now = t
-}
-
-// RunWhileActive advances until no flows remain or until maxTime is
-// reached, returning the stop time.
-func (n *Network) RunWhileActive(maxTime float64) float64 {
-	for len(n.flows) > 0 && n.now < maxTime-1e-12 {
-		n.step(maxTime - n.now)
-	}
-	return n.now
 }
 
 // RunUntilEvent advances until at least one flow completes or t is

@@ -9,6 +9,14 @@ import (
 	"cloudvar/internal/tokenbucket"
 )
 
+// runWhileActive advances n until no flows remain or maxTime is
+// reached.
+func runWhileActive(n *Network, maxTime float64) {
+	for n.ActiveFlows() > 0 && n.Now() < maxTime {
+		n.RunUntilEvent(maxTime)
+	}
+}
+
 func fixedNIC(t *testing.T, n *Network, name string, gbps float64) *NIC {
 	t.Helper()
 	nic, err := n.AddNIC(name, &FixedShaper{RateGbps: gbps}, gbps)
@@ -27,7 +35,7 @@ func TestSingleFlowCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.RunWhileActive(1e6)
+	runWhileActive(n, 1e6)
 	// 100 Gbit at 10 Gbps = 10 s.
 	if math.Abs(doneAt-10) > 1e-6 {
 		t.Errorf("flow completed at %g, want 10", doneAt)
@@ -45,7 +53,7 @@ func TestTwoFlowsShareEgress(t *testing.T) {
 	var t1, t2 float64
 	_, _ = n.StartFlow("src", "d1", 50, math.Inf(1), func(now float64) { t1 = now })
 	_, _ = n.StartFlow("src", "d2", 50, math.Inf(1), func(now float64) { t2 = now })
-	n.RunWhileActive(1e6)
+	runWhileActive(n, 1e6)
 	// Each flow gets 5 Gbps: 10 s each.
 	if math.Abs(t1-10) > 1e-6 || math.Abs(t2-10) > 1e-6 {
 		t.Errorf("completions at %g, %g; want 10, 10", t1, t2)
@@ -62,11 +70,11 @@ func TestMaxMinUnusedShareRedistributed(t *testing.T) {
 	f1, _ := n.StartFlow("src", "d1", 1000, 2, nil)
 	f2, _ := n.StartFlow("src", "d2", 1000, math.Inf(1), nil)
 	n.RunUntil(1)
-	if math.Abs(f1.Rate()-2) > 1e-9 {
-		t.Errorf("capped flow rate = %g, want 2", f1.Rate())
+	if math.Abs(f1.rate-2) > 1e-9 {
+		t.Errorf("capped flow rate = %g, want 2", f1.rate)
 	}
-	if math.Abs(f2.Rate()-8) > 1e-9 {
-		t.Errorf("greedy flow rate = %g, want 8 (max-min)", f2.Rate())
+	if math.Abs(f2.rate-8) > 1e-9 {
+		t.Errorf("greedy flow rate = %g, want 8 (max-min)", f2.rate)
 	}
 }
 
@@ -79,8 +87,8 @@ func TestIngressBottleneck(t *testing.T) {
 	f1, _ := n.StartFlow("s1", "dst", 1000, math.Inf(1), nil)
 	f2, _ := n.StartFlow("s2", "dst", 1000, math.Inf(1), nil)
 	n.RunUntil(1)
-	if math.Abs(f1.Rate()-5) > 1e-9 || math.Abs(f2.Rate()-5) > 1e-9 {
-		t.Errorf("converging rates = %g, %g; want 5, 5", f1.Rate(), f2.Rate())
+	if math.Abs(f1.rate-5) > 1e-9 || math.Abs(f2.rate-5) > 1e-9 {
+		t.Errorf("converging rates = %g, %g; want 5, 5", f1.rate, f2.rate)
 	}
 }
 
@@ -90,7 +98,7 @@ func TestFlowConservation(t *testing.T) {
 	src := fixedNIC(t, n, "src", 10)
 	fixedNIC(t, n, "dst", 10)
 	_, _ = n.StartFlow("src", "dst", 123.25, math.Inf(1), nil)
-	n.RunWhileActive(1e6)
+	runWhileActive(n, 1e6)
 	if math.Abs(src.MovedGbit()-123.25) > 1e-6 {
 		t.Errorf("NIC moved %g Gbit, want 123.25", src.MovedGbit())
 	}
@@ -110,7 +118,7 @@ func TestTokenBucketThrottleMidFlow(t *testing.T) {
 	fixedNIC(t, n, "dst", 10)
 	var doneAt float64
 	_, _ = n.StartFlow("src", "dst", 150, math.Inf(1), func(now float64) { doneAt = now })
-	n.RunWhileActive(1e6)
+	runWhileActive(n, 1e6)
 	// High phase: bucket empties after 90/(10-1) = 10 s, moving 100
 	// Gbit. Remaining 50 Gbit at 1 Gbps: 50 s. Total 60 s.
 	if math.Abs(doneAt-60) > 0.1 {
@@ -130,7 +138,7 @@ func TestSampledShaperResampling(t *testing.T) {
 	}
 	seen := map[float64]bool{}
 	for i := 0; i < 20; i++ {
-		seen[sh.CurrentCapacity()] = true
+		seen[sh.currentGbps] = true
 		sh.Idle(5)
 	}
 	if len(seen) < 5 {
@@ -229,7 +237,7 @@ func TestFlowVolumeProperty(t *testing.T) {
 				return false
 			}
 		}
-		n.RunWhileActive(1e9)
+		runWhileActive(n, 1e9)
 		src, _ := n.NIC("src")
 		return math.Abs(src.MovedGbit()-total) < 1e-3*total+1e-6
 	}
@@ -254,6 +262,6 @@ func BenchmarkNetworkManyFlows(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		n.RunWhileActive(1e6)
+		runWhileActive(n, 1e6)
 	}
 }

@@ -158,9 +158,6 @@ func (s *SampledShaper) Rate(demand float64) float64 {
 	return math.Min(demand, s.currentGbps)
 }
 
-// CurrentCapacity returns the capacity drawn for the current period.
-func (s *SampledShaper) CurrentCapacity() float64 { return s.currentGbps }
-
 // advance moves the redraw clock, resampling at period boundaries, and
 // returns the volume transferred at the given demand.
 func (s *SampledShaper) advance(demand, dt float64) float64 {

@@ -81,7 +81,7 @@ func TestScenarioDeterminismProperty(t *testing.T) {
 // other.
 func TestScenarioSpecKeysProperty(t *testing.T) {
 	plain := testutil.TwoCloudSpec(t, 7, 0)
-	plainMatrix, err := store.MatrixKey(plain)
+	plainMatrix, err := store.Identity(plain).MatrixKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestScenarioSpecKeysProperty(t *testing.T) {
 	seenSpec := map[string]string{}
 	for _, sc := range scenario.All() {
 		spec := expandedSpec(t, sc, 7, 0)
-		mk, err := store.MatrixKey(spec)
+		mk, err := store.Identity(spec).MatrixKey()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestScenarioSpecKeysProperty(t *testing.T) {
 		}
 		respec := plain
 		respec.Scenario = reparam.ID()
-		rk, err := store.MatrixKey(respec)
+		rk, err := store.Identity(respec).MatrixKey()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestScenarioResumeByteIdentical(t *testing.T) {
 	st := testutil.TempStore(t)
 
 	spec := expandedSpec(t, sc, 7, 8)
-	full, err := st.Create("full", spec, nil, 0)
+	full, err := st.CreateWithMeta("full", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestScenarioResumeByteIdentical(t *testing.T) {
 	}
 
 	// Interrupted twin: persist only half the cells, then resume.
-	interrupted, err := st.Create("half", spec, nil, 0)
+	interrupted, err := st.CreateWithMeta("half", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 func TestBuildDefaultsMatchRegistry(t *testing.T) {
-	for _, name := range scenario.Names() {
+	for _, sc := range scenario.All() {
+		name := sc.Name
 		built, err := scenario.Build(name, nil)
 		if err != nil {
 			t.Fatalf("Build(%q, nil): %v", name, err)

@@ -272,13 +272,6 @@ func ByName(name string) (Scenario, error) {
 	return sc.clone(), nil
 }
 
-// Names returns the registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return names()
-}
-
 func names() []string {
 	out := make([]string, 0, len(registry))
 	for name := range registry {

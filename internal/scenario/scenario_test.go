@@ -444,13 +444,16 @@ func TestApplyClusterInjectsStragglers(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	want := []string{"diurnal-congestion", "loss-burst", "noisy-neighbor", "regime-flip", "stragglers"}
-	got := Names()
+	var got []string
+	for _, sc := range All() {
+		got = append(got, sc.Name)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d scenarios (%v), want %d", len(got), got, len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Names()[%d] = %s, want %s", i, got[i], want[i])
+			t.Errorf("All()[%d] = %s, want %s", i, got[i], want[i])
 		}
 	}
 	for _, name := range want {

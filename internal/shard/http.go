@@ -308,11 +308,6 @@ func errorMessage(b []byte) string {
 	return string(bytes.TrimSpace(b))
 }
 
-// httpError writes the JSON error envelope with the given status.
-func httpError(w http.ResponseWriter, status int, err error) {
-	WriteHTTPError(w, status, err)
-}
-
 // campaignFor returns (creating on first use) the worker's state for
 // one run: the compiled spec and the shard-stamped store run. The
 // returned status distinguishes protocol refusals (400 — binding
@@ -390,29 +385,29 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &mbe) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, status, fmt.Errorf("shard: decoding execute request: %w", err))
+		WriteHTTPError(w, status, fmt.Errorf("shard: decoding execute request: %w", err))
 		return
 	}
 	wc, status, err := s.campaignFor(req)
 	if err != nil {
-		httpError(w, status, err)
+		WriteHTTPError(w, status, err)
 		return
 	}
 	spec := wc.spec
 	spec.Sink = wc.run
 	cells, err := resolveCells(spec, req.Cells)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteHTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	results, err := fleet.RunCells(spec, cells)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
 	b, err := appendExecuteResponse(nil, results)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeFrames(w, b)
@@ -440,12 +435,12 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		// and 404ing here would silently exclude those cells from the
 		// merge. Fall back to the store before claiming ignorance.
 		if !store.ValidRunID(runID) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
+			WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
 			return
 		}
 		var err error
 		if st, err = store.Open(s.dir); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
@@ -454,15 +449,15 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			// Nothing in memory and nothing loadable on disk: this
 			// worker genuinely never persisted the run.
-			httpError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
+			WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
 			return
 		}
-		httpError(w, http.StatusInternalServerError, err)
+		WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
 	b, err := d.Encode()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeFrames(w, b)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudvar/internal/faults"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
 )
@@ -30,6 +31,8 @@ func TestClassify(t *testing.T) {
 		{&StatusError{Code: 413}, ClassFatal},
 		{fmt.Errorf("shard: shard 2: %w", &StatusError{Code: 400}), ClassFatal}, // wrapped
 		{nil, ClassTransient},
+		// Injected faults model infrastructure, not protocol: retry.
+		{&faults.Error{Msg: "faults: injected"}, ClassTransient},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {

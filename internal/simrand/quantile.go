@@ -86,16 +86,6 @@ func (d *QuantileDist) Sample(src *Source) float64 {
 	return d.Quantile(src.Float64())
 }
 
-// Median returns the 50th percentile.
-func (d *QuantileDist) Median() float64 { return d.Quantile(0.5) }
-
-// Min and Max return the outermost knot values (the distribution's
-// support as far as it is known).
-func (d *QuantileDist) Min() float64 { return d.values[0] }
-
-// Max returns the largest knot value.
-func (d *QuantileDist) Max() float64 { return d.values[len(d.values)-1] }
-
 // Knots returns copies of the knot slices, useful for reporting.
 func (d *QuantileDist) Knots() (probs, values []float64) {
 	return append([]float64(nil), d.probs...), append([]float64(nil), d.values...)

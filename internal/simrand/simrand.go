@@ -247,11 +247,3 @@ func (s *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

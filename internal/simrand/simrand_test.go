@@ -222,23 +222,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	s := New(53)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Errorf("shuffle changed multiset: sum %d -> %d", sum, got)
-	}
-}
-
 func TestBernoulliProbability(t *testing.T) {
 	s := New(61)
 	const n = 100000

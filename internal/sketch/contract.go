@@ -15,8 +15,7 @@
 //     query at rank p over n observations, the returned value's true
 //     rank lies within epsilon + 1/(2n) of p (the 1/(2n) term is the
 //     floor any n-sample estimator pays: ranks are only defined at
-//     multiples of 1/n). Merging k independently built sketches at
-//     most doubles the bound (2*epsilon + 1/(2n)).
+//     multiples of 1/n).
 //   - compression: the t-digest compression budget delta. Larger means
 //     more centroids, smaller rank error, more memory.
 //   - buffer: the unmerged-insert buffer size; inserts amortise one
@@ -43,9 +42,9 @@ import (
 var contractJSON []byte
 
 // Contract is the committed accuracy/memory contract of the sketch,
-// loaded from contract.json. Every sketch built with New runs under
-// these parameters, so the property suite's guarantee applies to every
-// production sketch.
+// loaded from contract.json. Every sketch runs under these parameters
+// (the zero Quantile takes them on first Add), so the property suite's
+// guarantee applies to every production sketch.
 type Contract struct {
 	// Epsilon is the maximum rank error of a quantile estimate, beyond
 	// the 1/(2n) discretization floor (see MaxRankError).
@@ -68,16 +67,6 @@ func (c Contract) MaxRankError(n int) float64 {
 	return c.Epsilon + 1/(2*float64(n))
 }
 
-// MergedMaxRankError is the allowance for a sketch produced by merging
-// independently built shards: merging concatenates centroid sets and
-// re-compresses, at most doubling the per-sketch epsilon.
-func (c Contract) MergedMaxRankError(n int) float64 {
-	if n <= 0 {
-		return 2 * c.Epsilon
-	}
-	return 2*c.Epsilon + 1/(2*float64(n))
-}
-
 // committed is the parsed contract; loading happens once at init so a
 // corrupted contract file fails fast and loudly.
 var committed = func() Contract {
@@ -90,8 +79,3 @@ var committed = func() Contract {
 	}
 	return c
 }()
-
-// Committed returns the embedded contract. Tests read it to learn what
-// they must prove; New reads it to parameterise every sketch, so code
-// and contract cannot drift apart.
-func Committed() Contract { return committed }

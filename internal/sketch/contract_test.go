@@ -11,7 +11,7 @@ import (
 
 // The property suite: prove the committed contract (contract.json)
 // against exact answers over adversarial distributions. Every bound
-// asserted here is read from Committed(), never hard-coded — loosening
+// asserted here is read from the committed contract, never hard-coded — loosening
 // the sketch without updating the contract file, or tightening the file
 // without fixing the sketch, fails this suite.
 
@@ -106,23 +106,21 @@ func drawn(d distribution, seed string, n int) (arrival, sorted []float64) {
 // and size, every probed quantile's rank error stays within the
 // committed allowance.
 func TestQuantileContract(t *testing.T) {
-	c := Committed()
+	c := committed
 	for _, d := range distributions() {
 		for _, n := range []int{10, 1_000, 100_000} {
 			d, n := d, n
 			t.Run(d.name, func(t *testing.T) {
 				arrival, sorted := drawn(d, "contract/"+d.name, n)
-				q := New()
+				var q Quantile
 				for _, x := range arrival {
 					q.Add(x)
 				}
 				if q.N() != len(sorted) {
 					t.Fatalf("N = %d, want %d finite", q.N(), len(sorted))
 				}
-				if got := q.NaNCount(); got != n-len(sorted) {
-					t.Fatalf("NaNCount = %d, want %d", got, n-len(sorted))
-				}
-				if got := q.Centroids(); got > c.MaxCentroids {
+				q.flush()
+				if got := len(q.means); got > c.MaxCentroids {
 					t.Fatalf("centroids = %d exceeds contract cap %d", got, c.MaxCentroids)
 				}
 				if q.Min() != sorted[0] || q.Max() != sorted[len(sorted)-1] {
@@ -145,51 +143,11 @@ func TestQuantileContract(t *testing.T) {
 	}
 }
 
-// TestMergeContract: sharded ingestion then Merge stays within the
-// merged allowance — the property the distributed fleet will lean on.
-func TestMergeContract(t *testing.T) {
-	c := Committed()
-	for _, d := range distributions() {
-		for _, shards := range []int{2, 8} {
-			d, shards := d, shards
-			t.Run(d.name, func(t *testing.T) {
-				const n = 50_000
-				arrival, sorted := drawn(d, "merge/"+d.name, n)
-				parts := make([]*Quantile, shards)
-				for i := range parts {
-					parts[i] = New()
-				}
-				for i, x := range arrival {
-					parts[i%shards].Add(x)
-				}
-				merged := New()
-				for _, p := range parts {
-					merged.Merge(p)
-				}
-				if merged.N() != len(sorted) {
-					t.Fatalf("merged N = %d, want %d", merged.N(), len(sorted))
-				}
-				if got := merged.Centroids(); got > c.MaxCentroids {
-					t.Fatalf("merged centroids = %d exceeds cap %d", got, c.MaxCentroids)
-				}
-				allow := c.MergedMaxRankError(len(sorted))
-				for _, p := range quantileProbes {
-					est := merged.Quantile(p)
-					if err := rankError(sorted, p, est); err > allow {
-						t.Errorf("shards=%d p=%v: rank error %.5f > merged allowance %.5f",
-							shards, p, err, allow)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestStreamSummaryMoments: Stream's moments are exact (vs stats.Sample
 // to float tolerance) and its quantiles obey the contract, so swapping
 // the exact path for Stream only perturbs quantiles within epsilon.
 func TestStreamSummaryMoments(t *testing.T) {
-	c := Committed()
+	c := committed
 	for _, d := range distributions() {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
@@ -238,45 +196,12 @@ func TestStreamSummaryMoments(t *testing.T) {
 	}
 }
 
-// TestWelfordMerge pins the exactness of the moment combination the
-// stream's Merge relies on.
-func TestWelfordMerge(t *testing.T) {
-	src := simrand.New(99).Substream("welford")
-	var whole, a, b stats.Welford
-	for i := 0; i < 5000; i++ {
-		x := src.LogNormal(0.4, 1.1)
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	for _, f := range []struct {
-		name string
-		g, w float64
-	}{
-		{"mean", a.Mean(), whole.Mean()},
-		{"var", a.Variance(), whole.Variance()},
-		{"min", a.Min(), whole.Min()},
-		{"max", a.Max(), whole.Max()},
-	} {
-		if math.Abs(f.g-f.w)/math.Max(math.Abs(f.w), 1e-12) > 1e-9 {
-			t.Errorf("%s: got %v, want %v", f.name, f.g, f.w)
-		}
-	}
-	if a.N() != whole.N() {
-		t.Errorf("n: got %d, want %d", a.N(), whole.N())
-	}
-}
-
 // TestSketchDeterminism: identical observation sequences yield
 // bit-identical quantile answers — the property the fleet's
 // byte-identity guarantees rest on.
 func TestSketchDeterminism(t *testing.T) {
 	arrival, _ := drawn(distributions()[1], "determinism", 30_000)
-	a, b := New(), New()
+	var a, b Quantile
 	for _, x := range arrival {
 		a.Add(x)
 	}
@@ -297,8 +222,8 @@ func TestEdgeCases(t *testing.T) {
 		t.Error("empty sketch quantile should be NaN")
 	}
 	q.Add(math.NaN())
-	if q.N() != 0 || q.NaNCount() != 1 {
-		t.Errorf("NaN-only: N=%d NaNCount=%d", q.N(), q.NaNCount())
+	if q.N() != 0 || !math.IsNaN(q.Quantile(0.5)) {
+		t.Errorf("NaN-only: N=%d, want 0 and a NaN quantile", q.N())
 	}
 	q.Add(3.5)
 	for _, p := range []float64{0, 0.5, 1} {
@@ -310,7 +235,7 @@ func TestEdgeCases(t *testing.T) {
 		t.Error("out-of-range p should be NaN")
 	}
 	q.Reset()
-	if q.N() != 0 || q.NaNCount() != 0 || !math.IsNaN(q.Quantile(0.5)) {
+	if q.N() != 0 || !math.IsNaN(q.Quantile(0.5)) {
 		t.Error("Reset did not empty the sketch")
 	}
 
@@ -318,38 +243,6 @@ func TestEdgeCases(t *testing.T) {
 	sum := s.Summary()
 	if sum.N != 0 || !math.IsNaN(sum.Median) {
 		t.Errorf("empty stream summary = %+v", sum)
-	}
-	var empty Stream
-	s.Merge(&empty)
-	s.Merge(nil)
-	if s.N() != 0 {
-		t.Error("merging empties should stay empty")
-	}
-}
-
-// TestMergeLeavesOtherUnchanged: Merge must not mutate its argument.
-func TestMergeLeavesOtherUnchanged(t *testing.T) {
-	arrival, _ := drawn(distributions()[0], "merge-pure", 1000)
-	other := New()
-	for _, x := range arrival {
-		other.Add(x)
-	}
-	// Deliberately leave a partial buffer (1000 < contract buffer*2).
-	beforeBuf, beforeCentroids := len(other.buf), len(other.means)
-	q := New()
-	q.Merge(other)
-	if len(other.buf) != beforeBuf || len(other.means) != beforeCentroids {
-		t.Errorf("Merge mutated other: buf %d->%d centroids %d->%d",
-			beforeBuf, len(other.buf), beforeCentroids, len(other.means))
-	}
-	// Merging into empty re-compresses once, so answers may move, but
-	// must stay within the merged contract against the exact data.
-	_, sorted := drawn(distributions()[0], "merge-pure", 1000)
-	allow := Committed().MergedMaxRankError(len(sorted))
-	for _, p := range quantileProbes {
-		if err := rankError(sorted, p, q.Quantile(p)); err > allow {
-			t.Errorf("p=%v: merged-into-empty rank error %.5f > %.5f", p, err, allow)
-		}
 	}
 }
 
@@ -361,7 +254,7 @@ func BenchmarkSketchPush(b *testing.B) {
 	for i := range xs {
 		xs[i] = src.LogNormal(1.2, 0.7)
 	}
-	q := New()
+	var q Quantile
 	for _, x := range xs { // warm the buffers past steady state
 		q.Add(x)
 	}

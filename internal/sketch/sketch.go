@@ -19,9 +19,9 @@ import (
 // centroid arrays are reused across merges (BenchmarkSketchPush pins
 // 0 allocs/op).
 //
-// NaN observations are counted (NaNCount) but excluded from the
-// sketch: a rank over data with NaNs mixed in is not well defined, so
-// the contract is stated — and tested — over the finite observations.
+// NaN observations are excluded from the sketch: a rank over data with
+// NaNs mixed in is not well defined, so the contract is stated — and
+// tested — over the finite observations.
 //
 // The zero value is an empty sketch using the committed contract's
 // parameters. Quantile is not safe for concurrent use.
@@ -44,40 +44,13 @@ type Quantile struct {
 
 	min, max float64
 	n        uint64
-	nan      uint64
-}
-
-// New returns a sketch parameterised by the committed contract — the
-// only constructor production code should use, so the tested guarantee
-// applies to every sketch in the pipeline.
-func New() *Quantile {
-	return NewCompression(committed.Compression, committed.Buffer)
-}
-
-// NewCompression returns a sketch with an explicit compression budget
-// and insert-buffer size — for tests exploring the accuracy/memory
-// trade-off. bufSize <= 0 takes the contract's buffer.
-func NewCompression(compression float64, bufSize int) *Quantile {
-	q := &Quantile{}
-	q.init(compression, bufSize)
-	return q
-}
-
-func (q *Quantile) init(compression float64, bufSize int) {
-	if compression < 10 {
-		compression = 10
-	}
-	if bufSize <= 0 {
-		bufSize = committed.Buffer
-	}
-	q.compression = compression
-	q.bufCap = bufSize
 }
 
 // lazyInit makes the zero value usable with the contract parameters.
 func (q *Quantile) lazyInit() {
 	if q.compression == 0 {
-		q.init(committed.Compression, committed.Buffer)
+		q.compression = committed.Compression
+		q.bufCap = committed.Buffer
 	}
 }
 
@@ -88,13 +61,12 @@ func (q *Quantile) Reset() {
 	q.buf = q.buf[:0]
 	q.merged = 0
 	q.min, q.max = 0, 0
-	q.n, q.nan = 0, 0
+	q.n = 0
 }
 
 // Add absorbs one observation in O(1) amortised time and O(1) memory.
 func (q *Quantile) Add(x float64) {
 	if math.IsNaN(x) {
-		q.nan++
 		return
 	}
 	q.lazyInit()
@@ -118,9 +90,6 @@ func (q *Quantile) Add(x float64) {
 // N returns the number of finite observations absorbed.
 func (q *Quantile) N() int { return int(q.n) }
 
-// NaNCount returns the number of NaN observations seen (and excluded).
-func (q *Quantile) NaNCount() int { return int(q.nan) }
-
 // Min returns the smallest observation (exact), NaN when empty.
 func (q *Quantile) Min() float64 {
 	if q.n == 0 {
@@ -135,13 +104,6 @@ func (q *Quantile) Max() float64 {
 		return math.NaN()
 	}
 	return q.max
-}
-
-// Centroids returns the merged centroid count after flushing pending
-// inserts — the quantity the contract's max_centroids caps.
-func (q *Quantile) Centroids() int {
-	q.flush()
-	return len(q.means)
 }
 
 // k is the k1 scale function: k(p) = delta/(2*pi) * asin(2p-1). Its
@@ -235,36 +197,6 @@ func itemWeight(ws []float64, i int) float64 {
 		return 1
 	}
 	return ws[i]
-}
-
-// Merge absorbs another sketch: the shard-combination primitive for a
-// future distributed fleet, where per-shard sketches recombine into
-// one campaign summary. other is left unchanged. The merged sketch's
-// rank error is covered by the contract's MergedMaxRankError bound.
-func (q *Quantile) Merge(other *Quantile) {
-	if other == nil || (other.n == 0 && other.nan == 0) {
-		return
-	}
-	q.lazyInit()
-	q.flush()
-	// Snapshot other's state without mutating it: its pending buffer
-	// enters as weight-1 items, its centroids as weighted items.
-	if q.n == 0 {
-		q.min, q.max = other.Min(), other.Max()
-	} else if other.n > 0 {
-		q.min = math.Min(q.min, other.min)
-		q.max = math.Max(q.max, other.max)
-	}
-	q.n += other.n
-	q.nan += other.nan
-	if len(other.buf) > 0 {
-		sorted := append([]float64(nil), other.buf...)
-		sort.Float64s(sorted)
-		q.mergeSorted(sorted, nil)
-	}
-	if len(other.means) > 0 {
-		q.mergeSorted(other.means, other.weights)
-	}
 }
 
 // Quantile estimates the p-quantile. Pending inserts are flushed

@@ -25,34 +25,14 @@ func (s *Stream) Reset() {
 	s.w = stats.Welford{}
 }
 
-// Add absorbs one observation. NaN is counted by the sketch but
-// excluded from moments and quantiles, matching how the exact
-// pipeline's Summary treats an all-finite series.
+// Add absorbs one observation. NaN is excluded from moments and
+// quantiles, matching how the exact pipeline's Summary treats an
+// all-finite series.
 func (s *Stream) Add(x float64) {
 	s.q.Add(x)
 	if !math.IsNaN(x) {
 		s.w.Add(x)
 	}
-}
-
-// Observe is Add spelled as a trace.Point-friendly callback target.
-func (s *Stream) Observe(x float64) { s.Add(x) }
-
-// N returns the number of finite observations absorbed.
-func (s *Stream) N() int { return s.q.N() }
-
-// Quantile estimates the p-quantile under the committed contract.
-func (s *Stream) Quantile(p float64) float64 { return s.q.Quantile(p) }
-
-// Merge absorbs another stream (shard combination); other is left
-// unchanged. Quantile error after merging is covered by the contract's
-// MergedMaxRankError bound; moments combine exactly.
-func (s *Stream) Merge(other *Stream) {
-	if other == nil {
-		return
-	}
-	s.q.Merge(&other.q)
-	s.w.Merge(other.w)
 }
 
 // Summary renders the stream as the pipeline's stats.Summary: the same

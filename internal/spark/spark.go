@@ -263,15 +263,8 @@ func (c *Cluster) CPUCredits() []float64 {
 
 func nodeName(i int) string { return fmt.Sprintf("node%02d", i) }
 
-// Now returns the cluster's virtual time.
-func (c *Cluster) Now() float64 { return c.net.Now() }
-
 // Nodes returns the cluster size.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
-
-// Shaper returns node i's egress shaper (for budget inspection and
-// experiment resets).
-func (c *Cluster) Shaper(i int) netem.Shaper { return c.shapers[i] }
 
 // NodeTokens returns each node's remaining token budget, or NaN for
 // nodes whose shaper has no bucket. This is Figure 15/18's right-hand

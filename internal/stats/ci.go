@@ -35,10 +35,6 @@ func (iv Interval) RelativeError() float64 {
 // outside the gold-standard 50-run interval.
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-func (iv Interval) String() string {
-	return fmt.Sprintf("%.4g [%.4g, %.4g] @%g%% (n=%d)", iv.Estimate, iv.Lo, iv.Hi, iv.Confidence*100, iv.N)
-}
-
 // QuantileCI computes a nonparametric (distribution-free, asymmetric)
 // confidence interval for the q-quantile of the distribution underlying
 // xs, following the binomial order-statistic method of Le Boudec
@@ -61,9 +57,9 @@ func QuantileCI(xs []float64, q, conf float64) (Interval, error) {
 	return s.QuantileCI(q, conf)
 }
 
-// errQuantileRange, errConfidenceRange, errCIUnachievable and
-// errTooFewResamples are shared by the package-level CI functions and
-// the Sample methods so both paths report identical errors.
+// errQuantileRange, errConfidenceRange and errCIUnachievable are
+// shared by the package-level CI functions and the Sample methods so
+// both paths report identical errors.
 func errQuantileRange(q float64) error {
 	return fmt.Errorf("stats: quantile %g outside (0,1)", q)
 }
@@ -75,10 +71,6 @@ func errConfidenceRange(conf float64) error {
 func errCIUnachievable(n int, conf, q float64) error {
 	return fmt.Errorf("stats: n=%d too small for %g%% CI on q=%g: %w",
 		n, conf*100, q, ErrInsufficientData)
-}
-
-func errTooFewResamples(resamples int) error {
-	return fmt.Errorf("stats: %d bootstrap resamples is too few", resamples)
 }
 
 // quantileOrderIndices returns 1-based order-statistic indices (l, u)
@@ -180,7 +172,7 @@ func BootstrapCI(xs []float64, statistic func([]float64) float64, conf float64, 
 		return iv, ErrInsufficientData
 	}
 	if resamples < 10 {
-		return iv, errTooFewResamples(resamples)
+		return iv, fmt.Errorf("stats: %d bootstrap resamples is too few", resamples)
 	}
 	iv.Estimate = statistic(xs)
 	stats := make([]float64, resamples)

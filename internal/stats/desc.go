@@ -1,5 +1,5 @@
 // Package stats implements the statistical machinery the paper's
-// methodology depends on: descriptive summaries, quantiles and ECDFs,
+// methodology depends on: descriptive summaries, quantiles,
 // nonparametric confidence intervals for medians and tail quantiles
 // (Le Boudec's binomial order-statistic method), bootstrap intervals,
 // Cohen's Kappa for inter-rater agreement, and the hypothesis tests the
@@ -62,33 +62,6 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return StdDev(xs) / math.Abs(m)
 }
 
-// MinMax returns the smallest and largest values in xs. It returns
-// NaNs for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Welford accumulates streaming mean and variance without storing the
 // samples. The zero value is ready to use. It is the right tool for the
 // week-long 10-second-binned traces of Section 3, where storing every
@@ -97,30 +70,15 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
 }
-
-// N returns the number of observations added.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean, or NaN before any observation.
 func (w *Welford) Mean() float64 {
@@ -141,46 +99,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation, or NaN before any observation.
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.min
-}
-
-// Max returns the largest observation, or NaN before any observation.
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.max
-}
-
-// Merge combines another accumulator into w (Chan et al.'s parallel
-// update), as if w had also seen every observation other saw. Exact up
-// to floating-point rounding; other is unchanged.
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	na, nb := float64(w.n), float64(other.n)
-	delta := other.mean - w.mean
-	w.mean += delta * nb / (na + nb)
-	w.m2 += other.m2 + delta*delta*na*nb/(na+nb)
-	w.n += other.n
-}
 
 // CoV returns the running coefficient of variation (fractional).
 func (w *Welford) CoV() float64 {

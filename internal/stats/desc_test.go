@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,17 +48,6 @@ func TestCoefficientOfVariation(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%g, %g), want (-1, 7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Error("MinMax(nil) should be NaNs")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	src := simrand.New(8)
 	xs := make([]float64, 500)
@@ -72,18 +62,11 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almostEqual(w.Variance(), Variance(xs), 1e-6) {
 		t.Errorf("Welford variance %g != batch %g", w.Variance(), Variance(xs))
 	}
-	min, max := MinMax(xs)
-	if w.Min() != min || w.Max() != max {
-		t.Error("Welford min/max mismatch")
-	}
-	if w.N() != len(xs) {
-		t.Errorf("Welford N = %d", w.N())
-	}
 }
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
+	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
 		t.Error("empty Welford should return NaNs")
 	}
 }
@@ -125,8 +108,7 @@ func TestQuantilePropertyBounds(t *testing.T) {
 		}
 		p := math.Abs(math.Mod(pRaw, 1))
 		q := Quantile(xs, p)
-		min, max := MinMax(xs)
-		return q >= min-1e-9 && q <= max+1e-9
+		return q >= slices.Min(xs)-1e-9 && q <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -190,85 +172,5 @@ func TestIQR(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if got := IQR(xs); !almostEqual(got, 4.5, 1e-12) {
 		t.Errorf("IQR = %g, want 4.5", got)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("ECDF.At(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Errorf("ECDF.N = %d", e.N())
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	e := NewECDF(xs)
-	vals, fracs := e.Points(10)
-	if len(vals) != 10 || len(fracs) != 10 {
-		t.Fatalf("Points returned %d/%d entries", len(vals), len(fracs))
-	}
-	if vals[0] != 0 || vals[9] != 999 {
-		t.Errorf("Points endpoints = %g, %g", vals[0], vals[9])
-	}
-	for i := 1; i < len(fracs); i++ {
-		if fracs[i] < fracs[i-1] {
-			t.Error("ECDF points not monotone")
-		}
-	}
-	if v, f := e.Points(0); v != nil || f != nil {
-		t.Error("Points(0) should be nil")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 2.5, 2.6, -5, 99}
-	h := NewHistogram(xs, 0, 3, 3)
-	wantCounts := []int{2, 1, 3} // -5 clamps to bucket 0, 99 to bucket 2
-	for i, want := range wantCounts {
-		if h.Counts[i] != want {
-			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], want)
-		}
-	}
-	dens := h.Densities()
-	total := 0.0
-	for _, d := range dens {
-		total += d
-	}
-	if !almostEqual(total, 1, 1e-12) {
-		t.Errorf("densities sum to %g", total)
-	}
-	if got := h.BucketCenter(1); !almostEqual(got, 1.5, 1e-12) {
-		t.Errorf("BucketCenter(1) = %g", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		lo, hi  float64
-		buckets int
-	}{
-		{"zero bins", 0, 1, 0},
-		{"inverted range", 1, 0, 3},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			NewHistogram(nil, c.lo, c.hi, c.buckets)
-		})
 	}
 }

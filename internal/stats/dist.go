@@ -68,11 +68,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
-}
-
 // BinomialPMF returns P(X = k) for X ~ Binomial(n, p), computed in log
 // space for numerical stability at large n.
 func BinomialPMF(n int, p float64, k int) float64 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Quantile returns the p-quantile of xs using linear interpolation
@@ -173,131 +172,4 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 	var s Sample
 	s.loadSorted(xs)
 	return s.Percentiles(out, ps...)
-}
-
-// ECDF is an empirical cumulative distribution function over a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted).
-func NewECDF(xs []float64) *ECDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// SampleECDF wraps a Sample's sorted buffer as an ECDF without
-// copying. The ECDF is invalidated by the Sample's next Reset or Push.
-func SampleECDF(s *Sample) *ECDF { return &ECDF{sorted: s.Sorted()} }
-
-// At returns the fraction of the sample <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	// Index of first element > x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points returns up to max evenly spaced (value, cumulative fraction)
-// pairs for plotting, always including the first and last sample. This
-// is how Figure 6's CDFs are serialised.
-func (e *ECDF) Points(max int) (values, fractions []float64) {
-	return ecdfPoints(e.sorted, max, nil, nil)
-}
-
-// ecdfPoints is the shared decimation loop behind ECDF.Points and
-// Sample.ECDFPoints, appending to the given slices.
-func ecdfPoints(sorted []float64, max int, values, fractions []float64) (v, f []float64) {
-	n := len(sorted)
-	if n == 0 || max <= 0 {
-		return values, fractions
-	}
-	if max > n {
-		max = n
-	}
-	for i := 0; i < max; i++ {
-		idx := i * (n - 1) / maxInt(max-1, 1)
-		values = append(values, sorted[idx])
-		fractions = append(fractions, float64(idx+1)/float64(n))
-	}
-	return values, fractions
-}
-
-// Quantile returns the p-quantile of the underlying sample.
-func (e *ECDF) Quantile(p float64) float64 { return QuantileSorted(e.sorted, p) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Histogram bins a sample into equal-width buckets over [lo, hi).
-// Values outside the range are clamped into the first or last bucket,
-// so the counts always sum to len(xs).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram bins xs into bins equal-width buckets spanning [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram requires bins > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	binInto(h, xs)
-	return h
-}
-
-// binInto is the shared clamp-and-bin loop behind NewHistogram and
-// Sample.FillHistogram. Counts are incremented, not reset.
-func binInto(h *Histogram, xs []float64) {
-	bins := len(h.Counts)
-	width := (h.Hi - h.Lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - h.Lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Densities returns the fraction of samples in each bucket. Used to
-// render the violin plot of Figure 9 (plot thickness proportional to
-// probability density).
-func (h *Histogram) Densities() []float64 {
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	out := make([]float64, len(h.Counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
-}
-
-// BucketCenter returns the midpoint value of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
 }

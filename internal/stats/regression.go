@@ -143,20 +143,3 @@ func invertMatrix(a [][]float64) ([][]float64, error) {
 	}
 	return inv, nil
 }
-
-// LinearFit fits y = a + b·x and returns the intercept and slope, a
-// convenience wrapper over OLS for the two-variable case.
-func LinearFit(x, y []float64) (intercept, slope float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, fmt.Errorf("stats: LinearFit length mismatch (%d vs %d)", len(x), len(y))
-	}
-	X := make([][]float64, len(x))
-	for i := range x {
-		X[i] = []float64{1, x[i]}
-	}
-	fit, err := OLS(X, y)
-	if err != nil {
-		return 0, 0, err
-	}
-	return fit.Coefficients[0], fit.Coefficients[1], nil
-}

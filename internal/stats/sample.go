@@ -3,17 +3,14 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"cloudvar/internal/simrand"
 )
 
 // Sample is a measurement sample that is sorted once and then answers
-// every order-statistic query — quantiles, percentile batches, ECDF
-// evaluation, histograms, nonparametric confidence intervals — from
-// the same sorted buffer. It is the allocation-free core the
-// copy-and-sort-per-call package functions (Percentiles, Summarize,
-// QuantileCI, ...) are thin wrappers over; a single Quantile selects
-// instead (SelectQuantile).
+// every order-statistic query — quantiles, percentile batches,
+// nonparametric confidence intervals — from the same sorted buffer. It
+// is the allocation-free core the copy-and-sort-per-call package
+// functions (Percentiles, Summarize, QuantileCI, ...) are thin
+// wrappers over; a single Quantile selects instead (SelectQuantile).
 //
 // The zero value is an empty sample ready for Reset. Reset reuses the
 // internal buffers, so a Sample held across loop iterations (one per
@@ -44,15 +41,6 @@ type Sample struct {
 	mean         float64
 	variance     float64
 	momentsValid bool
-	// scratch backs bootstrap resampling and other transient needs.
-	scratch []float64
-}
-
-// NewSample returns a Sample over a copy of xs, sorted once.
-func NewSample(xs []float64) *Sample {
-	s := &Sample{}
-	s.Reset(xs)
-	return s
 }
 
 // Reset loads xs into the sample, reusing the internal buffers. The
@@ -95,10 +83,6 @@ func (s *Sample) Push(x float64) {
 
 // N returns the sample size.
 func (s *Sample) N() int { return len(s.sorted) }
-
-// Sorted exposes the sorted buffer. Callers must treat it as
-// read-only; it is invalidated by the next Reset or Push.
-func (s *Sample) Sorted() []float64 { return s.sorted }
 
 // Min returns the smallest observation, or NaN for an empty sample.
 func (s *Sample) Min() float64 {
@@ -166,23 +150,6 @@ func (s *Sample) Percentiles(dst []float64, ps ...float64) []float64 {
 	return dst
 }
 
-// CDF returns the fraction of the sample <= x (the ECDF evaluated at
-// x), or NaN for an empty sample.
-func (s *Sample) CDF(x float64) float64 {
-	if len(s.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] > x })
-	return float64(i) / float64(len(s.sorted))
-}
-
-// ECDFPoints appends up to max evenly spaced (value, cumulative
-// fraction) pairs to the given slices and returns them — ECDF.Points
-// served from the shared sorted buffer.
-func (s *Sample) ECDFPoints(max int, values, fractions []float64) (v, f []float64) {
-	return ecdfPoints(s.sorted, max, values, fractions)
-}
-
 // Summary computes the full descriptive summary from the sorted
 // buffer, bit-identical to Summarize on the Reset input.
 func (s *Sample) Summary() Summary {
@@ -235,49 +202,3 @@ func (s *Sample) QuantileCI(q, conf float64) (Interval, error) {
 
 // MedianCI is QuantileCI at q = 0.5.
 func (s *Sample) MedianCI(conf float64) (Interval, error) { return s.QuantileCI(0.5, conf) }
-
-// BootstrapCI is the percentile-bootstrap CI computed with the
-// sample's reusable scratch: steady-state resampling allocates
-// nothing. Resamples are drawn from the sorted buffer; the bootstrap
-// distribution is identical in law to the package function's (indices
-// are iid uniform), though not bit-for-bit for a given source state.
-func (s *Sample) BootstrapCI(statistic func([]float64) float64, conf float64, resamples int, src *simrand.Source) (Interval, error) {
-	n := len(s.sorted)
-	iv := Interval{Confidence: conf, N: n}
-	if n < 2 {
-		return iv, ErrInsufficientData
-	}
-	if resamples < 10 {
-		return iv, errTooFewResamples(resamples)
-	}
-	iv.Estimate = statistic(s.sorted)
-	need := resamples + n
-	if cap(s.scratch) < need {
-		s.scratch = make([]float64, need)
-	}
-	s.scratch = s.scratch[:need]
-	statsBuf, resample := s.scratch[:resamples], s.scratch[resamples:]
-	for r := range statsBuf {
-		for i := range resample {
-			resample[i] = s.sorted[src.Intn(n)]
-		}
-		statsBuf[r] = statistic(resample)
-	}
-	sort.Float64s(statsBuf)
-	alpha := 1 - conf
-	iv.Lo = QuantileSorted(statsBuf, alpha/2)
-	iv.Hi = QuantileSorted(statsBuf, 1-alpha/2)
-	return iv, nil
-}
-
-// FillHistogram bins the sample into h, reusing h's Counts buffer.
-// h's bounds and bin count are kept; previous counts are cleared.
-func (s *Sample) FillHistogram(h *Histogram) {
-	if len(h.Counts) == 0 {
-		return
-	}
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	binInto(h, s.sorted)
-}

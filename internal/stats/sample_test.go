@@ -265,54 +265,6 @@ func TestSamplePushEquivalence(t *testing.T) {
 	}
 }
 
-func TestSampleECDFAndHistogram(t *testing.T) {
-	src := simrand.New(99)
-	xs := make([]float64, 257)
-	for i := range xs {
-		xs[i] = src.Normal(0, 1)
-	}
-	s := NewSample(xs)
-	e := NewECDF(xs)
-	for _, x := range []float64{-3, -0.5, 0, 0.5, 3, xs[17]} {
-		if got, want := s.CDF(x), e.At(x); !sameFloat(got, want) {
-			t.Fatalf("CDF(%g) = %x, ECDF.At %x", x, got, want)
-		}
-	}
-	for _, max := range []int{1, 5, 64, 257, 1000} {
-		wv, wf := e.Points(max)
-		gv, gf := s.ECDFPoints(max, nil, nil)
-		if len(gv) != len(wv) {
-			t.Fatalf("ECDFPoints(%d) returned %d values, ECDF.Points %d", max, len(gv), len(wv))
-		}
-		for i := range wv {
-			if !sameFloat(gv[i], wv[i]) || !sameFloat(gf[i], wf[i]) {
-				t.Fatalf("ECDFPoints(%d)[%d] = (%x, %x), ECDF.Points (%x, %x)", max, i, gv[i], gf[i], wv[i], wf[i])
-			}
-		}
-	}
-	// Wrapped ECDF shares the buffer.
-	we := SampleECDF(s)
-	if we.N() != s.N() || we.Quantile(0.5) != s.Median() {
-		t.Fatalf("SampleECDF disagrees with its Sample")
-	}
-
-	want := NewHistogram(xs, -3, 3, 12)
-	got := &Histogram{Lo: -3, Hi: 3, Counts: make([]int, 12)}
-	s.FillHistogram(got)
-	for i := range want.Counts {
-		if got.Counts[i] != want.Counts[i] {
-			t.Fatalf("FillHistogram bucket %d = %d, NewHistogram %d", i, got.Counts[i], want.Counts[i])
-		}
-	}
-	// Refill reuses the buffer and must not accumulate.
-	s.FillHistogram(got)
-	for i := range want.Counts {
-		if got.Counts[i] != want.Counts[i] {
-			t.Fatalf("second FillHistogram bucket %d = %d, want %d", i, got.Counts[i], want.Counts[i])
-		}
-	}
-}
-
 // TestSampleResetReusesBuffer pins the allocation contract: steady-
 // state Reset+query performs no allocation once the buffer has grown.
 func TestSampleResetReusesBuffer(t *testing.T) {
@@ -331,48 +283,5 @@ func TestSampleResetReusesBuffer(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Reset allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestSampleBootstrapScratch pins the bootstrap scratch reuse and the
-// statistical sanity of the interval (the draw order differs from the
-// package function, so bit-identity is out of scope by design).
-func TestSampleBootstrapScratch(t *testing.T) {
-	src := simrand.New(31)
-	xs := make([]float64, 60)
-	for i := range xs {
-		xs[i] = src.Normal(100, 10)
-	}
-	s := NewSample(xs)
-	bs := simrand.New(32)
-	iv, err := s.BootstrapCI(Median, 0.95, 400, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(iv.Lo < iv.Estimate && iv.Estimate < iv.Hi) {
-		t.Fatalf("bootstrap interval %v does not bracket its estimate", iv)
-	}
-	if iv.Lo < 90 || iv.Hi > 110 {
-		t.Fatalf("bootstrap interval %v implausibly wide for N(100,10) n=60", iv)
-	}
-	// The scratch path itself is allocation-free; allocations inside
-	// the caller's statistic (Median copies per call) are its own.
-	if _, err := s.BootstrapCI(Mean, 0.95, 400, bs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.BootstrapCI(Mean, 0.95, 400, bs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state BootstrapCI allocated %.1f times per run, want 0", allocs)
-	}
-	// Degenerate inputs report the same errors as the package function.
-	if _, err := NewSample([]float64{1}).BootstrapCI(Median, 0.95, 400, bs); err == nil {
-		t.Fatal("BootstrapCI on n=1 should fail")
-	}
-	if _, err := s.BootstrapCI(Median, 0.95, 5, bs); err == nil || err.Error() != errTooFewResamples(5).Error() {
-		t.Fatalf("BootstrapCI with 5 resamples: %v", err)
 	}
 }

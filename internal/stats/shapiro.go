@@ -16,10 +16,6 @@ type TestResult struct {
 	RejectAt05 bool
 }
 
-func (t TestResult) String() string {
-	return fmt.Sprintf("stat=%.4f p=%.4g n=%d", t.Statistic, t.PValue, t.N)
-}
-
 // ShapiroWilk tests the null hypothesis that xs is drawn from a normal
 // distribution, using Royston's AS R94 approximation (valid for
 // 3 <= n <= 5000). The paper (F5.4) recommends testing samples for

@@ -106,10 +106,6 @@ type ADFResult struct {
 	CriticalValues [3]float64
 }
 
-func (r ADFResult) String() string {
-	return fmt.Sprintf("ADF t=%.3f lags=%d n=%d stationary(5%%)=%v", r.Statistic, r.Lags, r.N, r.Stationary)
-}
-
 // adfCriticalTable holds finite-sample critical values for the
 // Dickey-Fuller distribution, constant-only model (Fuller 1976 /
 // MacKinnon 1991). Rows: sample sizes; columns: 1%, 5%, 10%.

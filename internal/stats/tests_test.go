@@ -371,21 +371,6 @@ func TestOLSErrors(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4}
-	y := []float64{1, 3, 5, 7, 9}
-	a, b, err := LinearFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, 1, 1e-9) || !almostEqual(b, 2, 1e-9) {
-		t.Errorf("fit = (%g, %g), want (1, 2)", a, b)
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestCohenKappa(t *testing.T) {
 	// Perfect agreement.
 	a := []string{"x", "y", "x", "z"}

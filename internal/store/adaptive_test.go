@@ -31,8 +31,8 @@ func TestStoppingIdentity(t *testing.T) {
 	if fixedKey == adaptiveKey {
 		t.Error("stopping policy did not change the spec key")
 	}
-	fm, _ := store.MatrixKey(fixed)
-	am, _ := store.MatrixKey(adaptive)
+	fm, _ := store.Identity(fixed).MatrixKey()
+	am, _ := store.Identity(adaptive).MatrixKey()
 	if fm == am {
 		t.Error("stopping policy did not change the matrix key")
 	}
@@ -97,7 +97,7 @@ func TestRecordPrecisionRoundTrip(t *testing.T) {
 	spec := testSpec(t, 7)
 	spec.Repetitions = 8
 	spec.Stopping = stoppingSpec
-	run, err := st.Create("adaptive", spec, nil, 0)
+	run, err := st.CreateWithMeta("adaptive", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRecordPrecisionRoundTrip(t *testing.T) {
 	resumed.Close()
 
 	// A fixed-repetition result records nothing.
-	fixed, err := st.Create("fixed", testSpec(t, 7), nil, 0)
+	fixed, err := st.CreateWithMeta("fixed", testSpec(t, 7), store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -594,7 +594,10 @@ func TestColumnarStoreEndToEnd(t *testing.T) {
 	if len(cells) != len(res.Cells) {
 		t.Fatalf("store has %d cells, fleet produced %d", len(cells), len(res.Cells))
 	}
-	bySeries := res.Series()
+	bySeries := make(map[string]*trace.Series)
+	for _, c := range res.Cells {
+		bySeries[c.Cell.Label()] = c.Series
+	}
 	for _, rec := range cells {
 		want, ok := bySeries[rec.Label]
 		if !ok {

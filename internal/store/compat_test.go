@@ -53,7 +53,7 @@ func TestWorkloadLessKeysUnchangedBySchema3(t *testing.T) {
 	if key != goldenSpecKey {
 		t.Errorf("SpecKey = %s, want the schema-2 golden %s", key, goldenSpecKey)
 	}
-	mk, err := MatrixKey(spec)
+	mk, err := Identity(spec).MatrixKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWorkloadMovesKeys(t *testing.T) {
 	if key == goldenSpecKey {
 		t.Error("workload spec keys identically to the workload-less spec")
 	}
-	mk, err := MatrixKey(spec)
+	mk, err := Identity(spec).MatrixKey()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func regenerateGoldenStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := goldenStoreSpec(t)
-	run, err := st.Create(goldenRunID, spec, nil, goldenCreatedUnix)
+	run, err := st.CreateWithMeta(goldenRunID, spec, RunMeta{CreatedUnix: goldenCreatedUnix})
 	if err != nil {
 		t.Fatal(err)
 	}

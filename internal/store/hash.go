@@ -181,22 +181,17 @@ func SpecKey(spec fleet.CampaignSpec) (string, error) {
 	return Identity(spec).Key()
 }
 
-// MatrixKey returns the seed-independent content address of a
-// campaign spec: the same hash with the seed normalised out. It
-// identifies "the same campaign run on a different day" — the gate
-// for longitudinal drift comparison, where equal seeds would make the
-// emulated runs trivially identical and unequal matrices would make
-// them incomparable.
-func MatrixKey(spec fleet.CampaignSpec) (string, error) {
-	return Identity(spec).MatrixKey()
-}
-
 // Key hashes an already-extracted identity, seed included.
 func (id SpecIdentity) Key() (string, error) {
 	return id.hash("spec")
 }
 
-// MatrixKey hashes the identity with the seed normalised out.
+// MatrixKey hashes the identity with the seed normalised out: the
+// seed-independent content address of a campaign. It identifies "the
+// same campaign run on a different day" — the gate for longitudinal
+// drift comparison, where equal seeds would make the emulated runs
+// trivially identical and unequal matrices would make them
+// incomparable.
 func (id SpecIdentity) MatrixKey() (string, error) {
 	id.Seed = 0
 	return id.hash("matrix")

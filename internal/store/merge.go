@@ -385,7 +385,8 @@ type mergeCell struct {
 // adjacent, and a later copy is legitimate only when its bytes equal
 // the kept copy's — the worker-failure reassignment overlap; anything
 // else is two different measurements claiming one identity, which must
-// never merge.
+// never merge. The file is synced before it is closed, because the
+// caller commits it by renaming its directory into place.
 func writeMergedCells(path, enc string, cells []mergeCell) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -410,6 +411,9 @@ func writeMergedCells(path, enc string, cells []mergeCell) error {
 		kept, cur = cur, kept
 	}
 	if err := w.Flush(); err != nil {
+		return fmt.Errorf("store: writing merged cells: %w", err)
+	}
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("store: writing merged cells: %w", err)
 	}
 	if err := f.Close(); err != nil {

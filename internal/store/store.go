@@ -218,18 +218,13 @@ func (s *Store) runDir(runID string) string {
 	return filepath.Join(s.dir, "runs", runID)
 }
 
-// Create starts a new run from a spec: it computes the spec key,
-// stages the manifest in a temporary directory and renames it into
-// place, so a run either exists completely or not at all. It fails if
-// the run ID is already taken — resuming an existing run goes through
+// CreateWithMeta starts a new run from a spec: it computes the spec
+// key, stages the manifest in a temporary directory and renames it
+// into place, so a run either exists completely or not at all. meta
+// carries the creation metadata, including the canonical
+// experiment-spec document the run was launched from. It fails if the
+// run ID is already taken — resuming an existing run goes through
 // Resume, which re-checks the spec key instead.
-func (s *Store) Create(runID string, spec fleet.CampaignSpec, fingerprints map[string]core.Fingerprint, createdUnix int64) (*Run, error) {
-	return s.CreateWithMeta(runID, spec, RunMeta{Fingerprints: fingerprints, CreatedUnix: createdUnix})
-}
-
-// CreateWithMeta is Create carrying the full creation metadata,
-// including the canonical experiment-spec document the run was
-// launched from.
 func (s *Store) CreateWithMeta(runID string, spec fleet.CampaignSpec, meta RunMeta) (*Run, error) {
 	m, err := BuildManifest(runID, spec, meta)
 	if err != nil {
@@ -324,7 +319,7 @@ func (s *Store) commitRun(m Manifest, stage func(dir string) error) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(tmp, "manifest.json"), append(b, '\n'), 0o644); err != nil {
+	if err := writeFileSynced(filepath.Join(tmp, "manifest.json"), append(b, '\n')); err != nil {
 		return fmt.Errorf("store: writing manifest: %w", err)
 	}
 	if stage != nil {
@@ -332,10 +327,49 @@ func (s *Store) commitRun(m Manifest, stage func(dir string) error) error {
 			return err
 		}
 	}
+	// Every staged file is synced (stage syncs its own), so a crash
+	// after the rename cannot leave a committed run with an empty or
+	// short file; syncing runs/ after the rename makes the commit
+	// itself durable.
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("store: committing run %q: %w", m.RunID, err)
 	}
+	if err := syncDir(filepath.Dir(final)); err != nil {
+		return fmt.Errorf("store: committing run %q: %w", m.RunID, err)
+	}
 	return nil
+}
+
+// writeFileSynced writes data to a new file at path and syncs it to
+// stable storage before closing it.
+func writeFileSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir syncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Resume opens an existing run for appending. spec must hash to the
@@ -685,10 +719,20 @@ func (r *Run) RecordPrecision(groups []fleet.GroupResult) error {
 		tmp.Close()
 		return fmt.Errorf("store: recording precision for run %q: %w", m.RunID, err)
 	}
+	// Sync before the rename so a crash cannot replace the manifest
+	// with an empty or short file, and sync the run directory after it
+	// so the replacement itself survives.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: recording precision for run %q: %w", m.RunID, err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: recording precision for run %q: %w", m.RunID, err)
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, "manifest.json")); err != nil {
+		return fmt.Errorf("store: recording precision for run %q: %w", m.RunID, err)
+	}
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("store: recording precision for run %q: %w", m.RunID, err)
 	}
 	r.manifest = m

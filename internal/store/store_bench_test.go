@@ -44,7 +44,7 @@ func benchSpecCells(b *testing.B, spec fleet.CampaignSpec) []fleet.CellResult {
 func BenchmarkStoreAppend(b *testing.B) {
 	st := testutil.TempStore(b)
 	cells := benchCells(b)
-	run, err := st.Create("bench-append", testutil.EC2Spec(b, 7, 1), nil, 1)
+	run, err := st.CreateWithMeta("bench-append", testutil.EC2Spec(b, 7, 1), store.RunMeta{CreatedUnix: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 func BenchmarkStoreRecovery(b *testing.B) {
 	st := testutil.TempStore(b)
 	spec := testutil.EC2Spec(b, 7, 1)
-	run, err := st.Create("bench-recovery", spec, nil, 1)
+	run, err := st.CreateWithMeta("bench-recovery", spec, store.RunMeta{CreatedUnix: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestColumnarCompressionRatio(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	jr, err := st.Create("jsonl", spec, nil, 1)
+	jr, err := st.CreateWithMeta("jsonl", spec, store.RunMeta{CreatedUnix: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

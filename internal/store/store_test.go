@@ -96,11 +96,11 @@ func TestMatrixKeyIgnoresSeedOnly(t *testing.T) {
 	base := testSpec(t, 7)
 	otherSeed := testSpec(t, 8)
 
-	mk1, err := store.MatrixKey(base)
+	mk1, err := store.Identity(base).MatrixKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk2, err := store.MatrixKey(otherSeed)
+	mk2, err := store.Identity(otherSeed).MatrixKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMatrixKeyIgnoresSeedOnly(t *testing.T) {
 
 	otherMatrix := testSpec(t, 7)
 	otherMatrix.Repetitions = 3
-	mk3, _ := store.MatrixKey(otherMatrix)
+	mk3, _ := store.Identity(otherMatrix).MatrixKey()
 	if mk3 == mk1 {
 		t.Error("matrix key ignores the repetition count")
 	}
@@ -127,7 +127,7 @@ func TestMatrixKeyIgnoresSeedOnly(t *testing.T) {
 	// experiment, not a different day.
 	scenarioSpec := testSpec(t, 7)
 	scenarioSpec.Scenario = fleet.ScenarioID{Name: "stragglers", Params: map[string]float64{"prob": 0.25}}
-	mk4, _ := store.MatrixKey(scenarioSpec)
+	mk4, _ := store.Identity(scenarioSpec).MatrixKey()
 	if mk4 == mk1 {
 		t.Error("matrix key ignores the scenario")
 	}
@@ -142,11 +142,11 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 	// pass at the end checks what holds at any worker count.
 	spec.Workers = 1
 
-	run, err := st.Create("day1", spec, nil, 1700000000)
+	run, err := st.CreateWithMeta("day1", spec, store.RunMeta{CreatedUnix: 1700000000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Create("day1", spec, nil, 1700000000); err == nil {
+	if _, err := st.CreateWithMeta("day1", spec, store.RunMeta{CreatedUnix: 1700000000}); err == nil {
 		t.Fatal("duplicate run id should be rejected")
 	}
 
@@ -221,7 +221,7 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 		t.Fatalf("ListRuns = %+v", ms)
 	}
 	wantKey, _ := store.SpecKey(testSpec(t, 7))
-	wantMatrix, _ := store.MatrixKey(testSpec(t, 7))
+	wantMatrix, _ := store.Identity(testSpec(t, 7)).MatrixKey()
 	if ms[0].SpecKey != wantKey || ms[0].MatrixKey != wantMatrix {
 		t.Fatal("manifest keys do not match the spec's")
 	}
@@ -231,7 +231,7 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 	// labels, each with its series bit-exact.
 	par := testSpec(t, 7)
 	parStore := testutil.TempStore(t)
-	parRun, err := parStore.Create("day1", par, nil, 1700000000)
+	parRun, err := parStore.CreateWithMeta("day1", par, store.RunMeta{CreatedUnix: 1700000000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestManifestRecordsScenario(t *testing.T) {
 	st := testutil.TempStore(t)
 	spec := testSpec(t, 7)
 	spec.Scenario = fleet.ScenarioID{Name: "noisy-neighbor", Params: map[string]float64{"depth": 0.45}}
-	run, err := st.Create("noisy", spec, nil, 0)
+	run, err := st.CreateWithMeta("noisy", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCellsToleratesTornTrailingLine(t *testing.T) {
 	st := testutil.TempStore(t)
 	dir := st.Dir()
 	spec := testSpec(t, 7)
-	run, err := st.Create("day1", spec, nil, 0)
+	run, err := st.CreateWithMeta("day1", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestCellsToleratesTornTrailingLine(t *testing.T) {
 func TestPutRejectsFailedCells(t *testing.T) {
 	st := testutil.TempStore(t)
 	spec := testSpec(t, 7)
-	run, err := st.Create("day1", spec, nil, 0)
+	run, err := st.CreateWithMeta("day1", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestPutRejectsFailedCells(t *testing.T) {
 func TestRunIDValidation(t *testing.T) {
 	st := testutil.TempStore(t)
 	for _, id := range []string{"", ".hidden", "a/b", "a b", strings.Repeat("x", 5) + "/../y"} {
-		if _, err := st.Create(id, testSpec(t, 7), nil, 0); err == nil {
+		if _, err := st.CreateWithMeta(id, testSpec(t, 7), store.RunMeta{}); err == nil {
 			t.Errorf("run id %q should be rejected", id)
 		}
 	}
@@ -427,7 +427,7 @@ func TestCreateWithMetaRecordsExperimentSpec(t *testing.T) {
 
 	// Legacy Create leaves the spec fields empty, and invalid spec
 	// bytes are rejected before anything is staged.
-	legacy, err := st.Create("day2", spec, nil, 0)
+	legacy, err := st.CreateWithMeta("day2", spec, store.RunMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func SpecKeys(tb testing.TB, spec fleet.CampaignSpec) [2]string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	matrix, err := store.MatrixKey(spec)
+	matrix, err := store.Identity(spec).MatrixKey()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -125,9 +125,12 @@ func EncodeResult(tb testing.TB, res fleet.CampaignResult) string {
 	for _, c := range res.Cells {
 		fmt.Fprintf(&b, "cell %s err=%v summary=%+v\n", c.Cell.Label(), c.Err, c.Summary)
 		if c.Series != nil {
-			if err := c.Series.WriteJSON(&b); err != nil {
+			series, err := json.MarshalIndent(c.Series, "", "  ")
+			if err != nil {
 				tb.Fatal(err)
 			}
+			b.Write(series)
+			b.WriteByte('\n')
 		}
 		if c.Workload != nil {
 			wl, err := json.Marshal(c.Workload)

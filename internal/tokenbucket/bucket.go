@@ -248,19 +248,6 @@ func (b *Bucket) Idle(dt float64) {
 	}
 }
 
-// TimeToRefill returns how long the bucket needs to rest before
-// returning to a full budget. This quantifies the paper's F5.4 advice
-// to "rest the infrastructure" between experiments.
-func (b *Bucket) TimeToRefill() float64 {
-	if b.params.RefillGbps <= 0 {
-		if b.tokens >= b.params.BudgetGbit {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (b.params.BudgetGbit - b.tokens) / b.params.RefillGbps
-}
-
 // ErrNoThrottle is returned by InferParams when the trace never shows
 // the high→low transition (e.g. the bucket never emptied during the
 // measurement).

@@ -141,23 +141,6 @@ func TestIdleRefills(t *testing.T) {
 	}
 }
 
-func TestTimeToRefill(t *testing.T) {
-	b := MustNew(c5xlarge())
-	b.SetTokens(5300)
-	if got := b.TimeToRefill(); math.Abs(got-100) > 1e-9 {
-		t.Errorf("TimeToRefill = %g, want 100", got)
-	}
-	noRefill := MustNew(Params{BudgetGbit: 10, RefillGbps: 0, HighGbps: 1, LowGbps: 1})
-	noRefill.SetTokens(5)
-	if !math.IsInf(noRefill.TimeToRefill(), 1) {
-		t.Error("zero refill should never refill")
-	}
-	noRefill.SetTokens(10)
-	if noRefill.TimeToRefill() != 0 {
-		t.Error("full bucket needs no refill time")
-	}
-}
-
 func TestSetTokensClamps(t *testing.T) {
 	b := MustNew(c5xlarge())
 	b.SetTokens(-5)
@@ -326,7 +309,7 @@ func TestInferParamsRecoversTruth(t *testing.T) {
 	if math.Abs(inf.BudgetGbit-5400) > 300 {
 		t.Errorf("inferred budget %g, want ~5400", inf.BudgetGbit)
 	}
-	rp := inf.Params()
+	rp := Params{BudgetGbit: inf.BudgetGbit, RefillGbps: inf.RefillGbps, HighGbps: inf.HighGbps, LowGbps: inf.LowGbps}
 	if err := rp.Validate(); err != nil {
 		t.Errorf("inferred params invalid: %v", err)
 	}

@@ -95,16 +95,6 @@ func InferParams(trace []float64, sampleSec, refillGbps float64) (Inferred, erro
 	return inf, nil
 }
 
-// Params converts the inferred values into shaper parameters.
-func (inf Inferred) Params() Params {
-	return Params{
-		BudgetGbit: inf.BudgetGbit,
-		RefillGbps: inf.RefillGbps,
-		HighGbps:   inf.HighGbps,
-		LowGbps:    inf.LowGbps,
-	}
-}
-
 // InstanceSpec describes one EC2 c5-family instance type's nominal
 // token-bucket parameters, with the incarnation-to-incarnation
 // variation the paper observed ("these parameters are not always

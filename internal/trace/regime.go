@@ -29,28 +29,6 @@ func Regimes() []Regime { return []Regime{FullSpeed, Send10R30, Send5R30} }
 // Continuous reports whether the regime never rests.
 func (r Regime) Continuous() bool { return r.SendSec == 0 && r.RestSec == 0 }
 
-// CycleSec returns the length of one send+rest cycle, or 0 for
-// continuous regimes.
-func (r Regime) CycleSec() float64 { return r.SendSec + r.RestSec }
-
-// DutyCycle returns the fraction of time spent transmitting.
-func (r Regime) DutyCycle() float64 {
-	if r.Continuous() {
-		return 1
-	}
-	return r.SendSec / r.CycleSec()
-}
-
-// Sending reports whether the regime transmits at time t (seconds from
-// campaign start).
-func (r Regime) Sending(t float64) bool {
-	if r.Continuous() {
-		return true
-	}
-	phase := t - float64(int(t/r.CycleSec()))*r.CycleSec()
-	return phase < r.SendSec
-}
-
 // Validate checks the regime is well-formed.
 func (r Regime) Validate() error {
 	if r.SendSec < 0 || r.RestSec < 0 {

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -69,15 +68,6 @@ func (s *Series) AppendBandwidths(dst []float64) []float64 {
 		dst = append(dst, p.BandwidthGbps)
 	}
 	return dst
-}
-
-// RTTs returns the RTT column.
-func (s *Series) RTTs() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.RTTms
-	}
-	return out
 }
 
 // RetransmissionTotal sums retransmissions over the series.
@@ -182,20 +172,4 @@ func ReadCSV(r io.Reader, label string, intervalSec float64) (*Series, error) {
 		}
 	}
 	return s, nil
-}
-
-// WriteJSON serialises the series as indented JSON.
-func (s *Series) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadJSON parses a series written by WriteJSON.
-func ReadJSON(r io.Reader) (*Series, error) {
-	var s Series
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	return &s, nil
 }

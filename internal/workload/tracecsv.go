@@ -1,8 +1,8 @@
 package workload
 
-// Trace record/replay: a recorded arrival stream is a one-column CSV
-// (time_sec), so a stream generated by one campaign — or captured from
-// a real system — can be replayed verbatim as a Trace client. The
+// Trace replay: a recorded arrival stream is a one-column CSV
+// (time_sec), so a stream captured from a real system can be replayed
+// verbatim as a Trace client. The
 // expspec layer inlines trace files into the spec document at decode
 // time, keeping spec identity content-addressed.
 
@@ -13,23 +13,7 @@ import (
 	"strconv"
 )
 
-// WriteTraceCSV records arrival times as a one-column CSV with a
-// time_sec header.
-func WriteTraceCSV(w io.Writer, times []float64) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_sec"}); err != nil {
-		return fmt.Errorf("workload: writing trace header: %w", err)
-	}
-	for _, t := range times {
-		if err := cw.Write([]string{strconv.FormatFloat(t, 'f', -1, 64)}); err != nil {
-			return fmt.Errorf("workload: writing trace record: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadTraceCSV replays a trace written by WriteTraceCSV: arrival
+// ReadTraceCSV replays a trace recorded as a time_sec column: arrival
 // times in seconds, which must be finite, non-negative and
 // non-decreasing.
 func ReadTraceCSV(r io.Reader) ([]float64, error) {
