@@ -235,7 +235,8 @@ var (
 	// reproduces identical bytes.
 	ShardOwner = shard.Owner
 	// RunShardedCampaign executes a campaign across the workers and
-	// collects the shard-stamped stores.
+	// returns the one shard MergeShards needs, built from the cells
+	// the workers answered.
 	RunShardedCampaign = shard.Run
 	// MergeShards recombines shard stores into one byte-identical run,
 	// refusing mismatched identities, non-identical duplicates, and —

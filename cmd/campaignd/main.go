@@ -1,9 +1,9 @@
 // Command campaignd is the distributed campaign service: a
 // long-running coordinator that accepts experiment-spec documents
 // over HTTP, shards each campaign's cell matrix across worker
-// processes (internal/shard), merges the per-shard stores into a run
-// byte-identical to a single-process fleet.Run, and serves the cached
-// manifests and drift reports back out.
+// processes (internal/shard), merges the cells the workers answer into
+// a run byte-identical to a single-process fleet.Run, and serves the
+// cached manifests and drift reports back out.
 //
 // Coordinator mode (the default):
 //
@@ -23,10 +23,11 @@
 //
 // A spec's sharding: section picks its worker fleet; -workers is the
 // default for specs that name none, and with neither the campaign
-// runs in-process shards. Worker failure mid-campaign is survived by
-// deterministic reassignment: cells re-execute elsewhere from their
-// original substreams, and the merge deduplicates the byte-identical
-// overlap.
+// runs in-process shards; neither list may hold an empty or repeated
+// URL. Worker failure mid-campaign is survived by deterministic
+// reassignment: cells re-execute elsewhere from their original
+// substreams, and the coordinator merges the one answer it keeps per
+// cell.
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"syscall"
 	"time"
 
+	"cloudvar/internal/expspec"
 	"cloudvar/internal/shard"
 )
 
@@ -93,6 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var urls []string
 		if *workerList != "" {
 			urls = strings.Split(*workerList, ",")
+			if err := expspec.CheckWorkerURLs("-workers", urls); err != nil {
+				return fatal(err)
+			}
 		}
 		svc, err := newService(*dir, urls)
 		if err != nil {

@@ -365,3 +365,21 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 		t.Errorf("unknown run returned %s, want 404", resp.Status)
 	}
 }
+
+// TestWorkersFlagRejectsEmptyAndRepeatedURLs: -workers follows the rule
+// sharding.workers does. An empty entry would be a lane that never
+// answers, a repeated one two lanes on one worker, so campaignd exits 1
+// at startup naming the entry. The -listen address is unusable, so a
+// missed check fails on the listen error instead of serving forever.
+func TestWorkersFlagRejectsEmptyAndRepeatedURLs(t *testing.T) {
+	for _, c := range []struct{ list, want string }{
+		{"http://127.0.0.1:7071,", "-workers[1]: empty worker URL"},
+		{"http://127.0.0.1:7071,http://127.0.0.1:7071", `-workers[1]: duplicate worker "http://127.0.0.1:7071"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-dir", t.TempDir(), "-listen", "127.0.0.1:-1", "-workers", c.list}, &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("-workers %q: exit %d, stderr %q; want exit 1 naming %q", c.list, code, stderr.String(), c.want)
+		}
+	}
+}

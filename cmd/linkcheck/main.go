@@ -49,6 +49,12 @@ const (
 	// recipe: the README's scenario recipe behind the facade's
 	// ScenarioWindow and ScenarioRamp.
 	recipe keepClass = "recipe"
+	// benchmark: reached only through an interface method that the
+	// benchmark module decorates and the program never calls.
+	benchmark keepClass = "benchmark"
+
+	// decoratedShard is the benchmark entries' reason.
+	decoratedShard = "implements shard.Worker.Shard, which perfbench/layers.go decorates"
 )
 
 type keepEntry struct {
@@ -77,6 +83,11 @@ var keep = []keepEntry{
 	{"scenario.Ramp.Compile", recipe, "ScenarioRamp's capacity schedule"},
 	{"scenario.Scenario.ApplyCluster", recipe,
 		"applies a scenario to the Spark simulator, as the README's scenario section describes"},
+	{"shard.InProcWorker.Shard", benchmark, decoratedShard},
+	{"shard.HTTPWorker.Shard", benchmark, decoratedShard},
+	{"shard.faultyWorker.Shard", benchmark, decoratedShard},
+	{"store.DecodeShardData", benchmark, "decodes HTTPWorker.Shard's answer; that method " + decoratedShard},
+	{"store.decodeShardData", benchmark, "DecodeShardData's parser; HTTPWorker.Shard " + decoratedShard},
 }
 
 // modules are the directories, relative to the repository root, whose

@@ -119,7 +119,7 @@ func TestKeepList(t *testing.T) {
 			t.Errorf("%s is kept twice", k.fn)
 		}
 		seen[k.fn] = true
-		if k.class != comparator && k.class != testInput && k.class != recipe {
+		if k.class != comparator && k.class != testInput && k.class != recipe && k.class != benchmark {
 			t.Errorf("%s has unknown class %q", k.fn, k.class)
 		}
 		if k.reason == "" {

@@ -520,6 +520,22 @@ func (c Campaign) canonical() (Campaign, error) {
 	return out, nil
 }
 
+// CheckWorkerURLs refuses an empty or repeated worker URL, naming the
+// entry as field[i]: sharding.workers and campaignd's -workers share it.
+func CheckWorkerURLs(field string, urls []string) error {
+	seen := make(map[string]bool, len(urls))
+	for i, u := range urls {
+		if u == "" {
+			return fmt.Errorf("%s[%d]: empty worker URL", field, i)
+		}
+		if seen[u] {
+			return fmt.Errorf("%s[%d]: duplicate worker %q", field, i, u)
+		}
+		seen[u] = true
+	}
+	return nil
+}
+
 // canonical validates and defaults the sharding section.
 func (s Sharding) canonical(hasCampaign bool) (Sharding, error) {
 	if !hasCampaign {
@@ -529,15 +545,8 @@ func (s Sharding) canonical(hasCampaign bool) (Sharding, error) {
 	if s.Shards < 0 {
 		return Sharding{}, fmt.Errorf("sharding.shards: %d must be >= 0", s.Shards)
 	}
-	seen := make(map[string]bool)
-	for i, u := range s.Workers {
-		if u == "" {
-			return Sharding{}, fmt.Errorf("sharding.workers[%d]: empty worker URL", i)
-		}
-		if seen[u] {
-			return Sharding{}, fmt.Errorf("sharding.workers[%d]: duplicate worker %q", i, u)
-		}
-		seen[u] = true
+	if err := CheckWorkerURLs("sharding.workers", s.Workers); err != nil {
+		return Sharding{}, err
 	}
 	if len(s.Workers) > 0 {
 		out.Workers = append([]string(nil), s.Workers...)

@@ -193,7 +193,7 @@ func TestChaosHTTPTransportFaults(t *testing.T) {
 
 // TestChaosGracefulDegradation kills the entire remote fleet (every
 // worker a crash victim) and proves the coordinator absorbs the
-// campaign locally: the run completes, a shard is synthesized for the
+// campaign locally: the run completes, its one shard holds the
 // absorbed cells, and the merge is still byte-identical.
 func TestChaosGracefulDegradation(t *testing.T) {
 	spec := testutil.TwoCloudSpec(t, 41, 0)
@@ -205,8 +205,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	workers := make([]shard.Worker, 3)
 	for i := range workers {
 		// Storeless workers: when the whole fleet is dead nothing was
-		// persisted remotely, so every record in the merge must come
-		// from the coordinator's synthesized shard.
+		// persisted remotely, and the merge needs no worker store.
 		workers[i] = shard.InjectFaults(&shard.InProcWorker{}, inj.State(i))
 	}
 	res, shards, err := shard.Run(shard.Campaign{

@@ -39,21 +39,22 @@ type Campaign struct {
 	Retry RetryPolicy
 	// Fallback, when non-nil, absorbs a shard's cells locally after
 	// every ring worker failed — graceful degradation instead of a
-	// failed campaign. It should be storeless (&InProcWorker{}): the
-	// coordinator repairs coverage by appending the absorbed cells'
-	// records to a collected shard (or a synthesized one), so a
-	// fallback store would only collide with worker shard stamps.
+	// failed campaign. It should be storeless (&InProcWorker{}): its
+	// results reach the merge through Run like every worker's, so a
+	// store of its own would hold only resume state nothing reads.
 	Fallback Worker
 }
 
 // Run executes the campaign across the workers and returns the
-// assembled result plus every worker's persisted shard store (ready
-// for store.MergeShards — hand the merge result.StoredLabels() so it
-// re-verifies the same coverage). The result is bit-identical to a
-// single-process fleet.Run of the same spec: assignment is a pure
-// function of (SpecKey, worker count), workers execute explicit cell
-// lists on label-keyed substreams, and adaptive batch barriers
-// synchronize here, so the stopping schedule matches exactly.
+// assembled result plus one shard, stamped 0/len(Workers), holding the
+// record of every successful cell the workers answered — hand it to
+// store.MergeShards with result.StoredLabels(). Worker stores are
+// resume state only; Run never reads them back. The result is
+// bit-identical to a single-process fleet.Run of the same spec:
+// assignment is a pure function of (SpecKey, worker count), workers
+// execute explicit cell lists on label-keyed substreams, and adaptive
+// batch barriers synchronize here, so the stopping schedule matches
+// exactly.
 func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 	if len(c.Workers) == 0 {
 		return fleet.CampaignResult{}, nil, fmt.Errorf("shard: campaign has no workers")
@@ -62,7 +63,11 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 	if err := spec.Validate(); err != nil {
 		return fleet.CampaignResult{}, nil, err
 	}
-	specKey, err := store.SpecKey(spec)
+	// The merge shard's manifest, built first so a bad run ID or
+	// metadata fails before any worker starts.
+	meta := c.Meta
+	meta.Shard = &store.ShardStamp{Index: 0, Count: len(c.Workers)}
+	m, err := store.BuildManifest(c.RunID, spec, meta)
 	if err != nil {
 		return fleet.CampaignResult{}, nil, err
 	}
@@ -70,7 +75,7 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 	if attempts <= 0 || attempts > len(c.Workers) {
 		attempts = len(c.Workers)
 	}
-	rc := RunContext{Spec: spec, SpecKey: specKey, SpecDoc: c.SpecDoc, RunID: c.RunID, Meta: c.Meta}
+	rc := RunContext{Spec: spec, SpecKey: m.SpecKey, SpecDoc: c.SpecDoc, RunID: c.RunID, Meta: c.Meta}
 	for i, w := range c.Workers {
 		if err := w.Begin(rc, i, len(c.Workers)); err != nil {
 			return fleet.CampaignResult{}, nil, fmt.Errorf("shard: worker %d: %w", i, err)
@@ -90,18 +95,11 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 		}
 	}()
 
-	// dead marks workers that failed a whole Execute visit. An
-	// unreachable store at collection time is survivable for them —
-	// and only for them — but not automatically safe: in a multi-batch
-	// campaign a worker may have persisted earlier batches that were
-	// never re-executed elsewhere, so collection below re-checks
-	// coverage and repairs any cell that exists in no reachable store.
-	dead := &deadSet{members: make([]bool, len(c.Workers))}
-	health := newFleetHealth(c.Workers, c.Fallback, c.Retry, dead)
+	health := newFleetHealth(c.Workers, c.Fallback, c.Retry)
 
 	var result fleet.CampaignResult
 	if spec.Stopping.IsZero() {
-		results, err := runBatch(health, specKey, attempts, spec.Cells())
+		results, err := runBatch(health, m.SpecKey, attempts, spec.Cells())
 		if err != nil {
 			return fleet.CampaignResult{}, nil, err
 		}
@@ -120,7 +118,7 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 			if len(batch) == 0 {
 				break
 			}
-			results, err := runBatch(health, specKey, attempts, batch)
+			results, err := runBatch(health, m.SpecKey, attempts, batch)
 			if err != nil {
 				return fleet.CampaignResult{}, nil, err
 			}
@@ -131,113 +129,20 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 		result = planner.Result()
 	}
 
-	shards, err := collectShards(c.Workers, dead)
-	if err != nil {
-		return fleet.CampaignResult{}, nil, err
-	}
-
-	// Completeness: every successful cell was persisted by some
-	// worker, and skipping a dead worker's unreachable store is safe
-	// only if its cells survive in another shard. A worker that died
-	// after persisting earlier batches (or restarted and lost its
-	// run) leaves a gap here, and so do cells the local fallback
-	// absorbed. Re-executing is unnecessary: every successful cell's
-	// result is in memory and byte-identical to what a worker would
-	// have persisted (store.NewCellRecord is the same constructor
-	// Run.Put uses), so repair appends the canonical records to a
-	// collected shard — or to a synthesized one when local absorption
-	// left no worker store at all. Storeless fleets that never
-	// absorbed collect no shards and have nothing to merge, so there
-	// is no expectation to enforce.
-	if missing := uncoveredCells(result, shards); len(missing) > 0 && (len(shards) > 0 || health.didAbsorb()) {
-		if len(shards) == 0 {
-			meta := c.Meta
-			meta.Shard = &store.ShardStamp{Index: 0, Count: len(c.Workers)}
-			m, err := store.BuildManifest(c.RunID, spec, meta)
-			if err != nil {
-				return fleet.CampaignResult{}, nil, fmt.Errorf("shard: synthesizing a shard for locally absorbed cells: %w", err)
-			}
-			shards = append(shards, store.ShardData{Manifest: m})
-		}
-		byLabel := make(map[string]fleet.CellResult, len(result.Cells))
-		for _, res := range result.Cells {
-			if res.Err == nil {
-				byLabel[res.Cell.Label()] = res
-			}
-		}
-		for _, cell := range missing {
-			rec, err := store.NewCellRecord(byLabel[cell.Label()])
-			if err != nil {
-				return fleet.CampaignResult{}, nil, fmt.Errorf("shard: repairing coverage for cell %s: %w", cell.Label(), err)
-			}
-			shards[0].Cells = append(shards[0].Cells, rec)
-		}
-	}
-	if len(shards) > 0 {
-		if still := uncoveredCells(result, shards); len(still) > 0 {
-			return fleet.CampaignResult{}, nil, fmt.Errorf("shard: %d measured cells (first: %s) are in no collected shard store — refusing to hand an incomplete campaign to the merge", len(still), still[0].Label())
-		}
-	}
-	return result, shards, nil
-}
-
-// collectShards gathers every worker's persisted shard store. A
-// transient collection failure is tolerated only for workers already
-// marked dead; their cells are handled by the coverage check in Run.
-// A fatal one (wire skew) fails the campaign whoever answered it.
-func collectShards(workers []Worker, dead *deadSet) ([]store.ShardData, error) {
-	var shards []store.ShardData
-	for i, w := range workers {
-		d, ok, err := w.Shard()
-		if err != nil {
-			if dead.is(i) && Classify(err) != ClassFatal {
-				continue
-			}
-			return nil, fmt.Errorf("shard: collecting worker %d store: %w", i, err)
-		}
-		if ok {
-			shards = append(shards, d)
-		}
-	}
-	return shards, nil
-}
-
-// uncoveredCells returns the successful cells of result that appear in
-// none of the collected shard stores — cells whose only persisted copy
-// was lost with a dead worker.
-func uncoveredCells(result fleet.CampaignResult, shards []store.ShardData) []fleet.Cell {
-	stored := make(map[string]bool)
-	for _, d := range shards {
-		for _, rec := range d.Cells {
-			stored[rec.Label] = true
-		}
-	}
-	var missing []fleet.Cell
+	// Every successful cell came back in an Execute answer, and
+	// NewCellRecord builds the record its worker's Run.Put persisted.
+	merge := store.ShardData{Manifest: m, Cells: make([]store.CellRecord, 0, len(result.Cells))}
 	for _, res := range result.Cells {
-		if res.Err == nil && !stored[res.Cell.Label()] {
-			missing = append(missing, res.Cell)
+		if res.Err != nil {
+			continue
 		}
+		rec, err := store.NewCellRecord(res)
+		if err != nil {
+			return fleet.CampaignResult{}, nil, fmt.Errorf("shard: building the merge shard: %w", err)
+		}
+		merge.Cells = append(merge.Cells, rec)
 	}
-	return missing
-}
-
-// deadSet tracks which workers have failed an Execute; runBatch's
-// goroutines mark it concurrently.
-type deadSet struct {
-	mu      sync.Mutex
-	members []bool
-}
-
-func (d *deadSet) mark(i int) {
-	d.mu.Lock()
-	d.members[i] = true
-	d.mu.Unlock()
-}
-
-func (d *deadSet) is(i int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.members[i]
+	return result, []store.ShardData{merge}, nil
 }
 
 // runBatch partitions one batch of cells by owner, executes every

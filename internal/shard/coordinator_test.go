@@ -275,9 +275,9 @@ func TestShardRunKillWorkerMidShard(t *testing.T) {
 
 			// Worker 0 dies after persisting two cells of its first
 			// shard; the coordinator reassigns the whole shard to the
-			// next worker. The dead worker's partial store still joins
-			// the merge, whose duplicates are byte-identical by
-			// determinism.
+			// next worker and merges the survivor's answer. The dead
+			// worker's partial store is resume state the merge never
+			// reads.
 			workers := []shard.Worker{
 				&flakyWorker{inner: &shard.InProcWorker{Dir: t.TempDir()}, failAfter: 2},
 				&shard.InProcWorker{Dir: t.TempDir()},
@@ -295,9 +295,9 @@ func TestShardRunKillWorkerMidShard(t *testing.T) {
 // amnesiacWorker executes its first assignment successfully, then
 // dies and takes its store with it: Shard() always errors, like a
 // worker machine whose disk vanished with the process. Cells it
-// persisted in earlier batches exist in no other store, so the
-// coordinator's coverage check must detect the gap and re-execute
-// them — skipping the dead worker alone would silently thin the merge.
+// persisted in earlier batches exist in no other store; the merge
+// still holds them because the coordinator merges the answers it
+// received, never the workers' stores.
 type amnesiacWorker struct {
 	inner *shard.InProcWorker
 
@@ -334,7 +334,7 @@ func TestShardRunRecoversCellsLostWithDeadWorkerStore(t *testing.T) {
 	// Adaptive, multi-batch: worker 0 persists its batch-1 cells, then
 	// dies before batch 2 and its store becomes unreachable. The
 	// campaign must still finish and merge byte-identical — the lost
-	// cells re-executed from their label-keyed substreams on survivors.
+	// store's cells are already in the coordinator's batch-1 results.
 	spec := testutil.EC2Spec(t, 7, 0)
 	spec.Repetitions = 8
 	spec.Stopping = fleet.StoppingSpec{ErrorBound: 0.001, MaxReps: 12}
@@ -356,6 +356,21 @@ func TestShardRunRecoversCellsLostWithDeadWorkerStore(t *testing.T) {
 		t.Error("campaign result differs from single-process run after losing a worker's store")
 	}
 	assertStoresEqual(t, gotStore, wantStore, false, "cells.jsonl")
+}
+
+// TestShardRunStorelessFleet: workers that persist nothing still give
+// the merge every cell, because Run builds its shard from the results
+// the workers answered.
+func TestShardRunStorelessFleet(t *testing.T) {
+	spec := testutil.TwoCloudSpec(t, 41, 0)
+	meta := sharedMeta(t, spec, "")
+	wantRes, wantStore := singleRun(t, spec, meta)
+	workers := []shard.Worker{&shard.InProcWorker{}, &shard.InProcWorker{}, &shard.InProcWorker{}}
+	gotRes, gotStore := distributedRun(t, spec, meta, workers)
+	if got, want := testutil.EncodeResult(t, gotRes), testutil.EncodeResult(t, wantRes); got != want {
+		t.Error("storeless campaign result differs from single-process run")
+	}
+	assertStoresEqual(t, gotStore, wantStore, true, "cells.jsonl")
 }
 
 func TestShardRunFailsWhenAllWorkersDie(t *testing.T) {

@@ -18,7 +18,8 @@ package shard
 //	                    a frame or an error per cell
 //	                    (appendExecuteResponse)
 //	GET  /v1/shard    — the worker's persisted shard, as
-//	                    store.ShardData.Encode bytes
+//	                    store.ShardData.Encode bytes (Run never asks:
+//	                    it merges the execute answers)
 //	POST /v1/close    — release a campaign's store handle
 //	GET  /v1/health   — heartbeat (the breaker's half-open probe)
 //	GET  /healthz     — liveness
@@ -225,8 +226,8 @@ func readWireString(b []byte, off int) (string, int, error) {
 
 // WorkerServer is the worker-process side of the HTTP transport: it
 // compiles incoming campaigns, executes assigned cells into
-// shard-stamped stores under Dir, and serves the resulting shard data
-// back to the coordinator.
+// shard-stamped stores under Dir — its resume state — and answers each
+// cell's frame to the coordinator.
 type WorkerServer struct {
 	dir string
 
@@ -235,10 +236,11 @@ type WorkerServer struct {
 }
 
 type workerCampaign struct {
-	spec fleet.CampaignSpec
-	key  string
-	st   *store.Store
-	run  *store.Run
+	spec  fleet.CampaignSpec
+	key   string
+	stamp store.ShardStamp
+	st    *store.Store
+	run   *store.Run
 }
 
 // NewWorkerServer returns a worker serving shard executions that
@@ -324,6 +326,11 @@ func (s *WorkerServer) campaignFor(req executeRequest) (*workerCampaign, int, er
 		if req.SpecKey != "" && req.SpecKey != wc.key {
 			return nil, http.StatusBadRequest, fmt.Errorf("shard: run %q is already bound to spec key %.12s, request carries %.12s — one run id cannot serve two campaigns", req.RunID, wc.key, req.SpecKey)
 		}
+		// Two coordinator lanes pointed at one worker process would
+		// otherwise persist both shards into one store.
+		if wc.stamp != (store.ShardStamp{Index: req.Index, Count: req.Count}) {
+			return nil, http.StatusBadRequest, fmt.Errorf("shard: run %q is bound to shard %d/%d on this worker but the request assigns shard %d/%d — two coordinator lanes point at one worker process", req.RunID, wc.stamp.Index, wc.stamp.Count, req.Index, req.Count)
+		}
 		return wc, http.StatusOK, nil
 	}
 	doc, err := expspec.Decode(req.SpecDoc)
@@ -371,7 +378,7 @@ func (s *WorkerServer) campaignFor(req executeRequest) (*workerCampaign, int, er
 			return nil, http.StatusInternalServerError, err
 		}
 	}
-	wc := &workerCampaign{spec: spec, key: key, st: st, run: run}
+	wc := &workerCampaign{spec: spec, key: key, stamp: *meta.Shard, st: st, run: run}
 	s.runs[req.RunID] = wc
 	return wc, http.StatusOK, nil
 }
@@ -431,9 +438,9 @@ func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 		st = wc.st
 	} else {
 		// Not in memory does not mean not persisted: a worker process
-		// that restarted mid-campaign still holds its shard on disk,
-		// and 404ing here would silently exclude those cells from the
-		// merge. Fall back to the store before claiming ignorance.
+		// that restarted, or a run already closed, still holds its
+		// shard on disk. Fall back to the store before claiming
+		// ignorance.
 		if !store.ValidRunID(runID) {
 			WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
 			return
@@ -574,9 +581,7 @@ func (w *HTTPWorker) Shard() (store.ShardData, bool, error) {
 		// The worker never persisted anything for this run — the
 		// server checks its disk store as well as its memory, so even
 		// a restarted worker only 404s when it held no cells (every
-		// one of its shards was reassigned before it started). The
-		// coordinator's coverage check re-verifies that no cell is
-		// lost to this answer.
+		// one of its shards was reassigned before it started).
 		return store.ShardData{}, false, nil
 	}
 	if err != nil {

@@ -124,8 +124,8 @@ func TestHTTPWorkerAttemptTimeoutCutsSlowHeaders(t *testing.T) {
 
 func TestHTTPWorkerShardAttemptTimeout(t *testing.T) {
 	// A worker that hangs while serving its shard must not block the
-	// coordinator's collection forever: the per-attempt deadline cuts
-	// GET /v1/shard like any other call.
+	// caller forever: the per-attempt deadline cuts GET /v1/shard like
+	// any other call.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 	}))

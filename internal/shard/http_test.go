@@ -86,8 +86,8 @@ func TestHTTPWorkersByteIdentity(t *testing.T) {
 	if got := testutil.EncodeResult(t, gotRes); got != want {
 		t.Error("campaign result differs from single-process run across HTTP workers")
 	}
-	if len(shards) != 2 {
-		t.Fatalf("collected %d shard stores, want 2", len(shards))
+	if len(shards) != 1 {
+		t.Fatalf("collected %d shard stores, want 1", len(shards))
 	}
 	dst := testutil.TempStore(t)
 	merged, err := store.MergeShards(dst, "r1", shards, gotRes.StoredLabels())
@@ -117,9 +117,8 @@ func TestHTTPWorkerReassignment(t *testing.T) {
 	srv2 := httptest.NewServer(shard.NewWorkerServer(t.TempDir()).Handler())
 
 	// Worker 2 dies before the campaign starts — connection refused is
-	// the transport failure the retry ring exists for. (Partial-store
-	// recovery over HTTP is covered by the in-process flakyWorker test;
-	// a closed httptest server cannot serve its shard back.)
+	// the transport failure the retry ring exists for. (A worker that
+	// dies mid-shard is covered by the in-process flakyWorker test.)
 	srv2.Close()
 
 	gotRes, shards, err := shard.Run(shard.Campaign{
@@ -141,7 +140,7 @@ func TestHTTPWorkerReassignment(t *testing.T) {
 	if got := testutil.EncodeResult(t, gotRes); got != want {
 		t.Error("campaign result differs from single-process run after losing an HTTP worker")
 	}
-	// Only the survivor has a store; its shard carries every cell.
+	// Run's one shard carries every cell, the survivor's answers.
 	if len(shards) != 1 {
 		t.Fatalf("collected %d shard stores, want 1 (the survivor)", len(shards))
 	}
@@ -191,8 +190,8 @@ func TestHTTPWorkerRefusesSpecKeyMismatch(t *testing.T) {
 // TestWorkerServesShardFromDiskAfterRestart pins the restart path: a
 // worker process that restarted mid-campaign has an empty in-memory
 // runs map, but its shard store survived on disk. GET /v1/shard must
-// serve it from there — a 404 would silently exclude the restarted
-// worker's cells from the merge.
+// serve it from there — a 404 would claim the worker never persisted
+// the cells it holds.
 func TestWorkerServesShardFromDiskAfterRestart(t *testing.T) {
 	plan := compileLoopbackDoc(t, loopbackDoc)
 	spec := plan.Campaign.Spec
@@ -294,6 +293,35 @@ func TestWorkerRefusesRunIDReuseAcrossCampaigns(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "already bound") {
 		t.Errorf("refusal does not name the binding conflict: %s", b)
+	}
+}
+
+// TestTwoLanesOnOneWorkerFail: two coordinator lanes pointed at one
+// worker process would persist both shards into one store. The worker
+// binds the run to the stamp of the first request and refuses the
+// other lane's, and the refusal is fatal — never absorbed by the
+// local fallback.
+func TestTwoLanesOnOneWorkerFail(t *testing.T) {
+	plan := compileLoopbackDoc(t, loopbackDoc)
+	spec := plan.Campaign.Spec
+	srv := httptest.NewServer(shard.NewWorkerServer(t.TempDir()).Handler())
+	defer srv.Close()
+	_, _, err := shard.Run(shard.Campaign{
+		Spec:     spec,
+		SpecDoc:  plan.Bytes,
+		RunID:    "r1",
+		Meta:     sharedMeta(t, spec, ""),
+		Workers:  []shard.Worker{&shard.HTTPWorker{URL: srv.URL}, &shard.HTTPWorker{URL: srv.URL}},
+		Fallback: &shard.InProcWorker{},
+	})
+	if err == nil {
+		t.Fatal("two lanes on one worker process ran a campaign")
+	}
+	if shard.Classify(err) != shard.ClassFatal {
+		t.Errorf("a stamp conflict must be fatal: %v", err)
+	}
+	if !strings.Contains(err.Error(), "0/2") || !strings.Contains(err.Error(), "1/2") {
+		t.Errorf("refusal does not name both stamps: %v", err)
 	}
 }
 

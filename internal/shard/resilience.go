@@ -117,23 +117,20 @@ type fleetHealth struct {
 	workers  []Worker
 	fallback Worker
 	policy   RetryPolicy
-	dead     *deadSet
 	sleep    func(time.Duration)
 
-	mu       sync.Mutex
-	fails    []int
-	open     []bool
-	jitter   []*simrand.Source
-	absorbed bool
+	mu     sync.Mutex
+	fails  []int
+	open   []bool
+	jitter []*simrand.Source
 }
 
-func newFleetHealth(workers []Worker, fallback Worker, policy RetryPolicy, dead *deadSet) *fleetHealth {
+func newFleetHealth(workers []Worker, fallback Worker, policy RetryPolicy) *fleetHealth {
 	p := policy.withDefaults()
 	h := &fleetHealth{
 		workers:  workers,
 		fallback: fallback,
 		policy:   p,
-		dead:     dead,
 		sleep:    time.Sleep,
 		fails:    make([]int, len(workers)),
 		open:     make([]bool, len(workers)),
@@ -149,8 +146,7 @@ func newFleetHealth(workers []Worker, fallback Worker, policy RetryPolicy, dead 
 // execute runs one visit of cells on worker w: up to MaxAttempts
 // tries with jittered backoff between them. A tripped breaker fails
 // fast with errBreakerOpen unless a half-open health probe readmits
-// the worker; a fatal error aborts the visit immediately; exhausting
-// the attempts marks the worker dead for shard collection.
+// the worker; a fatal error aborts the visit immediately.
 func (h *fleetHealth) execute(w int, cells []fleet.Cell) ([]fleet.CellResult, error) {
 	if !h.admit(w) {
 		return nil, errBreakerOpen
@@ -173,7 +169,6 @@ func (h *fleetHealth) execute(w int, cells []fleet.Cell) ([]fleet.CellResult, er
 			break
 		}
 	}
-	h.dead.mark(w)
 	return nil, lastErr
 }
 
@@ -237,26 +232,13 @@ func (h *fleetHealth) backoff(w, attempt int) time.Duration {
 // absorb executes cells on the local fallback worker — graceful
 // degradation when a shard ran out of remote workers. The results are
 // byte-identical to what any worker would have produced (label-keyed
-// substreams), and the coordinator's coverage repair appends them to
-// a collected shard so the merge still sees every cell.
+// substreams), and they reach the merge through Run like every other
+// answer.
 func (h *fleetHealth) absorb(cells []fleet.Cell) ([]fleet.CellResult, error) {
 	if h.fallback == nil {
 		return nil, errNoFallback
 	}
-	res, err := h.fallback.Execute(cells)
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	h.absorbed = true
-	h.mu.Unlock()
-	return res, nil
-}
-
-func (h *fleetHealth) didAbsorb() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.absorbed
+	return h.fallback.Execute(cells)
 }
 
 // InjectFaults wraps a worker with one schedule of a compiled fault

@@ -1,9 +1,8 @@
 package shard
 
 // White-box tests for the resilience layer: error classification,
-// backoff determinism, circuit-breaker lifecycle, dead-set
-// idempotence — and the benchmark proving the no-fault path adds no
-// allocations to a worker call.
+// backoff determinism, circuit-breaker lifecycle — and the benchmark
+// proving the no-fault path adds no allocations to a worker call.
 
 import (
 	"errors"
@@ -55,10 +54,9 @@ func TestRetryPolicyDefaults(t *testing.T) {
 func TestBackoffIsCappedExponentialAndDeterministic(t *testing.T) {
 	policy := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Seed: 11}
 	mk := func() *fleetHealth {
-		return newFleetHealth(make([]Worker, 2), nil, policy, &deadSet{members: make([]bool, 2)})
+		return newFleetHealth(make([]Worker, 2), nil, policy)
 	}
 	a, b := mk(), mk()
-	var prev time.Duration
 	for attempt := 1; attempt <= 5; attempt++ {
 		da := a.backoff(0, attempt)
 		if db := b.backoff(0, attempt); da != db {
@@ -76,9 +74,7 @@ func TestBackoffIsCappedExponentialAndDeterministic(t *testing.T) {
 		if attempt > 3 && da > policy.MaxDelay {
 			t.Errorf("attempt %d: backoff %v above cap %v", attempt, da, policy.MaxDelay)
 		}
-		prev = da
 	}
-	_ = prev
 	// Distinct workers draw from distinct substreams.
 	same := true
 	for attempt := 1; attempt <= 5; attempt++ {
@@ -88,18 +84,6 @@ func TestBackoffIsCappedExponentialAndDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("workers 0 and 1 share a jitter stream")
-	}
-}
-
-func TestDeadSetDoubleMarkIsIdempotent(t *testing.T) {
-	d := &deadSet{members: make([]bool, 3)}
-	if d.is(1) {
-		t.Fatal("fresh set marks worker 1 dead")
-	}
-	d.mark(1)
-	d.mark(1) // concurrent shard goroutines can both mark a worker
-	if !d.is(1) || d.is(0) || d.is(2) {
-		t.Errorf("marks leaked: %v", d.members)
 	}
 }
 
@@ -133,7 +117,7 @@ func (w *scriptedWorker) Health() error {
 }
 
 func instantHealth(workers []Worker, policy RetryPolicy) *fleetHealth {
-	h := newFleetHealth(workers, nil, policy, &deadSet{members: make([]bool, len(workers))})
+	h := newFleetHealth(workers, nil, policy)
 	h.sleep = func(time.Duration) {} // no wall-clock in unit tests
 	return h
 }
@@ -148,9 +132,6 @@ func TestBreakerTripsAndFailsFast(t *testing.T) {
 	// short of its 5 attempts.
 	if w.calls != 2 {
 		t.Errorf("worker saw %d calls, want 2 (breaker threshold)", w.calls)
-	}
-	if !h.dead.is(0) {
-		t.Error("exhausted worker not marked dead")
 	}
 	// Tripped and still unhealthy: fail fast without touching Execute.
 	if _, err := h.execute(0, nil); !errors.Is(err, errBreakerOpen) {
@@ -206,9 +187,6 @@ func TestFatalErrorAbortsVisit(t *testing.T) {
 	if w.calls != 1 {
 		t.Errorf("fatal error retried: %d calls", w.calls)
 	}
-	if h.dead.is(0) {
-		t.Error("a protocol refusal is not a dead worker")
-	}
 }
 
 type fatalWorker struct{ calls int }
@@ -225,9 +203,6 @@ func TestAbsorbWithoutFallback(t *testing.T) {
 	h := instantHealth([]Worker{&scriptedWorker{}}, RetryPolicy{})
 	if _, err := h.absorb(nil); !errors.Is(err, errNoFallback) {
 		t.Errorf("absorb with no fallback returned %v", err)
-	}
-	if h.didAbsorb() {
-		t.Error("didAbsorb true after a refused absorption")
 	}
 }
 

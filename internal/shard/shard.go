@@ -3,11 +3,13 @@
 //
 // The paper's methodology wants campaigns dense and long (§3, §5);
 // one process caps how dense. shard splits a campaign's cell matrix
-// into per-worker assignments, has each worker execute its slice with
-// the ordinary fleet + store machinery into a shard-stamped store,
-// and recombines the shards with store.MergeShards into a run that is
-// byte-identical to a single-process fleet.Run — the workers=1-vs-8
-// property extended to shards=1-vs-N.
+// into per-worker assignments and has each worker execute its slice
+// with the ordinary fleet + store machinery into a shard-stamped store
+// that is its resume state. Every executed cell comes back in the
+// worker's answer, and the coordinator hands the results it holds to
+// store.MergeShards, which writes a run byte-identical to a
+// single-process fleet.Run — the workers=1-vs-8 property extended to
+// shards=1-vs-N.
 //
 // Three design rules make that identity hold:
 //
@@ -22,10 +24,12 @@
 //     coordinator; workers only execute explicit cell lists
 //     (fleet.RunCells), and the batch barrier synchronizes at the
 //     coordinator so stopping decisions stay repetition-ordered.
-//  3. The merge refuses ambiguity. Shard stores carry the campaign's
-//     full identity; store.MergeShards cross-checks every byte of it
-//     and accepts duplicate cells only when they are byte-identical
-//     (the reassignment overlap).
+//  3. One path from results to merge. The coordinator keeps one
+//     result per label, whichever worker, retry or local fallback
+//     answered it, and merges those alone: worker stores are never
+//     read back, so a lost store cannot thin the run. The merge still
+//     refuses ambiguity — it cross-checks the shard's full identity
+//     and the coordinator's expected label set.
 package shard
 
 import "hash/fnv"

@@ -47,12 +47,14 @@ func TestOwnerIsPureAndStable(t *testing.T) {
 }
 
 // recordingWorker wraps a storeless in-process worker and records the
-// labels of every Execute call, in the order the coordinator sent them.
+// labels of every Execute call, in the order the coordinator sent them,
+// and how often its store was asked for.
 type recordingWorker struct {
 	inner shard.InProcWorker
 
-	mu    sync.Mutex
-	calls [][]string
+	mu     sync.Mutex
+	calls  [][]string
+	shards int
 }
 
 func (w *recordingWorker) Begin(rc shard.RunContext, index, count int) error {
@@ -70,14 +72,21 @@ func (w *recordingWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error
 	return w.inner.Execute(cells)
 }
 
-func (w *recordingWorker) Shard() (store.ShardData, bool, error) { return w.inner.Shard() }
-func (w *recordingWorker) Close() error                          { return w.inner.Close() }
+func (w *recordingWorker) Shard() (store.ShardData, bool, error) {
+	w.mu.Lock()
+	w.shards++
+	w.mu.Unlock()
+	return w.inner.Shard()
+}
+
+func (w *recordingWorker) Close() error { return w.inner.Close() }
 
 // TestRunPartitionsAllCellsOnce checks the partition shard.Run
 // actually sends: over a healthy fleet, every cell reaches worker
 // Owner(specKey, label, n) exactly once, and each Execute call lists
 // its cells in campaign enumeration order. Byte identity alone cannot
-// catch a misplaced cell, because substreams are keyed by label.
+// catch a misplaced cell, because substreams are keyed by label. Run
+// merges what the workers answered, so it never asks for a store.
 func TestRunPartitionsAllCellsOnce(t *testing.T) {
 	adaptive := testutil.EC2Spec(t, 7, 0)
 	adaptive.Repetitions = 8
@@ -111,6 +120,9 @@ func TestRunPartitionsAllCellsOnce(t *testing.T) {
 			}
 			seen := make(map[string]int, len(pos))
 			for w, rw := range workers {
+				if rw.shards != 0 {
+					t.Errorf("worker %d was asked for its store %d times, want none", w, rw.shards)
+				}
 				for _, call := range rw.calls {
 					last := -1
 					for _, label := range call {
@@ -139,7 +151,7 @@ func TestRunPartitionsAllCellsOnce(t *testing.T) {
 }
 
 // TestInProcWorkerStoreless covers the Dir=="" mode: pure compute, no
-// shard store to collect.
+// shard store to serve.
 func TestInProcWorkerStoreless(t *testing.T) {
 	spec := testutil.EC2Spec(t, 7, 0)
 	specKey := testutil.SpecKeys(t, spec)[0]

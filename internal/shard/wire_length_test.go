@@ -68,7 +68,9 @@ func (r *answerRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestFramesAnswersCarryContentLength: every execute and shard answer
-// of a campaign over a live worker declares exactly its body's length.
+// over a live worker declares exactly its body's length. A campaign
+// sends only execute requests, so the shard answer comes from calling
+// HTTPWorker.Shard afterwards.
 func TestFramesAnswersCarryContentLength(t *testing.T) {
 	doc, err := expspec.Decode([]byte(lengthDoc))
 	if err != nil {
@@ -81,12 +83,13 @@ func TestFramesAnswersCarryContentLength(t *testing.T) {
 	srv := httptest.NewServer(NewWorkerServer(t.TempDir()).Handler())
 	defer srv.Close()
 	rec := &answerRecorder{}
+	hw := &HTTPWorker{URL: srv.URL, Client: &http.Client{Transport: rec}}
 	res, shards, err := Run(Campaign{
 		Spec:    plan.Campaign.Spec,
 		SpecDoc: plan.Bytes,
 		RunID:   "r1",
 		Meta:    store.RunMeta{CreatedUnix: 1},
-		Workers: []Worker{&HTTPWorker{URL: srv.URL, Client: &http.Client{Transport: rec}}},
+		Workers: []Worker{hw},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +99,14 @@ func TestFramesAnswersCarryContentLength(t *testing.T) {
 	}
 	if len(shards) != 1 {
 		t.Fatalf("collected %d shards, want 1", len(shards))
+	}
+	for _, a := range rec.answers {
+		if a.path == "/v1/shard" {
+			t.Fatal("Run fetched the worker's shard store; it must merge the execute answers")
+		}
+	}
+	if _, ok, err := hw.Shard(); err != nil || !ok {
+		t.Fatalf("fetching the worker's shard: ok=%v, %v", ok, err)
 	}
 	framed := map[string]int{}
 	for _, a := range rec.answers {

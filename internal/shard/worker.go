@@ -45,15 +45,17 @@ type Worker interface {
 	// Execute runs the given cells and returns their results in order.
 	Execute(cells []fleet.Cell) ([]fleet.CellResult, error)
 	// Shard returns the worker's persisted shard store, ok=false when
-	// the worker is storeless (nothing persisted).
+	// the worker is storeless (nothing persisted). Run never calls it:
+	// the merge takes the coordinator's results, and the store is the
+	// worker's resume state.
 	Shard() (store.ShardData, bool, error)
 	// Close releases the worker's campaign state.
 	Close() error
 }
 
 // InProcWorker runs its shard in-process through fleet.RunCells,
-// persisting into a shard-stamped store under Dir ("" runs storeless
-// — useful for pure-compute tests).
+// persisting into a shard-stamped store under Dir ("" runs storeless:
+// nothing to resume, as for the local fallback).
 type InProcWorker struct {
 	// Dir is the worker's store directory.
 	Dir string

@@ -27,9 +27,10 @@ import (
 	"slices"
 )
 
-// ShardData is one shard store's complete contents — the unit a
-// worker ships back to the coordinator (over HTTP in campaignd, by
-// value in tests). It round-trips through Encode/DecodeShardData.
+// ShardData is one shard store's complete contents — what shard.Run
+// hands the merge, built from the cells its workers answered, and what
+// a worker serves on GET /v1/shard. It round-trips through
+// Encode/DecodeShardData.
 type ShardData struct {
 	Manifest Manifest
 	Cells    []CellRecord

@@ -237,11 +237,10 @@ func (s *Store) CreateWithMeta(runID string, spec fleet.CampaignSpec, meta RunMe
 }
 
 // BuildManifest computes the manifest CreateWithMeta would commit for
-// (runID, spec, meta) without touching disk. The shard coordinator's
-// graceful-degradation path uses it to synthesize a shard manifest
-// for cells it absorbed locally when no worker store survived — the
-// bytes must be exactly what a worker's CreateWithMeta would have
-// written, or the merge refuses them.
+// (runID, spec, meta) without touching disk. The shard coordinator
+// builds the manifest of the shard it hands the merge with it — the
+// bytes must be exactly what a worker's CreateWithMeta writes, or the
+// merge refuses them.
 func BuildManifest(runID string, spec fleet.CampaignSpec, meta RunMeta) (Manifest, error) {
 	if !runIDPattern.MatchString(runID) {
 		return Manifest{}, fmt.Errorf("store: run id %q must match %s", runID, runIDPattern)
@@ -609,8 +608,8 @@ func (r *Run) Completed() (map[string]fleet.StoredCell, error) {
 
 // NewCellRecord builds the canonical persisted form of one successful
 // cell result — exactly the record Run.Put appends, exported so the
-// shard coordinator's coverage repair can append byte-identical
-// records to a collected shard instead of re-executing cells.
+// shard coordinator can hand the merge the cells its workers answered,
+// byte-identical to what they persisted.
 func NewCellRecord(res fleet.CellResult) (CellRecord, error) {
 	if res.Err != nil {
 		return CellRecord{}, fmt.Errorf("store: refusing to persist failed cell %s: %w", res.Cell.Label(), res.Err)

@@ -223,12 +223,13 @@ func shardStores(b *testing.B, spec fleet.CampaignSpec, enc string, n int) []sto
 	return data
 }
 
-// BenchmarkStoreShardMerge measures MergeShards — the campaignd
-// coordinator's per-campaign cost of recombining worker stores:
-// cross-shard identity verification, encoding each record once in the
-// run's encoding (the bytes that both detect differing duplicates and
-// form the merged file), canonical reordering, and the staged write of
-// the merged run. The columnar case carries workload latency columns.
+// BenchmarkStoreShardMerge measures MergeShards over one campaign's
+// cells split across two shards; campaignd's coordinator merges the
+// same cells as one shard. It times cross-shard identity
+// verification, encoding each record once in the run's encoding (the
+// bytes that both detect differing duplicates and form the merged
+// file), canonical reordering, and the staged write of the merged run.
+// The columnar case carries workload latency columns.
 func BenchmarkStoreShardMerge(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -256,8 +257,8 @@ func BenchmarkStoreShardMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreShardCodec measures the shard wire codec a worker and
-// the coordinator run on every collection: Encode and DecodeShardData
+// BenchmarkStoreShardCodec measures the shard wire codec behind
+// GET /v1/shard, which no campaign sends: Encode and DecodeShardData
 // of a workload-carrying columnar shard.
 func BenchmarkStoreShardCodec(b *testing.B) {
 	d := shardStores(b, workloadBenchSpec(b), store.EncodingColumnar, 1)[0]
@@ -280,7 +281,7 @@ func BenchmarkStoreShardCodec(b *testing.B) {
 
 // BenchmarkStoreCellCodec measures the columnar cell codec on its own,
 // over one 24-hour EC2 cell of 8,640 bins — the cell shape of the §3
-// campaign every store read, shard collection, merge and Put codes.
+// campaign every store read, execute answer, merge and Put codes.
 // encode appends the cell's frame to a reused buffer; decode runs
 // DecodeCellFrame on it. Both report ns/value, a value being one
 // point field (five per bin).
