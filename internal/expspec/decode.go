@@ -2,11 +2,14 @@ package expspec
 
 // Strict document decoding. encoding/json's DisallowUnknownFields
 // rejects unknown fields but cannot say *where* they are, and it
-// cannot apply per-field validation messages; a hand-walked tree
-// gives every error a full field path ("campaign.profiles[1].cloud"),
-// which is the difference between a usable spec format and a
-// guessing game. The same walker consumes JSON and the YAML subset:
-// both decode to the identical (map/slice/json.Number) tree first.
+// cannot apply per-field validation messages. This walker reads each
+// section's fields from the same json tags Encode writes and decodes
+// them by Go kind, so every error carries a full field path
+// ("campaign.profiles[1].cloud") — the difference between a usable
+// spec format and a guessing game — and a field added to a section
+// struct is strict and canonical from the moment it exists. The same
+// walker consumes JSON and the YAML subset: both decode to the
+// identical (map/slice/json.Number) tree first.
 
 import (
 	"bytes"
@@ -14,9 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,7 +33,11 @@ import (
 // Decode parses and strictly validates a spec document from JSON or
 // the YAML subset (sniffed: a document starting with '{' is JSON).
 // Unknown fields are rejected with their full path; type mismatches
-// name the field and the expected type. Decode does not canonicalize
+// name the field and the expected type. Fields are checked in the
+// order Encode writes them — schemaVersion, name, campaign, apps,
+// workloads, store, sharding, faults, drift, output, artifacts, and
+// struct order within each section — so a document with several
+// errors reports the first in that order. Decode does not canonicalize
 // — call Canonical (or Compile) on the result.
 func Decode(data []byte) (Document, error) {
 	return decodeData(data, "")
@@ -219,7 +229,7 @@ func (o *object) child(key string) string {
 }
 
 // get looks a key up, recording the attempt whether or not the key
-// is present — so after a section's decoder has run, used holds the
+// is present — so after a section has been walked, used holds the
 // section's full schema and finish can both detect unknown fields and
 // name the fields that would have been accepted.
 func (o *object) get(key string) (any, bool) {
@@ -269,569 +279,196 @@ func typeName(v any) string {
 	}
 }
 
-func (o *object) str(key string) (string, error) {
-	v, ok := o.get(key)
-	if !ok {
-		return "", nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("%s: expected a string, got %s", o.child(key), typeName(v))
-	}
-	return s, nil
-}
-
-func (o *object) boolean(key string) (bool, error) {
-	v, ok := o.get(key)
-	if !ok {
-		return false, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("%s: expected a boolean, got %s", o.child(key), typeName(v))
-	}
-	return b, nil
-}
-
-func (o *object) number(key string) (json.Number, bool, error) {
-	v, ok := o.get(key)
-	if !ok {
-		return "", false, nil
-	}
-	n, ok := v.(json.Number)
-	if !ok {
-		return "", false, fmt.Errorf("%s: expected a number, got %s", o.child(key), typeName(v))
-	}
-	return n, true, nil
-}
-
-func (o *object) integer(key string) (int, error) {
-	n, ok, err := o.number(key)
-	if err != nil || !ok {
-		return 0, err
-	}
-	i, err := n.Int64()
-	if err != nil || i != int64(int(i)) {
-		return 0, fmt.Errorf("%s: %s is not an integer", o.child(key), n)
-	}
-	return int(i), nil
-}
-
-func (o *object) uint(key string) (uint64, error) {
-	n, ok, err := o.number(key)
-	if err != nil || !ok {
-		return 0, err
-	}
-	u, perr := parseUint(string(n))
-	if perr != nil {
-		return 0, fmt.Errorf("%s: %s is not an unsigned integer", o.child(key), n)
-	}
-	return u, nil
-}
-
-func parseUint(s string) (uint64, error) {
-	return strconv.ParseUint(s, 10, 64)
-}
-
-func (o *object) float(key string) (float64, error) {
-	n, ok, err := o.number(key)
-	if err != nil || !ok {
-		return 0, err
-	}
-	f, ferr := n.Float64()
-	if ferr != nil || math.IsInf(f, 0) || math.IsNaN(f) {
-		return 0, fmt.Errorf("%s: %s is not a finite number", o.child(key), n)
-	}
-	return f, nil
-}
-
-func (o *object) strList(key string) ([]string, error) {
-	v, ok := o.get(key)
-	if !ok {
-		return nil, nil
-	}
-	items, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected a list, got %s", o.child(key), typeName(v))
-	}
-	out := make([]string, len(items))
-	for i, it := range items {
-		s, ok := it.(string)
-		if !ok {
-			return nil, fmt.Errorf("%s[%d]: expected a string, got %s", o.child(key), i, typeName(it))
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-func (o *object) floatList(key string) ([]float64, error) {
-	v, ok := o.get(key)
-	if !ok {
-		return nil, nil
-	}
-	items, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected a list, got %s", o.child(key), typeName(v))
-	}
-	out := make([]float64, len(items))
-	for i, it := range items {
-		n, ok := it.(json.Number)
-		if !ok {
-			return nil, fmt.Errorf("%s[%d]: expected a number, got %s", o.child(key), i, typeName(it))
-		}
-		f, err := n.Float64()
-		if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
-			return nil, fmt.Errorf("%s[%d]: %s is not a finite number", o.child(key), i, n)
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-// section returns a child object, or nil when the key is absent.
-func (o *object) section(key string) (*object, error) {
-	v, ok := o.get(key)
-	if !ok {
-		return nil, nil
-	}
-	return asObject(o.child(key), v)
-}
-
 // decodeTree walks the parsed tree into a Document, strictly. baseDir
 // resolves trace: file references in the workloads section; "" means
 // the document was decoded from bytes and file references are errors.
 func decodeTree(tree any, baseDir string) (Document, error) {
-	root, err := asObject("", tree)
-	if err != nil {
-		return Document{}, err
-	}
 	var d Document
-	if d.SchemaVersion, err = root.integer("schemaVersion"); err != nil {
-		return Document{}, err
-	}
-	if d.Name, err = root.str("name"); err != nil {
-		return Document{}, err
-	}
-	if d.Apps, err = root.strList("apps"); err != nil {
-		return Document{}, err
-	}
-
-	// workloads: was a string list of application names in version 1;
-	// version 2 moved the names to apps: and reuses the key for the
-	// structured traffic section. Disambiguate on the value's shape so
-	// both the legacy alias and the migration error are precise.
-	if v, ok := root.get("workloads"); ok {
-		switch wv := v.(type) {
-		case []any:
-			names := make([]string, len(wv))
-			for i, it := range wv {
-				s, isStr := it.(string)
-				if !isStr {
-					return Document{}, fmt.Errorf("workloads: expected an object section ({aggregateRps, requestKB, clients}), got a list")
-				}
-				names[i] = s
-			}
-			if d.SchemaVersion > 1 {
-				return Document{}, fmt.Errorf("workloads: expected client objects; string list moved to apps")
-			}
-			if d.Apps != nil {
-				return Document{}, fmt.Errorf("workloads: legacy string list cannot be combined with apps (use apps alone)")
-			}
-			d.Apps = names
-		case map[string]any:
-			wo, err := asObject(root.child("workloads"), wv)
-			if err != nil {
-				return Document{}, err
-			}
-			w, err := decodeWorkloads(wo, baseDir)
-			if err != nil {
-				return Document{}, err
-			}
-			d.Workloads = &w
-		default:
-			return Document{}, fmt.Errorf("workloads: expected an object, got %s", typeName(v))
-		}
-	}
-
-	campaign, err := root.section("campaign")
-	if err != nil {
-		return Document{}, err
-	}
-	if campaign != nil {
-		c, err := decodeCampaign(campaign)
-		if err != nil {
-			return Document{}, err
-		}
-		d.Campaign = &c
-	}
-
-	st, err := root.section("store")
-	if err != nil {
-		return Document{}, err
-	}
-	if st != nil {
-		var s Store
-		if s.Dir, err = st.str("dir"); err != nil {
-			return Document{}, err
-		}
-		if s.RunID, err = st.str("runId"); err != nil {
-			return Document{}, err
-		}
-		if s.Resume, err = st.boolean("resume"); err != nil {
-			return Document{}, err
-		}
-		if s.Encoding, err = st.str("encoding"); err != nil {
-			return Document{}, err
-		}
-		if err := st.finish(); err != nil {
-			return Document{}, err
-		}
-		d.Store = &s
-	}
-
-	sharding, err := root.section("sharding")
-	if err != nil {
-		return Document{}, err
-	}
-	if sharding != nil {
-		var sh Sharding
-		if sh.Shards, err = sharding.integer("shards"); err != nil {
-			return Document{}, err
-		}
-		if sh.Workers, err = sharding.strList("workers"); err != nil {
-			return Document{}, err
-		}
-		if err := sharding.finish(); err != nil {
-			return Document{}, err
-		}
-		d.Sharding = &sh
-	}
-
-	faultsSec, err := root.section("faults")
-	if err != nil {
-		return Document{}, err
-	}
-	if faultsSec != nil {
-		var f Faults
-		if f.Plan, err = faultsSec.str("plan"); err != nil {
-			return Document{}, err
-		}
-		if f.Seed, err = faultsSec.uint("seed"); err != nil {
-			return Document{}, err
-		}
-		params, perr := faultsSec.section("params")
-		if perr != nil {
-			return Document{}, perr
-		}
-		if params != nil {
-			f.Params = make(map[string]float64, len(params.m))
-			for k := range params.m {
-				v, err := params.float(k)
-				if err != nil {
-					return Document{}, err
-				}
-				f.Params[k] = v
-			}
-		}
-		if err := faultsSec.finish(); err != nil {
-			return Document{}, err
-		}
-		d.Faults = &f
-	}
-
-	drift, err := root.section("drift")
-	if err != nil {
-		return Document{}, err
-	}
-	if drift != nil {
-		var dr Drift
-		if dr.Runs, err = drift.strList("runs"); err != nil {
-			return Document{}, err
-		}
-		if dr.Tolerance, err = drift.float("tolerance"); err != nil {
-			return Document{}, err
-		}
-		if dr.Confidence, err = drift.float("confidence"); err != nil {
-			return Document{}, err
-		}
-		if dr.ErrorBound, err = drift.float("errorBound"); err != nil {
-			return Document{}, err
-		}
-		if dr.FailOnDrift, err = drift.boolean("failOnDrift"); err != nil {
-			return Document{}, err
-		}
-		if err := drift.finish(); err != nil {
-			return Document{}, err
-		}
-		d.Drift = &dr
-	}
-
-	output, err := root.section("output")
-	if err != nil {
-		return Document{}, err
-	}
-	if output != nil {
-		var o Output
-		if o.CSV, err = output.str("csv"); err != nil {
-			return Document{}, err
-		}
-		if err := output.finish(); err != nil {
-			return Document{}, err
-		}
-		d.Output = &o
-	}
-
-	artifacts, err := root.section("artifacts")
-	if err != nil {
-		return Document{}, err
-	}
-	if artifacts != nil {
-		var a Artifacts
-		if a.IDs, err = artifacts.strList("ids"); err != nil {
-			return Document{}, err
-		}
-		if a.Seed, err = artifacts.uint("seed"); err != nil {
-			return Document{}, err
-		}
-		if a.Scale, err = artifacts.float("scale"); err != nil {
-			return Document{}, err
-		}
-		if a.Workers, err = artifacts.integer("workers"); err != nil {
-			return Document{}, err
-		}
-		if a.OutDir, err = artifacts.str("outdir"); err != nil {
-			return Document{}, err
-		}
-		if err := artifacts.finish(); err != nil {
-			return Document{}, err
-		}
-		d.Artifacts = &a
-	}
-
-	if err := root.finish(); err != nil {
+	if err := (walker{baseDir}).value("", tree, reflect.ValueOf(&d).Elem()); err != nil {
 		return Document{}, err
 	}
 	return d, nil
 }
 
-// decodeWorkloads walks the structured workloads: section. baseDir
-// resolves trace: CSV references ("" rejects them: a document decoded
-// from bytes has no directory to resolve against).
-func decodeWorkloads(o *object, baseDir string) (WorkloadSection, error) {
-	var w WorkloadSection
-	var err error
-	if w.AggregateRPS, err = o.float("aggregateRps"); err != nil {
-		return WorkloadSection{}, err
-	}
-	if w.RequestKB, err = o.float("requestKB"); err != nil {
-		return WorkloadSection{}, err
-	}
+// walker decodes tree nodes into the document's section structs.
+// baseDir is decodeTree's.
+type walker struct{ baseDir string }
 
-	v, ok := o.get("clients")
-	if ok {
-		items, isList := v.([]any)
-		if !isList {
-			return WorkloadSection{}, fmt.Errorf("%s: expected a list, got %s", o.child("clients"), typeName(v))
+// value decodes the node v, found at path, into dst by dst's kind: a
+// struct value is a required section, a pointer to one an optional
+// section.
+func (w walker) value(path string, v any, dst reflect.Value) error {
+	switch dst.Kind() {
+	case reflect.String:
+		s, ok := v.(string)
+		if !ok {
+			return fmt.Errorf("%s: expected a string, got %s", path, typeName(v))
 		}
+		dst.SetString(s)
+	case reflect.Bool:
+		b, ok := v.(bool)
+		if !ok {
+			return fmt.Errorf("%s: expected a boolean, got %s", path, typeName(v))
+		}
+		dst.SetBool(b)
+	case reflect.Int, reflect.Uint64, reflect.Float64:
+		n, ok := v.(json.Number)
+		if !ok {
+			return fmt.Errorf("%s: expected a number, got %s", path, typeName(v))
+		}
+		switch dst.Kind() {
+		case reflect.Int:
+			i, err := n.Int64()
+			if err != nil || i != int64(int(i)) {
+				return fmt.Errorf("%s: %s is not an integer", path, n)
+			}
+			dst.SetInt(i)
+		case reflect.Uint64:
+			u, err := strconv.ParseUint(string(n), 10, 64)
+			if err != nil {
+				return fmt.Errorf("%s: %s is not an unsigned integer", path, n)
+			}
+			dst.SetUint(u)
+		default:
+			f, err := n.Float64()
+			if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
+				return fmt.Errorf("%s: %s is not a finite number", path, n)
+			}
+			dst.SetFloat(f)
+		}
+	case reflect.Slice:
+		items, ok := v.([]any)
+		if !ok {
+			return fmt.Errorf("%s: expected a list, got %s", path, typeName(v))
+		}
+		s := reflect.MakeSlice(dst.Type(), len(items), len(items))
 		for i, it := range items {
-			co, err := asObject(fmt.Sprintf("%s[%d]", o.child("clients"), i), it)
-			if err != nil {
-				return WorkloadSection{}, err
+			if err := w.value(path+"["+strconv.Itoa(i)+"]", it, s.Index(i)); err != nil {
+				return err
 			}
-			var c WorkloadClient
-			if c.ID, err = co.str("id"); err != nil {
-				return WorkloadSection{}, err
-			}
-			if c.RateFraction, err = co.float("rateFraction"); err != nil {
-				return WorkloadSection{}, err
-			}
-			if c.SLOClass, err = co.str("sloClass"); err != nil {
-				return WorkloadSection{}, err
-			}
-			ao, err := co.section("arrival")
-			if err != nil {
-				return WorkloadSection{}, err
-			}
-			if ao == nil {
-				return WorkloadSection{}, fmt.Errorf("%s.arrival: required", co.path)
-			}
-			if c.Arrival, err = decodeArrival(ao, baseDir); err != nil {
-				return WorkloadSection{}, err
-			}
-			if err := co.finish(); err != nil {
-				return WorkloadSection{}, err
-			}
-			w.Clients = append(w.Clients, c)
 		}
+		dst.Set(s)
+	case reflect.Map:
+		o, err := asObject(path, v)
+		if err != nil {
+			return err
+		}
+		// In key order, so of several bad values the same one is
+		// reported every time.
+		m := reflect.MakeMapWithSize(dst.Type(), len(o.m))
+		for _, k := range slices.Sorted(maps.Keys(o.m)) {
+			e := reflect.New(dst.Type().Elem()).Elem()
+			if err := w.value(o.child(k), o.m[k], e); err != nil {
+				return err
+			}
+			m.SetMapIndex(reflect.ValueOf(k), e)
+		}
+		dst.Set(m)
+	case reflect.Pointer:
+		p := reflect.New(dst.Type().Elem())
+		if err := w.value(path, v, p.Elem()); err != nil {
+			return err
+		}
+		dst.Set(p)
+	case reflect.Struct:
+		o, err := asObject(path, v)
+		if err != nil {
+			return err
+		}
+		return w.fields(o, dst)
+	default:
+		return fmt.Errorf("%s: no decoder for %s", displayPath(path), dst.Type())
 	}
-
-	if err := o.finish(); err != nil {
-		return WorkloadSection{}, err
-	}
-	return w, nil
+	return nil
 }
 
-func decodeArrival(o *object, baseDir string) (WorkloadArrival, error) {
-	var a WorkloadArrival
-	var err error
-	if a.Process, err = o.str("process"); err != nil {
-		return WorkloadArrival{}, err
-	}
-	if a.CV, err = o.float("cv"); err != nil {
-		return WorkloadArrival{}, err
-	}
-	if a.Shape, err = o.float("shape"); err != nil {
-		return WorkloadArrival{}, err
-	}
-	if a.Times, err = o.floatList("times"); err != nil {
-		return WorkloadArrival{}, err
-	}
-
-	// A trace: CSV reference is inlined here, at decode time, so the
-	// decoded document is self-contained and its identity hash covers
-	// the trace's content, not its path.
-	tracePath, err := o.str("trace")
-	if err != nil {
-		return WorkloadArrival{}, err
-	}
-	if tracePath != "" {
-		if a.Times != nil {
-			return WorkloadArrival{}, fmt.Errorf("%s: set either times or trace, not both", displayPath(o.path))
+// fields decodes a section into the struct dst: one key per json tag,
+// in declaration order (the order Encode writes them), then any key
+// no tag declares is an unknown field.
+func (w walker) fields(o *object, dst reflect.Value) error {
+	t := dst.Type()
+	doc, _ := dst.Addr().Interface().(*Document)
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		v, ok := o.get(key)
+		if !ok {
+			if f.Type.Kind() == reflect.Struct {
+				return fmt.Errorf("%s: required", o.child(key))
+			}
+			continue
 		}
-		if baseDir == "" {
-			return WorkloadArrival{}, fmt.Errorf("%s.trace: file references require decoding from a spec file (inline times instead)", o.path)
+		if list, isList := v.([]any); isList && doc != nil && key == "workloads" {
+			if err := doc.legacyApps(list); err != nil {
+				return err
+			}
+			continue
 		}
-		f, err := os.Open(filepath.Join(baseDir, tracePath))
-		if err != nil {
-			return WorkloadArrival{}, fmt.Errorf("%s.trace: %w", o.path, err)
+		if err := w.value(o.child(key), v, dst.Field(i)); err != nil {
+			return err
 		}
-		defer f.Close()
-		times, err := workload.ReadTraceCSV(f)
-		if err != nil {
-			return WorkloadArrival{}, fmt.Errorf("%s.trace: %s: %w", o.path, tracePath, err)
-		}
-		a.Times = times
 	}
-
-	if err := o.finish(); err != nil {
-		return WorkloadArrival{}, err
+	if a, ok := dst.Addr().Interface().(*WorkloadArrival); ok {
+		if err := w.inlineTrace(o, a); err != nil {
+			return err
+		}
 	}
-	return a, nil
+	return o.finish()
 }
 
-func decodeCampaign(o *object) (Campaign, error) {
-	var c Campaign
-	var err error
-
-	v, ok := o.get("profiles")
-	if ok {
-		items, isList := v.([]any)
-		if !isList {
-			return Campaign{}, fmt.Errorf("%s: expected a list, got %s", o.child("profiles"), typeName(v))
+// legacyApps takes a workloads: list, which is a string list of
+// application names in version 1; version 2 moved the names to apps:
+// and reuses the key for the structured traffic section. Called once
+// schemaVersion and apps are decoded, it disambiguates on the list's
+// shape so both the legacy alias and the migration errors are precise.
+func (d *Document) legacyApps(list []any) error {
+	names := make([]string, len(list))
+	for i, it := range list {
+		s, ok := it.(string)
+		if !ok {
+			return fmt.Errorf("workloads: expected an object section ({aggregateRps, requestKB, clients}), got a list")
 		}
-		for i, it := range items {
-			po, err := asObject(fmt.Sprintf("%s[%d]", o.child("profiles"), i), it)
-			if err != nil {
-				return Campaign{}, err
-			}
-			var p ProfileRef
-			if p.Cloud, err = po.str("cloud"); err != nil {
-				return Campaign{}, err
-			}
-			if p.Instance, err = po.str("instance"); err != nil {
-				return Campaign{}, err
-			}
-			if err := po.finish(); err != nil {
-				return Campaign{}, err
-			}
-			c.Profiles = append(c.Profiles, p)
+		names[i] = s
+	}
+	if d.SchemaVersion > 1 {
+		return fmt.Errorf("workloads: expected client objects; string list moved to apps")
+	}
+	if d.Apps != nil {
+		return fmt.Errorf("workloads: legacy string list cannot be combined with apps (use apps alone)")
+	}
+	d.Apps = names
+	return nil
+}
+
+// inlineTrace reads an arrival's trace: key, a CSV file reference no
+// json tag declares. The times are inlined here, at decode time, so
+// the decoded document is self-contained and its identity hash covers
+// the trace's content, not its path.
+func (w walker) inlineTrace(o *object, a *WorkloadArrival) error {
+	var tracePath string
+	if v, ok := o.get("trace"); ok {
+		if err := w.value(o.child("trace"), v, reflect.ValueOf(&tracePath).Elem()); err != nil {
+			return err
 		}
 	}
-
-	if c.Regimes, err = o.strList("regimes"); err != nil {
-		return Campaign{}, err
+	if tracePath == "" {
+		return nil
 	}
-	if c.Repetitions, err = o.integer("repetitions"); err != nil {
-		return Campaign{}, err
+	if a.Times != nil {
+		return fmt.Errorf("%s: set either times or trace, not both", displayPath(o.path))
 	}
-	if c.Hours, err = o.float("hours"); err != nil {
-		return Campaign{}, err
+	if w.baseDir == "" {
+		return fmt.Errorf("%s.trace: file references require decoding from a spec file (inline times instead)", o.path)
 	}
-	if c.Seed, err = o.uint("seed"); err != nil {
-		return Campaign{}, err
-	}
-	if c.Workers, err = o.integer("workers"); err != nil {
-		return Campaign{}, err
-	}
-	if c.Confidence, err = o.float("confidence"); err != nil {
-		return Campaign{}, err
-	}
-	if c.ErrorBound, err = o.float("errorBound"); err != nil {
-		return Campaign{}, err
-	}
-	if c.Summarize, err = o.str("summarize"); err != nil {
-		return Campaign{}, err
-	}
-
-	st, err := o.section("stopping")
+	f, err := os.Open(filepath.Join(w.baseDir, tracePath))
 	if err != nil {
-		return Campaign{}, err
+		return fmt.Errorf("%s.trace: %w", o.path, err)
 	}
-	if st != nil {
-		var s Stopping
-		if s.Quantile, err = st.float("quantile"); err != nil {
-			return Campaign{}, err
-		}
-		if s.Confidence, err = st.float("confidence"); err != nil {
-			return Campaign{}, err
-		}
-		if s.ErrorBound, err = st.float("errorBound"); err != nil {
-			return Campaign{}, err
-		}
-		if s.MinReps, err = st.integer("minReps"); err != nil {
-			return Campaign{}, err
-		}
-		if s.MaxReps, err = st.integer("maxReps"); err != nil {
-			return Campaign{}, err
-		}
-		if err := st.finish(); err != nil {
-			return Campaign{}, err
-		}
-		c.Stopping = &s
-	}
-
-	sc, err := o.section("scenario")
+	defer f.Close()
+	times, err := workload.ReadTraceCSV(f)
 	if err != nil {
-		return Campaign{}, err
+		return fmt.Errorf("%s.trace: %s: %w", o.path, tracePath, err)
 	}
-	if sc != nil {
-		var ref ScenarioRef
-		if ref.Name, err = sc.str("name"); err != nil {
-			return Campaign{}, err
-		}
-		params, perr := sc.section("params")
-		if perr != nil {
-			return Campaign{}, perr
-		}
-		if params != nil {
-			ref.Params = make(map[string]float64, len(params.m))
-			for k := range params.m {
-				f, err := params.float(k)
-				if err != nil {
-					return Campaign{}, err
-				}
-				ref.Params[k] = f
-			}
-		}
-		if err := sc.finish(); err != nil {
-			return Campaign{}, err
-		}
-		c.Scenario = &ref
-	}
-
-	if err := o.finish(); err != nil {
-		return Campaign{}, err
-	}
-	return c, nil
+	a.Times = times
+	return nil
 }

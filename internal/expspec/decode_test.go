@@ -18,6 +18,20 @@ func TestDecodeStrictUnknownFields(t *testing.T) {
 		{"store", `{"schemaVersion": 1, "store": {"dir": "d", "run_id": "x"}}`, `unknown field "store.run_id"`},
 		{"drift", `{"schemaVersion": 1, "drift": {"baseline": "day1"}}`, `unknown field "drift.baseline"`},
 		{"artifacts", `{"schemaVersion": 1, "artifacts": {"figures": []}}`, `unknown field "artifacts.figures"`},
+		{"stopping", `{"schemaVersion": 1, "campaign": {"stopping": {"errorBound": 0.1, "maxReps": 5, "minRep": 3}}}`,
+			`unknown field "campaign.stopping.minRep" (known fields in campaign.stopping: confidence, errorBound, maxReps, minReps, quantile)`},
+		{"sharding", `{"schemaVersion": 1, "sharding": {"shard": 2}}`,
+			`unknown field "sharding.shard" (known fields in sharding: shards, workers)`},
+		{"faults", `{"schemaVersion": 1, "faults": {"plan": "crash", "rate": 1}}`,
+			`unknown field "faults.rate" (known fields in faults: params, plan, seed)`},
+		{"output", `{"schemaVersion": 1, "output": {"json": "out.json"}}`,
+			`unknown field "output.json" (known fields in output: csv)`},
+		{"workloads", `{"schemaVersion": 2, "workloads": {"rps": 1}}`,
+			`unknown field "workloads.rps" (known fields in workloads: aggregateRps, clients, requestKB)`},
+		{"client", `{"schemaVersion": 2, "workloads": {"clients": [{"id": "a", "arrival": {"process": "poisson"}, "weight": 1}]}}`,
+			`unknown field "workloads.clients[0].weight" (known fields in workloads.clients[0]: arrival, id, rateFraction, sloClass)`},
+		{"arrival", `{"schemaVersion": 2, "workloads": {"clients": [{"id": "a", "arrival": {"process": "poisson", "rate": 1}}]}}`,
+			`unknown field "workloads.clients[0].arrival.rate" (known fields in workloads.clients[0].arrival: cv, process, shape, times, trace)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -56,6 +70,19 @@ func TestDecodeTypeErrorsNameField(t *testing.T) {
 		{"trailing", `{"schemaVersion": 1} {"more": true}`, "data after the document"},
 		{"trailing-garbage", `{"schemaVersion": 1} >>>>>>> merge-marker`, "data after the document"},
 		{"empty", ``, "spec is empty"},
+		{"bool-resume", `{"schemaVersion": 1, "store": {"resume": "yes"}}`, "store.resume: expected a boolean, got a string"},
+		{"float-maxreps", `{"schemaVersion": 1, "campaign": {"stopping": {"maxReps": 2.5}}}`, "campaign.stopping.maxReps: 2.5 is not an integer"},
+		{"negative-fault-seed", `{"schemaVersion": 1, "faults": {"seed": -1}}`, "faults.seed: -1 is not an unsigned integer"},
+		{"string-scale", `{"schemaVersion": 1, "artifacts": {"scale": "big"}}`, "artifacts.scale: expected a number, got a string"},
+		{"string-in-times", `{"schemaVersion": 2, "workloads": {"clients": [{"id": "a", "arrival": {"process": "trace", "times": [0, "x"]}}]}}`,
+			"workloads.clients[0].arrival.times[1]: expected a number, got a string"},
+		{"string-param", `{"schemaVersion": 1, "faults": {"params": {"x": "a"}}}`, "faults.params.x: expected a number, got a string"},
+		{"string-profile", `{"schemaVersion": 1, "campaign": {"profiles": ["ec2"]}}`, "campaign.profiles[0]: expected an object, got a string"},
+		{"null-campaign", `{"schemaVersion": 1, "campaign": null}`, "campaign: expected an object, got null"},
+		// Root keys are checked in the order Encode writes them:
+		// campaign before apps.
+		{"first-error-in-encode-order", `{"schemaVersion": 2, "apps": [3], "campaign": {"hours": "x"}}`, "campaign.hours: expected a number, got a string"},
+		{"missing-arrival", `{"schemaVersion": 2, "workloads": {"clients": [{"id": "a", "rateFraction": 1}]}}`, "workloads.clients[0].arrival: required"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -25,14 +25,12 @@ type Campaign struct {
 	// shard manifests mergeable — and the merged manifest
 	// byte-identical to a single-process run's.
 	Meta store.RunMeta
-	// Workers execute the shards; the shard count is len(Workers).
-	Workers []Worker
-	// Attempts bounds how many workers a shard is tried on before the
-	// campaign fails; 0 means every worker once. Retries visit workers
+	// Workers execute the shards; the shard count is len(Workers). A
+	// shard is tried on every worker once before the campaign fails,
 	// in ring order starting at the shard's own index, and because
 	// cell substreams are keyed by label, a retried shard reproduces
 	// the dead worker's results byte for byte.
-	Attempts int
+	Workers []Worker
 	// Retry parameterises per-worker resilience: same-worker retry
 	// attempts, backoff with seeded jitter, and the circuit breaker.
 	// The zero value means defaults (see RetryPolicy).
@@ -71,10 +69,6 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 	if err != nil {
 		return fleet.CampaignResult{}, nil, err
 	}
-	attempts := c.Attempts
-	if attempts <= 0 || attempts > len(c.Workers) {
-		attempts = len(c.Workers)
-	}
 	rc := RunContext{Spec: spec, SpecKey: m.SpecKey, SpecDoc: c.SpecDoc, RunID: c.RunID, Meta: c.Meta}
 	for i, w := range c.Workers {
 		if err := w.Begin(rc, i, len(c.Workers)); err != nil {
@@ -99,7 +93,7 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 
 	var result fleet.CampaignResult
 	if spec.Stopping.IsZero() {
-		results, err := runBatch(health, m.SpecKey, attempts, spec.Cells())
+		results, err := runBatch(health, m.SpecKey, spec.Cells())
 		if err != nil {
 			return fleet.CampaignResult{}, nil, err
 		}
@@ -118,7 +112,7 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 			if len(batch) == 0 {
 				break
 			}
-			results, err := runBatch(health, m.SpecKey, attempts, batch)
+			results, err := runBatch(health, m.SpecKey, batch)
 			if err != nil {
 				return fleet.CampaignResult{}, nil, err
 			}
@@ -149,7 +143,7 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 // part on its preferred worker (falling through the worker ring when
 // a visit fails, then to the local fallback), and scatters the
 // results back into batch order.
-func runBatch(health *fleetHealth, specKey string, attempts int, cells []fleet.Cell) ([]fleet.CellResult, error) {
+func runBatch(health *fleetHealth, specKey string, cells []fleet.Cell) ([]fleet.CellResult, error) {
 	n := len(health.workers)
 	parts := make([][]fleet.Cell, n)
 	slot := make(map[string]int, len(cells))
@@ -171,7 +165,7 @@ func runBatch(health *fleetHealth, specKey string, attempts int, cells []fleet.C
 		go func(s int) {
 			defer wg.Done()
 			var lastErr error
-			for a := 0; a < attempts; a++ {
+			for a := 0; a < n; a++ {
 				w := (s + a) % n
 				// A worker-level failure is retried here and the cells
 				// re-execute elsewhere from their original label-keyed
@@ -200,7 +194,7 @@ func runBatch(health *fleetHealth, specKey string, attempts int, cells []fleet.C
 			if lastErr == nil {
 				lastErr = errBreakerOpen
 			}
-			errs[s] = fmt.Errorf("shard: shard %d failed on all %d workers tried: %w", s, attempts, lastErr)
+			errs[s] = fmt.Errorf("shard: shard %d failed on all %d workers tried: %w", s, n, lastErr)
 		}(s)
 	}
 	wg.Wait()

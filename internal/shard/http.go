@@ -55,7 +55,6 @@ import (
 	"sync"
 	"time"
 
-	"cloudvar/internal/core"
 	"cloudvar/internal/expspec"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
@@ -68,38 +67,8 @@ type executeRequest struct {
 	SpecDoc json.RawMessage `json:"spec_doc"`
 	Index   int             `json:"index"`
 	Count   int             `json:"count"`
-	Meta    executeMeta     `json:"meta"`
+	Meta    store.RunMeta   `json:"meta"`
 	Cells   []string        `json:"cells"`
-}
-
-// executeMeta is store.RunMeta in wire form (RunMeta's []byte field
-// would base64-encode; the document is JSON and ships as such).
-type executeMeta struct {
-	Fingerprints       map[string]core.Fingerprint `json:"fingerprints,omitempty"`
-	CreatedUnix        int64                       `json:"created_unix"`
-	ExperimentSpec     json.RawMessage             `json:"experiment_spec,omitempty"`
-	ExperimentSpecHash string                      `json:"experiment_spec_hash,omitempty"`
-	Encoding           string                      `json:"encoding,omitempty"`
-}
-
-func metaToWire(m store.RunMeta) executeMeta {
-	return executeMeta{
-		Fingerprints:       m.Fingerprints,
-		CreatedUnix:        m.CreatedUnix,
-		ExperimentSpec:     json.RawMessage(m.ExperimentSpec),
-		ExperimentSpecHash: m.ExperimentSpecHash,
-		Encoding:           m.Encoding,
-	}
-}
-
-func metaFromWire(m executeMeta) store.RunMeta {
-	return store.RunMeta{
-		Fingerprints:       m.Fingerprints,
-		CreatedUnix:        m.CreatedUnix,
-		ExperimentSpec:     []byte(m.ExperimentSpec),
-		ExperimentSpecHash: m.ExperimentSpecHash,
-		Encoding:           m.Encoding,
-	}
 }
 
 // framesMediaType is the Content-Type of the answers that carry
@@ -356,7 +325,7 @@ func (s *WorkerServer) campaignFor(req executeRequest) (*workerCampaign, int, er
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	meta := metaFromWire(req.Meta)
+	meta := req.Meta
 	meta.Shard = &store.ShardStamp{Index: req.Index, Count: req.Count}
 	var run *store.Run
 	if _, merr := st.Manifest(req.RunID); merr == nil {
@@ -551,7 +520,7 @@ func (w *HTTPWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 		SpecDoc: json.RawMessage(w.rc.SpecDoc),
 		Index:   w.index,
 		Count:   w.count,
-		Meta:    metaToWire(w.rc.Meta),
+		Meta:    w.rc.Meta,
 		Cells:   labels,
 	})
 	if err != nil {

@@ -142,18 +142,20 @@ type PrecisionRecord struct {
 // campaign spec: platform fingerprints, the creation time
 // (caller-supplied so stores built in tests are reproducible), and
 // optionally the canonical experiment-spec document + hash the run
-// was launched from.
+// was launched from. Its JSON names are the manifest's; it travels
+// as is in a shard execute request.
 type RunMeta struct {
-	Fingerprints       map[string]core.Fingerprint
-	CreatedUnix        int64
-	ExperimentSpec     []byte
-	ExperimentSpecHash string
+	Fingerprints       map[string]core.Fingerprint `json:"fingerprints,omitempty"`
+	CreatedUnix        int64                       `json:"created_unix"`
+	ExperimentSpec     json.RawMessage             `json:"experiment_spec,omitempty"`
+	ExperimentSpecHash string                      `json:"experiment_spec_hash,omitempty"`
 	// Encoding selects the cell-record encoding for the new run:
 	// "" or "jsonl" for JSONL (default), "columnar" for cells.col.
-	Encoding string
+	Encoding string `json:"encoding,omitempty"`
 	// Shard stamps the new run as one shard of a distributed campaign
-	// (see Manifest.Shard); nil for complete runs.
-	Shard *ShardStamp
+	// (see Manifest.Shard); nil for complete runs. Never sent: a
+	// worker stamps its own shard.
+	Shard *ShardStamp `json:"-"`
 }
 
 // CellRecord is one persisted campaign cell. Failed cells are never
