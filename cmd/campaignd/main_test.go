@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -272,7 +274,7 @@ func TestServiceCachedAndConflictingRuns(t *testing.T) {
 }
 
 func TestServiceDriftReport(t *testing.T) {
-	base, _ := startService(t, nil)
+	base, dir := startService(t, nil)
 	submit(t, base, specDoc(13, "day1"))
 	awaitDone(t, base, "day1")
 	// Same campaign matrix, different seed: a legitimate drift pair
@@ -294,14 +296,40 @@ func TestServiceDriftReport(t *testing.T) {
 		t.Errorf("drift report does not mention the compared run:\n%s", buf.String())
 	}
 
-	// Without a baseline the request is refused.
-	resp2, err := http.Get(base + "/v1/runs/day8/drift")
-	if err != nil {
+	// Without a baseline, or with a malformed run ID on either side,
+	// the request is refused; a run the store lacks is not found.
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for path, want := range map[string]int{
+		"/v1/runs/day8/drift":                http.StatusBadRequest,
+		"/v1/runs/day8/drift?baseline=.day1": http.StatusBadRequest,
+		"/v1/runs/-day8/drift?baseline=day1": http.StatusBadRequest,
+		"/v1/runs/day8/drift?baseline=day99": http.StatusNotFound,
+		"/v1/runs/day99/drift?baseline=day1": http.StatusNotFound,
+	} {
+		if got := status(path); got != want {
+			t.Errorf("GET %s answered %d, want %d", path, got, want)
+		}
+	}
+
+	// A stored run whose cells no longer read is the server's failure,
+	// not a missing run.
+	cells := filepath.Join(dir, "runs", "day8", "cells.jsonl")
+	if _, err := os.Stat(cells); err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("baseline-less drift request returned %s, want 400", resp2.Status)
+	if err := os.WriteFile(cells, []byte("{\"schema\": 2,\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := status("/v1/runs/day8/drift?baseline=day1"); got != http.StatusInternalServerError {
+		t.Errorf("drift over a run with corrupt cells answered %d, want 500", got)
 	}
 }
 

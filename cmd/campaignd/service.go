@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -297,7 +298,9 @@ func (s *service) handleManifest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDrift renders the longitudinal drift report between a stored
-// baseline run and this run.
+// baseline run and this run. A malformed run ID is the client's error
+// (400) and a run the store lacks is 404; a stored run that fails to
+// load (a corrupt manifest or cells file) is the server's (500).
 func (s *service) handleDrift(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	baseline := r.URL.Query().Get("baseline")
@@ -305,9 +308,19 @@ func (s *service) handleDrift(w http.ResponseWriter, r *http.Request) {
 		shard.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("campaignd: drift needs ?baseline=RUNID"))
 		return
 	}
+	for _, runID := range []string{id, baseline} {
+		if !store.ValidRunID(runID) {
+			shard.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("campaignd: %q is not a valid run id", runID))
+			return
+		}
+	}
 	runs, err := longitudinal.Load(s.st, baseline, id)
 	if err != nil {
-		shard.WriteHTTPError(w, http.StatusNotFound, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, fs.ErrNotExist) {
+			status = http.StatusNotFound
+		}
+		shard.WriteHTTPError(w, status, err)
 		return
 	}
 	report, err := longitudinal.Analyze(runs, longitudinal.Options{})

@@ -201,9 +201,13 @@ func listRuns(st *store.Store, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "%-20s %-14s %-14s %-14s %6s %6s %-8s %6s %-16s %s\n", "run", "matrix", "spec", "expspec", "seed", "cells", "enc", "schema", "scenario", "workload")
+	var read store.BandwidthScratch
 	for _, m := range manifests {
-		cells, cellsErr := st.Cells(m.RunID)
-		n := fmt.Sprintf("%d", len(cells))
+		// Count through the drift read: it checks every frame as Cells
+		// does but decodes only what drift compares.
+		cells := 0
+		cellsErr := st.BandwidthCells(m.RunID, m.Encoding, &read, func(store.BandwidthCell) { cells++ })
+		n := fmt.Sprintf("%d", cells)
 		if cellsErr != nil {
 			n = "ERR"
 		}

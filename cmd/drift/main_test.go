@@ -25,36 +25,39 @@ func seedStore(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	persistRun(t, st, "day1", 1, store.EncodingJSONL)
+	persistRun(t, st, "day8", 8, store.EncodingJSONL)
+	return dir
+}
+
+// persistRun runs the two-cell EC2 campaign at seed into run runID of
+// st, in cell encoding enc.
+func persistRun(t *testing.T, st *store.Store, runID string, seed uint64, enc string) {
+	t.Helper()
 	ec2, err := cloudmodel.EC2Profile("c5.xlarge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, day := range []struct {
-		id   string
-		seed uint64
-	}{{"day1", 1}, {"day8", 8}} {
-		spec := fleet.CampaignSpec{
-			Profiles:    []cloudmodel.Profile{ec2},
-			Regimes:     []trace.Regime{trace.FullSpeed},
-			Repetitions: 2,
-			Config:      cloudmodel.DefaultCampaignConfig(60),
-			Seed:        day.seed,
-		}
-		run, err := st.CreateWithMeta(day.id, spec, store.RunMeta{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Sink = run
-		res, err := fleet.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Err(); err != nil {
-			t.Fatal(err)
-		}
-		run.Close()
+	spec := fleet.CampaignSpec{
+		Profiles:    []cloudmodel.Profile{ec2},
+		Regimes:     []trace.Regime{trace.FullSpeed},
+		Repetitions: 2,
+		Config:      cloudmodel.DefaultCampaignConfig(60),
+		Seed:        seed,
 	}
-	return dir
+	run, err := st.CreateWithMeta(runID, spec, store.RunMeta{Encoding: enc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Sink = run
+	res, err := fleet.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	run.Close()
 }
 
 func TestRunReport(t *testing.T) {
@@ -81,6 +84,23 @@ func TestRunReport(t *testing.T) {
 
 func TestRunList(t *testing.T) {
 	dir := seedStore(t)
+	// A columnar run whose last frame's payload no longer matches its
+	// CRC: listed, with ERR for its cell count.
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persistRun(t, st, "day9", 9, store.EncodingColumnar)
+	cells := filepath.Join(dir, "runs", "day9", "cells.col")
+	b, err := os.ReadFile(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xff
+	if err := os.WriteFile(cells, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-store", dir, "-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
@@ -95,6 +115,20 @@ func TestRunList(t *testing.T) {
 	for _, want := range []string{"enc", "schema", "jsonl"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("list missing the %q column:\n%s", want, out.String())
+		}
+	}
+	// Readable runs show their cell count, the unreadable one ERR.
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		fields := strings.Fields(line)
+		if len(fields) < 6 {
+			t.Fatalf("short list line %q", line)
+		}
+		want := "2"
+		if fields[0] == "day9" {
+			want = "ERR"
+		}
+		if fields[5] != want {
+			t.Errorf("run %s lists %s cells, want %s:\n%s", fields[0], fields[5], want, out.String())
 		}
 	}
 }

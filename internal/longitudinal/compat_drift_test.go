@@ -8,6 +8,7 @@ package longitudinal_test
 // path earns the same determinism proof as the exact one.
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/trace"
+	"cloudvar/internal/workload"
 )
 
 // goldenStoreCopy copies the committed golden store into a scratch
@@ -110,6 +112,56 @@ func TestGoldenStoreDriftComparable(t *testing.T) {
 		if k.Err == nil && k.Kappa != 1 {
 			t.Fatalf("kappa = %v across encodings, want 1", k.Kappa)
 		}
+	}
+}
+
+// TestDriftReportSameAcrossEncodings: Load reads a columnar run's
+// frames for their header, bandwidth column and workload alone, and a
+// JSONL run whole. One traffic campaign stored both ways must render
+// byte-identical drift reports against one baseline: bandwidth groups,
+// per-class p99 tails and kappa alike.
+func TestDriftReportSameAcrossEncodings(t *testing.T) {
+	st := testutil.TempStore(t)
+	persist := func(runID string, seed uint64, enc string) {
+		spec := testSpec(t, seed, 2)
+		spec.Config = cloudmodel.DefaultCampaignConfig(600)
+		spec.Workload = &workload.Spec{AggregateRPS: 2, RequestKB: 8192, Clients: []workload.Client{
+			{ID: "web", RateFraction: 0.7, SLOClass: "interactive", Arrival: workload.Arrival{Process: workload.Poisson}},
+			{ID: "etl", RateFraction: 0.3, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
+		}}
+		run, err := st.CreateWithMeta(runID, spec, store.RunMeta{Encoding: enc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWith(t, run, spec)
+		if err := run.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	persist("base", 11, store.EncodingColumnar)
+	persist("alpha", 12, store.EncodingJSONL)
+	persist("bravo", 12, store.EncodingColumnar)
+	report := func(runID string) []byte {
+		runs, err := longitudinal.Load(st, "base", runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := longitudinal.Analyze(runs, longitudinal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteMarkdown(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.ReplaceAll(buf.Bytes(), []byte(runID), []byte("RUN"))
+	}
+	jsonl := report("alpha")
+	if !bytes.Contains(jsonl, []byte("## Per-SLO-class tail latency")) {
+		t.Fatalf("report has no per-class section:\n%s", jsonl)
+	}
+	if columnar := report("bravo"); !bytes.Equal(jsonl, columnar) {
+		t.Fatalf("drift report differs by encoding:\n%s\n---\n%s", jsonl, columnar)
 	}
 }
 

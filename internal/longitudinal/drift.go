@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"cloudvar/internal/core"
@@ -32,19 +33,58 @@ import (
 	"cloudvar/internal/workload"
 )
 
-// RunData is one stored run loaded for analysis.
+// RunData is one stored run loaded for analysis: its manifest and, in
+// append order, one Cell per persisted cell.
 type RunData struct {
 	Manifest store.Manifest
-	Cells    []store.CellRecord
+	Cells    []Cell
+}
+
+// Cell is what the analysis reads from one stored cell: its identity,
+// the mean of its bandwidth column (the repetition's sample in the
+// group medians), that column's CoV conclusion (compared by kappa) and
+// the p99 of each SLO class its workload served (the samples of the
+// class tail drift).
+type Cell struct {
+	Label      string
+	Cloud      string
+	Instance   string
+	Regime     string
+	Rep        int
+	Mean       float64
+	Conclusion string
+	// Tails holds one p99 per class that served a request, in order of
+	// the class's first client; nil for a cell without a workload.
+	Tails []workload.ClassTail
+}
+
+// NewCell reduces one stored cell to the facts the analysis reads.
+// tails is the scratch the class p99s are selected in; the Cell
+// aliases neither it nor c's bandwidth column.
+func NewCell(c store.BandwidthCell, tails *workload.TailScratch) Cell {
+	cell := Cell{
+		Label: c.Label, Cloud: c.Cloud, Instance: c.Instance, Regime: c.Regime, Rep: c.Rep,
+		Mean:       stats.Mean(c.Bandwidth),
+		Conclusion: conclusion(c.Bandwidth),
+	}
+	if c.Workload != nil {
+		cell.Tails = slices.Clone(c.Workload.ClassTails(tails))
+	}
+	return cell
 }
 
 // Load reads the named runs from the store, in the given order (the
-// first run is the drift baseline).
+// first run is the drift baseline). It reads each run's manifest and
+// cells once and reduces every cell to its Cell as it is read, so a
+// columnar run's time, retransmissions, RTT and CPU columns are never
+// decoded.
 func Load(st *store.Store, runIDs ...string) ([]RunData, error) {
 	if st == nil {
 		return nil, fmt.Errorf("longitudinal: nil store")
 	}
 	out := make([]RunData, 0, len(runIDs))
+	var read store.BandwidthScratch
+	var tails workload.TailScratch
 	for _, id := range runIDs {
 		m, err := st.Manifest(id)
 		if err != nil {
@@ -56,11 +96,14 @@ func Load(st *store.Store, runIDs ...string) ([]RunData, error) {
 		if m.Shard != nil {
 			return nil, fmt.Errorf("longitudinal: run %s is shard %d/%d of a distributed campaign — merge the shards before drift analysis", id, m.Shard.Index, m.Shard.Count)
 		}
-		cells, err := st.Cells(id)
+		run := RunData{Manifest: m}
+		err = st.BandwidthCells(id, m.Encoding, &read, func(c store.BandwidthCell) {
+			run.Cells = append(run.Cells, NewCell(c, &tails))
+		})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, RunData{Manifest: m, Cells: cells})
+		out = append(out, run)
 	}
 	return out, nil
 }
@@ -218,34 +261,10 @@ func Analyze(runs []RunData, opts Options) (*Report, error) {
 		rep.CellCounts = append(rep.CellCounts, len(r.Cells))
 	}
 	rep.Fingerprints = fingerprintChecks(runs, opts.FingerprintTolerance)
-	cells := summarizeCells(runs)
-	rep.Groups = groupDrift(runs, cells, opts)
+	rep.Groups = groupDrift(runs, opts)
 	rep.Classes = classDrift(runs, opts)
-	rep.Kappa = kappaChecks(runs, cells)
+	rep.Kappa = kappaChecks(runs)
 	return rep, nil
-}
-
-// cellSummary is what the analysis reads from one cell's bandwidth
-// column: its mean, the repetition's sample in groupDrift, and its
-// Conclusion, compared in kappaChecks.
-type cellSummary struct {
-	mean       float64
-	conclusion string
-}
-
-// summarizeCells reads every cell's bandwidth column once, into one
-// reused scratch, and summarises it; out[i][j] is runs[i].Cells[j]'s.
-func summarizeCells(runs []RunData) [][]cellSummary {
-	out := make([][]cellSummary, len(runs))
-	var bw []float64
-	for i, r := range runs {
-		out[i] = make([]cellSummary, len(r.Cells))
-		for j, cell := range r.Cells {
-			bw = cell.Series.AppendBandwidths(bw[:0])
-			out[i][j] = cellSummary{mean: stats.Mean(bw), conclusion: conclusion(bw)}
-		}
-	}
-	return out
 }
 
 func fingerprintChecks(runs []RunData, tol float64) []FingerprintCheck {
@@ -269,7 +288,7 @@ func fingerprintChecks(runs []RunData, tol float64) []FingerprintCheck {
 	return out
 }
 
-func groupDrift(runs []RunData, cells [][]cellSummary, opts Options) []GroupDrift {
+func groupDrift(runs []RunData, opts Options) []GroupDrift {
 	// Collect per-run samples per group: one sample per repetition,
 	// its series' mean bandwidth — the same rollup fleet.Run feeds
 	// core.BuildResult.
@@ -277,7 +296,7 @@ func groupDrift(runs []RunData, cells [][]cellSummary, opts Options) []GroupDrif
 	samples := make(map[groupKey][]map[int]float64) // group -> runIdx -> rep -> mean
 	var order []groupKey
 	for i, r := range runs {
-		for j, cell := range r.Cells {
+		for _, cell := range r.Cells {
 			k := groupKey{cell.Cloud, cell.Instance, cell.Regime}
 			if _, ok := samples[k]; !ok {
 				samples[k] = make([]map[int]float64, len(runs))
@@ -286,7 +305,7 @@ func groupDrift(runs []RunData, cells [][]cellSummary, opts Options) []GroupDrif
 			if samples[k][i] == nil {
 				samples[k][i] = make(map[int]float64)
 			}
-			samples[k][i][cell.Rep] = cells[i][j].mean
+			samples[k][i][cell.Rep] = cell.Mean
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -343,13 +362,9 @@ func classDrift(runs []RunData, opts Options) []GroupDrift {
 	type classKey struct{ cloud, instance, regime, class string }
 	samples := make(map[classKey][]map[int]float64)
 	var order []classKey
-	var tails workload.TailScratch
 	for i, r := range runs {
 		for _, cell := range r.Cells {
-			if cell.Workload == nil {
-				continue
-			}
-			for _, tail := range cell.Workload.ClassTails(&tails) {
+			for _, tail := range cell.Tails {
 				k := classKey{cell.Cloud, cell.Instance, cell.Regime, tail.Class}
 				if _, ok := samples[k]; !ok {
 					samples[k] = make([]map[int]float64, len(runs))
@@ -411,21 +426,21 @@ func classDrift(runs []RunData, opts Options) []GroupDrift {
 	return out
 }
 
-func kappaChecks(runs []RunData, cells [][]cellSummary) []KappaResult {
+func kappaChecks(runs []RunData) []KappaResult {
 	base := make(map[string]string, len(runs[0].Cells))
-	for j, cell := range runs[0].Cells {
-		base[cell.Label] = cells[0][j].conclusion
+	for _, cell := range runs[0].Cells {
+		base[cell.Label] = cell.Conclusion
 	}
 	var out []KappaResult
-	for i, r := range runs[1:] {
+	for _, r := range runs[1:] {
 		res := KappaResult{RunID: r.Manifest.RunID}
 		var a, b []string
-		for j, cell := range r.Cells {
+		for _, cell := range r.Cells {
 			conclBase, ok := base[cell.Label]
 			if !ok {
 				continue
 			}
-			concl := cells[i+1][j].conclusion
+			concl := cell.Conclusion
 			a = append(a, conclBase)
 			b = append(b, concl)
 			if concl != conclBase {

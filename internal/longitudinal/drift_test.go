@@ -11,7 +11,7 @@ import (
 	"cloudvar/internal/longitudinal"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
-	"cloudvar/internal/trace"
+	"cloudvar/internal/workload"
 )
 
 // testSpec is the shared single-profile matrix with the repetition
@@ -235,24 +235,22 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 }
 
 // syntheticRun fabricates a stored-run shape directly, bypassing the
-// store, so drift scenarios can be scripted precisely.
+// store, so drift scenarios can be scripted precisely. Its cells go
+// through NewCell, the reduction Load applies to stored cells.
 func syntheticRun(runID, matrixKey string, seed uint64, bandwidth func(rep int, regime string) []float64) longitudinal.RunData {
 	rd := longitudinal.RunData{Manifest: store.Manifest{
 		Schema: store.SchemaVersion, RunID: runID,
 		SpecKey: "spec-" + runID, MatrixKey: matrixKey,
 		Spec: store.SpecIdentity{Seed: seed},
 	}}
+	var tails workload.TailScratch
 	for _, regime := range []string{"full-speed", "10-30"} {
 		for rep := 0; rep < 6; rep++ {
-			s := trace.NewSeries(fmt.Sprintf("ec2/c5.xlarge/%s/rep%d", regime, rep), 10)
-			for i, bw := range bandwidth(rep, regime) {
-				s.Points = append(s.Points, trace.Point{TimeSec: float64(i) * 10, BandwidthGbps: bw})
-			}
-			rd.Cells = append(rd.Cells, store.CellRecord{
-				Schema: store.SchemaVersion,
-				Label:  s.Label, Cloud: "ec2", Instance: "c5.xlarge",
-				Regime: regime, Rep: rep, Series: s,
-			})
+			rd.Cells = append(rd.Cells, longitudinal.NewCell(store.BandwidthCell{
+				Label: fmt.Sprintf("ec2/c5.xlarge/%s/rep%d", regime, rep),
+				Cloud: "ec2", Instance: "c5.xlarge", Regime: regime, Rep: rep,
+				Bandwidth: bandwidth(rep, regime),
+			}, &tails))
 		}
 	}
 	return rd

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 
 	"cloudvar/internal/trace"
 	"cloudvar/internal/workload"
@@ -130,7 +131,7 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 		dst = appendString(dst, c.ID)
 		dst = appendString(dst, c.Class)
 		dst = appendLen(dst, c.LatencyMs == nil, len(c.LatencyMs))
-		dst = appendColumn(dst, column{field: latencyField, lat: c.LatencyMs})
+		dst = appendColumn(dst, column{field: floatsField, floats: c.LatencyMs})
 	}
 	return dst, nil
 }
@@ -213,7 +214,7 @@ func cellPayloadLen(rec CellRecord) int {
 	n += lenLen(clients == nil, len(clients))
 	for _, c := range clients {
 		n += stringLen(c.ID) + stringLen(c.Class) + lenLen(c.LatencyMs == nil, len(c.LatencyMs))
-		n += columnLen(column{field: latencyField, lat: c.LatencyMs})
+		n += columnLen(column{field: floatsField, floats: c.LatencyMs})
 	}
 	return n
 }
@@ -246,39 +247,40 @@ func lenLen(isNil bool, n int) int {
 // deltaChunk is how many values of a column the kernels take per step.
 const deltaChunk = 256
 
-// Column fields: the series columns in payload order, then a client's
-// latencies.
+// Column fields: the series columns in payload order, then a column
+// held as a []float64 of its own — a client's latencies, or a
+// bandwidth column read without the rest of its series.
 const (
 	timeField = iota
 	bandwidthField
 	retransmissionsField
 	rttField
 	cpuField
-	latencyField
+	floatsField
 )
 
 // pointFields names the series columns, indexed by field.
 var pointFields = [...]string{"time column", "bandwidth column", "retransmissions column", "rtt column", "cpu column"}
 
-// column is one delta-coded column of a record: field of pts, or lat
-// when field is latencyField.
+// column is one delta-coded column of a record: field of pts, or
+// floats when field is floatsField.
 type column struct {
-	field int
-	pts   []trace.Point
-	lat   []float64
+	field  int
+	pts    []trace.Point
+	floats []float64
 }
 
 func (c column) len() int {
-	if c.field == latencyField {
-		return len(c.lat)
+	if c.field == floatsField {
+		return len(c.floats)
 	}
 	return len(c.pts)
 }
 
 // gather loads the column's values i to i+len(words)-1 into words.
 func (c column) gather(words []uint64, i int) {
-	if c.field == latencyField {
-		for j, v := range c.lat[i : i+len(words)] {
+	if c.field == floatsField {
+		for j, v := range c.floats[i : i+len(words)] {
 			words[j] = math.Float64bits(v)
 		}
 		return
@@ -310,10 +312,10 @@ func (c column) gather(words []uint64, i int) {
 
 // scatter stores words as the column's values i to i+len(words)-1.
 func (c column) scatter(words []uint64, i int) {
-	if c.field == latencyField {
-		lat := c.lat[i : i+len(words)]
+	if c.field == floatsField {
+		floats := c.floats[i : i+len(words)]
 		for j, w := range words {
-			lat[j] = math.Float64frombits(w)
+			floats[j] = math.Float64frombits(w)
 		}
 		return
 	}
@@ -453,6 +455,47 @@ func decodeDeltas(b []byte, off int, words []uint64, prev uint64) (int, uint64, 
 	return off, prev, nil
 }
 
+// skipDeltas is the skip kernel: it steps over n varints at b[off:]
+// without decoding them and returns the offset past the last,
+// accepting and refusing exactly the bytes decodeDeltas does. It loads
+// b at a fixed 8-byte stride, so no load waits on the one before it,
+// and counts the varints that end in each word by a popcount of its
+// clear stop bits. A varint of up to 8 bytes is always well formed;
+// one that runs longer, found when the bytes since the last stop reach
+// 8, goes through binary.Uvarint, as does every varint that starts
+// fewer than 8 bytes before the end of b. On error the offset is the
+// refused varint's.
+func skipDeltas(b []byte, off, n int) (int, error) {
+	// The varint being stepped over starts trail bytes before p.
+	p, trail := off, 0
+	for n > 0 {
+		for p <= len(b)-8 {
+			stops := ^binary.LittleEndian.Uint64(b[p:]) & 0x8080808080808080
+			if trail+bits.TrailingZeros64(stops)>>3 >= 8 {
+				break // a varint longer than 8 bytes
+			}
+			ends := bits.OnesCount64(stops)
+			if ends >= n {
+				for ; n > 1; n-- {
+					stops &= stops - 1
+				}
+				return p + (bits.TrailingZeros64(stops)+1)>>3, nil // past the nth end
+			}
+			n -= ends
+			trail = (64 - bits.Len64(stops)) >> 3
+			p += 8
+		}
+		start := p - trail
+		_, m := binary.Uvarint(b[start:])
+		if m <= 0 {
+			return start, varintError("varint", start, m)
+		}
+		p, trail = start+m, 0
+		n--
+	}
+	return p, nil
+}
+
 // DecodeCellFrame decodes the complete frame at the start of b and
 // returns its record and the frame's length in bytes. It is the strict
 // reader for frames that arrive whole (ShardData, execute answers):
@@ -466,7 +509,7 @@ func DecodeCellFrame(b []byte) (CellRecord, int, error) {
 	if tornAt >= 0 {
 		return CellRecord{}, 0, fmt.Errorf("frame truncated: %d bytes hold no complete frame", len(b))
 	}
-	rec, err := decodeFrame(b, payloadStart, payloadLen)
+	rec, err := decodeFrame(b, payloadStart, payloadLen, decodeCellPayload)
 	if err != nil {
 		return CellRecord{}, 0, err
 	}
@@ -474,14 +517,14 @@ func DecodeCellFrame(b []byte) (CellRecord, int, error) {
 }
 
 // decodeFrame checks the CRC of the complete frame whose payload is
-// b[payloadStart:payloadStart+payloadLen], decodes the payload, and
-// refuses a schema outside this binary's range.
-func decodeFrame(b []byte, payloadStart, payloadLen int) (CellRecord, error) {
+// b[payloadStart:payloadStart+payloadLen], decodes the payload with
+// decode, and refuses a schema outside this binary's range.
+func decodeFrame(b []byte, payloadStart, payloadLen int, decode func(payload []byte) (CellRecord, error)) (CellRecord, error) {
 	payload := b[payloadStart : payloadStart+payloadLen]
 	if got, want := crc32.ChecksumIEEE(payload), frameCRC(b, payloadStart); got != want {
 		return CellRecord{}, fmt.Errorf("crc %08x != recorded %08x", got, want)
 	}
-	rec, err := decodeCellPayload(payload)
+	rec, err := decode(payload)
 	if err != nil {
 		return CellRecord{}, err
 	}
@@ -567,13 +610,14 @@ func (r *colReader) byte() (byte, error) {
 	return v, nil
 }
 
-// decodeCellPayload decodes one complete frame payload.
-func decodeCellPayload(payload []byte) (CellRecord, error) {
-	r := &colReader{b: payload}
+// header decodes a payload's header, everything before its series
+// columns, into a record whose Series holds the series label and
+// interval but no points, and returns the point count.
+func (r *colReader) header() (CellRecord, int, error) {
 	var rec CellRecord
 	var err error
-	fail := func(what string, err error) (CellRecord, error) {
-		return CellRecord{}, fmt.Errorf("%s: %w", what, err)
+	fail := func(what string, err error) (CellRecord, int, error) {
+		return CellRecord{}, 0, fmt.Errorf("%s: %w", what, err)
 	}
 	schema, err := r.uvarint()
 	if err != nil {
@@ -606,6 +650,7 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 		return fail("interval", err)
 	}
 	series.IntervalSec = math.Float64frombits(bits)
+	rec.Series = series
 	n, err := r.uvarint()
 	if err != nil {
 		return fail("npoints", err)
@@ -615,41 +660,88 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 	// anything claiming more is corrupt. Compare in uint64 space — a
 	// count >= 2^63 would wrap negative through int() and slip past an
 	// int comparison straight into make().
-	if n > uint64(len(payload)-r.off)/5 {
-		return CellRecord{}, fmt.Errorf("npoints %d exceeds remaining payload %d", n, len(payload)-r.off)
+	if n > uint64(len(r.b)-r.off)/5 {
+		return CellRecord{}, 0, fmt.Errorf("npoints %d exceeds remaining payload %d", n, len(r.b)-r.off)
+	}
+	return rec, int(n), nil
+}
+
+// workload decodes the workload that ends a payload and refuses any
+// bytes after it.
+func (r *colReader) workload() (*workload.CellMetrics, error) {
+	flag, err := r.byte()
+	if err != nil {
+		return nil, fmt.Errorf("workload flag: %w", err)
+	}
+	var wl *workload.CellMetrics
+	switch flag {
+	case 0:
+	case 1:
+		if wl, err = readWorkloadJSON(r); err != nil {
+			return nil, fmt.Errorf("workload blob: %w", err)
+		}
+	case 2:
+		if wl, err = readWorkload(r); err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+	default:
+		return nil, fmt.Errorf("workload flag %d is not 0, 1 or 2", flag)
+	}
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("%d trailing bytes after record", len(r.b)-r.off)
+	}
+	return wl, nil
+}
+
+// decodeCellPayload decodes one complete frame payload.
+func decodeCellPayload(payload []byte) (CellRecord, error) {
+	r := &colReader{b: payload}
+	rec, n, err := r.header()
+	if err != nil {
+		return CellRecord{}, err
 	}
 	// n == 0 keeps Points nil, matching what the JSONL codec restores
 	// for an empty series.
 	if n > 0 {
-		series.Points = make([]trace.Point, n)
+		rec.Series.Points = make([]trace.Point, n)
 	}
 	for f, name := range pointFields {
-		if err := r.column(column{field: f, pts: series.Points}); err != nil {
-			return fail(name, err)
+		if err := r.column(column{field: f, pts: rec.Series.Points}); err != nil {
+			return CellRecord{}, fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	rec.Series = series
-	flag, err := r.byte()
-	if err != nil {
-		return fail("workload flag", err)
-	}
-	switch flag {
-	case 0:
-	case 1:
-		if rec.Workload, err = readWorkloadJSON(r); err != nil {
-			return fail("workload blob", err)
-		}
-	case 2:
-		if rec.Workload, err = readWorkload(r); err != nil {
-			return fail("workload", err)
-		}
-	default:
-		return CellRecord{}, fmt.Errorf("workload flag %d is not 0, 1 or 2", flag)
-	}
-	if r.off != len(payload) {
-		return CellRecord{}, fmt.Errorf("%d trailing bytes after record", len(payload)-r.off)
+	if rec.Workload, err = r.workload(); err != nil {
+		return CellRecord{}, err
 	}
 	return rec, nil
+}
+
+// decodeBandwidthPayload decodes one complete frame payload as
+// decodeCellPayload does, accepting and refusing the same payloads
+// with the same errors, but decodes only the bandwidth column, into bw
+// (grown as needed), and steps over the other four with the skip
+// kernel. The record's Series holds no points.
+func decodeBandwidthPayload(payload []byte, bw []float64) (CellRecord, []float64, error) {
+	r := &colReader{b: payload}
+	rec, n, err := r.header()
+	if err != nil {
+		return CellRecord{}, bw, err
+	}
+	bw = slices.Grow(bw[:0], n)[:n]
+	for f, name := range pointFields {
+		if f == bandwidthField {
+			err = r.column(column{field: floatsField, floats: bw})
+		} else {
+			r.off, err = skipDeltas(r.b, r.off, n)
+		}
+		if err != nil {
+			return CellRecord{}, bw, fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	if rec.Workload, err = r.workload(); err != nil {
+		return CellRecord{}, bw, err
+	}
+	return rec, bw, nil
 }
 
 // readWorkload decodes a flag-2 workload: the client columns.
@@ -679,7 +771,7 @@ func readWorkload(r *colReader) (*workload.CellMetrics, error) {
 		if !isNil {
 			c.LatencyMs = make([]float64, m)
 		}
-		if err := r.column(column{field: latencyField, lat: c.LatencyMs}); err != nil {
+		if err := r.column(column{field: floatsField, floats: c.LatencyMs}); err != nil {
 			return nil, fmt.Errorf("client %d latency column: %w", i, err)
 		}
 	}
@@ -741,35 +833,58 @@ func frameCRC(b []byte, payloadStart int) uint32 {
 	return binary.LittleEndian.Uint32(b[payloadStart-4:])
 }
 
-// readCellsColumnar decodes every complete frame of a cells.col image,
-// ignoring a structurally torn tail (crashed writer — the interrupted
-// cell re-executes on resume) but failing loudly on a corrupt complete
-// frame (CRC mismatch or undecodable payload), mirroring the JSONL
-// reader's bad-line behaviour.
-func readCellsColumnar(b []byte) ([]CellRecord, error) {
-	var out []CellRecord
+// walkFrames decodes every complete frame of a cells.col image, in
+// order, with decodeFrame and decode, and calls keep with the first
+// record of each label (later appends of a label can only come from
+// concurrent writers). It ignores a structurally torn tail (crashed
+// writer — the interrupted cell re-executes on resume) but fails
+// loudly on a corrupt complete frame (CRC mismatch or undecodable
+// payload), mirroring the JSONL reader's bad-line behaviour.
+func walkFrames(b []byte, decode func(payload []byte) (CellRecord, error), keep func(CellRecord)) error {
 	seen := make(map[string]bool)
-	off := 0
-	for off < len(b) {
+	for off := 0; off < len(b); {
 		payloadStart, payloadLen, tornAt, err := nextFrame(b, off)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if tornAt >= 0 {
-			break // torn tail: everything before it is intact
+			return nil // torn tail: everything before it is intact
 		}
-		rec, err := decodeFrame(b, payloadStart, payloadLen)
+		rec, err := decodeFrame(b, payloadStart, payloadLen, decode)
 		if err != nil {
-			return nil, fmt.Errorf("frame at offset %d: %w", off, err)
+			return fmt.Errorf("frame at offset %d: %w", off, err)
 		}
 		off = payloadStart + payloadLen
-		if rec.Series == nil || seen[rec.Label] {
-			continue
+		if !seen[rec.Label] {
+			seen[rec.Label] = true
+			keep(rec)
 		}
-		seen[rec.Label] = true
-		out = append(out, rec)
+	}
+	return nil
+}
+
+// readCellsColumnar decodes the records of a cells.col image.
+func readCellsColumnar(b []byte) ([]CellRecord, error) {
+	var out []CellRecord
+	if err := walkFrames(b, decodeCellPayload, func(rec CellRecord) { out = append(out, rec) }); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// readBandwidthsColumnar walks a cells.col image as readCellsColumnar
+// does, decoding each frame with decodeBandwidthPayload into bw, and
+// calls visit with each kept record and its bandwidth column, which
+// the next frame reuses. It returns bw, grown as needed.
+func readBandwidthsColumnar(b []byte, bw []float64, visit func(CellRecord, []float64)) ([]float64, error) {
+	decode := func(payload []byte) (CellRecord, error) {
+		var rec CellRecord
+		var err error
+		rec, bw, err = decodeBandwidthPayload(payload, bw)
+		return rec, err
+	}
+	err := walkFrames(b, decode, func(rec CellRecord) { visit(rec, bw) })
+	return bw, err
 }
 
 // truncateTornFrames drops a structurally torn trailing frame from a

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -247,6 +248,51 @@ func hostileLengthFrames(tb testing.TB) map[string][]byte {
 	}
 }
 
+// skippedColumnFrames builds CRC-valid frames whose time,
+// retransmissions, RTT or CPU column — the columns a bandwidth read
+// steps over — holds a varint the skip kernel hands to encoding/binary:
+// a 9- and a 10-byte varint, which every reader accepts, and an
+// overflowing one, which every reader refuses with the same error. The
+// last frame's payload ends inside its time column.
+func skippedColumnFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	header := func(npoints uint64) []byte {
+		var p []byte
+		p = binary.AppendUvarint(p, 2) // schema
+		for _, s := range []string{"x/rep0", "ec2", "c5.xlarge", "full-speed"} {
+			p = appendString(p, s)
+		}
+		p = binary.AppendUvarint(p, 0) // rep
+		p = appendString(p, "x/rep0")
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(10))
+		return binary.AppendUvarint(p, npoints)
+	}
+	nine := append(bytes.Repeat([]byte{0xff}, 8), 0x7f)
+	ten := append(bytes.Repeat([]byte{0xff}, 9), 0x01)
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	// onePoint is a one-point frame with the given time,
+	// retransmissions, RTT and CPU columns and no workload.
+	onePoint := func(time, retrans, rtt, cpu []byte) []byte {
+		p := append(header(1), time...)
+		p = append(p, 0x02) // bandwidth
+		for _, col := range [][]byte{retrans, rtt, cpu} {
+			p = append(p, col...)
+		}
+		return appendFrame(nil, append(p, 0))
+	}
+	one := []byte{0x04}
+	// Four points of 9-byte time varints fill the 20 bytes the point
+	// count needs after two and a half of them.
+	cut := append(header(4), nine...)
+	cut = append(append(cut, nine...), 0xff, 0xff)
+	return map[string][]byte{
+		"skip-nine-byte":     onePoint(nine, one, one, one),
+		"skip-ten-byte":      onePoint(one, ten, one, one),
+		"skip-overflow":      onePoint(one, one, one, overflow),
+		"cut-in-time-column": appendFrame(nil, cut),
+	}
+}
+
 // TestColumnarShapes pins the reader's behaviour on the shapes crashed
 // writers and bit rot actually produce, mirroring TestFuzzSeedShapes.
 func TestColumnarShapes(t *testing.T) {
@@ -340,6 +386,25 @@ func TestColumnarShapes(t *testing.T) {
 		}
 	})
 
+	t.Run("long varints in skipped columns read alike", func(t *testing.T) {
+		refusals := map[string]string{
+			"skip-overflow":      "cpu column: overflowing varint",
+			"cut-in-time-column": "time column: truncated varint",
+		}
+		for name, frame := range skippedColumnFrames(t) {
+			st, _ := columnarFuzzStore(t, frame)
+			cells, err := st.Cells("r1")
+			checkBandwidthCells(t, st, &BandwidthScratch{}, "r1", EncodingColumnar, cells, err)
+			want, refused := refusals[name]
+			switch {
+			case refused && (err == nil || !strings.Contains(err.Error(), want)):
+				t.Errorf("%s: Cells error %v, want one containing %q", name, err, want)
+			case !refused && (err != nil || len(cells) != 1):
+				t.Errorf("%s: Cells read %d cells, %v; want the frame's one cell", name, len(cells), err)
+			}
+		}
+	})
+
 	t.Run("mid-file garbage is left for the reader to report", func(t *testing.T) {
 		// An overflowing varint header with bytes after it is
 		// corruption, not a torn append: recovery must not eat it.
@@ -371,6 +436,10 @@ func TestColumnarShapes(t *testing.T) {
 //  4. A frame appended after recovery is read back intact.
 //  5. Every complete record round-trips byte-identically: one
 //     re-encode is a fixed point of the codec.
+//  6. CellFrameLen sizes every accepted record's frame exactly.
+//  7. BandwidthCells fails exactly when Cells fails, with the same
+//     error, and otherwise yields Cells' records in order: their
+//     identities, bandwidth columns bit for bit, and workloads.
 //
 // validColumnarSeedFrame is the one complete frame the seed corpus and
 // the append-after-recovery check share.
@@ -405,6 +474,9 @@ func columnarSeeds(tb testing.TB) map[string][]byte {
 	for name, frame := range hostileLengthFrames(tb) {
 		seeds["seed-"+name] = frame
 	}
+	for name, frame := range skippedColumnFrames(tb) {
+		seeds["seed-"+name] = frame
+	}
 	return seeds
 }
 
@@ -425,6 +497,12 @@ func FuzzColumnarDecode(f *testing.F) {
 
 		// (1) Arbitrary bytes must not panic; errors are fine.
 		before, beforeErr := st.Cells("r1")
+
+		// (7) The column-selective read agrees with the full one, read
+		// afresh and again through the buffers of the first read.
+		var scratch BandwidthScratch
+		checkBandwidthCells(t, st, &scratch, "r1", EncodingColumnar, before, beforeErr)
+		checkBandwidthCells(t, st, &scratch, "r1", EncodingColumnar, before, beforeErr)
 
 		// (2) Recovery never grows the file and is idempotent.
 		if err := truncateTornFrames(path); err != nil {
@@ -523,6 +601,70 @@ func FuzzColumnarDecode(f *testing.F) {
 	})
 }
 
+// checkBandwidthCells requires BandwidthCells of run runID, stored in
+// encoding enc and read through scratch, to fail exactly when Cells
+// did (wantErr), with the same error text, and otherwise to yield the
+// records Cells returned (want), in order.
+func checkBandwidthCells(t *testing.T, st *Store, scratch *BandwidthScratch, runID, enc string, want []CellRecord, wantErr error) {
+	t.Helper()
+	var got []BandwidthCell
+	err := st.BandwidthCells(runID, enc, scratch, func(c BandwidthCell) {
+		c.Bandwidth = slices.Clone(c.Bandwidth) // the read reuses it
+		got = append(got, c)
+	})
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("BandwidthCells error %v, Cells error %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("BandwidthCells yielded %d cells, Cells %d", len(got), len(want))
+	}
+	for i, rec := range want {
+		c := got[i]
+		if c.Label != rec.Label || c.Cloud != rec.Cloud || c.Instance != rec.Instance || c.Regime != rec.Regime || c.Rep != rec.Rep {
+			t.Fatalf("cell %d: BandwidthCells read %q %s/%s/%s rep %d, Cells %q %s/%s/%s rep %d", i,
+				c.Label, c.Cloud, c.Instance, c.Regime, c.Rep, rec.Label, rec.Cloud, rec.Instance, rec.Regime, rec.Rep)
+		}
+		bw := rec.Series.AppendBandwidths(nil)
+		if len(c.Bandwidth) != len(bw) {
+			t.Fatalf("cell %q: %d bandwidths read, the series has %d", rec.Label, len(c.Bandwidth), len(bw))
+		}
+		for j, v := range bw {
+			if math.Float64bits(c.Bandwidth[j]) != math.Float64bits(v) {
+				t.Fatalf("cell %q bandwidth %d: read %#x, series %#x", rec.Label, j, math.Float64bits(c.Bandwidth[j]), math.Float64bits(v))
+			}
+		}
+		if !sameWorkload(c.Workload, rec.Workload) {
+			t.Fatalf("cell %q: BandwidthCells workload %+v, Cells %+v", rec.Label, c.Workload, rec.Workload)
+		}
+	}
+}
+
+// sameWorkload reports whether two workloads hold the same clients,
+// with nil and empty slices apart and latencies equal bit for bit.
+func sameWorkload(a, b *workload.CellMetrics) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if (a.Clients == nil) != (b.Clients == nil) || len(a.Clients) != len(b.Clients) {
+		return false
+	}
+	for i, x := range a.Clients {
+		y := b.Clients[i]
+		if x.ID != y.ID || x.Class != y.Class || (x.LatencyMs == nil) != (y.LatencyMs == nil) || len(x.LatencyMs) != len(y.LatencyMs) {
+			return false
+		}
+		for j, v := range x.LatencyMs {
+			if math.Float64bits(v) != math.Float64bits(y.LatencyMs[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed corpus under testdata/fuzz from the in-code seeds")
 
 // TestColumnarSeedCorpusCommitted keeps the committed seed corpus
@@ -552,6 +694,65 @@ func TestColumnarSeedCorpusCommitted(t *testing.T) {
 			t.Errorf("committed seed %s diverged from the in-code seed (run with -update)", name)
 		}
 	}
+}
+
+// TestBandwidthCellsMatchCells: the column-selective read keeps the
+// cells Cells keeps, in order, with the same identities, bandwidth
+// bits and workloads — over hostile floats, empty series, nil and
+// empty workload slices, a flag-1 workload, a duplicate label and a
+// torn tail in a columnar run, and over a JSONL run and a run never
+// measured, all read through one scratch.
+func TestBandwidthCellsMatchCells(t *testing.T) {
+	recs := columnarRecords(t)
+	for i, wl := range []*workload.CellMetrics{
+		{},
+		{Clients: []workload.ClientMetrics{}},
+		{Clients: []workload.ClientMetrics{{ID: "nil"}, {ID: "empty", Class: "c", LatencyMs: []float64{}}}},
+		{Clients: []workload.ClientMetrics{{ID: "nan", LatencyMs: []float64{math.NaN(), math.Inf(-1), -0.0, 1e-300}}}},
+	} {
+		rec := recs[0]
+		rec.Label = fmt.Sprintf("workload-%d/rep0", i)
+		rec.Schema = cellSchema(wl)
+		rec.Workload = wl
+		recs = append(recs, rec)
+	}
+	data := encodeAll(t, recs)
+	served := recs[3]
+	served.Label = "flag1/rep0"
+	data = append(data, flag1Frame(t, served)...)
+	data = append(data, encodeAll(t, recs[:1])...) // a duplicate label
+	data = append(data, data[:7]...)               // a torn tail
+	st, _ := columnarFuzzStore(t, data)
+	cells, err := st.Cells("r1")
+	if err != nil || len(cells) != len(recs)+1 {
+		t.Fatalf("Cells read %d cells, %v; want %d", len(cells), err, len(recs)+1)
+	}
+	var scratch BandwidthScratch
+	checkBandwidthCells(t, st, &scratch, "r1", EncodingColumnar, cells, err)
+
+	spec := goldenSpec(t)
+	run, err := st.CreateWithMeta("jsonl", spec, RunMeta{CreatedUnix: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err = st.Cells("jsonl")
+	checkBandwidthCells(t, st, &scratch, "jsonl", EncodingJSONL, cells, err)
+	spec.Sink = run
+	res, err := fleet.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cells, err = st.Cells("jsonl")
+	if err != nil || len(cells) != len(res.Cells) {
+		t.Fatalf("Cells read %d cells, %v; want %d", len(cells), err, len(res.Cells))
+	}
+	checkBandwidthCells(t, st, &scratch, "jsonl", EncodingJSONL, cells, err)
 }
 
 // TestColumnarStoreEndToEnd drives the full Sink path in columnar

@@ -1,10 +1,10 @@
 package store
 
 // Differential tests for the column kernels (appendDeltas,
-// decodeDeltas and the chunked column walk over them): encoding/binary
-// is the oracle, so every byte written and every input accepted or
-// refused must be exactly what a binary.AppendVarint / binary.Varint
-// loop writes, accepts or refuses.
+// decodeDeltas, skipDeltas and the chunked column walk over them):
+// encoding/binary is the oracle, so every byte written and every input
+// accepted or refused must be exactly what a binary.AppendVarint /
+// binary.Varint loop writes, accepts or refuses.
 
 import (
 	"bytes"
@@ -66,14 +66,16 @@ func latencyWords(words []uint64) []float64 {
 }
 
 // checkColumn decodes n latencies from b with the column reader and
-// compares the values, the end offset and the error with the oracle's.
-// It returns the decoded words when both accept b.
+// compares the values, the end offset and the error with the oracle's,
+// then checks the skip kernel against the oracle too. It returns the
+// decoded words when both accept b.
 func checkColumn(t *testing.T, b []byte, n int) []uint64 {
 	t.Helper()
 	want, wantOff, wantErr := oracleDecode(b, n)
+	checkSkip(t, b, n, wantOff, wantErr)
 	lat := make([]float64, n)
 	r := &colReader{b: b}
-	err := r.column(column{field: latencyField, lat: lat})
+	err := r.column(column{field: floatsField, floats: lat})
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("decoding %d values from % x: kernel error %v, encoding/binary %v", n, b, err, wantErr)
 	}
@@ -91,6 +93,33 @@ func checkColumn(t *testing.T, b []byte, n int) []uint64 {
 	return want
 }
 
+// checkSkip steps over n varints of b with the skip kernel, in one
+// call and in two calls split at a few counts (every count for short
+// columns), and requires the end offset and error of a binary.Varint
+// loop: wantOff and wantErr.
+func checkSkip(t *testing.T, b []byte, n, wantOff int, wantErr error) {
+	t.Helper()
+	splits := []int{0, 1, n / 2, n - 1, n}
+	if n <= 16 {
+		splits = splits[:0]
+		for k := 0; k <= n; k++ {
+			splits = append(splits, k)
+		}
+	}
+	for _, k := range splits {
+		off, err := skipDeltas(b, 0, k)
+		if err == nil {
+			off, err = skipDeltas(b, off, n-k)
+		}
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("skipping %d+%d values of % x: kernel error %v, encoding/binary %v", k, n-k, b, err, wantErr)
+		}
+		if off != wantOff {
+			t.Fatalf("skipping %d+%d values of % x: kernel stopped at offset %d, encoding/binary at %d", k, n-k, b, off, wantOff)
+		}
+	}
+}
+
 // checkEncode encodes words as a latency column into a buffer of
 // exactly the oracle's length, then into buffers with a prefix and
 // every small amount of spare capacity, and requires the oracle's
@@ -98,7 +127,7 @@ func checkColumn(t *testing.T, b []byte, n int) []uint64 {
 func checkEncode(t *testing.T, words []uint64) []byte {
 	t.Helper()
 	want := oracleEncode(nil, words)
-	c := column{field: latencyField, lat: latencyWords(words)}
+	c := column{field: floatsField, floats: latencyWords(words)}
 	if n := columnLen(c); n != len(want) {
 		t.Fatalf("columnLen = %d, encoding/binary writes %d bytes", n, len(want))
 	}
@@ -171,8 +200,9 @@ func TestDeltaKernelsBoundaries(t *testing.T) {
 
 // TestDeltaKernelNonMinimal: inputs encoding/binary accepts but never
 // writes (padded varints, 9- and 10-byte forms), and 10-byte varints it
-// refuses, decode exactly as it decodes them, wherever they sit
-// relative to the end of the payload.
+// refuses, decode and are skipped exactly as it decodes them, wherever
+// they sit relative to the end of the payload and to the skip kernel's
+// 8-byte stride.
 func TestDeltaKernelNonMinimal(t *testing.T) {
 	pad := func(n int, last byte) []byte {
 		return append(bytes.Repeat([]byte{0x80}, n), last)
@@ -193,7 +223,7 @@ func TestDeltaKernelNonMinimal(t *testing.T) {
 		"unterminated nine bytes": bytes.Repeat([]byte{0x80}, 9),
 	}
 	for _, v := range cases {
-		for lead := 0; lead <= 2; lead++ {
+		for lead := 0; lead <= 9; lead++ {
 			for trail := 0; trail <= 9; trail++ {
 				b := append(bytes.Repeat([]byte{0x02}, lead), v...)
 				b = append(b, bytes.Repeat([]byte{0x04}, trail)...)
@@ -324,16 +354,18 @@ func deltaSeeds(tb testing.TB) map[string]deltaSeed {
 	chunk := oracleEncode(nil, randomWords(simrand.New(3), deltaChunk+1))
 	boundaries := oracleEncode(nil, wordsOf(boundaryDeltas()))
 	return map[string]deltaSeed{
-		"seed-empty":             {nil, 0},
-		"seed-one-zero":          {[]byte{0x00}, 1},
-		"seed-truncated":         {[]byte{0x80}, 1},
-		"seed-padded-zero":       {[]byte{0x80, 0x80, 0x00, 0x02}, 2},
-		"seed-ten-byte":          {append(bytes.Repeat([]byte{0xff}, 9), 0x01), 1},
-		"seed-ten-byte-overflow": {append(bytes.Repeat([]byte{0x80}, 9), 0x02), 1},
-		"seed-boundaries":        {boundaries, uint16(len(boundaryDeltas()))},
-		"seed-chunk-plus-one":    {chunk, deltaChunk + 1},
-		"seed-short-tail":        {append(append([]byte(nil), chunk...), 0x01, 0x02, 0x03), deltaChunk + 1},
-		"seed-count-past-end":    {[]byte{0x02, 0x04, 0x06}, 4},
+		"seed-empty":              {nil, 0},
+		"seed-one-zero":           {[]byte{0x00}, 1},
+		"seed-truncated":          {[]byte{0x80}, 1},
+		"seed-padded-zero":        {[]byte{0x80, 0x80, 0x00, 0x02}, 2},
+		"seed-nine-byte":          {append(bytes.Repeat([]byte{0xff}, 8), 0x7f), 1},
+		"seed-nine-byte-straddle": {append(append(bytes.Repeat([]byte{0x02}, 5), bytes.Repeat([]byte{0x81}, 8)...), 0x01, 0x02, 0x04), 8},
+		"seed-ten-byte":           {append(bytes.Repeat([]byte{0xff}, 9), 0x01), 1},
+		"seed-ten-byte-overflow":  {append(bytes.Repeat([]byte{0x80}, 9), 0x02), 1},
+		"seed-boundaries":         {boundaries, uint16(len(boundaryDeltas()))},
+		"seed-chunk-plus-one":     {chunk, deltaChunk + 1},
+		"seed-short-tail":         {append(append([]byte(nil), chunk...), 0x01, 0x02, 0x03), deltaChunk + 1},
+		"seed-count-past-end":     {[]byte{0x02, 0x04, 0x06}, 4},
 	}
 }
 
@@ -341,7 +373,8 @@ func deltaSeeds(tb testing.TB) map[string]deltaSeed {
 // encoding/binary on arbitrary bytes:
 //
 //  1. Decoding count values agrees with a binary.Varint loop on the
-//     values, the end offset, and whether (and why) it fails.
+//     values, the end offset, and whether (and why) it fails; so does
+//     skipping them, on the end offset and the error.
 //  2. An accepted column re-encodes to the bytes a binary.AppendVarint
 //     loop writes, into any buffer and without growing one sized to
 //     it, and columnLen is their length.

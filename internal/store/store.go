@@ -32,9 +32,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -463,13 +465,9 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 	default:
 		return nil, err
 	}
-	path := filepath.Join(s.runDir(runID), cellsFileName(enc))
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil // a created-but-never-measured run
-	}
+	b, err := s.readCellsFile(runID, enc, nil)
 	if err != nil {
-		return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
+		return nil, err
 	}
 	if enc == EncodingColumnar {
 		recs, err := readCellsColumnar(b)
@@ -478,6 +476,107 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 		}
 		return recs, nil
 	}
+	return readCellsJSONL(runID, b)
+}
+
+// BandwidthCell is one stored cell as BandwidthCells reads it: the
+// record's identity, its series' bandwidth column and its workload.
+type BandwidthCell struct {
+	Label    string
+	Cloud    string
+	Instance string
+	Regime   string
+	Rep      int
+	// Bandwidth is the series' BandwidthGbps column, in a buffer of the
+	// read's BandwidthScratch that the next cell reuses.
+	Bandwidth []float64
+	Workload  *workload.CellMetrics
+}
+
+// BandwidthScratch holds the buffers behind BandwidthCells: the cells
+// file and one cell's bandwidth column. The zero value is ready; one
+// BandwidthScratch serves any number of runs read one after another,
+// which then reuse its buffers instead of allocating their own.
+type BandwidthScratch struct {
+	file []byte
+	bw   []float64
+}
+
+// BandwidthCells reads one run's cells as Cells does — the same cells
+// kept, in the same order, and the same errors — and calls visit with
+// each cell's identity, bandwidth column and workload. enc is the
+// run's cell encoding, as its manifest names it. A columnar run's
+// frames are read for those fields alone: the time, retransmissions,
+// RTT and CPU columns are checked and stepped over, never decoded. A
+// JSONL run is decoded whole.
+func (s *Store) BandwidthCells(runID, enc string, scratch *BandwidthScratch, visit func(BandwidthCell)) error {
+	if !runIDPattern.MatchString(runID) {
+		return fmt.Errorf("store: run id %q must match %s", runID, runIDPattern)
+	}
+	b, err := s.readCellsFile(runID, enc, scratch.file)
+	if err != nil {
+		return err
+	}
+	scratch.file = b
+	cell := func(rec CellRecord, bw []float64) BandwidthCell {
+		return BandwidthCell{Label: rec.Label, Cloud: rec.Cloud, Instance: rec.Instance, Regime: rec.Regime,
+			Rep: rec.Rep, Bandwidth: bw, Workload: rec.Workload}
+	}
+	if enc == EncodingColumnar {
+		scratch.bw, err = readBandwidthsColumnar(b, scratch.bw, func(rec CellRecord, bw []float64) { visit(cell(rec, bw)) })
+		if err != nil {
+			return fmt.Errorf("store: run %q cells: %w", runID, err)
+		}
+		return nil
+	}
+	recs, err := readCellsJSONL(runID, b)
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		scratch.bw = rec.Series.AppendBandwidths(scratch.bw[:0])
+		visit(cell(rec, scratch.bw))
+	}
+	return nil
+}
+
+// readCellsFile reads a run's cells file in encoding enc into dst's
+// array when the file fits, else into a new array with a sixteenth to
+// spare: the runs of one campaign matrix hold files of about one size,
+// so the next run read through the same buffer fits too. A run created
+// but never measured has no file and reads as empty.
+func (s *Store) readCellsFile(runID, enc string, dst []byte) ([]byte, error) {
+	f, err := os.Open(filepath.Join(s.runDir(runID), cellsFileName(enc)))
+	if os.IsNotExist(err) {
+		return dst[:0], nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
+	}
+	defer f.Close()
+	b := dst[:0]
+	if fi, err := f.Stat(); err == nil {
+		if size := int(fi.Size()) + bytes.MinRead; size > cap(b) {
+			b = make([]byte, 0, size+size/16)
+		}
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // the file grew since Stat
+		}
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
+		}
+	}
+}
+
+// readCellsJSONL decodes the records of a cells.jsonl image.
+func readCellsJSONL(runID string, b []byte) ([]CellRecord, error) {
 	var out []CellRecord
 	seen := make(map[string]bool)
 	lines := strings.Split(string(b), "\n")
