@@ -6,7 +6,6 @@ import (
 
 	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/confirm"
-	"cloudvar/internal/fleet/pool"
 	"cloudvar/internal/trace"
 )
 
@@ -16,7 +15,9 @@ import (
 // failure mode the paper warns about — short campaigns reach wrong
 // conclusions where variance is high, long ones waste budget where it
 // is low — so when CampaignSpec.Stopping is active, repetition counts
-// are decided by achieved CI precision instead.
+// are decided by achieved CI precision instead. A fixed campaign is
+// the same schedule with no stopping rule: one batch holding the
+// whole matrix.
 //
 // Determinism contract: the stopping decision is derived only from
 // cell substreams and arrival-order-independent group state. Cells run
@@ -29,171 +30,165 @@ import (
 // same property the fixed path proves, extended to the schedule
 // itself.
 //
-// The schedule lives in AdaptivePlanner, a feed-forward state machine
-// (NextBatch → execute anywhere → Observe, repeat): runAdaptive drives
-// it with the local worker pool, and a distributed coordinator
-// (internal/shard) drives the identical machine with cells executed on
+// Schedule owns the batch loop (next batch → execute anywhere →
+// barrier, repeat): Run drives it with the local worker pool, and the
+// distributed coordinator (internal/shard) with cells executed on
 // remote workers — the batch barrier becomes the coordinator's
-// synchronization point, and because the planner never sees *where* a
-// cell ran, the schedule (and therefore every result byte) matches the
-// single-process run.
+// synchronization point, and because the schedule never sees *where*
+// a cell ran, the schedule (and therefore every result byte) matches
+// the single-process run.
 
-// adaptiveGroup is the scheduler's per-(profile, regime) state.
-type adaptiveGroup struct {
+// scheduleGroup is the scheduler's per-(profile, regime) state.
+type scheduleGroup struct {
 	profile cloudmodel.Profile
 	regime  trace.Regime
-	// results holds the group's cells in repetition order.
-	results []CellResult
-	// tracker accumulates each successful repetition's summary mean.
+	// n counts the group's answered repetitions; target is the count
+	// the schedule has asked for so far.
+	n, target int
+	// tracker accumulates each successful repetition's summary mean;
+	// nil without a stopping policy.
 	tracker *confirm.Tracker
-	// stopped marks a group the policy will not grow again: its CI
-	// converged or it hit MaxReps.
-	stopped bool
 }
 
-// AdaptivePlanner is the sequential-stopping schedule as an explicit
-// state machine. Repeatedly take NextBatch, execute its cells by any
-// means that honors the per-cell substream contract (the local pool,
-// RunCells on remote shards), and feed every result of the batch back
-// through Observe; when NextBatch returns an empty batch, Result holds
-// the campaign outcome. The batch sequence is a pure function of (spec
-// minus Workers/Progress/Sink) and the observed summaries, so two
-// drivers that execute cells faithfully produce bit-identical
-// campaigns.
-type AdaptivePlanner struct {
-	spec             CampaignSpec
-	groups           []*adaptiveGroup
-	targets          []int
-	budget, spent    int
-	minReps, maxReps int
-	// batch/owner hold the outstanding batch between NextBatch and
-	// Observe; ready distinguishes "not yet gathered" from "gathered
-	// and empty" (campaign complete).
-	batch []Cell
-	owner []int
-	ready bool
-}
-
-// NewAdaptivePlanner validates the spec and builds the scheduler state
-// for its stopping policy. The spec must have Stopping active.
-func NewAdaptivePlanner(spec CampaignSpec) (*AdaptivePlanner, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Stopping.IsZero() {
-		return nil, fmt.Errorf("fleet: adaptive planner needs a stopping policy")
-	}
-	return newPlanner(spec), nil
-}
-
-// newPlanner builds the planner for an already-validated spec.
-func newPlanner(spec CampaignSpec) *AdaptivePlanner {
+// Schedule runs the campaign of a spec that passed Validate, batch by
+// batch. exec executes one batch's cells, by any means that honors the
+// per-cell substream contract (the local pool, RunCells on remote
+// shards), and answers one result per cell in batch order. A fixed campaign is a single
+// batch: the matrix in Cells() order. Under a stopping policy every
+// (profile, regime) group starts at the effective minimum, each batch
+// holds the repetitions between each group's count and its target in
+// enumeration order, and after each batch the group trackers are fed
+// in repetition order before the next targets are set. The batch
+// sequence is a pure function of (spec minus Workers/Progress/Sink)
+// and the observed summaries, so any two executors that run cells
+// faithfully produce bit-identical campaigns.
+//
+// An error from exec comes back unchanged and ends the schedule; an
+// answer of the wrong length or naming the wrong cell is refused.
+func Schedule(spec CampaignSpec, exec func(batch []Cell) ([]CellResult, error)) (CampaignResult, error) {
 	st := spec.Stopping
+	first := spec.EffectiveRepetitions()
+	if !st.IsZero() {
+		first = st.EffectiveMinReps()
+	}
 	regimes := spec.EffectiveRegimes()
-	groups := make([]*adaptiveGroup, 0, len(spec.Profiles)*len(regimes))
+	groups := make([]scheduleGroup, 0, len(spec.Profiles)*len(regimes))
 	for _, p := range spec.Profiles {
 		for _, r := range regimes {
-			// Parameters were validated with the spec; a tracker error
-			// here would be a programming error, so surface it loudly.
-			tr, err := confirm.NewTracker(st.EffectiveQuantile(), st.EffectiveConfidence(), st.ErrorBound)
-			if err != nil {
-				panic(fmt.Sprintf("fleet: stopping spec validated but tracker rejected it: %v", err))
+			g := scheduleGroup{profile: p, regime: r, target: first}
+			if !st.IsZero() {
+				tr, err := confirm.NewTracker(st.EffectiveQuantile(), st.EffectiveConfidence(), st.ErrorBound)
+				if err != nil {
+					return CampaignResult{}, err
+				}
+				g.tracker = tr
 			}
-			groups = append(groups, &adaptiveGroup{profile: p, regime: r, tracker: tr})
+			groups = append(groups, g)
 		}
 	}
-	p := &AdaptivePlanner{
-		spec:    spec,
-		groups:  groups,
-		targets: make([]int, len(groups)),
-		minReps: st.EffectiveMinReps(),
-		maxReps: st.MaxReps,
-		// The campaign-wide repetition budget. Every group starts at
-		// the minimum; what converged groups leave unspent is
-		// reallocated to the unconverged ones, up to MaxReps each.
-		budget: spec.EffectiveBudget() * len(groups),
-	}
-	for i := range p.targets {
-		p.targets[i] = p.minReps
-	}
-	return p
-}
+	// The campaign-wide repetition budget. Every group starts at its
+	// first target; what converged groups leave unspent is reallocated
+	// to the unconverged ones, up to MaxReps each.
+	budget := spec.EffectiveBudget() * len(groups)
 
-// Budget returns the campaign-wide repetition budget — an upper bound
-// on the total cells the schedule can ever issue, useful for sizing
-// worker arenas upfront.
-func (p *AdaptivePlanner) Budget() int { return p.budget }
-
-// Scheduled returns the number of cells issued so far: consumed
-// batches plus the outstanding one. It is the Progress total an
-// adaptive driver should report.
-func (p *AdaptivePlanner) Scheduled() int { return p.spent + len(p.batch) }
-
-// NextBatch returns the next deterministic batch of cells — per group,
-// the repetitions between the current count and its target, in
-// enumeration order — or an empty batch when the campaign is
-// complete. The same batch is returned until Observe consumes it.
-func (p *AdaptivePlanner) NextBatch() []Cell {
-	if !p.ready {
-		for gi, g := range p.groups {
-			for rep := len(g.results); rep < p.targets[gi]; rep++ {
-				p.batch = append(p.batch, Cell{Profile: g.profile, Regime: g.regime, Rep: rep})
-				p.owner = append(p.owner, gi)
+	var cells []CellResult // every answer so far, in enumeration order
+	for round := 1; ; round++ {
+		size := 0
+		for _, g := range groups {
+			size += g.target - g.n
+		}
+		if size == 0 {
+			break
+		}
+		batch := make([]Cell, 0, size)
+		for _, g := range groups {
+			for rep := g.n; rep < g.target; rep++ {
+				batch = append(batch, Cell{Profile: g.profile, Regime: g.regime, Rep: rep})
 			}
 		}
-		p.ready = true
+		results, err := exec(batch)
+		if err != nil {
+			return CampaignResult{}, err
+		}
+		if err := checkAnswer(round, batch, results); err != nil {
+			return CampaignResult{}, err
+		}
+		cells = interleave(groups, cells, results)
+		// The barrier: trackers are fed in repetition order only now,
+		// after the whole batch finished.
+		for gi := range groups {
+			g := &groups[gi]
+			for _, res := range results[:g.target-g.n] {
+				if g.tracker != nil && res.Err == nil {
+					g.tracker.Push(res.Summary.Mean)
+				}
+			}
+			results = results[g.target-g.n:]
+			g.n = g.target
+		}
+		retarget(groups, budget-len(cells), st.MaxReps)
 	}
-	return p.batch
+
+	result := CampaignResult{Cells: cells, Groups: groupResults(spec, cells)}
+	// groupResults builds groups in first-cell-encounter order, which
+	// is exactly the schedule's enumeration order, so precision
+	// attaches 1:1.
+	for gi := range result.Groups {
+		result.Groups[gi].Precision = groups[gi].precision()
+	}
+	return result, nil
 }
 
-// Observe consumes the outstanding batch's results — one per cell, in
-// batch order — then makes the round's stopping decisions and
-// reallocates unspent budget to the unconverged groups. Results feed
-// the group trackers in repetition order only here, after the whole
-// batch finished: the barrier that keeps the schedule independent of
-// completion order.
-func (p *AdaptivePlanner) Observe(results []CellResult) error {
-	if !p.ready {
-		return fmt.Errorf("fleet: Observe without an outstanding batch")
+// checkAnswer refuses an answer that is not one result per batch cell
+// in batch order. Cells compare field by field, so an accepted answer
+// formats no labels.
+func checkAnswer(round int, batch []Cell, results []CellResult) error {
+	if len(results) != len(batch) {
+		return fmt.Errorf("fleet: batch %d answered %d results for %d cells", round, len(results), len(batch))
 	}
-	if len(results) != len(p.batch) {
-		return fmt.Errorf("fleet: observed %d results for a batch of %d", len(results), len(p.batch))
-	}
-	for i, res := range results {
-		if want := p.batch[i].Label(); res.Cell.Label() != want {
-			return fmt.Errorf("fleet: result %d is cell %s, batch expects %s", i, res.Cell.Label(), want)
+	for i, want := range batch {
+		got := results[i].Cell
+		if got.Profile.Cloud != want.Profile.Cloud || got.Profile.Instance != want.Profile.Instance ||
+			got.Regime.Name != want.Regime.Name || got.Rep != want.Rep {
+			return fmt.Errorf("fleet: batch %d result %d is cell %s, want %s", round, i, got.Label(), want.Label())
 		}
 	}
-	for i, res := range results {
-		g := p.groups[p.owner[i]]
-		g.results = append(g.results, res)
-		if res.Err == nil {
-			g.tracker.Push(res.Summary.Mean)
-		}
-		p.spent++
-	}
-	p.batch, p.owner, p.ready = nil, nil, false
+	return nil
+}
 
-	// Stopping decisions, then budget reallocation over whatever is
-	// still unconverged.
+// interleave merges a checked answer into the enumeration-ordered
+// cells: each group's new repetitions follow its earlier ones.
+func interleave(groups []scheduleGroup, cells, results []CellResult) []CellResult {
+	if len(cells) == 0 {
+		// Every group's first batch starts at rep 0, so the answer is
+		// already in enumeration order.
+		return results
+	}
+	merged := make([]CellResult, 0, len(cells)+len(results))
+	for _, g := range groups {
+		k := g.target - g.n
+		merged = append(append(merged, cells[:g.n]...), results[:k]...)
+		cells, results = cells[g.n:], results[k:]
+	}
+	return merged
+}
+
+// retarget makes the round's stopping decisions and reallocates the
+// remaining budget to the groups still open: those with a stopping
+// policy whose CI has not converged and that are below maxReps.
+func retarget(groups []scheduleGroup, remaining, maxReps int) {
 	var open []int
-	for gi, g := range p.groups {
-		if g.stopped {
+	for gi, g := range groups {
+		if g.tracker == nil || g.n >= maxReps {
 			continue
 		}
 		if pt, ok := g.tracker.Latest(); ok && pt.WithinBound {
-			g.stopped = true
-			continue
-		}
-		if len(g.results) >= p.maxReps {
-			g.stopped = true
 			continue
 		}
 		open = append(open, gi)
 	}
-	remaining := p.budget - p.spent
 	if len(open) == 0 || remaining <= 0 {
-		return nil
+		return
 	}
 	base, extra := remaining/len(open), remaining%len(open)
 	for idx, gi := range open {
@@ -204,77 +199,28 @@ func (p *AdaptivePlanner) Observe(results []CellResult) error {
 		if share == 0 {
 			continue
 		}
-		g := p.groups[gi]
-		n := len(g.results)
+		g := &groups[gi]
 		// CONFIRM's c/sqrt(n) extrapolation guides the next target;
 		// when it has no usable prediction, grow geometrically (×1.5)
 		// so a stubborn group converges in O(log MaxReps) rounds.
 		want := g.tracker.Analysis().RequiredRepetitions()
-		if want <= n {
-			want = n + (n+1)/2
+		if want <= g.n {
+			want = g.n + (g.n+1)/2
 		}
-		add := want - n
-		if add > share {
-			add = share
+		add := min(want-g.n, share, maxReps-g.n)
+		if add > 0 {
+			g.target = g.n + add
 		}
-		if n+add > p.maxReps {
-			add = p.maxReps - n
-		}
-		if add <= 0 {
-			continue
-		}
-		p.targets[gi] = n + add
 	}
-	return nil
 }
 
-// Result assembles the campaign outcome: cells in enumeration order
-// (profiles outermost, then regimes, then each group's repetitions
-// 0..n-1), group aggregates, and each group's achieved CI precision.
-func (p *AdaptivePlanner) Result() CampaignResult {
-	var cells []CellResult
-	for _, g := range p.groups {
-		cells = append(cells, g.results...)
+// precision snapshots the group's achieved CI state; nil without a
+// stopping policy.
+func (g *scheduleGroup) precision() *GroupPrecision {
+	if g.tracker == nil {
+		return nil
 	}
-	result := CampaignResult{Cells: cells, Groups: groupResults(p.spec, cells)}
-	// groupResults builds groups in first-cell-encounter order, which
-	// is exactly the scheduler's enumeration order, so precision
-	// attaches 1:1.
-	for gi := range result.Groups {
-		result.Groups[gi].Precision = p.groups[gi].precision()
-	}
-	return result
-}
-
-// runAdaptive executes the campaign under the sequential-stopping
-// policy with the local worker pool. spec has been validated; stored
-// holds the sink's persisted cells (nil without a sink).
-func runAdaptive(spec CampaignSpec, stored map[string]StoredCell) CampaignResult {
-	p := newPlanner(spec)
-	// One scratch arena per worker, reused across batches; contents
-	// never outlive a cell (the determinism-vs-reuse contract).
-	scratches := make([]workerScratch, pool.NumWorkers(spec.Workers, p.Budget()))
-	var restoreScratch workerScratch
-	ps := &progressState{}
-	for {
-		batch := p.NextBatch()
-		if len(batch) == 0 {
-			break
-		}
-		ps.total = p.Scheduled()
-		results := executeCells(spec, batch, stored, scratches, &restoreScratch, ps)
-		if err := p.Observe(results); err != nil {
-			// The driver above hands Observe exactly what NextBatch
-			// issued; a mismatch is a programming error.
-			panic(fmt.Sprintf("fleet: adaptive batch bookkeeping: %v", err))
-		}
-	}
-	return p.Result()
-}
-
-// precision snapshots the group's achieved CI state.
-func (g *adaptiveGroup) precision() *GroupPrecision {
-	p := &GroupPrecision{N: len(g.results), HalfWidth: -1, RelErr: -1}
+	p := &GroupPrecision{N: g.n, HalfWidth: -1, RelErr: -1}
 	an := g.tracker.Analysis()
 	p.Diverging = an.Diverging()
 	if pt, ok := g.tracker.Latest(); ok && !math.IsNaN(pt.Lo) {

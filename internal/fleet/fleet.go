@@ -569,13 +569,15 @@ func WorkloadSource(seed uint64, c Cell, name string) *simrand.Source {
 	return simrand.New(seed).Substream("workload/" + c.Label() + "/" + name)
 }
 
-// Run executes the campaign matrix across the worker pool. The
-// returned CampaignResult is bit-identical for equal (spec minus
-// Workers/Progress/Sink): cell ordering, series contents and group
-// statistics do not depend on scheduling, and cells restored from a
-// Sink are indistinguishable from freshly executed ones. Cell errors
-// are isolated — Run only returns a non-nil error for an invalid spec
-// or a Sink whose Completed call fails.
+// Run executes the campaign across the worker pool: it drives
+// Schedule with the local pool, so a fixed campaign runs as one batch
+// and an adaptive one batch by batch. The returned CampaignResult is
+// bit-identical for equal (spec minus Workers/Progress/Sink): cell
+// ordering, series contents and group statistics do not depend on
+// scheduling, and cells restored from a Sink are indistinguishable
+// from freshly executed ones. Cell errors are isolated — Run only
+// returns a non-nil error for an invalid spec or a Sink whose
+// Completed call fails.
 func Run(spec CampaignSpec) (CampaignResult, error) {
 	if err := spec.Validate(); err != nil {
 		return CampaignResult{}, err
@@ -591,14 +593,16 @@ func Run(spec CampaignSpec) (CampaignResult, error) {
 			return CampaignResult{}, fmt.Errorf("fleet: loading persisted cells: %w", err)
 		}
 	}
-	if !spec.Stopping.IsZero() {
-		return runAdaptive(spec, stored), nil
-	}
-	cells := spec.Cells()
+	// One scratch arena per worker, reused across batches; contents
+	// never outlive a cell (the determinism-vs-reuse contract).
+	budget := spec.EffectiveBudget() * len(spec.Profiles) * len(spec.EffectiveRegimes())
+	scratches := make([]workerScratch, pool.NumWorkers(spec.Workers, budget))
 	var restoreScratch workerScratch
-	ps := &progressState{total: len(cells)}
-	results := executeCells(spec, cells, stored, nil, &restoreScratch, ps)
-	return CampaignResult{Cells: results, Groups: groupResults(spec, results)}, nil
+	ps := &progressState{}
+	return Schedule(spec, func(batch []Cell) ([]CellResult, error) {
+		ps.total += len(batch)
+		return executeCells(spec, batch, stored, scratches, &restoreScratch, ps), nil
+	})
 }
 
 // RunCells executes exactly the given cells of the campaign — the
@@ -637,15 +641,6 @@ func RunCells(spec CampaignSpec, cells []Cell) ([]CellResult, error) {
 	return executeCells(spec, cells, stored, nil, &restoreScratch, ps), nil
 }
 
-// Assemble rolls per-cell results into a CampaignResult — the final
-// aggregation step a distributed coordinator performs after gathering
-// shard results back into enumeration order. Assemble(spec,
-// result.Cells) reproduces result.Groups (minus adaptive precision,
-// which AdaptivePlanner.Result attaches).
-func Assemble(spec CampaignSpec, results []CellResult) CampaignResult {
-	return CampaignResult{Cells: results, Groups: groupResults(spec, results)}
-}
-
 // SummarizeStored computes the bandwidth summary a live run would have
 // produced for a stored or wire-transported series under the given
 // summarization mode. The points feed the summarizer in append order —
@@ -659,19 +654,18 @@ func SummarizeStored(mode SummarizeMode, series *trace.Series) stats.Summary {
 }
 
 // progressState is the shared done/total bookkeeping behind the
-// Progress hook; total is the fixed matrix size, or the number of
-// cells scheduled so far in an adaptive run.
+// Progress hook; total is the number of cells scheduled so far.
 type progressState struct {
 	mu          sync.Mutex
 	done, total int
 }
 
-// executeCells is the shared execution core of Run, RunCells and the
-// adaptive scheduler: restore what the sink already holds, fan the
-// remainder across the worker pool, and return results in cell order.
-// scratches supplies the per-worker arenas (nil means size-to-fit);
-// restored cells advance ps.done without firing the Progress hook,
-// matching the established resume semantics.
+// executeCells is the shared execution core of Run and RunCells:
+// restore what the sink already holds, fan the remainder across the
+// worker pool, and return results in cell order. scratches supplies
+// the per-worker arenas (nil means size-to-fit); restored cells
+// advance ps.done without firing the Progress hook, matching the
+// established resume semantics.
 func executeCells(spec CampaignSpec, cells []Cell, stored map[string]StoredCell, scratches []workerScratch, restoreScratch *workerScratch, ps *progressState) []CellResult {
 	results := make([]CellResult, len(cells))
 	var pending []int

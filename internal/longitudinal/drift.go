@@ -21,11 +21,13 @@
 package longitudinal
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"cloudvar/internal/core"
 	"cloudvar/internal/stats"
@@ -261,8 +263,23 @@ func Analyze(runs []RunData, opts Options) (*Report, error) {
 		rep.CellCounts = append(rep.CellCounts, len(r.Cells))
 	}
 	rep.Fingerprints = fingerprintChecks(runs, opts.FingerprintTolerance)
-	rep.Groups = groupDrift(runs, opts)
-	rep.Classes = classDrift(runs, opts)
+	// One sample per cell and key. A group's is the repetition's mean
+	// bandwidth — the same rollup fleet.Run feeds core.BuildResult. A
+	// cell that served workload traffic adds each SLO class's p99
+	// request latency, mirroring fleet.Run's per-class rollup.
+	groups, classes := driftSamples{}, driftSamples{}
+	for i, r := range runs {
+		for _, cell := range r.Cells {
+			k := driftKey{cell.Cloud, cell.Instance, cell.Regime, ""}
+			groups.add(k, len(runs), i, cell.Rep, cell.Mean)
+			for _, tail := range cell.Tails {
+				k.class = tail.Class
+				classes.add(k, len(runs), i, cell.Rep, tail.P99)
+			}
+		}
+	}
+	rep.Groups = groups.drift(runs, opts)
+	rep.Classes = classes.drift(runs, opts)
 	rep.Kappa = kappaChecks(runs)
 	return rep, nil
 }
@@ -288,115 +305,48 @@ func fingerprintChecks(runs []RunData, tol float64) []FingerprintCheck {
 	return out
 }
 
-func groupDrift(runs []RunData, opts Options) []GroupDrift {
-	// Collect per-run samples per group: one sample per repetition,
-	// its series' mean bandwidth — the same rollup fleet.Run feeds
-	// core.BuildResult.
-	type groupKey struct{ cloud, instance, regime string }
-	samples := make(map[groupKey][]map[int]float64) // group -> runIdx -> rep -> mean
-	var order []groupKey
-	for i, r := range runs {
-		for _, cell := range r.Cells {
-			k := groupKey{cell.Cloud, cell.Instance, cell.Regime}
-			if _, ok := samples[k]; !ok {
-				samples[k] = make([]map[int]float64, len(runs))
-				order = append(order, k)
-			}
-			if samples[k][i] == nil {
-				samples[k][i] = make(map[int]float64)
-			}
-			samples[k][i][cell.Rep] = cell.Mean
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := order[a], order[b]
-		if x.cloud != y.cloud {
-			return x.cloud < y.cloud
-		}
-		if x.instance != y.instance {
-			return x.instance < y.instance
-		}
-		return x.regime < y.regime
-	})
+// driftKey names what one GroupDrift compares: a (cloud, instance,
+// regime) group's bandwidth when class is "", or one SLO class's tail
+// latency within the group.
+type driftKey struct{ cloud, instance, regime, class string }
 
-	var out []GroupDrift
-	for _, k := range order {
-		name := fmt.Sprintf("%s/%s/%s", k.cloud, k.instance, k.regime)
-		g := GroupDrift{Group: name}
-		for i, r := range runs {
-			perRep := samples[k][i]
-			reps := make([]int, 0, len(perRep))
-			for rep := range perRep {
-				reps = append(reps, rep)
-			}
-			sort.Ints(reps)
-			vals := make([]float64, 0, len(reps))
-			for _, rep := range reps {
-				vals = append(vals, perRep[rep])
-			}
-			g.PerRun = append(g.PerRun,
-				core.BuildResult(fmt.Sprintf("%s@%s", name, r.Manifest.RunID), vals, opts.Confidence, opts.ErrorBound))
-		}
-		g.Distinguishable = make([]bool, len(runs))
-		g.CompareErr = make([]error, len(runs))
-		g.MedianShift = make([]float64, len(runs))
-		base := g.PerRun[0]
-		for i := 1; i < len(runs); i++ {
-			g.Distinguishable[i], g.CompareErr[i] = core.CompareMedians(base, g.PerRun[i])
-			if base.Summary.Median != 0 {
-				g.MedianShift[i] = g.PerRun[i].Summary.Median/base.Summary.Median - 1
-			} else {
-				g.MedianShift[i] = math.NaN()
-			}
-		}
-		out = append(out, g)
+// driftSamples holds one sample per cell for each key: per run, the
+// sample of every repetition.
+type driftSamples map[driftKey][]map[int]float64
+
+func (s driftSamples) add(k driftKey, runs, run, rep int, sample float64) {
+	perRun := s[k]
+	if perRun == nil {
+		perRun = make([]map[int]float64, runs)
+		s[k] = perRun
 	}
-	return out
+	if perRun[run] == nil {
+		perRun[run] = make(map[int]float64)
+	}
+	perRun[run][rep] = sample
 }
 
-// classDrift compares per-SLO-class tail latency across runs, for
-// runs whose cells carried workload traffic. Each cell contributes
-// one sample per class — the p99 of that repetition's request
-// latencies — mirroring the per-class rollup fleet.Run reports.
-func classDrift(runs []RunData, opts Options) []GroupDrift {
-	type classKey struct{ cloud, instance, regime, class string }
-	samples := make(map[classKey][]map[int]float64)
-	var order []classKey
-	for i, r := range runs {
-		for _, cell := range r.Cells {
-			for _, tail := range cell.Tails {
-				k := classKey{cell.Cloud, cell.Instance, cell.Regime, tail.Class}
-				if _, ok := samples[k]; !ok {
-					samples[k] = make([]map[int]float64, len(runs))
-					order = append(order, k)
-				}
-				if samples[k][i] == nil {
-					samples[k][i] = make(map[int]float64)
-				}
-				samples[k][i][cell.Rep] = tail.P99
-			}
-		}
+// drift compares every key's samples across runs against the
+// baseline run, in (cloud, instance, regime, class) order.
+func (s driftSamples) drift(runs []RunData, opts Options) []GroupDrift {
+	keys := make([]driftKey, 0, len(s))
+	for k := range s {
+		keys = append(keys, k)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := order[a], order[b]
-		if x.cloud != y.cloud {
-			return x.cloud < y.cloud
-		}
-		if x.instance != y.instance {
-			return x.instance < y.instance
-		}
-		if x.regime != y.regime {
-			return x.regime < y.regime
-		}
-		return x.class < y.class
+	slices.SortFunc(keys, func(x, y driftKey) int {
+		return cmp.Or(strings.Compare(x.cloud, y.cloud), strings.Compare(x.instance, y.instance),
+			strings.Compare(x.regime, y.regime), strings.Compare(x.class, y.class))
 	})
 
 	var out []GroupDrift
-	for _, k := range order {
-		name := fmt.Sprintf("%s/%s/%s/%s", k.cloud, k.instance, k.regime, k.class)
+	for _, k := range keys {
+		name := k.cloud + "/" + k.instance + "/" + k.regime
+		if k.class != "" {
+			name += "/" + k.class
+		}
 		g := GroupDrift{Group: name}
 		for i, r := range runs {
-			perRep := samples[k][i]
+			perRep := s[k][i]
 			reps := make([]int, 0, len(perRep))
 			for rep := range perRep {
 				reps = append(reps, rep)

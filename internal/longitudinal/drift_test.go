@@ -434,3 +434,44 @@ func TestWriteMarkdownSections(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeOrdersByTuple pins the order of groups and classes: by
+// (cloud, instance, regime, class), not by the joined label. The two
+// differ here — "c5" sorts before "c5.xlarge", but as labels
+// "ec2/c5.xlarge/…" sorts before "ec2/c5/…" because '.' < '/'.
+func TestAnalyzeOrdersByTuple(t *testing.T) {
+	run := func(id string) longitudinal.RunData {
+		rd := longitudinal.RunData{Manifest: store.Manifest{
+			Schema: store.SchemaVersion, RunID: id, SpecKey: "spec-" + id, MatrixKey: "m1",
+		}}
+		for _, instance := range []string{"c5.xlarge", "c5"} {
+			for rep := 0; rep < 6; rep++ {
+				rd.Cells = append(rd.Cells, longitudinal.Cell{
+					Label: fmt.Sprintf("ec2/%s/full-speed/rep%d", instance, rep),
+					Cloud: "ec2", Instance: instance, Regime: "full-speed", Rep: rep,
+					Mean: 9 + float64(rep)/10, Conclusion: "stable (CoV < 5%)",
+					Tails: []workload.ClassTail{{Class: "interactive", P99: 3, Requests: 1}, {Class: "batch", P99: 5, Requests: 1}},
+				})
+			}
+		}
+		return rd
+	}
+	rep, err := longitudinal.Analyze([]longitudinal.RunData{run("day1"), run("day2")}, longitudinal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(gs []longitudinal.GroupDrift) string {
+		var out []string
+		for _, g := range gs {
+			out = append(out, g.Group)
+		}
+		return strings.Join(out, " ")
+	}
+	if got, want := names(rep.Groups), "ec2/c5/full-speed ec2/c5.xlarge/full-speed"; got != want {
+		t.Errorf("groups in order %q, want %q", got, want)
+	}
+	want := "ec2/c5/full-speed/batch ec2/c5/full-speed/interactive ec2/c5.xlarge/full-speed/batch ec2/c5.xlarge/full-speed/interactive"
+	if got := names(rep.Classes); got != want {
+		t.Errorf("classes in order %q, want %q", got, want)
+	}
+}

@@ -50,9 +50,9 @@ type Campaign struct {
 // resume state only; Run never reads them back. The result is
 // bit-identical to a single-process fleet.Run of the same spec:
 // assignment is a pure function of (SpecKey, worker count), workers
-// execute explicit cell lists on label-keyed substreams, and adaptive
-// batch barriers synchronize here, so the stopping schedule matches
-// exactly.
+// execute explicit cell lists on label-keyed substreams, and
+// fleet.Schedule runs here with runBatch as its executor, so every
+// batch barrier synchronizes here and the schedule matches exactly.
 func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 	if len(c.Workers) == 0 {
 		return fleet.CampaignResult{}, nil, fmt.Errorf("shard: campaign has no workers")
@@ -91,36 +91,15 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 
 	health := newFleetHealth(c.Workers, c.Fallback, c.Retry)
 
-	var result fleet.CampaignResult
-	if spec.Stopping.IsZero() {
-		results, err := runBatch(health, m.SpecKey, spec.Cells())
-		if err != nil {
-			return fleet.CampaignResult{}, nil, err
-		}
-		result = fleet.Assemble(spec, results)
-	} else {
-		// The adaptive schedule runs here, never on workers: each
-		// planner batch fans out by owner, and Observe at this barrier
-		// feeds trackers in repetition order — the same schedule a
-		// single process computes.
-		planner, err := fleet.NewAdaptivePlanner(spec)
-		if err != nil {
-			return fleet.CampaignResult{}, nil, err
-		}
-		for {
-			batch := planner.NextBatch()
-			if len(batch) == 0 {
-				break
-			}
-			results, err := runBatch(health, m.SpecKey, batch)
-			if err != nil {
-				return fleet.CampaignResult{}, nil, err
-			}
-			if err := planner.Observe(results); err != nil {
-				return fleet.CampaignResult{}, nil, err
-			}
-		}
-		result = planner.Result()
+	// The schedule runs here, never on workers: each batch fans out by
+	// owner, and the batch barrier synchronizes at this coordinator,
+	// so the trackers see results in repetition order — the same
+	// schedule a single process computes.
+	result, err := fleet.Schedule(spec, func(batch []fleet.Cell) ([]fleet.CellResult, error) {
+		return runBatch(health, m.SpecKey, batch)
+	})
+	if err != nil {
+		return fleet.CampaignResult{}, nil, err
 	}
 
 	// Every successful cell came back in an Execute answer, and

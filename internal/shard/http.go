@@ -194,9 +194,11 @@ func readWireString(b []byte, off int) (string, int, error) {
 }
 
 // WorkerServer is the worker-process side of the HTTP transport: it
-// compiles incoming campaigns, executes assigned cells into
-// shard-stamped stores under Dir — its resume state — and answers each
-// cell's frame to the coordinator.
+// compiles incoming campaigns, binds each run to the spec key and
+// shard stamp of its first request, and executes assigned cells
+// through an InProcWorker over Dir — whose shard-stamped store is the
+// worker's resume state — answering each cell's frame to the
+// coordinator.
 type WorkerServer struct {
 	dir string
 
@@ -204,12 +206,12 @@ type WorkerServer struct {
 	runs map[string]*workerCampaign
 }
 
+// workerCampaign is one run on a WorkerServer: the binding its first
+// request fixed and the in-process worker executing it.
 type workerCampaign struct {
-	spec  fleet.CampaignSpec
-	key   string
-	stamp store.ShardStamp
-	st    *store.Store
-	run   *store.Run
+	key    string
+	stamp  store.ShardStamp
+	worker InProcWorker
 }
 
 // NewWorkerServer returns a worker serving shard executions that
@@ -243,7 +245,7 @@ func (s *WorkerServer) Close() error {
 	s.mu.Unlock()
 	var first error
 	for _, wc := range runs {
-		if err := wc.run.Close(); err != nil && first == nil {
+		if err := wc.worker.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -280,11 +282,20 @@ func errorMessage(b []byte) string {
 }
 
 // campaignFor returns (creating on first use) the worker's state for
-// one run: the compiled spec and the shard-stamped store run. The
-// returned status distinguishes protocol refusals (400 — binding
-// conflicts, spec mismatches; fatal at the coordinator) from store
-// I/O trouble (500 — transient, the coordinator retries elsewhere).
+// one run. The returned status distinguishes protocol refusals (400 —
+// malformed run IDs or stamps, binding conflicts, spec mismatches, a
+// run on disk the worker may not resume; fatal at the coordinator)
+// from store I/O trouble (500 — transient, the coordinator retries
+// elsewhere).
 func (s *WorkerServer) campaignFor(req executeRequest) (*workerCampaign, int, error) {
+	// No store accepts these, so no retry could ever succeed.
+	if !store.ValidRunID(req.RunID) {
+		return nil, http.StatusBadRequest, fmt.Errorf("shard: run id %q is not a valid store run id", req.RunID)
+	}
+	stamp := store.ShardStamp{Index: req.Index, Count: req.Count}
+	if err := stamp.Validate(); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wc, ok := s.runs[req.RunID]; ok {
@@ -297,7 +308,7 @@ func (s *WorkerServer) campaignFor(req executeRequest) (*workerCampaign, int, er
 		}
 		// Two coordinator lanes pointed at one worker process would
 		// otherwise persist both shards into one store.
-		if wc.stamp != (store.ShardStamp{Index: req.Index, Count: req.Count}) {
+		if wc.stamp != stamp {
 			return nil, http.StatusBadRequest, fmt.Errorf("shard: run %q is bound to shard %d/%d on this worker but the request assigns shard %d/%d — two coordinator lanes point at one worker process", req.RunID, wc.stamp.Index, wc.stamp.Count, req.Index, req.Count)
 		}
 		return wc, http.StatusOK, nil
@@ -321,33 +332,18 @@ func (s *WorkerServer) campaignFor(req executeRequest) (*workerCampaign, int, er
 	if req.SpecKey != "" && key != req.SpecKey {
 		return nil, http.StatusBadRequest, fmt.Errorf("shard: coordinator sent spec key %.12s but the document compiles to %.12s — mismatched binaries must not share a campaign", req.SpecKey, key)
 	}
-	st, err := store.Open(s.dir)
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	meta := req.Meta
-	meta.Shard = &store.ShardStamp{Index: req.Index, Count: req.Count}
-	var run *store.Run
-	if _, merr := st.Manifest(req.RunID); merr == nil {
-		// The run survived a worker restart: resume the persisted
-		// shard (SpecKey re-verified by Resume) instead of refusing
-		// the campaign. Already-persisted cells restore through the
-		// sink, so a readmitted worker re-executes none of them.
-		run, err = st.Resume(req.RunID, spec)
-		if err != nil {
+	// A run that survived a worker restart resumes: its persisted
+	// cells restore through the sink, so a readmitted worker
+	// re-executes none of them.
+	wc := &workerCampaign{key: key, stamp: stamp, worker: InProcWorker{Dir: s.dir}}
+	rc := RunContext{Spec: spec, SpecKey: key, RunID: req.RunID, Meta: req.Meta}
+	if err := wc.worker.Begin(rc, req.Index, req.Count); err != nil {
+		var be *bindingError
+		if errors.As(err, &be) {
 			return nil, http.StatusBadRequest, err
 		}
-		if got := run.Manifest().Shard; got == nil || *got != *meta.Shard {
-			run.Close()
-			return nil, http.StatusBadRequest, fmt.Errorf("shard: run %q on disk carries stamp %v but the request assigns shard %d/%d — refusing to mix shard assignments", req.RunID, got, req.Index, req.Count)
-		}
-	} else {
-		run, err = st.CreateWithMeta(req.RunID, spec, meta)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
+		return nil, http.StatusInternalServerError, err
 	}
-	wc := &workerCampaign{spec: spec, key: key, stamp: *meta.Shard, st: st, run: run}
 	s.runs[req.RunID] = wc
 	return wc, http.StatusOK, nil
 }
@@ -369,14 +365,12 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 		WriteHTTPError(w, status, err)
 		return
 	}
-	spec := wc.spec
-	spec.Sink = wc.run
-	cells, err := resolveCells(spec, req.Cells)
+	cells, err := resolveCells(wc.worker.spec, req.Cells)
 	if err != nil {
 		WriteHTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, err := fleet.RunCells(spec, cells)
+	results, err := wc.worker.Execute(cells)
 	if err != nil {
 		WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
@@ -400,29 +394,23 @@ func writeFrames(w http.ResponseWriter, b []byte) {
 func (s *WorkerServer) handleShard(w http.ResponseWriter, r *http.Request) {
 	runID := r.URL.Query().Get("run")
 	s.mu.Lock()
-	wc, ok := s.runs[runID]
+	_, bound := s.runs[runID]
 	s.mu.Unlock()
-	var st *store.Store
-	if ok {
-		st = wc.st
-	} else {
-		// Not in memory does not mean not persisted: a worker process
-		// that restarted, or a run already closed, still holds its
-		// shard on disk. Fall back to the store before claiming
-		// ignorance.
-		if !store.ValidRunID(runID) {
-			WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
-			return
-		}
-		var err error
-		if st, err = store.Open(s.dir); err != nil {
-			WriteHTTPError(w, http.StatusInternalServerError, err)
-			return
-		}
+	// The shard is read from disk whether or not the run is bound in
+	// memory: a worker process that restarted, or a run already
+	// closed, still holds its shard there.
+	if !store.ValidRunID(runID) {
+		WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
+		return
+	}
+	st, err := store.Open(s.dir)
+	if err != nil {
+		WriteHTTPError(w, http.StatusInternalServerError, err)
+		return
 	}
 	d, err := store.LoadShard(st, runID)
 	if err != nil {
-		if !ok {
+		if !bound {
 			// Nothing in memory and nothing loadable on disk: this
 			// worker genuinely never persisted the run.
 			WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: worker holds no run %q", runID))
@@ -446,7 +434,7 @@ func (s *WorkerServer) handleClose(w http.ResponseWriter, r *http.Request) {
 	delete(s.runs, runID)
 	s.mu.Unlock()
 	if ok {
-		wc.run.Close()
+		wc.worker.Close()
 	}
 	fmt.Fprintln(w, "ok")
 }

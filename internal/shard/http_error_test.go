@@ -187,29 +187,48 @@ func TestHTTPWorkerHealth(t *testing.T) {
 	}
 }
 
+// TestWorkerServerErrorEnvelope: an execute request that can never
+// succeed is the client's fault — 400, which the coordinator treats as
+// fatal instead of retrying — and answers the JSON envelope.
 func TestWorkerServerErrorEnvelope(t *testing.T) {
 	srv := httptest.NewServer(shard.NewWorkerServer(t.TempDir()).Handler())
 	defer srv.Close()
-
-	// A malformed execute request must answer the JSON envelope with
-	// the right content type.
-	resp, err := http.Post(srv.URL+"/v1/execute", "application/json", strings.NewReader("not json"))
-	if err != nil {
-		t.Fatal(err)
+	doc := compileLoopbackDoc(t, loopbackDoc).Bytes
+	request := func(runID string, index, count int) string {
+		return fmt.Sprintf(`{"run_id":%q,"spec_doc":%s,"index":%d,"count":%d,"meta":{"created_unix":1},"cells":[]}`, runID, doc, index, count)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed request answered %s, want 400", resp.Status)
+	cases := []struct {
+		name, body, want string
+	}{
+		{"not json", "not json", "decoding execute request"},
+		{"empty run id", request("", 0, 1), "run id"},
+		{"dot-dot run id", request("../x", 0, 1), "run id"},
+		{"slash run id", request("a/b", 0, 1), "run id"},
+		{"zero count", request("r1", 0, 0), "shard stamp 0/0"},
+		{"index at count", request("r1", 2, 2), "shard stamp 2/2"},
+		{"negative index", request("r1", -1, 2), "shard stamp -1/2"},
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("error answered Content-Type %q, want application/json", ct)
-	}
-	var body shard.ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("error body is not the envelope: %v", err)
-	}
-	if body.Error == "" || body.Status != http.StatusBadRequest {
-		t.Errorf("envelope incomplete: %+v", body)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v1/execute", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("answered %s, want 400", resp.Status)
+			}
+			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+				t.Errorf("error answered Content-Type %q, want application/json", ct)
+			}
+			var body shard.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatalf("error body is not the envelope: %v", err)
+			}
+			if body.Status != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) {
+				t.Errorf("envelope %+v, want status 400 and an error naming %q", body, tc.want)
+			}
+		})
 	}
 }
 

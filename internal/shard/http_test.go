@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudvar/internal/expspec"
@@ -339,5 +340,162 @@ func TestHTTPWorkerNeedsSpecDoc(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "spec document") {
 		t.Fatalf("want a missing-spec-document error, got: %v", err)
+	}
+}
+
+// TestBindingRefusalsThroughBothFrontDoors: a worker directory whose
+// run r1 is stamped 0/2 for the seed-13 campaign refuses another shard
+// stamp and another spec, whether it is reached in process through
+// InProcWorker.Begin or over HTTP by a restarted WorkerServer. Both
+// refusals are fatal at the coordinator, never absorbed by the
+// fallback.
+func TestBindingRefusalsThroughBothFrontDoors(t *testing.T) {
+	plan := compileLoopbackDoc(t, loopbackDoc)
+	other := compileLoopbackDoc(t, strings.Replace(loopbackDoc, "seed: 13", "seed: 14", 1))
+	key, err := store.SpecKey(plan.Campaign.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherKey, err := store.SpecKey(other.Campaign.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runContext := func(p expspec.Plan, key string) shard.RunContext {
+		return shard.RunContext{Spec: p.Campaign.Spec, SpecKey: key, SpecDoc: p.Bytes, RunID: "r1", Meta: sharedMeta(t, p.Campaign.Spec, "")}
+	}
+	dir := t.TempDir()
+	first := &shard.InProcWorker{Dir: dir}
+	if err := first.Begin(runContext(plan, key), 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name         string
+		plan         expspec.Plan
+		key          string
+		index, count int
+		want         []string
+	}{
+		{"foreign stamp", plan, key, 1, 2, []string{"stamp 0/2", "shard 1/2"}},
+		{"foreign spec", other, otherKey, 0, 2, []string{key[:12]}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/in-process", func(t *testing.T) {
+			w := &shard.InProcWorker{Dir: dir}
+			err := w.Begin(runContext(tc.plan, tc.key), tc.index, tc.count)
+			if err == nil {
+				w.Close()
+				t.Fatal("Begin bound a run on disk it must refuse")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal %q does not name %q", err, want)
+				}
+			}
+		})
+		t.Run(tc.name+"/http", func(t *testing.T) {
+			srv := httptest.NewServer(shard.NewWorkerServer(dir).Handler())
+			defer srv.Close()
+			body := fmt.Sprintf(`{"run_id":"r1","spec_key":%q,"spec_doc":%s,"index":%d,"count":%d,"meta":{"created_unix":1},"cells":[]}`,
+				tc.key, tc.plan.Bytes, tc.index, tc.count)
+			resp, err := http.Post(srv.URL+"/v1/execute", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("restarted worker answered %s, want 400: %s", resp.Status, b)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(string(b), want) {
+					t.Errorf("refusal %s does not name %q", b, want)
+				}
+			}
+		})
+	}
+
+	// Through the coordinator: one HTTP worker (stamp 0/1 against the
+	// 0/2 on disk, or the seed-14 spec) and a fallback that must stay
+	// idle.
+	for _, p := range []expspec.Plan{plan, other} {
+		srv := httptest.NewServer(shard.NewWorkerServer(dir).Handler())
+		fallback := &recordingWorker{}
+		_, _, err := shard.Run(shard.Campaign{
+			Spec:     p.Campaign.Spec,
+			SpecDoc:  p.Bytes,
+			RunID:    "r1",
+			Meta:     sharedMeta(t, p.Campaign.Spec, ""),
+			Workers:  []shard.Worker{&shard.HTTPWorker{URL: srv.URL}},
+			Fallback: fallback,
+		})
+		srv.Close()
+		if err == nil || shard.Classify(err) != shard.ClassFatal {
+			t.Errorf("seed %d: campaign over a refusing worker: err %v, want a fatal refusal", p.Campaign.Spec.Seed, err)
+		}
+		if len(fallback.calls) != 0 {
+			t.Errorf("seed %d: the fallback absorbed %d batches of a refused shard", p.Campaign.Spec.Seed, len(fallback.calls))
+		}
+	}
+}
+
+// TestWorkerServerConcurrentExecutes: execute requests for one run
+// arrive concurrently — the coordinator fans a batch's shards out at
+// once, and a timed-out attempt may still be running when its retry
+// lands. They share the run's one in-process worker, and every cell
+// they persist is in the shard on disk after the run is closed.
+func TestWorkerServerConcurrentExecutes(t *testing.T) {
+	plan := compileLoopbackDoc(t, loopbackDoc)
+	spec := plan.Campaign.Spec
+	key, err := store.SpecKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(shard.NewWorkerServer(t.TempDir()).Handler())
+	defer srv.Close()
+	cells := spec.Cells()
+	var wg sync.WaitGroup
+	for _, c := range cells {
+		wg.Add(1)
+		go func(label string) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"run_id":"r1","spec_key":%q,"spec_doc":%s,"index":0,"count":1,"meta":{"created_unix":1},"cells":[%q]}`,
+				key, plan.Bytes, label)
+			resp, err := http.Post(srv.URL+"/v1/execute", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b, _ := io.ReadAll(resp.Body)
+				t.Errorf("execute %s answered %s: %s", label, resp.Status, b)
+			}
+		}(c.Label())
+	}
+	wg.Wait()
+	resp, err := http.Post(srv.URL+"/v1/close?run=r1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	resp, err = http.Get(srv.URL + "/v1/shard?run=r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.DecodeShardData(b)
+	if err != nil {
+		t.Fatalf("closed run's shard: %v (%s)", err, resp.Status)
+	}
+	if len(d.Cells) != len(cells) {
+		t.Errorf("shard on disk holds %d cells, the concurrent requests executed %d", len(d.Cells), len(cells))
 	}
 }

@@ -19,11 +19,11 @@
 //     arrival order. Reassignment after a worker failure re-executes
 //     the same labels, and labels key the random substreams, so the
 //     retry reproduces the dead worker's bytes exactly.
-//  2. Workers never make scheduling decisions. An adaptive campaign's
-//     batch structure is computed by fleet.AdaptivePlanner at the
-//     coordinator; workers only execute explicit cell lists
-//     (fleet.RunCells), and the batch barrier synchronizes at the
-//     coordinator so stopping decisions stay repetition-ordered.
+//  2. Workers never make scheduling decisions. A campaign's batch
+//     structure is computed by fleet.Schedule at the coordinator — a
+//     fixed campaign is one batch; workers only execute explicit cell
+//     lists (fleet.RunCells), and the batch barrier synchronizes at
+//     the coordinator so stopping decisions stay repetition-ordered.
 //  3. One path from results to merge. The coordinator keeps one
 //     result per label, whichever worker, retry or local fallback
 //     answered it, and merges those alone: worker stores are never

@@ -55,16 +55,28 @@ type Worker interface {
 
 // InProcWorker runs its shard in-process through fleet.RunCells,
 // persisting into a shard-stamped store under Dir ("" runs storeless:
-// nothing to resume, as for the local fallback).
+// nothing to resume, as for the local fallback). It is also what a
+// WorkerServer executes each HTTP run through, so a worker process
+// binds, resumes and persists exactly like an in-process one.
 type InProcWorker struct {
 	// Dir is the worker's store directory.
 	Dir string
 
+	// spec carries the run as its Sink once Begin opened one.
 	spec  fleet.CampaignSpec
 	st    *store.Store
 	run   *store.Run
 	runID string
 }
+
+// bindingError marks Begin's refusals to bind the run on disk: a run
+// Resume refuses for this spec (its spec-key check among them), or one
+// stamped for another shard. They are protocol refusals, never store
+// trouble, so a WorkerServer answers them 400.
+type bindingError struct{ err error }
+
+func (e *bindingError) Error() string { return e.err.Error() }
+func (e *bindingError) Unwrap() error { return e.err }
 
 // Begin implements Worker: create the worker's shard-stamped run —
 // or, when the run already exists under Dir (a worker restarted over
@@ -85,31 +97,28 @@ func (w *InProcWorker) Begin(rc RunContext, index, count int) error {
 	meta.Shard = &store.ShardStamp{Index: index, Count: count}
 	var run *store.Run
 	if _, merr := st.Manifest(rc.RunID); merr == nil {
-		run, err = st.Resume(rc.RunID, rc.Spec)
-		if err != nil {
-			return err
+		if run, err = st.Resume(rc.RunID, rc.Spec); err != nil {
+			return &bindingError{err}
 		}
 		if got := run.Manifest().Shard; got == nil || *got != *meta.Shard {
 			run.Close()
-			return fmt.Errorf("shard: run %q on disk carries stamp %v but this worker is assigned shard %d/%d — refusing to mix shard assignments", rc.RunID, got, index, count)
+			onDisk := "no shard stamp"
+			if got != nil {
+				onDisk = fmt.Sprintf("stamp %d/%d", got.Index, got.Count)
+			}
+			return &bindingError{fmt.Errorf("shard: run %q on disk carries %s but this worker is assigned shard %d/%d — refusing to mix shard assignments", rc.RunID, onDisk, index, count)}
 		}
-	} else {
-		run, err = st.CreateWithMeta(rc.RunID, rc.Spec, meta)
-		if err != nil {
-			return err
-		}
+	} else if run, err = st.CreateWithMeta(rc.RunID, rc.Spec, meta); err != nil {
+		return err
 	}
 	w.st, w.run = st, run
+	w.spec.Sink = run
 	return nil
 }
 
 // Execute implements Worker.
 func (w *InProcWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
-	s := w.spec
-	if w.run != nil {
-		s.Sink = w.run
-	}
-	return fleet.RunCells(s, cells)
+	return fleet.RunCells(w.spec, cells)
 }
 
 // Shard implements Worker.
