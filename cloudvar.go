@@ -28,9 +28,11 @@
 //     reached through cmd/drift
 //   - distributed campaign sharding with a byte-identical merge
 //     (internal/shard, cmd/campaignd): RunShardedCampaign, MergeShards
-//   - deterministic fault injection and the coordinator's resilience
-//     layer (internal/faults, internal/shard): BuildFaultPlan,
-//     InjectShardFaults, ClassifyShardError
+//   - deterministic fault injection (internal/faults): BuildFaultPlan,
+//     InjectShardFaults
+//   - the coordinator's resilience layer (internal/shard), which
+//     retries, backs off and trips its circuit breakers under one
+//     fixed policy: ClassifyShardError
 //   - composable adverse-condition scenarios (internal/scenario):
 //     AdverseScenario, BuildScenario
 //   - figure/table regeneration (internal/figures): GenerateArtifact
@@ -146,7 +148,8 @@ var (
 // into every stored run's manifest.
 type (
 	// ExperimentPlan is a compiled document: the executable campaign
-	// plus store/drift/output/artifact plans.
+	// next to copies of the document's store, sharding, faults, drift
+	// and artifacts sections.
 	ExperimentPlan = expspec.Plan
 	// ExperimentStopping is the document's campaign.stopping section:
 	// CONFIRM-driven sequential stopping instead of fixed repetitions.
@@ -257,9 +260,6 @@ type (
 	// FaultInjector holds per-worker fault state compiled from a plan;
 	// wire it in with InjectShardFaults or its HTTP Transport.
 	FaultInjector = faults.Injector
-	// ShardRetryPolicy tunes the coordinator's resilience layer:
-	// attempts, capped backoff, breaker threshold, jitter seed.
-	ShardRetryPolicy = shard.RetryPolicy
 	// ShardStatusError is a non-2xx answer from a worker, carrying the
 	// HTTP status that classifies it.
 	ShardStatusError = shard.StatusError

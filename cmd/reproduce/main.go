@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // execute regenerates the planned artifacts.
-func execute(plan expspec.ArtifactsPlan, stdout, stderr io.Writer) int {
+func execute(plan expspec.Artifacts, stdout, stderr io.Writer) int {
 	fatal := func(err error) int {
 		fmt.Fprintln(stderr, "reproduce:", err)
 		return 1

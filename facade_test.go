@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	cloudvar "cloudvar"
 )
@@ -31,7 +30,7 @@ var facadeNames = []string{
 	"PoissonArrival", "Quantile", "Rand", "RunExperiment", "RunFleet",
 	"RunShardedCampaign", "ScenarioCondition", "ScenarioRamp",
 	"ScenarioWindow", "Shaper", "ShardCampaign", "ShardErrFatal",
-	"ShardErrTransient", "ShardOwner", "ShardRetryPolicy", "ShardStatusError",
+	"ShardErrTransient", "ShardOwner", "ShardStatusError",
 	"ShardWorker", "SparkRunOptions", "StandardRegimes", "StoredCellRecord",
 	"StoredRunMeta", "Summarize", "TPCDS", "Table4Cluster",
 	"TokenBucketParams", "Trial", "WorkloadByName",
@@ -256,8 +255,9 @@ func TestFacadeDistributedCampaign(t *testing.T) {
 
 // TestFacadeFaultInjection drives the chaos surface: build a fault
 // plan from the registry, compile an injector over a two-worker
-// fleet, run the campaign under injection with the resilience layer
-// on, and check the merged run still carries every cell.
+// fleet, run the campaign under injection with the coordinator's
+// shipped retry policy, and check the merged run still carries every
+// cell.
 func TestFacadeFaultInjection(t *testing.T) {
 	if names := cloudvar.FaultPlanNames(); len(names) < 6 {
 		t.Fatalf("fault-plan registry lists %v", names)
@@ -302,7 +302,6 @@ func TestFacadeFaultInjection(t *testing.T) {
 		RunID:   "chaos",
 		Meta:    cloudvar.StoredRunMeta{CreatedUnix: 1754600000},
 		Workers: workers,
-		Retry:   cloudvar.ShardRetryPolicy{BaseDelay: time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package expspec
 
 // Compile lowers a document to the runtime objects the rest of the
-// stack executes: the validated fleet.CampaignSpec, resolved
-// workloads, and the store/drift/output/artifact plans. Compile is
-// pure and deterministic — equal documents produce equal plans, and
+// stack executes: the validated fleet.CampaignSpec and resolved
+// workloads, next to copies of the document's other sections. Compile
+// is pure and deterministic — equal documents produce equal plans, and
 // the plan carries the canonical bytes + hash so whoever persists the
 // run can record the exact spec that produced it.
 
@@ -18,7 +18,11 @@ import (
 )
 
 // Plan is a compiled document: everything an entry point needs to
-// execute the experiment.
+// execute the experiment. Store, Sharding, Faults, Drift and Artifacts
+// are copies of Doc's sections (nil when the document omits one), so an
+// operational override on the plan, such as cloudbench -resume, leaves
+// Doc as compiled. Their slices and maps are shared with Doc and are
+// read-only.
 type Plan struct {
 	// Doc is the canonical document the plan was compiled from.
 	Doc Document
@@ -32,19 +36,14 @@ type Plan struct {
 	Campaign *CampaignPlan
 	// Apps are the resolved application profiles, in document order.
 	Apps []workloads.App
-	// Store mirrors the document's store section.
-	Store *StorePlan
-	// Sharding mirrors the document's sharding section.
-	Sharding *ShardingPlan
-	// Faults mirrors the document's faults section: the compiled
-	// fault-injection schedule for chaos runs (nil means no faults).
-	Faults *FaultsPlan
-	// Drift mirrors the document's drift section.
-	Drift *DriftPlan
 	// CSV is the raw-series output path ("" when none).
 	CSV string
-	// Artifacts mirrors the document's artifacts section.
-	Artifacts *ArtifactsPlan
+
+	Store     *Store
+	Sharding  *Sharding
+	Faults    *Faults
+	Drift     *Drift
+	Artifacts *Artifacts
 }
 
 // CampaignPlan is the executable form of the campaign section.
@@ -55,49 +54,6 @@ type CampaignPlan struct {
 	// ScenarioDescription is the expanded scenario's one-line
 	// description ("" without a scenario), for CLI banners.
 	ScenarioDescription string
-}
-
-// StorePlan names the results store a campaign persists into.
-type StorePlan struct {
-	Dir    string
-	RunID  string
-	Resume bool
-	// Encoding is the canonical cell encoding ("" JSONL, "columnar").
-	Encoding string
-}
-
-// ShardingPlan parameterises distributed execution: the canonical
-// shard count and the worker URLs (empty means in-process shards).
-type ShardingPlan struct {
-	Shards  int
-	Workers []string
-}
-
-// FaultsPlan parameterises deterministic fault injection: the
-// registry plan name, the schedule seed, and the fully resolved
-// parameters (faults.Plan{Name, Params}.Injector compiles them).
-type FaultsPlan struct {
-	Plan   string
-	Seed   uint64
-	Params map[string]float64
-}
-
-// DriftPlan parameterises the longitudinal comparison.
-type DriftPlan struct {
-	Runs        []string
-	Tolerance   float64
-	Confidence  float64
-	ErrorBound  float64
-	FailOnDrift bool
-}
-
-// ArtifactsPlan parameterises artifact regeneration.
-type ArtifactsPlan struct {
-	IDs     []string
-	Seed    uint64
-	Scale   float64
-	Workers int
-	OutDir  string
 }
 
 // Compile canonicalizes, validates and lowers the document. Errors
@@ -115,8 +71,11 @@ func Compile(doc Document) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	plan := Plan{Doc: canon, Bytes: bytes, Hash: hash}
-
+	plan := Plan{
+		Doc: canon, Bytes: bytes, Hash: hash,
+		Store: clone(canon.Store), Sharding: clone(canon.Sharding), Faults: clone(canon.Faults),
+		Drift: clone(canon.Drift), Artifacts: clone(canon.Artifacts),
+	}
 	if canon.Campaign != nil {
 		cp, err := compileCampaign(*canon.Campaign, canon.Workloads)
 		if err != nil {
@@ -131,47 +90,19 @@ func Compile(doc Document) (Plan, error) {
 		}
 		plan.Apps = append(plan.Apps, app)
 	}
-	if canon.Store != nil {
-		plan.Store = &StorePlan{Dir: canon.Store.Dir, RunID: canon.Store.RunID, Resume: canon.Store.Resume, Encoding: canon.Store.Encoding}
-	}
-	if canon.Sharding != nil {
-		plan.Sharding = &ShardingPlan{
-			Shards:  canon.Sharding.Shards,
-			Workers: append([]string(nil), canon.Sharding.Workers...),
-		}
-	}
-	if canon.Faults != nil {
-		fp := &FaultsPlan{Plan: canon.Faults.Plan, Seed: canon.Faults.Seed}
-		if len(canon.Faults.Params) > 0 {
-			fp.Params = make(map[string]float64, len(canon.Faults.Params))
-			for k, v := range canon.Faults.Params {
-				fp.Params[k] = v
-			}
-		}
-		plan.Faults = fp
-	}
-	if canon.Drift != nil {
-		plan.Drift = &DriftPlan{
-			Runs:        append([]string(nil), canon.Drift.Runs...),
-			Tolerance:   canon.Drift.Tolerance,
-			Confidence:  canon.Drift.Confidence,
-			ErrorBound:  canon.Drift.ErrorBound,
-			FailOnDrift: canon.Drift.FailOnDrift,
-		}
-	}
 	if canon.Output != nil {
 		plan.CSV = canon.Output.CSV
 	}
-	if canon.Artifacts != nil {
-		plan.Artifacts = &ArtifactsPlan{
-			IDs:     append([]string(nil), canon.Artifacts.IDs...),
-			Seed:    canon.Artifacts.Seed,
-			Scale:   canon.Artifacts.Scale,
-			Workers: canon.Artifacts.Workers,
-			OutDir:  canon.Artifacts.OutDir,
-		}
-	}
 	return plan, nil
+}
+
+// clone returns a copy of *p, or nil when p is nil.
+func clone[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
 }
 
 // compileCampaign lowers a canonical campaign section to a validated

@@ -14,7 +14,8 @@
 // (or YAML-subset) file or is assembled programmatically with the
 // Builder, Canonical applies defaults and validates every field with
 // errors naming the offending path, and Compile lowers the document
-// to a validated fleet.CampaignSpec plus store/drift/artifact plans.
+// to a validated fleet.CampaignSpec next to copies of its store,
+// sharding, faults, drift and artifacts sections.
 //
 // Identity: Hash is the SHA-256 of the canonical encoding, so two
 // documents that mean the same experiment — whatever formatting,

@@ -1,6 +1,7 @@
 package expspec_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -327,6 +328,56 @@ func TestCanonicalIdempotentForUserScenario(t *testing.T) {
 	}
 	if plan.Campaign.Spec.Scenario.Name != sc.Name {
 		t.Errorf("compiled spec lost the scenario: %+v", plan.Campaign.Spec.Scenario)
+	}
+}
+
+// TestCompilePlanSectionsCopyTheDocument: each plan section equals
+// its canonical document section, and an operational override on the
+// plan (cloudbench -resume, reproduce -workers) never reaches plan.Doc.
+func TestCompilePlanSectionsCopyTheDocument(t *testing.T) {
+	doc := minimal()
+	doc.Campaign.Regimes = []string{"full-speed"}
+	doc.Store = &expspec.Store{Dir: "results", RunID: "day2", Encoding: "columnar"}
+	doc.Sharding = &expspec.Sharding{Workers: []string{"http://a:1", "http://b:2"}}
+	doc.Faults = &expspec.Faults{Plan: "stall"}
+	doc.Drift = &expspec.Drift{Runs: []string{"day1", "day2"}, FailOnDrift: true}
+	doc.Output = &expspec.Output{CSV: "series.csv"}
+	doc.Artifacts = &expspec.Artifacts{IDs: []string{"table1"}}
+	plan, err := expspec.Compile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := []struct {
+		name      string
+		plan, doc any
+	}{
+		{"store", plan.Store, plan.Doc.Store},
+		{"sharding", plan.Sharding, plan.Doc.Sharding},
+		{"faults", plan.Faults, plan.Doc.Faults},
+		{"drift", plan.Drift, plan.Doc.Drift},
+		{"artifacts", plan.Artifacts, plan.Doc.Artifacts},
+	}
+	for _, s := range sections {
+		if reflect.ValueOf(s.plan).IsNil() || !reflect.DeepEqual(s.plan, s.doc) {
+			t.Errorf("plan %s section %+v, document section %+v", s.name, s.plan, s.doc)
+		}
+	}
+	if plan.CSV != "series.csv" {
+		t.Errorf("plan CSV = %q, want series.csv", plan.CSV)
+	}
+
+	plan.Store.Resume = true
+	plan.Artifacts.Workers = 8
+	if plan.Doc.Store.Resume || plan.Doc.Artifacts.Workers != 0 {
+		t.Errorf("plan overrides reached the document: store %+v, artifacts %+v", plan.Doc.Store, plan.Doc.Artifacts)
+	}
+
+	bare, err := expspec.Compile(minimal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Store != nil || bare.Sharding != nil || bare.Faults != nil || bare.Drift != nil || bare.Artifacts != nil {
+		t.Errorf("absent sections compiled to non-nil plan sections: %+v", bare)
 	}
 }
 

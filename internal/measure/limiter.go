@@ -106,11 +106,12 @@ func (l *RateLimiter) Wait(n int) {
 	now := l.now()
 	l.advance(now)
 
+	// A zero budget is always throttled, like an empty EC2 bucket.
 	rate := l.highBytesPerSec
+	if l.throttled {
+		rate = l.lowBytesPerSec
+	}
 	if l.budgetBytes > 0 {
-		if l.throttled {
-			rate = l.lowBytesPerSec
-		}
 		l.tokens -= float64(n)
 		if l.tokens <= 0 {
 			l.tokens = 0

@@ -279,6 +279,30 @@ func TestRateLimiterPacingMath(t *testing.T) {
 	}
 }
 
+// TestRateLimiterZeroBudgetPacesAtLowRate: a zero budget is an empty
+// bucket, so it paces at the low rate even when the high rate differs.
+func TestRateLimiterZeroBudgetPacesAtLowRate(t *testing.T) {
+	lim, err := NewRateLimiter(0, 0, 10000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	var slept time.Duration
+	lim.now = func() time.Time { return now }
+	lim.sleep = func(d time.Duration) { slept += d }
+	lim.last = now
+	lim.nextSend = now
+
+	if !lim.Throttled() {
+		t.Error("zero-budget limiter should report throttled")
+	}
+	lim.Wait(1000)
+	lim.Wait(1000) // 1000 B at 1000 B/s: one second
+	if math.Abs(slept.Seconds()-1) > 1e-9 {
+		t.Errorf("second send slept %v, want 1s (the low rate)", slept)
+	}
+}
+
 func TestRateLimiterBucketSemantics(t *testing.T) {
 	lim, err := NewRateLimiter(1000, 100, 10000, 1000)
 	if err != nil {

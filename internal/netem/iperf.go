@@ -3,9 +3,9 @@ package netem
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cloudvar/internal/simrand"
+	"cloudvar/internal/stats"
 )
 
 // throttleReporter is implemented by shapers that can be in a
@@ -195,27 +195,9 @@ func WriteSizeSweep(newShaper func() Shaper, model VNICModel, writeSizes []int, 
 				sum += v
 			}
 			pt.MeanRTTms = sum / float64(len(res.RTTms))
-			pt.P99RTTms = percentile(res.RTTms, 0.99)
+			pt.P99RTTms = stats.Quantile(res.RTTms, 0.99)
 		}
 		points = append(points, pt)
 	}
 	return points, nil
-}
-
-// percentile is a small local quantile helper (avoids importing stats
-// into the emulator core; netem stays a leaf dependency of stats
-// consumers, not the reverse).
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	h := p * float64(len(sorted)-1)
-	lo := int(h)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := h - float64(lo)
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }

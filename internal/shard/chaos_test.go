@@ -24,18 +24,6 @@ import (
 	"cloudvar/internal/workload"
 )
 
-// chaosRetry shrinks the backoff to test scale: real delays would add
-// seconds per plan without changing any decision the layer makes.
-func chaosRetry() shard.RetryPolicy {
-	return shard.RetryPolicy{
-		MaxAttempts:      2,
-		BaseDelay:        time.Microsecond,
-		MaxDelay:         10 * time.Microsecond,
-		BreakerThreshold: 2,
-		Seed:             7,
-	}
-}
-
 // chaosInjector compiles one fault plan against an n-worker fleet.
 func chaosInjector(t *testing.T, plan string, params map[string]float64, n int) *faults.Injector {
 	t.Helper()
@@ -46,8 +34,7 @@ func chaosInjector(t *testing.T, plan string, params map[string]float64, n int) 
 	return inj
 }
 
-// chaosDistributedRun is distributedRun with the resilience layer
-// armed: fast retries, the circuit breaker, and a storeless local
+// chaosDistributedRun is distributedRun with a storeless local
 // fallback for graceful degradation.
 func chaosDistributedRun(t *testing.T, spec fleet.CampaignSpec, meta store.RunMeta, workers []shard.Worker) (fleet.CampaignResult, *store.Store) {
 	t.Helper()
@@ -56,7 +43,6 @@ func chaosDistributedRun(t *testing.T, spec fleet.CampaignSpec, meta store.RunMe
 		RunID:    "r1",
 		Meta:     meta,
 		Workers:  workers,
-		Retry:    chaosRetry(),
 		Fallback: &shard.InProcWorker{},
 	})
 	if err != nil {
@@ -165,7 +151,6 @@ func TestChaosHTTPTransportFaults(t *testing.T) {
 				RunID:    "r1",
 				Meta:     meta,
 				Workers:  workers,
-				Retry:    chaosRetry(),
 				Fallback: &shard.InProcWorker{},
 			})
 			if err != nil {
@@ -213,7 +198,6 @@ func TestChaosGracefulDegradation(t *testing.T) {
 		RunID:    "r1",
 		Meta:     meta,
 		Workers:  workers,
-		Retry:    chaosRetry(),
 		Fallback: &shard.InProcWorker{},
 	})
 	if err != nil {
@@ -268,7 +252,6 @@ func TestChaosResumeReExecutesNothing(t *testing.T) {
 		RunID:   "r1",
 		Meta:    meta,
 		Workers: phase1,
-		Retry:   chaosRetry(),
 	})
 	if err == nil {
 		t.Fatal("phase 1 survived a fleet-wide crash with no fallback")
@@ -314,7 +297,6 @@ func TestChaosResumeReExecutesNothing(t *testing.T) {
 		RunID:   "r1",
 		Meta:    meta,
 		Workers: phase2,
-		Retry:   chaosRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)

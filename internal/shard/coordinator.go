@@ -31,10 +31,6 @@ type Campaign struct {
 	// cell substreams are keyed by label, a retried shard reproduces
 	// the dead worker's results byte for byte.
 	Workers []Worker
-	// Retry parameterises per-worker resilience: same-worker retry
-	// attempts, backoff with seeded jitter, and the circuit breaker.
-	// The zero value means defaults (see RetryPolicy).
-	Retry RetryPolicy
 	// Fallback, when non-nil, absorbs a shard's cells locally after
 	// every ring worker failed — graceful degradation instead of a
 	// failed campaign. It should be storeless (&InProcWorker{}): its
@@ -89,7 +85,7 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 		}
 	}()
 
-	health := newFleetHealth(c.Workers, c.Fallback, c.Retry)
+	health := newFleetHealth(c.Workers, c.Fallback)
 
 	// The schedule runs here, never on workers: each batch fans out by
 	// owner, and the batch barrier synchronizes at this coordinator,
@@ -121,16 +117,16 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 // runBatch partitions one batch of cells by owner, executes every
 // part on its preferred worker (falling through the worker ring when
 // a visit fails, then to the local fallback), and scatters the
-// results back into batch order.
+// results back into batch order by position. fleet.Schedule checks
+// that each scattered result names the cell it was scattered to.
 func runBatch(health *fleetHealth, specKey string, cells []fleet.Cell) ([]fleet.CellResult, error) {
 	n := len(health.workers)
 	parts := make([][]fleet.Cell, n)
-	slot := make(map[string]int, len(cells))
+	slots := make([][]int, n)
 	for i, cell := range cells {
-		label := cell.Label()
-		slot[label] = i
-		s := Owner(specKey, label, n)
+		s := Owner(specKey, cell.Label(), n)
 		parts[s] = append(parts[s], cell)
+		slots[s] = append(slots[s], i)
 	}
 
 	out := make([][]fleet.CellResult, n)
@@ -192,11 +188,7 @@ func runBatch(health *fleetHealth, specKey string, cells []fleet.Cell) ([]fleet.
 			return nil, fmt.Errorf("shard: shard %d returned %d results for %d cells", s, len(out[s]), len(part))
 		}
 		for j, res := range out[s] {
-			want := part[j].Label()
-			if res.Cell.Label() != want {
-				return nil, fmt.Errorf("shard: shard %d result %d is cell %s, want %s", s, j, res.Cell.Label(), want)
-			}
-			results[slot[want]] = res
+			results[slots[s][j]] = res
 		}
 	}
 	return results, nil

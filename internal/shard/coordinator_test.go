@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -382,5 +383,45 @@ func TestShardRunFailsWhenAllWorkersDie(t *testing.T) {
 	_, _, err := shard.Run(shard.Campaign{Spec: spec, RunID: "r1", Meta: store.RunMeta{CreatedUnix: 1}, Workers: workers})
 	if err == nil {
 		t.Fatal("campaign succeeded with every worker dead")
+	}
+}
+
+// lyingWorker executes its cells but misshapes every answer: it drops
+// the last result when short, and otherwise swaps the first two.
+type lyingWorker struct {
+	shard.InProcWorker
+	short bool
+}
+
+func (w *lyingWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
+	res, err := w.InProcWorker.Execute(cells)
+	if err != nil || len(res) < 2 {
+		return res, err
+	}
+	if w.short {
+		return res[:len(res)-1], nil
+	}
+	res[0], res[1] = res[1], res[0]
+	return res, nil
+}
+
+// TestShardRunRefusesMisshapenAnswers: a worker answer that cannot be
+// the requested cells fails the campaign. A short answer fails naming
+// the shard; a misnamed one fails naming the batch and position.
+func TestShardRunRefusesMisshapenAnswers(t *testing.T) {
+	spec := testutil.EC2Spec(t, 7, 0)
+	cells := spec.Cells()
+	for _, c := range []struct {
+		short bool
+		want  string
+	}{
+		{true, fmt.Sprintf("shard 0 returned %d results for %d cells", len(cells)-1, len(cells))},
+		{false, fmt.Sprintf("batch 1 result 0 is cell %s, want %s", cells[1].Label(), cells[0].Label())},
+	} {
+		_, _, err := shard.Run(shard.Campaign{Spec: spec, RunID: "r1", Meta: store.RunMeta{CreatedUnix: 1},
+			Workers: []shard.Worker{&lyingWorker{short: c.short}}})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("short=%v: Run returned %v, want an error containing %q", c.short, err, c.want)
+		}
 	}
 }

@@ -64,45 +64,20 @@ func Classify(err error) ErrorClass {
 	return ClassTransient
 }
 
-// RetryPolicy parameterises the resilience layer. The zero value
-// means defaults throughout.
-type RetryPolicy struct {
-	// MaxAttempts is how many times one worker is tried per visit
-	// before the ring moves on; default 3.
-	MaxAttempts int
-	// BaseDelay seeds the backoff: attempt k (k >= 1 retries) sleeps
-	// min(BaseDelay<<(k-1), MaxDelay) scaled by seeded jitter in
-	// [0.5, 1.0). Default 25ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff; default 1s.
-	MaxDelay time.Duration
-	// BreakerThreshold consecutive failures trip a worker's circuit
-	// breaker; a tripped worker fails fast until a half-open health
-	// probe succeeds. Default 3.
-	BreakerThreshold int
-	// Seed derives the per-worker jitter substreams, so backoff
-	// schedules replay exactly; default 1.
-	Seed uint64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 25 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
-}
+// The retry policy every coordinator runs. A visit tries one worker
+// up to maxAttempts times; retry k (k >= 1) sleeps
+// min(baseDelay<<(k-1), maxDelay) scaled by a jitter draw in
+// [0.5, 1.0) from the worker's substream of jitterSeed, so backoff
+// schedules replay exactly. breakerThreshold consecutive failures trip
+// a worker's circuit breaker; a tripped worker fails fast until a
+// half-open health probe succeeds.
+const (
+	maxAttempts      = 3
+	baseDelay        = 25 * time.Millisecond
+	maxDelay         = time.Second
+	breakerThreshold = 3
+	jitterSeed       = 1
+)
 
 var (
 	errBreakerOpen = errors.New("shard: worker circuit breaker is open")
@@ -116,7 +91,6 @@ var (
 type fleetHealth struct {
 	workers  []Worker
 	fallback Worker
-	policy   RetryPolicy
 	sleep    func(time.Duration)
 
 	mu     sync.Mutex
@@ -125,25 +99,23 @@ type fleetHealth struct {
 	jitter []*simrand.Source
 }
 
-func newFleetHealth(workers []Worker, fallback Worker, policy RetryPolicy) *fleetHealth {
-	p := policy.withDefaults()
+func newFleetHealth(workers []Worker, fallback Worker) *fleetHealth {
 	h := &fleetHealth{
 		workers:  workers,
 		fallback: fallback,
-		policy:   p,
 		sleep:    time.Sleep,
 		fails:    make([]int, len(workers)),
 		open:     make([]bool, len(workers)),
 		jitter:   make([]*simrand.Source, len(workers)),
 	}
-	root := simrand.New(p.Seed)
+	root := simrand.New(jitterSeed)
 	for i := range h.jitter {
 		h.jitter[i] = root.Substream(fmt.Sprintf("shard/retry/worker%02d", i))
 	}
 	return h
 }
 
-// execute runs one visit of cells on worker w: up to MaxAttempts
+// execute runs one visit of cells on worker w: up to maxAttempts
 // tries with jittered backoff between them. A tripped breaker fails
 // fast with errBreakerOpen unless a half-open health probe readmits
 // the worker; a fatal error aborts the visit immediately.
@@ -152,7 +124,7 @@ func (h *fleetHealth) execute(w int, cells []fleet.Cell) ([]fleet.CellResult, er
 		return nil, errBreakerOpen
 	}
 	var lastErr error
-	for a := 0; a < h.policy.MaxAttempts; a++ {
+	for a := 0; a < maxAttempts; a++ {
 		if a > 0 {
 			h.sleep(h.backoff(w, a))
 		}
@@ -201,7 +173,7 @@ func (h *fleetHealth) recordFailure(w int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.fails[w]++
-	if h.fails[w] >= h.policy.BreakerThreshold {
+	if h.fails[w] >= breakerThreshold {
 		h.open[w] = true
 		return true
 	}
@@ -215,13 +187,13 @@ func (h *fleetHealth) recordSuccess(w int) {
 }
 
 // backoff computes the attempt'th retry delay for worker w:
-// exponential from BaseDelay, capped at MaxDelay, scaled by a
+// exponential from baseDelay, capped at maxDelay, scaled by a
 // deterministic jitter draw in [0.5, 1.0) from the worker's seeded
 // substream.
 func (h *fleetHealth) backoff(w, attempt int) time.Duration {
-	d := h.policy.BaseDelay << (attempt - 1)
-	if d <= 0 || d > h.policy.MaxDelay {
-		d = h.policy.MaxDelay
+	d := baseDelay << (attempt - 1)
+	if d <= 0 || d > maxDelay {
+		d = maxDelay
 	}
 	h.mu.Lock()
 	f := 0.5 + 0.5*h.jitter[w].Float64()

@@ -40,39 +40,25 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	if p.MaxAttempts != 3 || p.BaseDelay != 25*time.Millisecond || p.MaxDelay != time.Second || p.BreakerThreshold != 3 || p.Seed != 1 {
-		t.Errorf("zero policy resolved to %+v", p)
-	}
-	set := RetryPolicy{MaxAttempts: 7, BaseDelay: time.Millisecond, MaxDelay: time.Minute, BreakerThreshold: 9, Seed: 4}
-	if got := set.withDefaults(); got != set {
-		t.Errorf("explicit policy rewritten: %+v", got)
-	}
-}
-
 func TestBackoffIsCappedExponentialAndDeterministic(t *testing.T) {
-	policy := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Seed: 11}
 	mk := func() *fleetHealth {
-		return newFleetHealth(make([]Worker, 2), nil, policy)
+		return newFleetHealth(make([]Worker, 2), nil)
 	}
 	a, b := mk(), mk()
-	for attempt := 1; attempt <= 5; attempt++ {
+	// 25ms doubling reaches the 1s cap at the seventh retry.
+	for attempt := 1; attempt <= 8; attempt++ {
 		da := a.backoff(0, attempt)
 		if db := b.backoff(0, attempt); da != db {
 			t.Fatalf("attempt %d: same seed gave %v vs %v", attempt, da, db)
 		}
 		// Jitter scales [0.5, 1.0): never above the cap, never below
 		// half the exponential step.
-		base := policy.BaseDelay << (attempt - 1)
-		if base > policy.MaxDelay {
-			base = policy.MaxDelay
+		step := 25 * time.Millisecond << (attempt - 1)
+		if step > time.Second {
+			step = time.Second
 		}
-		if da < base/2 || da >= base {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, da, base/2, base)
-		}
-		if attempt > 3 && da > policy.MaxDelay {
-			t.Errorf("attempt %d: backoff %v above cap %v", attempt, da, policy.MaxDelay)
+		if da < step/2 || da >= step {
+			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, da, step/2, step)
 		}
 	}
 	// Distinct workers draw from distinct substreams.
@@ -116,39 +102,51 @@ func (w *scriptedWorker) Health() error {
 	return nil
 }
 
-func instantHealth(workers []Worker, policy RetryPolicy) *fleetHealth {
-	h := newFleetHealth(workers, nil, policy)
+func instantHealth(workers []Worker) *fleetHealth {
+	h := newFleetHealth(workers, nil)
 	h.sleep = func(time.Duration) {} // no wall-clock in unit tests
 	return h
 }
 
 func TestBreakerTripsAndFailsFast(t *testing.T) {
 	w := &scriptedWorker{failures: 1 << 30, healthyAfter: 1 << 30}
-	h := instantHealth([]Worker{w}, RetryPolicy{MaxAttempts: 5, BreakerThreshold: 2})
+	h := instantHealth([]Worker{w})
+	for i := 1; i <= 2; i++ {
+		if h.recordFailure(0) {
+			t.Fatalf("breaker tripped on failure %d, want the third", i)
+		}
+	}
+	// The visit's first attempt is the third consecutive failure: it
+	// trips the breaker and ends the visit.
 	if _, err := h.execute(0, nil); err == nil {
 		t.Fatal("execute on an always-failing worker succeeded")
 	}
-	// The breaker tripped at 2 consecutive failures, cutting the visit
-	// short of its 5 attempts.
-	if w.calls != 2 {
-		t.Errorf("worker saw %d calls, want 2 (breaker threshold)", w.calls)
+	if w.calls != 1 {
+		t.Errorf("worker saw %d calls, want 1 (the third failure trips)", w.calls)
 	}
 	// Tripped and still unhealthy: fail fast without touching Execute.
 	if _, err := h.execute(0, nil); !errors.Is(err, errBreakerOpen) {
 		t.Errorf("tripped breaker returned %v, want errBreakerOpen", err)
 	}
-	if w.calls != 2 {
+	if w.calls != 1 {
 		t.Errorf("open breaker let a call through (%d calls)", w.calls)
 	}
 }
 
 func TestBreakerHalfOpenReadmitsHealthyWorker(t *testing.T) {
-	// Fails twice (tripping the threshold-2 breaker), then both the
-	// probe and the work succeed — the restarted-process story.
-	w := &scriptedWorker{failures: 2}
-	h := instantHealth([]Worker{w}, RetryPolicy{MaxAttempts: 2, BreakerThreshold: 2})
+	// Fails three times (exhausting the visit and tripping the
+	// breaker), then both the probe and the work succeed — the
+	// restarted-process story.
+	w := &scriptedWorker{failures: 3}
+	h := instantHealth([]Worker{w})
 	if _, err := h.execute(0, nil); err == nil {
 		t.Fatal("first visit should exhaust the worker")
+	}
+	h.mu.Lock()
+	open := h.open[0]
+	h.mu.Unlock()
+	if w.calls != 3 || !open {
+		t.Fatalf("first visit made %d calls, breaker open %v; want 3 calls and a tripped breaker", w.calls, open)
 	}
 	res, err := h.execute(0, nil)
 	if err != nil {
@@ -170,7 +168,7 @@ func TestBreakerHalfOpenReadmitsHealthyWorker(t *testing.T) {
 func TestBreakerStaysOpenWithoutHealthChecker(t *testing.T) {
 	// A worker type with no Health method can never half-open.
 	w := &InProcWorker{} // storeless, never executed — only admit matters
-	h := instantHealth([]Worker{w}, RetryPolicy{BreakerThreshold: 1})
+	h := instantHealth([]Worker{w})
 	h.open[0] = true
 	if h.admit(0) {
 		t.Error("breaker half-opened a worker that cannot be probed")
@@ -179,7 +177,7 @@ func TestBreakerStaysOpenWithoutHealthChecker(t *testing.T) {
 
 func TestFatalErrorAbortsVisit(t *testing.T) {
 	w := &fatalWorker{}
-	h := instantHealth([]Worker{w}, RetryPolicy{MaxAttempts: 5, BreakerThreshold: 5})
+	h := instantHealth([]Worker{w})
 	_, err := h.execute(0, nil)
 	if Classify(err) != ClassFatal {
 		t.Fatalf("fatal error lost its class: %v", err)
@@ -200,7 +198,7 @@ func (w *fatalWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 }
 
 func TestAbsorbWithoutFallback(t *testing.T) {
-	h := instantHealth([]Worker{&scriptedWorker{}}, RetryPolicy{})
+	h := instantHealth([]Worker{&scriptedWorker{}})
 	if _, err := h.absorb(nil); !errors.Is(err, errNoFallback) {
 		t.Errorf("absorb with no fallback returned %v", err)
 	}
@@ -212,7 +210,7 @@ func TestAbsorbWithoutFallback(t *testing.T) {
 // retries and probes may allocate, steady state may not.
 func BenchmarkCoordinatorRetryPath(b *testing.B) {
 	w := &scriptedWorker{}
-	h := instantHealth([]Worker{w}, RetryPolicy{})
+	h := instantHealth([]Worker{w})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,7 +222,7 @@ func BenchmarkCoordinatorRetryPath(b *testing.B) {
 
 func TestCoordinatorRetryPathDoesNotAllocate(t *testing.T) {
 	w := &scriptedWorker{}
-	h := instantHealth([]Worker{w}, RetryPolicy{})
+	h := instantHealth([]Worker{w})
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := h.execute(0, nil); err != nil {
 			t.Fatal(err)
