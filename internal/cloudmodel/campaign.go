@@ -41,10 +41,10 @@ func DefaultCampaignConfig(durationSec float64) CampaignConfig {
 // Validate checks the configuration.
 func (c CampaignConfig) Validate() error {
 	switch {
-	case c.DurationSec <= 0:
-		return fmt.Errorf("cloudmodel: campaign duration must be positive")
-	case c.BinSec <= 0:
-		return fmt.Errorf("cloudmodel: bin must be positive")
+	case !(c.DurationSec > 0) || math.IsInf(c.DurationSec, 1):
+		return fmt.Errorf("cloudmodel: campaign duration %g s must be positive and finite", c.DurationSec)
+	case !(c.BinSec > 0) || math.IsInf(c.BinSec, 1):
+		return fmt.Errorf("cloudmodel: bin %g s must be positive and finite", c.BinSec)
 	case c.WriteBytes <= 0:
 		return fmt.Errorf("cloudmodel: write size must be positive")
 	case c.RTTSamplesPerBin < 0:
@@ -54,14 +54,14 @@ func (c CampaignConfig) Validate() error {
 }
 
 // CampaignScratch is a reusable per-worker arena for RunCampaign's
-// transient buffers (the per-burst iperf result). Reusing one scratch
+// transient buffers (one bin's RTT samples). Reusing one scratch
 // across repetitions and cells eliminates the per-bin allocations of
 // a campaign loop without affecting output: every value the returned
 // series carries is freshly computed from the shaper, the vNIC model
 // and the cell's own random substream — the scratch only lends
 // memory, never state. The zero value is ready to use.
 type CampaignScratch struct {
-	iperf netem.IperfResult
+	rtt []float64
 }
 
 // RunCampaign emulates a measurement campaign of the given regime
@@ -98,6 +98,17 @@ func RunCampaignObserved(p Profile, regime trace.Regime, cfg CampaignConfig, src
 		scratch = &CampaignScratch{}
 	}
 	shaper := p.NewShaper(src)
+	// One stream runs the whole cell: the rests of an intermittent
+	// regime idle its shaper between bursts.
+	stream, err := netem.NewStream(shaper, p.VNIC, netem.IperfConfig{
+		DurationSec:      cfg.DurationSec,
+		WriteBytes:       cfg.WriteBytes,
+		BinSec:           cfg.BinSec,
+		RTTSamplesPerBin: cfg.RTTSamplesPerBin,
+	}, src)
+	if err != nil {
+		return nil, fmt.Errorf("cloudmodel: campaign stream: %w", err)
+	}
 
 	label := fmt.Sprintf("%s/%s/%s", p.Cloud, p.Instance, regime.Name)
 	interval := cfg.BinSec
@@ -122,27 +133,19 @@ func RunCampaignObserved(p Profile, regime trace.Regime, cfg CampaignConfig, src
 			sendSec = math.Min(regime.SendSec, cfg.DurationSec-now)
 		}
 
-		res := &scratch.iperf
-		err := netem.RunIperfInto(res, shaper, p.VNIC, netem.IperfConfig{
-			DurationSec:      sendSec,
-			WriteBytes:       cfg.WriteBytes,
-			BinSec:           sendSec,
-			RTTSamplesPerBin: cfg.RTTSamplesPerBin,
-		}, src)
-		if err != nil {
-			return nil, fmt.Errorf("cloudmodel: campaign burst at t=%g: %w", now, err)
-		}
-
-		bw := res.MeanBandwidthGbps()
+		b, rtt := stream.Bin(sendSec, scratch.rtt[:0])
+		scratch.rtt = rtt
+		// A point is the mean over its one bin: the sum from 0 keeps
+		// the arithmetic of a mean, which reports a -0 rate as +0.
+		bw := 0 + b.Gbps
 		pt := trace.Point{
 			TimeSec:         now,
 			BandwidthGbps:   bw,
-			Retransmissions: res.Retransmissions,
-			RTTms:           stats.Mean(res.RTTms),
+			Retransmissions: b.Retransmissions,
 			CPUFrac:         cpuModel(bw, p.LineRateGbps, src),
 		}
-		if len(res.RTTms) == 0 {
-			pt.RTTms = 0
+		if len(rtt) > 0 {
+			pt.RTTms = stats.Mean(rtt)
 		}
 		if err := series.Append(pt); err != nil {
 			return nil, err

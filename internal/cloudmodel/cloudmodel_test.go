@@ -322,6 +322,10 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{DurationSec: 10, BinSec: 0, WriteBytes: 1},
 		{DurationSec: 10, BinSec: 10, WriteBytes: 0},
 		{DurationSec: 10, BinSec: 10, WriteBytes: 1, RTTSamplesPerBin: -1},
+		{DurationSec: math.NaN(), BinSec: 10, WriteBytes: 1},
+		{DurationSec: math.Inf(1), BinSec: 10, WriteBytes: 1},
+		{DurationSec: 10, BinSec: math.NaN(), WriteBytes: 1},
+		{DurationSec: 10, BinSec: math.Inf(1), WriteBytes: 1},
 	}
 	p, _ := HPCCloudProfile(8)
 	src := simrand.New(1)
@@ -330,9 +334,16 @@ func TestCampaignConfigValidation(t *testing.T) {
 			t.Errorf("config %d should error", i)
 		}
 	}
-	badRegime := trace.Regime{Name: "bad", SendSec: -1}
-	if _, err := RunCampaign(p, badRegime, DefaultCampaignConfig(100), src); err == nil {
-		t.Error("bad regime should error")
+	badRegimes := []trace.Regime{
+		{Name: "bad", SendSec: -1},
+		{Name: "nan", SendSec: math.NaN(), RestSec: math.NaN()},
+		{Name: "nan-rest", SendSec: 10, RestSec: math.NaN()},
+		{Name: "inf-send", SendSec: math.Inf(1), RestSec: 30},
+	}
+	for _, r := range badRegimes {
+		if _, err := RunCampaign(p, r, DefaultCampaignConfig(100), src); err == nil {
+			t.Errorf("regime %s should error", r.Name)
+		}
 	}
 }
 

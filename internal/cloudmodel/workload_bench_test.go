@@ -55,3 +55,31 @@ func BenchmarkRunWorkload(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunCampaign measures the simulation step of one campaign
+// cell: a 24 h full-speed c5.xlarge cell, 8,640 bins of 10 s with four
+// RTT samples each, through RunCampaignObserved with a scratch reused
+// across cells, as a fleet worker runs it. Its token bucket throttles
+// within the day, so both regimes of the EC2 model run. At a few ms
+// per op it is long enough for a CPU profile to attribute:
+//
+//	go test ./internal/cloudmodel -run '^$' -bench BenchmarkRunCampaign -benchmem -cpuprofile cpu.out
+func BenchmarkRunCampaign(b *testing.B) {
+	p, err := cloudmodel.EC2Profile("c5.xlarge")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cloudmodel.DefaultCampaignConfig(24 * 3600)
+	var scratch cloudmodel.CampaignScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		series, err := cloudmodel.RunCampaignObserved(p, trace.FullSpeed, cfg, simrand.New(1), &scratch, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(series.Points) != 8640 {
+			b.Fatalf("%d bins, want 8640", len(series.Points))
+		}
+	}
+}

@@ -146,16 +146,16 @@ func BuildResult(name string, samples []float64, confidence, errorBound float64)
 	if errorBound == 0 {
 		errorBound = 0.05
 	}
-	// One sort serves both the summary and the median CI.
+	// One sort serves both the median CI and, after it, the summary.
 	var sample stats.Sample
 	sample.Reset(samples)
 	res := Result{
 		Name:     name,
 		Samples:  samples,
-		Summary:  sample.Summary(),
 		Metadata: map[string]string{},
 	}
 	res.MedianCI, res.MedianCIErr = sample.MedianCI(confidence)
+	res.Summary = sample.Summary()
 	if res.MedianCIErr == nil && res.MedianCI.RelativeError() <= errorBound {
 		res.Converged = true
 	}

@@ -37,8 +37,9 @@ import (
 type SummarizeMode string
 
 const (
-	// SummarizeExact buffers and sorts the full bandwidth column
-	// (stats.Sample) — bit-exact quantiles, O(n) memory. The default;
+	// SummarizeExact buffers the full bandwidth column and selects its
+	// order statistics (stats.Sample) — bit-exact quantiles, O(n)
+	// memory. The default;
 	// spelled "" so existing spec identities are byte-stable.
 	SummarizeExact SummarizeMode = ""
 	// SummarizeSketch streams each bin through a bounded-memory
@@ -734,8 +735,8 @@ func executeCells(spec CampaignSpec, cells []Cell, stored map[string]StoredCell,
 }
 
 // workerScratch is one fleet worker's reusable arena: the campaign
-// burst buffers plus the summarizer state (the bandwidth column and
-// sorted sample in exact mode, the streaming sketch in sketch mode).
+// bin buffers plus the summarizer state (the bandwidth column and
+// its sample in exact mode, the streaming sketch in sketch mode).
 // Contents never outlive a cell.
 type workerScratch struct {
 	campaign cloudmodel.CampaignScratch

@@ -71,12 +71,12 @@ type IperfConfig struct {
 // Validate checks the configuration.
 func (c IperfConfig) Validate() error {
 	switch {
-	case c.DurationSec <= 0:
-		return fmt.Errorf("netem: iperf duration must be positive")
+	case !(c.DurationSec > 0) || math.IsInf(c.DurationSec, 1):
+		return fmt.Errorf("netem: iperf duration %g s must be positive and finite", c.DurationSec)
 	case c.WriteBytes <= 0:
 		return fmt.Errorf("netem: iperf write size must be positive")
-	case c.BinSec <= 0:
-		return fmt.Errorf("netem: iperf bin must be positive")
+	case !(c.BinSec > 0) || math.IsInf(c.BinSec, 1):
+		return fmt.Errorf("netem: iperf bin %g s must be positive and finite", c.BinSec)
 	case c.RTTSamplesPerBin < 0:
 		return fmt.Errorf("netem: negative RTT sample cap")
 	}
@@ -86,78 +86,126 @@ func (c IperfConfig) Validate() error {
 // RunIperf emulates a single-stream TCP bulk transfer through the
 // given egress shaper and vNIC model, mimicking the paper's
 // measurement tooling (iperf for load, tcpdump+wireshark for
-// application-observed RTT).
+// application-observed RTT): one Stream run bin by bin for
+// cfg.DurationSec.
 func RunIperf(shaper Shaper, model VNICModel, cfg IperfConfig, src *simrand.Source) (IperfResult, error) {
-	var res IperfResult
-	err := RunIperfInto(&res, shaper, model, cfg, src)
-	return res, err
-}
-
-// RunIperfInto is RunIperf writing into a caller-held result whose
-// slices are truncated and reused — the allocation-free path for
-// campaign loops that run one emulated stream per bin against the
-// same scratch. Buffers are pre-sized from DurationSec/BinSec on
-// first use. On error the result holds no meaningful data.
-func RunIperfInto(res *IperfResult, shaper Shaper, model VNICModel, cfg IperfConfig, src *simrand.Source) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := model.Validate(); err != nil {
-		return err
+	s, err := NewStream(shaper, model, cfg, src)
+	if err != nil {
+		return IperfResult{}, err
 	}
 	bins := int(math.Ceil(cfg.DurationSec / cfg.BinSec))
-	res.BinSec = cfg.BinSec
-	res.Retransmissions = 0
-	res.Packets = 0
-	res.BandwidthGbps = sliceWithCap(res.BandwidthGbps, bins)
-	res.ThrottledBins = sliceWithCap(res.ThrottledBins, bins)
-	res.RTTms = sliceWithCap(res.RTTms, bins*cfg.RTTSamplesPerBin)
-
-	tr, hasThrottle := shaper.(throttleReporter)
+	res := IperfResult{
+		BinSec:        cfg.BinSec,
+		BandwidthGbps: make([]float64, 0, bins),
+		ThrottledBins: make([]bool, 0, bins),
+		RTTms:         make([]float64, 0, bins*cfg.RTTSamplesPerBin),
+	}
 	for bin := 0; bin < bins; bin++ {
 		dt := math.Min(cfg.BinSec, cfg.DurationSec-float64(bin)*cfg.BinSec)
-		throttled := hasThrottle && tr.Throttled()
-		moved := shaper.Transfer(infDemand, dt)
-		rate := moved / dt
-		res.BandwidthGbps = append(res.BandwidthGbps, rate)
-		res.ThrottledBins = append(res.ThrottledBins, throttled)
-
-		pkts := model.PacketsForVolume(moved, cfg.WriteBytes)
-		res.Packets += pkts
-
-		// Retransmissions: binomial via normal approximation, exact
-		// for the zero-probability case.
-		p := model.RetransProb(cfg.WriteBytes)
-		if p > 0 && pkts > 0 {
-			mean := float64(pkts) * p
-			sd := math.Sqrt(float64(pkts) * p * (1 - p))
-			draw := src.Normal(mean, sd)
-			if draw < 0 {
-				draw = 0
-			}
-			res.Retransmissions += int(math.Round(draw))
-		}
-
-		// RTT samples at the achieved rate.
-		nSamples := cfg.RTTSamplesPerBin
-		if nSamples > pkts {
-			nSamples = pkts
-		}
-		for i := 0; i < nSamples; i++ {
-			res.RTTms = append(res.RTTms,
-				model.SampleRTTms(src, cfg.WriteBytes, rate, throttled))
-		}
+		var b StreamBin
+		b, res.RTTms = s.Bin(dt, res.RTTms)
+		res.BandwidthGbps = append(res.BandwidthGbps, b.Gbps)
+		res.ThrottledBins = append(res.ThrottledBins, b.Throttled)
+		res.Packets += b.Packets
+		res.Retransmissions += b.Retransmissions
 	}
-	return nil
+	return res, nil
 }
 
-// sliceWithCap returns s truncated to length zero with capacity at
-// least n, reusing the backing array when it is big enough.
-func sliceWithCap[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
+// Stream is one emulated iperf stream: a saturating flow through a
+// shaper and a vNIC model, advanced one summarisation bin at a time.
+// Its configuration is validated, and its write-size constants and
+// throttle probe worked out, once when it is made; Bin is the one
+// per-bin step that RunIperf and the campaign loop both run.
+type Stream struct {
+	shaper Shaper
+	// throttle is the shaper's throttle probe, nil for shapers that
+	// are never throttled.
+	throttle throttleReporter
+	src      *simrand.Source
+	samples  int
+	// The model's RTT constants and the write size's: the device
+	// packet, the per-packet retransmission probability, and the device
+	// queue unthrottled and throttled.
+	baseRTTms, jitter            float64
+	pktBytes                     int
+	retransProb                  float64
+	queuedBytes, queuedThrottled float64
+}
+
+// NewStream validates cfg and the model and returns a stream that
+// draws from src. Only cfg's write size and RTT sample cap shape the
+// bins; the caller chooses each bin's length.
+func NewStream(shaper Shaper, model VNICModel, cfg IperfConfig, src *simrand.Source) (*Stream, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return s[:0]
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	tr, _ := shaper.(throttleReporter)
+	return &Stream{
+		shaper:          shaper,
+		throttle:        tr,
+		src:             src,
+		samples:         cfg.RTTSamplesPerBin,
+		baseRTTms:       model.BaseRTTms,
+		jitter:          model.RTTJitterFrac,
+		pktBytes:        model.EffectivePacketBytes(cfg.WriteBytes),
+		retransProb:     model.RetransProb(cfg.WriteBytes),
+		queuedBytes:     model.queuedBytes(cfg.WriteBytes, false),
+		queuedThrottled: model.queuedBytes(cfg.WriteBytes, true),
+	}, nil
+}
+
+// StreamBin is one bin of a Stream.
+type StreamBin struct {
+	// Gbps is the rate the bin achieved: the volume moved over the
+	// bin's length.
+	Gbps float64
+	// Throttled reports that the shaper was in its capped regime when
+	// the bin began.
+	Throttled bool
+	// Packets and Retransmissions count the bin's device packets.
+	Packets         int
+	Retransmissions int
+}
+
+// Bin runs the stream for one bin of dt > 0 seconds. It appends the
+// bin's per-packet RTT samples, at most the configured cap and never
+// more than the bin's packets, to rtt and returns the bin with the
+// extended slice. Every sample jitters around one model latency at
+// the bin's achieved rate.
+func (s *Stream) Bin(dt float64, rtt []float64) (StreamBin, []float64) {
+	var b StreamBin
+	b.Throttled = s.throttle != nil && s.throttle.Throttled()
+	moved := s.shaper.Transfer(infDemand, dt)
+	b.Gbps = moved / dt
+	b.Packets = packetsFor(moved, s.pktBytes)
+
+	// Retransmissions: binomial via normal approximation, exact for
+	// the zero-probability case.
+	if p := s.retransProb; p > 0 && b.Packets > 0 {
+		mean := float64(b.Packets) * p
+		sd := math.Sqrt(float64(b.Packets) * p * (1 - p))
+		draw := s.src.Normal(mean, sd)
+		if draw < 0 {
+			draw = 0
+		}
+		b.Retransmissions = int(math.Round(draw))
+	}
+
+	if n := min(s.samples, b.Packets); n > 0 {
+		queued := s.queuedBytes
+		if b.Throttled {
+			queued = s.queuedThrottled
+		}
+		mean := queueLatencyMs(s.baseRTTms, queued, b.Gbps)
+		for range n {
+			rtt = append(rtt, jitterRTT(s.src, mean, s.jitter))
+		}
+	}
+	return b, rtt
 }
 
 // WriteSizeSweepPoint is one row of Figure 12: the latency and

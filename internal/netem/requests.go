@@ -125,6 +125,7 @@ func ServeRequests(reqs []Request, gbit float64, env PathEnvelope, model VNICMod
 		return nil, fmt.Errorf("netem: request volume %g gbit must be positive", gbit)
 	}
 	latencies := make([]float64, len(reqs))
+	queued := model.queuedBytes(writeBytes, false)
 	free := 0.0 // when the server next idles
 	for i, r := range reqs {
 		if i > 0 && r.TimeSec < reqs[i-1].TimeSec {
@@ -143,7 +144,8 @@ func ServeRequests(reqs []Request, gbit float64, env PathEnvelope, model VNICMod
 		// which is positive by construction (a completed transfer moved
 		// gbit > 0 in done-start seconds).
 		rate := gbit / (done - start)
-		latencies[i] = (done-r.TimeSec)*1000 + model.SampleRTTms(src, writeBytes, rate, false)
+		rtt := jitterRTT(src, queueLatencyMs(model.BaseRTTms, queued, rate), model.RTTJitterFrac)
+		latencies[i] = (done-r.TimeSec)*1000 + rtt
 	}
 	return latencies, nil
 }

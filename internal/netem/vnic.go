@@ -129,30 +129,40 @@ func (m VNICModel) EffectivePacketBytes(writeBytes int) int {
 // the given size at the given device line rate. throttled selects the
 // full-queue regime.
 func (m VNICModel) LatencyMs(writeBytes int, rateGbps float64, throttled bool) float64 {
+	return queueLatencyMs(m.BaseRTTms, m.queuedBytes(writeBytes, throttled), rateGbps)
+}
+
+// queuedBytes returns the device queue behind a stream of writes of
+// the given size: NormalQueuePackets effective packets, or the full
+// driver queue when throttled.
+func (m VNICModel) queuedBytes(writeBytes int, throttled bool) float64 {
+	if throttled {
+		return float64(m.DriverQueueBytes)
+	}
+	return float64(m.NormalQueuePackets * m.EffectivePacketBytes(writeBytes))
+}
+
+// queueLatencyMs is the latency model behind LatencyMs: the base RTT
+// plus the time queuedBytes take to drain at rateGbps, +Inf when
+// nothing drains. Paths that draw many RTTs at one write size work out
+// queuedBytes once and call this per rate, so they never copy the
+// model.
+func queueLatencyMs(baseRTTms, queuedBytes, rateGbps float64) float64 {
 	if rateGbps <= 0 {
 		return math.Inf(1)
 	}
-	pkt := m.EffectivePacketBytes(writeBytes)
-	queuedBytes := float64(m.NormalQueuePackets * pkt)
-	if throttled {
-		queuedBytes = float64(m.DriverQueueBytes)
-	}
-	queueMs := queuedBytes * 8 / (rateGbps * 1e9) * 1e3
-	return m.BaseRTTms + queueMs
+	return baseRTTms + queuedBytes*8/(rateGbps*1e9)*1e3
 }
 
-// SampleRTTms draws one per-packet RTT with lognormal jitter around
-// the model mean.
-func (m VNICModel) SampleRTTms(src *simrand.Source, writeBytes int, rateGbps float64, throttled bool) float64 {
-	mean := m.LatencyMs(writeBytes, rateGbps, throttled)
-	if math.IsInf(mean, 1) {
+// jitterRTT draws one per-packet RTT with lognormal jitter of sigma,
+// with unit median, around a model mean from queueLatencyMs. An
+// infinite mean (a path that moves nothing) and a model without jitter
+// draw nothing and return the mean.
+func jitterRTT(src *simrand.Source, mean, sigma float64) float64 {
+	if math.IsInf(mean, 1) || sigma <= 0 {
 		return mean
 	}
-	if m.RTTJitterFrac <= 0 {
-		return mean
-	}
-	// Lognormal multiplicative jitter with unit median.
-	return mean * src.LogNormal(0, m.RTTJitterFrac)
+	return mean * src.LogNormal(0, sigma)
 }
 
 // RetransProb returns the per-device-packet retransmission
@@ -169,13 +179,12 @@ func (m VNICModel) RetransProb(writeBytes int) float64 {
 	return p
 }
 
-// PacketsForVolume returns how many device packets carry the given
-// volume (Gbit) at the given write size.
-func (m VNICModel) PacketsForVolume(gbit float64, writeBytes int) int {
-	pkt := m.EffectivePacketBytes(writeBytes)
-	if pkt == 0 || gbit <= 0 {
+// packetsFor returns how many device packets of pktBytes (an
+// EffectivePacketBytes) carry the given volume (Gbit).
+func packetsFor(gbit float64, pktBytes int) int {
+	if pktBytes == 0 || gbit <= 0 {
 		return 0
 	}
 	bytes := gbit * 1e9 / 8
-	return int(math.Ceil(bytes / float64(pkt)))
+	return int(math.Ceil(bytes / float64(pktBytes)))
 }

@@ -131,13 +131,13 @@ func TestRetransProb(t *testing.T) {
 func TestPacketsForVolume(t *testing.T) {
 	ec2 := EC2VNIC()
 	// 1 Gbit = 125 MB; at 9000-byte packets: ceil(125e6/9000) = 13889.
-	if got := ec2.PacketsForVolume(1, 131072); got != 13889 {
-		t.Errorf("PacketsForVolume = %d, want 13889", got)
+	if got := packetsFor(1, ec2.EffectivePacketBytes(131072)); got != 13889 {
+		t.Errorf("packetsFor = %d, want 13889", got)
 	}
-	if got := ec2.PacketsForVolume(0, 131072); got != 0 {
+	if got := packetsFor(0, ec2.EffectivePacketBytes(131072)); got != 0 {
 		t.Errorf("zero volume packets = %d", got)
 	}
-	if got := ec2.PacketsForVolume(1, 0); got != 0 {
+	if got := packetsFor(1, ec2.EffectivePacketBytes(0)); got != 0 {
 		t.Errorf("zero write packets = %d", got)
 	}
 }
@@ -145,25 +145,23 @@ func TestPacketsForVolume(t *testing.T) {
 func TestSampleRTTJitter(t *testing.T) {
 	src := simrand.New(42)
 	gce := GCEVNIC()
+	model := gce.LatencyMs(65536, 8, false)
 	var w float64
 	n := 1000
 	for i := 0; i < n; i++ {
-		v := gce.SampleRTTms(src, 65536, 8, false)
+		v := jitterRTT(src, model, gce.RTTJitterFrac)
 		if v <= 0 {
 			t.Fatalf("non-positive RTT sample %g", v)
 		}
 		w += v
 	}
 	mean := w / float64(n)
-	model := gce.LatencyMs(65536, 8, false)
 	// Lognormal with sigma 0.35 has mean e^{sigma^2/2} ≈ 1.063 times
 	// the median; accept a generous band.
 	if mean < model*0.8 || mean > model*1.5 {
 		t.Errorf("sampled mean RTT %g far from model %g", mean, model)
 	}
-	nojitter := gce
-	nojitter.RTTJitterFrac = 0
-	if v := nojitter.SampleRTTms(src, 65536, 8, false); v != model {
+	if v := jitterRTT(src, model, 0); v != model {
 		t.Errorf("zero jitter sample %g != model %g", v, model)
 	}
 }
@@ -216,6 +214,10 @@ func TestRunIperfConfigErrors(t *testing.T) {
 		{DurationSec: 1, WriteBytes: 0, BinSec: 1},
 		{DurationSec: 1, WriteBytes: 1, BinSec: 0},
 		{DurationSec: 1, WriteBytes: 1, BinSec: 1, RTTSamplesPerBin: -1},
+		{DurationSec: math.NaN(), WriteBytes: 1, BinSec: 1},
+		{DurationSec: math.Inf(1), WriteBytes: 1, BinSec: 1},
+		{DurationSec: 1, WriteBytes: 1, BinSec: math.NaN()},
+		{DurationSec: 1, WriteBytes: 1, BinSec: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := RunIperf(sh, EC2VNIC(), cfg, src); err == nil {

@@ -53,7 +53,7 @@ func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 // this point in Figure 3's caption).
 func QuantileCI(xs []float64, q, conf float64) (Interval, error) {
 	var s Sample
-	s.loadSorted(xs)
+	s.load(xs)
 	return s.QuantileCI(q, conf)
 }
 

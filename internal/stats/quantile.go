@@ -33,15 +33,7 @@ func SelectQuantile(xs []float64, p float64) float64 {
 		return math.NaN()
 	}
 	lo, frac, interp := quantileIndex(n, p)
-	// Under the sort.Float64s order NaN sorts first: gather the NaNs at
-	// the front, then select among the rest with plain comparisons.
-	nans := 0
-	for i, x := range xs {
-		if math.IsNaN(x) {
-			xs[i], xs[nans] = xs[nans], x
-			nans++
-		}
-	}
+	nans := gatherNaNs(xs)
 	if lo < nans {
 		return xs[lo]
 	}
@@ -60,6 +52,82 @@ func SelectQuantile(xs []float64, p float64) float64 {
 		}
 	}
 	return rest[k] + frac*(next-rest[k])
+}
+
+// gatherNaNs moves the NaNs in xs to its front, where the
+// sort.Float64s order puts them, and returns how many there are, so
+// that selection among the rest needs only plain comparisons.
+func gatherNaNs(xs []float64) int {
+	nans := 0
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
+		}
+	}
+	return nans
+}
+
+// selectSummary reorders xs so that every index a Summary reads holds
+// the element sort.Float64s would put there: 0 and len(xs)-1, and the
+// one or two order statistics QuantileSorted interpolates between for
+// each of summaryPs. It selects at most 14 ranks, in expected linear
+// time, with the same −0/+0 caveat as SelectQuantile.
+func selectSummary(xs []float64) {
+	n := len(xs)
+	var buf [2*len(summaryPs) + 2]int
+	ranks := append(buf[:0], 0, n-1)
+	for _, p := range summaryPs {
+		lo, _, interp := quantileIndex(n, p)
+		ranks = append(ranks, lo)
+		if interp {
+			ranks = append(ranks, lo+1)
+		}
+	}
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+	nans := gatherNaNs(xs)
+	// Ranks among the NaNs already hold a NaN.
+	for len(ranks) > 0 && ranks[0] < nans {
+		ranks = ranks[1:]
+	}
+	selectRanks(xs[nans:], nans, ranks)
+}
+
+// selectRanks reorders xs, which holds no NaN and starts at index base
+// of the whole, so that xs[r-base] holds the element an ascending sort
+// puts there for every rank r in ranks (ascending and distinct). It
+// places the middle rank and recurses on each side of it, so every
+// range it selects in holds only its own ranks. A rank at either end of
+// its range is the range's minimum or maximum, which a scan finds.
+func selectRanks(xs []float64, base int, ranks []int) {
+	if len(ranks) == 0 {
+		return
+	}
+	mid := len(ranks) / 2
+	k := ranks[mid] - base
+	switch k {
+	case 0:
+		m := 0
+		for i, x := range xs {
+			if x < xs[m] {
+				m = i
+			}
+		}
+		xs[0], xs[m] = xs[m], xs[0]
+	case len(xs) - 1:
+		m := k
+		for i, x := range xs {
+			if x > xs[m] {
+				m = i
+			}
+		}
+		xs[k], xs[m] = xs[m], xs[k]
+	default:
+		selectKth(xs, k)
+	}
+	selectRanks(xs[:k], base, ranks[:mid])
+	selectRanks(xs[k+1:], base+k+1, ranks[mid+1:])
 }
 
 // QuantileSorted is Quantile for data that is already sorted ascending.
@@ -170,6 +238,6 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 		return out
 	}
 	var s Sample
-	s.loadSorted(xs)
+	s.load(xs)
 	return s.Percentiles(out, ps...)
 }

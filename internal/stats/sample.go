@@ -5,12 +5,16 @@ import (
 	"sort"
 )
 
-// Sample is a measurement sample that is sorted once and then answers
-// every order-statistic query — quantiles, percentile batches,
-// nonparametric confidence intervals — from the same sorted buffer. It
-// is the allocation-free core the copy-and-sort-per-call package
-// functions (Percentiles, Summarize, QuantileCI, ...) are thin
-// wrappers over; a single Quantile selects instead (SelectQuantile).
+// Sample is a measurement sample that answers every order-statistic
+// query — quantiles, percentile batches, nonparametric confidence
+// intervals — from one buffer, sorted at most once per Reset. It is the
+// allocation-free core the copy-and-sort-per-call package functions
+// (Percentiles, Summarize, QuantileCI, ...) are thin wrappers over; a
+// single Quantile selects instead (SelectQuantile).
+//
+// Reset defers the sort: Summary selects the few order statistics it
+// reports without sorting, and every other order-statistic query sorts
+// the buffer first, once, and answers from it.
 //
 // The zero value is an empty sample ready for Reset. Reset reuses the
 // internal buffers, so a Sample held across loop iterations (one per
@@ -27,12 +31,17 @@ import (
 // (the fleet gives each worker one inside its scratch arena).
 //
 // Bit-compatibility contract: every query answers with exactly the
-// bits the legacy package functions produce. In particular Reset
-// computes the moment statistics (mean, variance) over the input in
-// its original order before sorting, because float64 summation is
-// order-sensitive and Summarize always summed in caller order.
+// bits the legacy package functions produce, except that Summary, like
+// SelectQuantile, may answer a zero of the other sign when the input
+// mixes -0 and +0. In particular Reset computes the moment statistics
+// (mean, variance) over the input in its original order, because
+// float64 summation is order-sensitive and Summarize always summed in
+// caller order.
 type Sample struct {
-	sorted []float64
+	// buf holds the observations: in an arbitrary order until a query
+	// sorts it, then ascending in sort.Float64s order while sorted.
+	buf    []float64
+	sorted bool
 	// Moments captured at Reset in input order; valid only while
 	// momentsValid (Push invalidates them, and recomputes on demand
 	// from the sorted buffer — ulp-level different from a Reset of the
@@ -46,19 +55,29 @@ type Sample struct {
 // Reset loads xs into the sample, reusing the internal buffers. The
 // input is copied, never aliased or mutated.
 func (s *Sample) Reset(xs []float64) *Sample {
+	s.load(xs)
 	s.mean = Mean(xs)
 	s.variance = Variance(xs)
-	s.loadSorted(xs)
 	s.momentsValid = true
 	return s
 }
 
-// loadSorted loads and sorts xs without capturing moments — the
+// load copies xs into the buffer without capturing moments — the
 // cheaper path for order-statistic-only wrappers (Percentiles, CIs).
-func (s *Sample) loadSorted(xs []float64) {
+func (s *Sample) load(xs []float64) {
+	s.buf = append(s.buf[:0], xs...)
+	s.sorted = false
 	s.momentsValid = false
-	s.sorted = append(s.sorted[:0], xs...)
-	sort.Float64s(s.sorted)
+}
+
+// sortedBuf sorts the buffer unless it is sorted already and returns
+// it.
+func (s *Sample) sortedBuf() []float64 {
+	if !s.sorted {
+		sort.Float64s(s.buf)
+		s.sorted = true
+	}
+	return s.buf
 }
 
 // Push inserts one observation into sorted position (shifting the
@@ -66,8 +85,9 @@ func (s *Sample) loadSorted(xs []float64) {
 // pattern, where re-sorting every prefix would be O(n² log n). NaNs
 // sort first, matching sort.Float64s.
 func (s *Sample) Push(x float64) {
-	i := sort.Search(len(s.sorted), func(i int) bool {
-		v := s.sorted[i]
+	sorted := s.sortedBuf()
+	i := sort.Search(len(sorted), func(i int) bool {
+		v := sorted[i]
 		// First index whose element sorts strictly after x under the
 		// sort.Float64s order (NaN < everything, then <).
 		if math.IsNaN(x) {
@@ -75,29 +95,30 @@ func (s *Sample) Push(x float64) {
 		}
 		return x < v
 	})
-	s.sorted = append(s.sorted, 0)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = x
+	s.buf = append(s.buf, 0)
+	copy(s.buf[i+1:], s.buf[i:])
+	s.buf[i] = x
 	s.momentsValid = false
 }
 
 // N returns the sample size.
-func (s *Sample) N() int { return len(s.sorted) }
+func (s *Sample) N() int { return len(s.buf) }
 
 // Min returns the smallest observation, or NaN for an empty sample.
 func (s *Sample) Min() float64 {
-	if len(s.sorted) == 0 {
+	if len(s.buf) == 0 {
 		return math.NaN()
 	}
-	return s.sorted[0]
+	return s.sortedBuf()[0]
 }
 
 // Max returns the largest observation, or NaN for an empty sample.
 func (s *Sample) Max() float64 {
-	if len(s.sorted) == 0 {
+	if len(s.buf) == 0 {
 		return math.NaN()
 	}
-	return s.sorted[len(s.sorted)-1]
+	sorted := s.sortedBuf()
+	return sorted[len(sorted)-1]
 }
 
 // moments returns (mean, variance) with the legacy bit pattern: the
@@ -107,7 +128,8 @@ func (s *Sample) moments() (mean, variance float64) {
 	if s.momentsValid {
 		return s.mean, s.variance
 	}
-	return Mean(s.sorted), Variance(s.sorted)
+	sorted := s.sortedBuf()
+	return Mean(sorted), Variance(sorted)
 }
 
 // Mean returns the arithmetic mean, or NaN for an empty sample.
@@ -133,9 +155,10 @@ func (s *Sample) CoV() float64 {
 	return math.Sqrt(v) / math.Abs(m)
 }
 
-// Quantile returns the p-quantile (Hyndman-Fan type 7) without any
-// copying or re-sorting. NaN for an empty sample or p outside [0, 1].
-func (s *Sample) Quantile(p float64) float64 { return QuantileSorted(s.sorted, p) }
+// Quantile returns the p-quantile (Hyndman-Fan type 7) from the sorted
+// buffer, sorting it first if needed. NaN for an empty sample or p
+// outside [0, 1].
+func (s *Sample) Quantile(p float64) float64 { return QuantileSorted(s.sortedBuf(), p) }
 
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
@@ -150,11 +173,18 @@ func (s *Sample) Percentiles(dst []float64, ps ...float64) []float64 {
 	return dst
 }
 
-// Summary computes the full descriptive summary from the sorted
-// buffer, bit-identical to Summarize on the Reset input.
+// summaryPs are the quantiles a Summary reports between Min and Max.
+var summaryPs = [...]float64{0.01, 0.25, 0.50, 0.75, 0.90, 0.99}
+
+// Summary computes the full descriptive summary, bit-identical to
+// Summarize on the Reset input. Unless a query has sorted the buffer
+// already, it selects the order statistics it reports instead of
+// sorting (selectSummary): at most 14, the minimum, the maximum and the
+// one or two behind each quantile.
 func (s *Sample) Summary() Summary {
-	out := Summary{N: len(s.sorted)}
-	if len(s.sorted) == 0 {
+	n := len(s.buf)
+	out := Summary{N: n}
+	if n == 0 {
 		nan := math.NaN()
 		out.Mean, out.StdDev, out.CoV = nan, nan, nan
 		out.Min, out.P01, out.P25, out.Median, out.P75, out.P90, out.P99, out.Max = nan, nan, nan, nan, nan, nan, nan, nan
@@ -163,14 +193,19 @@ func (s *Sample) Summary() Summary {
 	out.Mean = s.Mean()
 	out.StdDev = s.StdDev()
 	out.CoV = s.CoV()
-	out.Min = s.sorted[0]
-	out.Max = s.sorted[len(s.sorted)-1]
-	out.P01 = s.Quantile(0.01)
-	out.P25 = s.Quantile(0.25)
-	out.Median = s.Quantile(0.50)
-	out.P75 = s.Quantile(0.75)
-	out.P90 = s.Quantile(0.90)
-	out.P99 = s.Quantile(0.99)
+	if !s.sorted {
+		selectSummary(s.buf)
+	}
+	// Every index read below holds its sorted value, so QuantileSorted
+	// answers as it would from the sorted buffer.
+	out.Min = s.buf[0]
+	out.Max = s.buf[n-1]
+	out.P01 = QuantileSorted(s.buf, summaryPs[0])
+	out.P25 = QuantileSorted(s.buf, summaryPs[1])
+	out.Median = QuantileSorted(s.buf, summaryPs[2])
+	out.P75 = QuantileSorted(s.buf, summaryPs[3])
+	out.P90 = QuantileSorted(s.buf, summaryPs[4])
+	out.P99 = QuantileSorted(s.buf, summaryPs[5])
 	return out
 }
 
@@ -178,7 +213,7 @@ func (s *Sample) Summary() Summary {
 // q-quantile from the already-sorted buffer (see the package function
 // QuantileCI for the method).
 func (s *Sample) QuantileCI(q, conf float64) (Interval, error) {
-	n := len(s.sorted)
+	n := len(s.buf)
 	iv := Interval{Confidence: conf, N: n}
 	if n == 0 {
 		return iv, ErrInsufficientData
@@ -189,14 +224,15 @@ func (s *Sample) QuantileCI(q, conf float64) (Interval, error) {
 	if conf <= 0 || conf >= 1 {
 		return iv, errConfidenceRange(conf)
 	}
-	iv.Estimate = QuantileSorted(s.sorted, q)
+	sorted := s.sortedBuf()
+	iv.Estimate = QuantileSorted(sorted, q)
 	alpha := 1 - conf
 	l, u, achievable := quantileOrderIndices(n, q, alpha)
 	if !achievable {
 		return iv, errCIUnachievable(n, conf, q)
 	}
-	iv.Lo = s.sorted[l-1] // order statistics are 1-based
-	iv.Hi = s.sorted[u-1]
+	iv.Lo = sorted[l-1] // order statistics are 1-based
+	iv.Hi = sorted[u-1]
 	return iv, nil
 }
 

@@ -1,12 +1,14 @@
 package stats
 
 // Selection must answer every quantile with the bits the sort-based
-// path gives: QuantileSorted over sort.Float64s order. The property
-// test sweeps the inputs that break selection code — NaNs, which sort
-// first; infinities next to an interpolation point at frac 0, where
-// 0·Inf must stay NaN; one element; all-equal input; and the sorted,
-// reversed and organ-pipe orders that defeat a median-of-3 pivot — and
-// FuzzQuantileSelect explores past them.
+// path gives: QuantileSorted over sort.Float64s order, and Summary what
+// refSummarize gives. The property test sweeps the inputs that break
+// selection code — NaNs, which sort first; infinities next to an
+// interpolation point at frac 0, where 0·Inf must stay NaN; one
+// element; sizes at which the summary's ranks coincide; ties across
+// every rank; and the sorted, reversed and organ-pipe orders that
+// defeat a median-of-3 pivot — and FuzzQuantileSelect explores past
+// them.
 
 import (
 	"encoding/binary"
@@ -70,6 +72,27 @@ func checkSelect(t *testing.T, name string, xs []float64, p float64) {
 	}
 }
 
+// checkSummary compares the selecting Sample.Summary with the
+// sort-based reference, and checks that it only permuted the buffer.
+func checkSummary(t *testing.T, name string, xs []float64) {
+	t.Helper()
+	want := refSummarize(xs)
+	var s Sample
+	got := s.Reset(xs).Summary()
+	gotQ := []float64{got.Min, got.P01, got.P25, got.Median, got.P75, got.P90, got.P99, got.Max}
+	wantQ := []float64{want.Min, want.P01, want.P25, want.Median, want.P75, want.P90, want.P99, want.Max}
+	same := got.N == want.N && sameFloat(got.Mean, want.Mean) && sameFloat(got.StdDev, want.StdDev) && sameFloat(got.CoV, want.CoV)
+	for i := range gotQ {
+		same = same && sameQuantile(gotQ[i], wantQ[i], xs)
+	}
+	if !same {
+		t.Errorf("%s: Summary() = %+v, sort gives %+v", name, got, want)
+	}
+	if !samePermutation(s.buf, xs) {
+		t.Errorf("%s: Summary changed the multiset of its buffer", name)
+	}
+}
+
 // samePermutation reports whether a and b hold the same values, bit
 // for bit, in any order.
 func samePermutation(a, b []float64) bool {
@@ -102,7 +125,26 @@ func selectInputs() map[string][]float64 {
 		"inf-both":         {-inf, -inf, 0, inf, inf},
 		"zeros-mixed":      {0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, -1},
 		"zeros-negative":   {math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1)},
+		"three":            {3, 1, 2},
+		"four":             {4, 1, 3, 2},
+		"five":             {5, 1, 4, 2, 3},
 	}
+	// Six levels of ten ties each, interleaved: every order statistic a
+	// summary reads sits in a run of ten ties.
+	ties := make([]float64, 60)
+	for i := range ties {
+		ties[i] = float64(i % 6)
+	}
+	in["ties"] = ties
+	// Two -Inf and two +Inf among 196 finite values: the P01 and P99
+	// interpolations each read an infinity.
+	tails := make([]float64, 200)
+	tailSrc := simrand.New(200)
+	for i := range tails {
+		tails[i] = tailSrc.Normal(0, 1)
+	}
+	tails[17], tails[90], tails[3], tails[151] = -inf, -inf, inf, inf
+	in["inf-tails"] = tails
 	for _, n := range []int{2, 3, 12, 13, 100, 1000, 4097} {
 		equal := make([]float64, n)
 		asc := make([]float64, n)
@@ -148,6 +190,7 @@ func TestSelectQuantileMatchesSort(t *testing.T) {
 		for _, p := range ps {
 			checkSelect(t, name, xs, p)
 		}
+		checkSummary(t, name, xs)
 	}
 }
 
@@ -247,6 +290,15 @@ func quantileSelectSeeds() map[string]quantileSelectSeed {
 		"seed-nan-sprinkled":    seed("nan-sprinkled-100", 0.1),
 		"seed-short-tail-bytes": {data: append(floatsToBytes([]float64{2, 1}), 0xff, 0x01), p: 0.25},
 		"seed-empty":            {data: nil, p: 0.5},
+		// Inputs that probe the summary, which every input also checks.
+		"seed-summary-nan-only":  seed("nan-only", 0.5),
+		"seed-summary-one":       seed("one", 0.5),
+		"seed-summary-two":       seed("two", 0.5),
+		"seed-summary-three":     seed("three", 0.5),
+		"seed-summary-four":      seed("four", 0.5),
+		"seed-summary-five":      seed("five", 0.5),
+		"seed-summary-ties":      seed("ties", 0.5),
+		"seed-summary-inf-tails": seed("inf-tails", 0.99),
 	}
 }
 
@@ -261,7 +313,9 @@ func FuzzQuantileSelect(f *testing.F) {
 		f.Add(seeds[name].data, seeds[name].p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, p float64) {
-		checkSelect(t, "fuzz", floatsFromBytes(data), p)
+		xs := floatsFromBytes(data)
+		checkSelect(t, "fuzz", xs, p)
+		checkSummary(t, "fuzz", xs)
 	})
 }
 

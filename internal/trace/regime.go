@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Regime is a network access pattern from Section 3.1's campaign
 // design. The paper tested three: continuous transfer ("full-speed",
@@ -31,8 +34,11 @@ func (r Regime) Continuous() bool { return r.SendSec == 0 && r.RestSec == 0 }
 
 // Validate checks the regime is well-formed.
 func (r Regime) Validate() error {
-	if r.SendSec < 0 || r.RestSec < 0 {
-		return fmt.Errorf("trace: negative phase in regime %q", r.Name)
+	switch {
+	case !(r.SendSec >= 0) || math.IsInf(r.SendSec, 1):
+		return fmt.Errorf("trace: regime %q send phase %g s must be non-negative and finite", r.Name, r.SendSec)
+	case !(r.RestSec >= 0) || math.IsInf(r.RestSec, 1):
+		return fmt.Errorf("trace: regime %q rest phase %g s must be non-negative and finite", r.Name, r.RestSec)
 	}
 	if (r.SendSec == 0) != (r.RestSec == 0) {
 		return fmt.Errorf("trace: regime %q must set both or neither phase", r.Name)
