@@ -27,6 +27,12 @@ type CampaignConfig struct {
 	RTTSamplesPerBin int
 }
 
+// maxCellPoints bounds DurationSec/BinSec, the points of one cell's
+// series. The series is allocated up front at 40 bytes a point, so the
+// bound keeps a cell under 160 MiB; at the paper's 10 s bins it is 485
+// days, 69 times the week the paper measured each pair.
+const maxCellPoints = 1 << 22
+
 // DefaultCampaignConfig returns the paper's settings with a duration
 // chosen by the caller.
 func DefaultCampaignConfig(durationSec float64) CampaignConfig {
@@ -49,6 +55,9 @@ func (c CampaignConfig) Validate() error {
 		return fmt.Errorf("cloudmodel: write size must be positive")
 	case c.RTTSamplesPerBin < 0:
 		return fmt.Errorf("cloudmodel: negative RTT sample bound")
+	case c.DurationSec/c.BinSec > maxCellPoints:
+		return fmt.Errorf("cloudmodel: campaign duration %g s in %g s bins is above the bound of %d points per cell",
+			c.DurationSec, c.BinSec, maxCellPoints)
 	}
 	return nil
 }

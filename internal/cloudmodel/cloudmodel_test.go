@@ -2,6 +2,7 @@ package cloudmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloudvar/internal/netem"
@@ -326,6 +327,9 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{DurationSec: math.Inf(1), BinSec: 10, WriteBytes: 1},
 		{DurationSec: 10, BinSec: math.NaN(), WriteBytes: 1},
 		{DurationSec: 10, BinSec: math.Inf(1), WriteBytes: 1},
+		// 1e12 hours, and a femtosecond bin: series too long to allocate.
+		{DurationSec: 3.6e15, BinSec: 10, WriteBytes: 1},
+		{DurationSec: 10, BinSec: 1e-15, WriteBytes: 1},
 	}
 	p, _ := HPCCloudProfile(8)
 	src := simrand.New(1)
@@ -333,6 +337,14 @@ func TestCampaignConfigValidation(t *testing.T) {
 		if _, err := RunCampaign(p, trace.FullSpeed, cfg, src); err == nil {
 			t.Errorf("config %d should error", i)
 		}
+	}
+	atBound := CampaignConfig{DurationSec: maxCellPoints * 10, BinSec: 10, WriteBytes: 1}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("a cell of %d points: %v", maxCellPoints, err)
+	}
+	atBound.DurationSec += 10
+	if err := atBound.Validate(); err == nil || !strings.Contains(err.Error(), "above the bound of 4194304 points") {
+		t.Errorf("a cell of %d points: %v, want the bound named", maxCellPoints+1, err)
 	}
 	badRegimes := []trace.Regime{
 		{Name: "bad", SendSec: -1},

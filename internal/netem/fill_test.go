@@ -1,0 +1,314 @@
+package netem
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"cloudvar/internal/simrand"
+	"cloudvar/internal/tokenbucket"
+)
+
+// The reference below is progressive filling as it was before frozen
+// flows became flags and resources kept counts: assignRates with its
+// map of frozen flows, and the step that called it, verbatim but for
+// the branch counts they add to hits. TestAssignRatesMatchesReference
+// pins the filling to it, step for step and bit for bit.
+
+// fillHits counts the filling's branches: rounds whose increment is
+// zero, flows frozen on a saturated resource and at their demand, and
+// rounds that stop on a zero increment with nothing frozen.
+type fillHits struct {
+	zeroInc, saturated, headroom, stalled int
+}
+
+// refAssignRates is Network.assignRates as it was.
+func refAssignRates(n *Network, hits *fillHits) {
+	type refResource struct {
+		cap   float64
+		flows []*Flow
+	}
+	var resources []*refResource
+	for _, nic := range n.order {
+		if len(nic.outFlows) > 0 {
+			resources = append(resources, &refResource{
+				cap:   nic.Egress.Rate(infDemand),
+				flows: nic.outFlows,
+			})
+		}
+		if len(nic.inFlows) > 0 {
+			resources = append(resources, &refResource{
+				cap:   nic.IngressGbps,
+				flows: nic.inFlows,
+			})
+		}
+	}
+
+	frozen := make(map[*Flow]bool, len(n.flows))
+	for _, f := range n.flows {
+		f.rate = 0
+	}
+
+	for len(frozen) < len(n.flows) {
+		// Increment = min over resources of remaining/unfrozen count,
+		// and over flows of demand headroom.
+		inc := math.Inf(1)
+		for _, r := range resources {
+			unfrozen := 0
+			for _, f := range r.flows {
+				if !frozen[f] {
+					unfrozen++
+				}
+			}
+			if unfrozen == 0 {
+				continue
+			}
+			if share := r.cap / float64(unfrozen); share < inc {
+				inc = share
+			}
+		}
+		for _, f := range n.flows {
+			if !frozen[f] {
+				if head := f.Demand - f.rate; head < inc {
+					inc = head
+				}
+			}
+		}
+		if math.IsInf(inc, 1) || inc < 0 {
+			break
+		}
+		if inc == 0 {
+			hits.zeroInc++
+		}
+
+		// Raise unfrozen flows and charge resources.
+		for _, r := range resources {
+			for _, f := range r.flows {
+				if !frozen[f] {
+					r.cap -= inc
+				}
+			}
+			if r.cap < 1e-12 {
+				r.cap = 0
+			}
+		}
+		for _, f := range n.flows {
+			if !frozen[f] {
+				f.rate += inc
+			}
+		}
+
+		// Freeze flows at demand or on saturated resources.
+		progressed := false
+		for _, r := range resources {
+			if r.cap == 0 {
+				for _, f := range r.flows {
+					if !frozen[f] {
+						frozen[f] = true
+						progressed = true
+						hits.saturated++
+					}
+				}
+			}
+		}
+		for _, f := range n.flows {
+			if !frozen[f] && f.rate >= f.Demand-1e-12 {
+				frozen[f] = true
+				progressed = true
+				hits.headroom++
+			}
+		}
+		if !progressed {
+			if inc == 0 {
+				hits.stalled++
+				// No capacity anywhere (e.g. a sampled shaper drew
+				// zero): freeze everything at zero and let the step
+				// bound on NextTransition move time forward.
+				break
+			}
+		}
+	}
+
+	for _, nic := range n.order {
+		agg := 0.0
+		for _, f := range nic.outFlows {
+			agg += f.rate
+		}
+		nic.lastRate = agg
+	}
+}
+
+// refStep is Network.step as it was, filling with refAssignRates.
+func refStep(n *Network, maxDt float64, hits *fillHits) float64 {
+	refAssignRates(n, hits)
+
+	dt := math.Min(maxDt, n.MaxStep)
+	for _, f := range n.flows {
+		if f.rate > 0 {
+			if t := f.Remaining / f.rate; t < dt {
+				dt = t
+			}
+		}
+	}
+	for _, nic := range n.order {
+		if t := nic.Egress.NextTransition(nic.lastRate); t < dt {
+			dt = t
+		}
+	}
+	if dt < 1e-9 {
+		dt = 1e-9 // floor to guarantee progress through regime flips
+	}
+
+	// Advance shapers with their achieved aggregate rates.
+	for _, nic := range n.order {
+		if nic.lastRate > 0 {
+			nic.movedGbit += nic.Egress.Transfer(nic.lastRate, dt)
+		} else {
+			nic.Egress.Idle(dt)
+		}
+	}
+
+	// Advance flows and collect completions.
+	var done []*Flow
+	for _, f := range n.flows {
+		f.Remaining -= f.rate * dt
+		if f.Remaining <= 1e-9 {
+			f.Remaining = 0
+			f.CompletedAt = n.now + dt
+			done = append(done, f)
+		}
+	}
+	n.now += dt
+	n.completed += len(done)
+	for _, f := range done {
+		n.removeFlow(f)
+	}
+	for _, f := range done {
+		if f.OnComplete != nil {
+			f.OnComplete(n.now)
+		}
+	}
+	return dt
+}
+
+// fillNet is one network of a matched pair, with the flows it started
+// in start order and the IDs of the flows it completed in completion
+// order.
+type fillNet struct {
+	n     *Network
+	flows []*Flow
+	done  []int
+}
+
+// start begins a flow; completing a flow whose ID is a multiple of
+// three starts one of half its size back from its destination.
+func (net *fillNet) start(t *testing.T, from, to string, gbit, demand float64) {
+	var f *Flow
+	f, err := net.n.StartFlow(from, to, gbit, demand, func(float64) {
+		net.done = append(net.done, f.ID)
+		if f.ID%3 == 0 && gbit > 1 {
+			net.start(t, to, from, gbit/2, demand)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.flows = append(net.flows, f)
+}
+
+// fillPair builds two identical networks of 2–16 NICs whose egress is
+// fixed, a small token bucket that throttles mid-run, or a sampled
+// capacity that is zero three tenths of the time, and returns a draw
+// of a flow between two distinct NICs: greedy, or capped at a demand
+// of 0.5–6 Gbps.
+func fillPair(t *testing.T, seed uint64, src *simrand.Source) (a, b *fillNet, draw func() (from, to string, gbit, demand float64)) {
+	t.Helper()
+	nics := 2 + src.Intn(15)
+	zeroOften := simrand.MustQuantileDist([]float64{0, 0.3, 1}, []float64{0, 0, 9})
+	kinds, params, ingress := make([]int, nics), make([]float64, nics), make([]float64, nics)
+	for i := range kinds {
+		kinds[i], params[i], ingress[i] = src.Intn(3), src.Uniform(2, 10), src.Uniform(5, 10)
+	}
+	build := func() *fillNet {
+		net := &fillNet{n: NewNetwork()}
+		for i := range kinds {
+			var sh Shaper = &FixedShaper{RateGbps: params[i]}
+			var err error
+			switch kinds[i] {
+			case 1:
+				sh, err = NewBucketShaper(tokenbucket.Params{BudgetGbit: 3 * params[i], RefillGbps: 1, HighGbps: 10, LowGbps: 1})
+			case 2:
+				sh, err = NewSampledShaper(zeroOften, params[i], simrand.New(seed).Substream(fmt.Sprint(i)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.n.AddNIC(fmt.Sprint(i), sh, ingress[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return net
+	}
+	draw = func() (from, to string, gbit, demand float64) {
+		s := src.Intn(nics)
+		d := (s + 1 + src.Intn(nics-1)) % nics
+		demand = math.Inf(1)
+		if src.Bernoulli(0.4) {
+			demand = src.Uniform(0.5, 6)
+		}
+		return fmt.Sprint(s), fmt.Sprint(d), src.Uniform(1, 50), demand
+	}
+	return build(), build(), draw
+}
+
+func TestAssignRatesMatchesReference(t *testing.T) {
+	var hits fillHits
+	for seed := uint64(1); seed <= 30; seed++ {
+		src := simrand.New(seed)
+		a, b, draw := fillPair(t, seed, src)
+		// Several flows per NIC, and with 2–3 NICs several per pair.
+		for k := len(a.n.order) * (2 + src.Intn(3)); k > 0; k-- {
+			from, to, gbit, demand := draw()
+			a.start(t, from, to, gbit, demand)
+			b.start(t, from, to, gbit, demand)
+		}
+		for step := 0; step < 200 || a.n.ActiveFlows() > 0; step++ {
+			if step == 20000 {
+				t.Fatalf("seed %d: %d flows still active after %d steps", seed, a.n.ActiveFlows(), step)
+			}
+			got, want := a.n.step(1e6), refStep(b.n, 1e6, &hits)
+			if !sameBits(got, want) || !sameBits(a.n.Now(), b.n.Now()) {
+				t.Fatalf("seed %d step %d: dt %v to %v, reference %v to %v", seed, step, got, a.n.Now(), want, b.n.Now())
+			}
+			for i, f := range a.flows {
+				g := b.flows[i]
+				if !sameBits(f.rate, g.rate) || !sameBits(f.Remaining, g.Remaining) || !sameBits(f.CompletedAt, g.CompletedAt) {
+					t.Fatalf("seed %d step %d flow %d: rate %v, %v Gbit left, done at %v; reference %v, %v, %v",
+						seed, step, f.ID, f.rate, f.Remaining, f.CompletedAt, g.rate, g.Remaining, g.CompletedAt)
+				}
+			}
+			for i, nic := range a.n.order {
+				ref := b.n.order[i]
+				if !sameBits(nic.CurrentRateGbps(), ref.CurrentRateGbps()) || !sameBits(nic.MovedGbit(), ref.MovedGbit()) {
+					t.Fatalf("seed %d step %d NIC %s: rate %v, moved %v; reference %v, %v",
+						seed, step, nic.Name, nic.CurrentRateGbps(), nic.MovedGbit(), ref.CurrentRateGbps(), ref.MovedGbit())
+				}
+			}
+			if !slices.Equal(a.done, b.done) {
+				t.Fatalf("seed %d step %d: completions %v, reference %v", seed, step, a.done, b.done)
+			}
+			// Flows arrive mid-run for the first 200 steps.
+			for step < 200 && src.Bernoulli(0.05) {
+				from, to, gbit, demand := draw()
+				a.start(t, from, to, gbit, demand)
+				b.start(t, from, to, gbit, demand)
+			}
+		}
+	}
+	t.Logf("rounds with a zero increment %d, saturation freezes %d, headroom freezes %d, stalled rounds %d",
+		hits.zeroInc, hits.saturated, hits.headroom, hits.stalled)
+	if hits.zeroInc == 0 || hits.saturated == 0 || hits.headroom == 0 {
+		t.Errorf("branches reached: %+v, want a zero increment, a saturation freeze and a headroom freeze", hits)
+	}
+}

@@ -68,6 +68,12 @@ type IperfConfig struct {
 	RTTSamplesPerBin int
 }
 
+// maxRunSamples bounds a run's bins × RTTSamplesPerBin, or its bins
+// when it samples no RTT. RunIperf holds a run's RTT samples in one
+// slice of 8-byte floats, so the bound keeps that slice under 128 MiB;
+// at a campaign's 4 samples per 10 s bin it is 485 days of stream.
+const maxRunSamples = 1 << 24
+
 // Validate checks the configuration.
 func (c IperfConfig) Validate() error {
 	switch {
@@ -79,6 +85,9 @@ func (c IperfConfig) Validate() error {
 		return fmt.Errorf("netem: iperf bin %g s must be positive and finite", c.BinSec)
 	case c.RTTSamplesPerBin < 0:
 		return fmt.Errorf("netem: negative RTT sample cap")
+	case math.Ceil(c.DurationSec/c.BinSec)*float64(max(c.RTTSamplesPerBin, 1)) > maxRunSamples:
+		return fmt.Errorf("netem: iperf duration %g s in %g s bins of %d RTT samples is above the bound of %d samples per run",
+			c.DurationSec, c.BinSec, c.RTTSamplesPerBin, maxRunSamples)
 	}
 	return nil
 }

@@ -39,6 +39,9 @@ type NIC struct {
 	movedGbit float64
 	// lastRate is the aggregate egress rate of the previous step.
 	lastRate float64
+	// egressRes and ingressRes index this NIC's resources in the
+	// table of the current assignRates.
+	egressRes, ingressRes int
 }
 
 // MovedGbit returns the cumulative egress volume in Gbit.
@@ -62,7 +65,8 @@ type Flow struct {
 	StartedAt   float64
 	CompletedAt float64
 
-	rate float64 // current max-min assigned rate
+	rate   float64 // current max-min assigned rate
+	frozen bool    // rate fixed for the rest of this assignRates
 }
 
 // Network is the fluid-flow simulator: flows progress at their max-min
@@ -77,6 +81,11 @@ type Network struct {
 	nextID    int
 	completed int
 	MaxStep   float64 // cap on a single advance; default 1 s
+
+	// Buffers reused from step to step: the resource table and the
+	// step's completions.
+	res  []resource
+	done []*Flow
 }
 
 // NewNetwork returns an empty network at virtual time zero.
@@ -146,57 +155,75 @@ func (n *Network) StartFlow(src, dst string, gbit, demand float64, onComplete fu
 // ActiveFlows returns the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 
+// resource is one capacity that flows share: a NIC's shaped egress or
+// its ingress line rate.
+type resource struct {
+	cap   float64
+	flows []*Flow
+	// unfrozen counts the flows whose rate may still grow.
+	unfrozen int
+}
+
 // assignRates computes max-min fair rates for all active flows via
 // progressive filling over two resource classes: each NIC's shaped
 // egress capacity and each NIC's ingress capacity. This is the
 // production sharing model; the aggregate-pipe simplification it is
 // benchmarked against lives in the ablation suite.
+//
+// A frozen flow carries a flag, and each resource counts its unfrozen
+// flows; freezing a flow decrements the counts of its source's egress
+// and its destination's ingress. A round charges a resource inc by one
+// subtraction per unfrozen flow: a single inc*count rounds differently,
+// and every Spark timing pinned in internal/workloads would move.
 func (n *Network) assignRates() {
-	type resource struct {
-		cap   float64
-		flows []*Flow
-	}
-	var resources []*resource
+	n.res = n.res[:0]
 	for _, nic := range n.order {
 		if len(nic.outFlows) > 0 {
-			resources = append(resources, &resource{
-				cap:   nic.Egress.Rate(infDemand),
-				flows: nic.outFlows,
+			nic.egressRes = len(n.res)
+			n.res = append(n.res, resource{
+				cap:      nic.Egress.Rate(infDemand),
+				flows:    nic.outFlows,
+				unfrozen: len(nic.outFlows),
 			})
 		}
 		if len(nic.inFlows) > 0 {
-			resources = append(resources, &resource{
-				cap:   nic.IngressGbps,
-				flows: nic.inFlows,
+			nic.ingressRes = len(n.res)
+			n.res = append(n.res, resource{
+				cap:      nic.IngressGbps,
+				flows:    nic.inFlows,
+				unfrozen: len(nic.inFlows),
 			})
 		}
 	}
+	res := n.res
 
-	frozen := make(map[*Flow]bool, len(n.flows))
+	frozen := 0
+	freeze := func(f *Flow) {
+		f.frozen = true
+		frozen++
+		res[f.Src.egressRes].unfrozen--
+		res[f.Dst.ingressRes].unfrozen--
+	}
 	for _, f := range n.flows {
 		f.rate = 0
+		f.frozen = false
 	}
 
-	for len(frozen) < len(n.flows) {
+	for frozen < len(n.flows) {
 		// Increment = min over resources of remaining/unfrozen count,
 		// and over flows of demand headroom.
 		inc := math.Inf(1)
-		for _, r := range resources {
-			unfrozen := 0
-			for _, f := range r.flows {
-				if !frozen[f] {
-					unfrozen++
-				}
-			}
-			if unfrozen == 0 {
+		for i := range res {
+			r := &res[i]
+			if r.unfrozen == 0 {
 				continue
 			}
-			if share := r.cap / float64(unfrozen); share < inc {
+			if share := r.cap / float64(r.unfrozen); share < inc {
 				inc = share
 			}
 		}
 		for _, f := range n.flows {
-			if !frozen[f] {
+			if !f.frozen {
 				if head := f.Demand - f.rate; head < inc {
 					inc = head
 				}
@@ -207,37 +234,37 @@ func (n *Network) assignRates() {
 		}
 
 		// Raise unfrozen flows and charge resources.
-		for _, r := range resources {
-			for _, f := range r.flows {
-				if !frozen[f] {
-					r.cap -= inc
-				}
+		for i := range res {
+			r := &res[i]
+			for k := r.unfrozen; k > 0; k-- {
+				r.cap -= inc
 			}
 			if r.cap < 1e-12 {
 				r.cap = 0
 			}
 		}
 		for _, f := range n.flows {
-			if !frozen[f] {
+			if !f.frozen {
 				f.rate += inc
 			}
 		}
 
 		// Freeze flows at demand or on saturated resources.
 		progressed := false
-		for _, r := range resources {
-			if r.cap == 0 {
+		for i := range res {
+			r := &res[i]
+			if r.cap == 0 && r.unfrozen > 0 {
 				for _, f := range r.flows {
-					if !frozen[f] {
-						frozen[f] = true
-						progressed = true
+					if !f.frozen {
+						freeze(f)
 					}
 				}
+				progressed = true
 			}
 		}
 		for _, f := range n.flows {
-			if !frozen[f] && f.rate >= f.Demand-1e-12 {
-				frozen[f] = true
+			if !f.frozen && f.rate >= f.Demand-1e-12 {
+				freeze(f)
 				progressed = true
 			}
 		}
@@ -292,7 +319,7 @@ func (n *Network) step(maxDt float64) float64 {
 	}
 
 	// Advance flows and collect completions.
-	var done []*Flow
+	done := n.done[:0]
 	for _, f := range n.flows {
 		f.Remaining -= f.rate * dt
 		if f.Remaining <= 1e-9 {
@@ -306,11 +333,15 @@ func (n *Network) step(maxDt float64) float64 {
 	for _, f := range done {
 		n.removeFlow(f)
 	}
+	// A callback that steps the network collects into its own slice.
+	n.done = nil
 	for _, f := range done {
 		if f.OnComplete != nil {
 			f.OnComplete(n.now)
 		}
 	}
+	clear(done)
+	n.done = done[:0]
 	return dt
 }
 

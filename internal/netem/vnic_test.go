@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloudvar/internal/simrand"
@@ -218,11 +219,26 @@ func TestRunIperfConfigErrors(t *testing.T) {
 		{DurationSec: math.Inf(1), WriteBytes: 1, BinSec: 1},
 		{DurationSec: 1, WriteBytes: 1, BinSec: math.NaN()},
 		{DurationSec: 1, WriteBytes: 1, BinSec: math.Inf(1)},
+		// Bins, and RTT samples, too many to allocate.
+		{DurationSec: 3.6e15, WriteBytes: 1, BinSec: 10},
+		{DurationSec: 1, WriteBytes: 1, BinSec: 1, RTTSamplesPerBin: 1 << 62},
 	}
 	for i, cfg := range bad {
 		if _, err := RunIperf(sh, EC2VNIC(), cfg, src); err == nil {
 			t.Errorf("config %d should error", i)
 		}
+	}
+	atBound := IperfConfig{DurationSec: maxRunSamples / 4 * 10, WriteBytes: 1, BinSec: 10, RTTSamplesPerBin: 4}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("a run of %d samples: %v", maxRunSamples, err)
+	}
+	atBound.DurationSec += 10
+	if err := atBound.Validate(); err == nil || !strings.Contains(err.Error(), "above the bound of 16777216 samples") {
+		t.Errorf("a run of %d samples: %v, want the bound named", maxRunSamples+4, err)
+	}
+	atBound.RTTSamplesPerBin = 0
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("a run of %d bins without samples: %v", maxRunSamples/4+1, err)
 	}
 	badModel := EC2VNIC()
 	badModel.MTUBytes = 0

@@ -192,6 +192,7 @@ type Cluster struct {
 	cfg       ClusterConfig
 	net       *netem.Network
 	shapers   []netem.Shaper
+	names     []string // NIC name per node, formatted once
 	src       *simrand.Source
 	nodeSpeed []float64 // per-node compute-time multipliers
 	// cpuBuckets[node][slot] holds per-vCPU credit buckets when
@@ -223,7 +224,8 @@ func NewCluster(cfg ClusterConfig, src *simrand.Source) (*Cluster, error) {
 			return nil, fmt.Errorf("spark: shaper factory returned nil for node %d", i)
 		}
 		c.shapers = append(c.shapers, sh)
-		if _, err := c.net.AddNIC(nodeName(i), sh, cfg.IngressGbps); err != nil {
+		c.names = append(c.names, nodeName(i))
+		if _, err := c.net.AddNIC(c.names[i], sh, cfg.IngressGbps); err != nil {
 			return nil, err
 		}
 	}
@@ -384,7 +386,7 @@ func (c *Cluster) RunJob(job Job, opts RunOptions) (JobResult, error) {
 func (c *Cluster) nodeMoved() []float64 {
 	out := make([]float64, c.cfg.Nodes)
 	for i := 0; i < c.cfg.Nodes; i++ {
-		nic, _ := c.net.NIC(nodeName(i))
+		nic, _ := c.net.NIC(c.names[i])
 		out[i] = nic.MovedGbit()
 	}
 	return out
@@ -480,7 +482,7 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 				node := best
 				nodeSlot := slot
 				trace := tt
-				_, err := c.net.StartFlow(nodeName(peer), nodeName(best),
+				_, err := c.net.StartFlow(c.names[peer], c.names[best],
 					spec.ShuffleGbit, math.Inf(1), func(now float64) {
 						trace.ShuffleAt = now
 						computes = append(computes, computeEvent{
@@ -570,7 +572,7 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 func (c *Cluster) nodeRates() []float64 {
 	out := make([]float64, c.cfg.Nodes)
 	for i := 0; i < c.cfg.Nodes; i++ {
-		nic, _ := c.net.NIC(nodeName(i))
+		nic, _ := c.net.NIC(c.names[i])
 		out[i] = nic.CurrentRateGbps()
 	}
 	return out

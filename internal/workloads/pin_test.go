@@ -1,0 +1,64 @@
+package workloads
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+
+	"cloudvar/internal/simrand"
+	"cloudvar/internal/spark"
+)
+
+// TestSuiteTimingsPinned runs every app on a fresh Table 4 cluster and
+// then back to back on one consecutive cluster, at a full and at a
+// starved initial budget, and hashes the bits of every job runtime,
+// stage start and end and task end. The pin holds the Spark engine and
+// the fluid network under it to their timings bit for bit.
+func TestSuiteTimingsPinned(t *testing.T) {
+	const want = "bc0b179da9175689da873c906dcc30d83df1b42a9ca6b5a75f4fb50a45713976"
+	src := simrand.New(1)
+	h := sha256.New()
+	run := func(c *spark.Cluster, app App) {
+		res, err := c.RunJob(app.Job, spark.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		hashBits(h, res.Runtime())
+		for _, s := range res.Stages {
+			hashBits(h, s.Start)
+			hashBits(h, s.End)
+			for _, task := range s.Tasks {
+				hashBits(h, task.End)
+			}
+		}
+	}
+	cluster := func(budget float64, name string) *spark.Cluster {
+		c, err := Table4Cluster(budget, src.Substream(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	apps := AllApps()
+	for _, budget := range []float64{BucketCapacityGbit, 100} {
+		for _, app := range apps {
+			run(cluster(budget, "fresh/"+app.Name), app)
+		}
+		shared := cluster(budget, "consecutive")
+		for _, app := range apps {
+			run(shared, app)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("suite timings digest %s, pinned %s", got, want)
+	}
+}
+
+func hashBits(h hash.Hash, f float64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+	h.Write(b[:])
+}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"cloudvar/internal/spark"
 )
@@ -112,11 +113,17 @@ func AllApps() []App {
 	return append(HiBench(), TPCDS()...)
 }
 
-// ByName finds any workload by name ("terasort", "q65", ...).
+// ByName finds any workload by name ("terasort", "q65", ...). Of the
+// TPC-DS queries it builds only the one whose name matches.
 func ByName(name string) (App, error) {
-	for _, a := range AllApps() {
+	for _, a := range HiBench() {
 		if a.Name == name {
 			return a, nil
+		}
+	}
+	for _, s := range tpcdsCatalog {
+		if name == "q"+strconv.Itoa(s.query) {
+			return s.app(), nil
 		}
 	}
 	return App{}, fmt.Errorf("workloads: unknown workload %q", name)

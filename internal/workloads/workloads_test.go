@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"cloudvar/internal/simrand"
@@ -93,13 +94,18 @@ func TestTPCDSCatalog(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"terasort", "kmeans", "q65", "q82"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+	for _, want := range AllApps() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", want.Name, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %+v, want %+v", want.Name, got, want)
 		}
 	}
-	if _, err := ByName("q999"); err == nil {
-		t.Error("unknown name should error")
+	for _, name := range []string{"q999", "q065", "q+65", "Q65", "q", "65", "TS", "", "kmeans-emu"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) should error", name)
+		}
 	}
 	if len(AllApps()) != 26 {
 		t.Errorf("AllApps = %d, want 26", len(AllApps()))
