@@ -10,6 +10,7 @@ package cloudmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"cloudvar/internal/netem"
 	"cloudvar/internal/simrand"
@@ -17,8 +18,34 @@ import (
 	"cloudvar/internal/workload"
 )
 
+// WorkloadScratch is a reusable per-worker arena for RunWorkload's
+// transient buffers: the envelope columns, each client's arrival
+// stream, the merge's cursors and request list, and the served
+// latencies. Reusing
+// one arena across cells removes a traffic cell's buffer allocations
+// without affecting output: the arena lends memory, never state, and
+// the returned metrics share no memory with it. The zero value is
+// ready to use.
+type WorkloadScratch struct {
+	env       netem.PathEnvelope
+	streams   [][]float64
+	next      []int
+	reqs      []netem.Request
+	latencies []float64
+}
+
 // RunWorkload replays spec's client request streams over the measured
 // series of one campaign cell and returns per-client latency metrics.
+// It is RunWorkloadScratch with a fresh arena.
+func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg CampaignConfig, substream func(name string) *simrand.Source) (*workload.CellMetrics, error) {
+	return RunWorkloadScratch(spec, series, p, cfg, substream, &WorkloadScratch{})
+}
+
+// RunWorkloadScratch is RunWorkload with an explicit arena. The
+// returned metrics are freshly allocated — one array holds every
+// client's latencies, each client's LatencyMs a full slice expression
+// of it — and are bit-identical for equal inputs regardless of how the
+// arena was previously used.
 //
 // Determinism contract: every client's arrivals come from
 // substream("client/<id>") and the serving loop's RTT jitter from
@@ -26,7 +53,7 @@ import (
 // identity — never from an advanced generator — so the result is
 // bit-identical at any worker count and across resume boundaries, and
 // distinct client IDs draw from independent substreams.
-func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg CampaignConfig, substream func(name string) *simrand.Source) (*workload.CellMetrics, error) {
+func RunWorkloadScratch(spec workload.Spec, series *trace.Series, p Profile, cfg CampaignConfig, substream func(name string) *simrand.Source, scratch *WorkloadScratch) (*workload.CellMetrics, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -34,10 +61,12 @@ func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg Campai
 		return nil, fmt.Errorf("cloudmodel: workload replay needs a measured series")
 	}
 
+	n := len(series.Points)
 	env := netem.PathEnvelope{
-		Times: make([]float64, len(series.Points)),
-		Gbps:  make([]float64, len(series.Points)),
+		Times: slices.Grow(scratch.env.Times[:0], n)[:n],
+		Gbps:  slices.Grow(scratch.env.Gbps[:0], n)[:n],
 	}
+	scratch.env = env
 	for i, pt := range series.Points {
 		env.Times[i] = pt.TimeSec
 		env.Gbps[i] = pt.BandwidthGbps
@@ -47,26 +76,36 @@ func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg Campai
 	// merge the streams into one arrival-ordered request list. Ties
 	// break by spec declaration order — a fixed rule, so the merge is
 	// deterministic.
-	streams := make([][]float64, len(spec.Clients))
+	if short := len(spec.Clients) - len(scratch.streams); short > 0 {
+		scratch.streams = append(scratch.streams, make([][]float64, short)...)
+	}
+	streams := scratch.streams[:len(spec.Clients)]
 	total := 0
 	for i, c := range spec.Clients {
-		streams[i] = c.Stream(spec.AggregateRPS, cfg.DurationSec, substream("client/"+c.ID), nil)
+		streams[i] = c.Stream(spec.AggregateRPS, cfg.DurationSec, substream("client/"+c.ID), streams[i][:0])
 		total += len(streams[i])
 	}
-	reqs := mergeStreams(streams, total)
+	scratch.next = slices.Grow(scratch.next[:0], len(streams))[:len(streams)]
+	reqs := mergeStreams(slices.Grow(scratch.reqs[:0], total), streams, scratch.next)
+	scratch.reqs = reqs
 
-	latencies, err := netem.ServeRequests(reqs, spec.RequestGbit(), env, p.VNIC, cfg.WriteBytes, substream("serve"))
+	latencies, err := netem.ServeRequests(scratch.latencies[:0], reqs, spec.RequestGbit(), env, p.VNIC, cfg.WriteBytes, substream("serve"))
 	if err != nil {
 		return nil, fmt.Errorf("cloudmodel: workload replay: %w", err)
 	}
+	scratch.latencies = latencies
 
+	// Carve each client's latencies from one exact array; the full
+	// slice expression keeps an append to one client from running into
+	// the next, and a client that served nothing keeps an empty, non-nil
+	// LatencyMs.
+	all := make([]float64, total)
 	out := &workload.CellMetrics{Clients: make([]workload.ClientMetrics, len(spec.Clients))}
+	off := 0
 	for i, c := range spec.Clients {
-		out.Clients[i] = workload.ClientMetrics{
-			ID:        c.ID,
-			Class:     c.Class(),
-			LatencyMs: make([]float64, 0, len(streams[i])),
-		}
+		end := off + len(streams[i])
+		out.Clients[i] = workload.ClientMetrics{ID: c.ID, Class: c.Class(), LatencyMs: all[off:off:end]}
+		off = end
 	}
 	for i, r := range reqs {
 		cm := &out.Clients[r.Client]
@@ -75,18 +114,18 @@ func RunWorkload(spec workload.Spec, series *trace.Series, p Profile, cfg Campai
 	return out, nil
 }
 
-// mergeStreams merges per-client arrival streams into one request list
-// ordered by (time, client index), each client's requests in stream
-// order — the order a stable sort by that key gives, without sorting.
-// It needs every stream non-decreasing, which Client.Stream guarantees:
-// stochastic gaps are non-negative, and Arrival.Validate refuses a
-// trace time that decreases. Each step takes the earliest head, the
-// lowest client index on a tie; a spec has a handful of clients, so
-// each step scans every head.
-func mergeStreams(streams [][]float64, total int) []netem.Request {
-	reqs := make([]netem.Request, 0, total)
-	next := make([]int, len(streams))
-	for len(reqs) < total {
+// mergeStreams appends per-client arrival streams to dst as one request
+// list ordered by (time, client index), each client's requests in
+// stream order — the order a stable sort by that key gives, without
+// sorting. next holds one cursor per stream. It needs every stream
+// non-decreasing, which Client.Stream guarantees: stochastic gaps are
+// non-negative, and Arrival.Validate refuses a trace time that
+// decreases. Each step takes the earliest head, the lowest client
+// index on a tie; a spec has a handful of clients, so each step scans
+// every head.
+func mergeStreams(dst []netem.Request, streams [][]float64, next []int) []netem.Request {
+	clear(next)
+	for {
 		best := -1
 		var at float64
 		for i, ts := range streams {
@@ -94,8 +133,10 @@ func mergeStreams(streams [][]float64, total int) []netem.Request {
 				best, at = i, ts[next[i]]
 			}
 		}
-		reqs = append(reqs, netem.Request{TimeSec: at, Client: best})
+		if best < 0 {
+			return dst
+		}
+		dst = append(dst, netem.Request{TimeSec: at, Client: best})
 		next[best]++
 	}
-	return reqs
 }

@@ -17,8 +17,9 @@ import (
 // 8192 KB, web 0.7 poisson interactive, etl 0.3 gamma CV 2 batch)
 // replayed over one 0.2 h full-speed c5.xlarge cell under the
 // noisy-neighbor scenario. The cell's series is measured once; each
-// iteration generates the client streams, merges them and serves them,
-// as every traffic-carrying cell of a campaign does.
+// iteration generates the client streams, merges them and serves them
+// through one arena reused across iterations, as a fleet worker runs
+// every traffic-carrying cell of a campaign.
 //
 //	go test ./internal/cloudmodel -run '^$' -bench BenchmarkRunWorkload -benchmem -count 10
 func BenchmarkRunWorkload(b *testing.B) {
@@ -43,10 +44,11 @@ func BenchmarkRunWorkload(b *testing.B) {
 		{ID: "etl", RateFraction: 0.3, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
 	}}
 	substream := func(name string) *simrand.Source { return fleet.WorkloadSource(spec.Seed, cell, name) }
+	var scratch cloudmodel.WorkloadScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := cloudmodel.RunWorkload(mix, series, cell.Profile, spec.Config, substream)
+		m, err := cloudmodel.RunWorkloadScratch(mix, series, cell.Profile, spec.Config, substream, &scratch)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestMergeStreamsMatchesStableSort(t *testing.T) {
 	}
 	for name, streams := range cases {
 		want := sortedRequests(streams)
-		got := mergeStreams(streams, len(want))
+		got := mergeStreams(nil, streams, make([]int, len(streams)))
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}

@@ -381,6 +381,36 @@ func TestCompilePlanSectionsCopyTheDocument(t *testing.T) {
 	}
 }
 
+// TestCompileErrors: documents whose canonical form is valid but whose
+// campaign the fleet refuses fail to compile, with the campaign named.
+func TestCompileErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*expspec.Document)
+		want string
+	}{
+		// 1e12 rps over the 36 s cell would replay 3.6e13 requests.
+		{"workloads-requests-per-cell", func(d *expspec.Document) {
+			d.Workloads = &expspec.WorkloadSection{AggregateRPS: 1e12, Clients: []expspec.WorkloadClient{
+				{ID: "web", RateFraction: 1, Arrival: expspec.PoissonArrival()},
+			}}
+		}, "campaign: fleet: workload rate 1e+12 rps over a 36 s cell is above the bound of 4194304 requests per cell"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			doc := minimal()
+			c.edit(&doc)
+			if _, err := doc.Canonical(); err != nil {
+				t.Fatalf("Canonical: %v", err)
+			}
+			_, err := expspec.Compile(doc)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Compile error %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestStoreRunIDValidation(t *testing.T) {
 	if !store.ValidRunID("day-1.v2") {
 		t.Error("day-1.v2 should be a valid run id")

@@ -281,6 +281,14 @@ type StoredCell struct {
 	Workload *workload.CellMetrics
 }
 
+// maxCellRequests bounds AggregateRPS × DurationSec, the requests one
+// traffic cell is expected to replay. A request costs about 40 bytes
+// across the replay arena and the result (its arrival time, its merged
+// request and its latency twice), so the bound keeps a cell under
+// 160 MiB; at the example mix's 2 rps it is 24 days of cell, and the
+// paper's one-week cell at 2 rps is 1.2 M requests.
+const maxCellRequests = 1 << 22
+
 // Validate checks the specification.
 func (s CampaignSpec) Validate() error {
 	if len(s.Profiles) == 0 {
@@ -306,6 +314,11 @@ func (s CampaignSpec) Validate() error {
 	if s.Workload != nil {
 		if err := s.Workload.Validate(); err != nil {
 			return err
+		}
+		// Negated so that a NaN rate is refused too.
+		if !(s.Workload.AggregateRPS*s.Config.DurationSec <= maxCellRequests) {
+			return fmt.Errorf("fleet: workload rate %g rps over a %g s cell is above the bound of %d requests per cell",
+				s.Workload.AggregateRPS, s.Config.DurationSec, maxCellRequests)
 		}
 	}
 	// Cell labels key the per-cell substreams: a duplicate label would
@@ -735,11 +748,13 @@ func executeCells(spec CampaignSpec, cells []Cell, stored map[string]StoredCell,
 }
 
 // workerScratch is one fleet worker's reusable arena: the campaign
-// bin buffers plus the summarizer state (the bandwidth column and
-// its sample in exact mode, the streaming sketch in sketch mode).
-// Contents never outlive a cell.
+// bin buffers, the request-replay buffers, and the summarizer state
+// (the bandwidth column and its sample in exact mode, the streaming
+// sketch in sketch mode). Contents never outlive a cell: the arenas
+// lend memory, never state.
 type workerScratch struct {
 	campaign cloudmodel.CampaignScratch
+	workload cloudmodel.WorkloadScratch
 	bw       []float64
 	sample   stats.Sample
 	stream   sketch.Stream
@@ -789,9 +804,9 @@ func runCell(spec CampaignSpec, c Cell, scratch *workerScratch) (res CellResult)
 	series.Label = c.Label()
 	var wl *workload.CellMetrics
 	if spec.Workload != nil {
-		wl, err = cloudmodel.RunWorkload(*spec.Workload, series, c.Profile, spec.Config, func(name string) *simrand.Source {
+		wl, err = cloudmodel.RunWorkloadScratch(*spec.Workload, series, c.Profile, spec.Config, func(name string) *simrand.Source {
 			return WorkloadSource(spec.Seed, c, name)
-		})
+		}, &scratch.workload)
 		if err != nil {
 			return CellResult{Cell: c, Err: fmt.Errorf("fleet: cell %s: %w", c.Label(), err)}
 		}

@@ -11,6 +11,7 @@ import (
 	"cloudvar/internal/simrand"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/trace"
+	"cloudvar/internal/workload"
 )
 
 // testSpec builds the shared small-but-real matrix: two clouds, all
@@ -179,6 +180,20 @@ func TestSpecValidate(t *testing.T) {
 	spec.Profiles[0].NewShaper = nil
 	if err := spec.Validate(); err == nil {
 		t.Fatal("nil shaper factory should fail validation")
+	}
+	// A traffic cell holds every request it replays: a rate whose
+	// requests per cell could not be held is refused before any cell
+	// runs, and the rate at the bound is accepted.
+	spec = testSpec(t, 0)
+	spec.Workload = &workload.Spec{AggregateRPS: 1e12, Clients: []workload.Client{
+		{ID: "web", RateFraction: 1, Arrival: workload.Arrival{Process: workload.Poisson}},
+	}}
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "rate 1e+12 rps") || !strings.Contains(err.Error(), "bound of 4194304 requests per cell") {
+		t.Fatalf("a workload of 1e12 rps should fail validation naming its rate and the bound, got %v", err)
+	}
+	spec.Workload.AggregateRPS = (1 << 22) / spec.Config.DurationSec
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("a workload at the request bound: %v", err)
 	}
 }
 

@@ -249,8 +249,9 @@ func (n *Network) assignRates() {
 			}
 		}
 
-		// Freeze flows at demand or on saturated resources.
-		progressed := false
+		// Freeze flows at demand or on saturated resources. Every round
+		// freezes a flow: a zero increment comes from a zero-capacity
+		// resource or a zero headroom, and freezes its flows here.
 		for i := range res {
 			r := &res[i]
 			if r.cap == 0 && r.unfrozen > 0 {
@@ -259,21 +260,11 @@ func (n *Network) assignRates() {
 						freeze(f)
 					}
 				}
-				progressed = true
 			}
 		}
 		for _, f := range n.flows {
 			if !f.frozen && f.rate >= f.Demand-1e-12 {
 				freeze(f)
-				progressed = true
-			}
-		}
-		if !progressed {
-			if inc == 0 {
-				// No capacity anywhere (e.g. a sampled shaper drew
-				// zero): freeze everything at zero and let the step
-				// bound on NextTransition move time forward.
-				break
 			}
 		}
 	}

@@ -12,6 +12,7 @@ package netem
 
 import (
 	"fmt"
+	"slices"
 
 	"cloudvar/internal/simrand"
 )
@@ -114,17 +115,18 @@ func (e PathEnvelope) transferEnd(start, gbit float64) (float64, error) {
 // TimeSec (ties in any fixed order — the order is part of the
 // deterministic contract). Each request transfers gbit gigabits; its
 // latency is queueing wait + transfer time + one vNIC RTT sample,
-// in milliseconds, returned in input order. src drives only the RTT
+// in milliseconds, appended to dst in input order; dst grows at most
+// once, before the first request is served. src drives only the RTT
 // samples, so equal (reqs, gbit, envelope, model, src) inputs give
 // byte-identical latencies.
-func ServeRequests(reqs []Request, gbit float64, env PathEnvelope, model VNICModel, writeBytes int, src *simrand.Source) ([]float64, error) {
+func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope, model VNICModel, writeBytes int, src *simrand.Source) ([]float64, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
 	if gbit <= 0 {
 		return nil, fmt.Errorf("netem: request volume %g gbit must be positive", gbit)
 	}
-	latencies := make([]float64, len(reqs))
+	latencies := slices.Grow(dst, len(reqs))
 	queued := model.queuedBytes(writeBytes, false)
 	free := 0.0 // when the server next idles
 	for i, r := range reqs {
@@ -145,7 +147,7 @@ func ServeRequests(reqs []Request, gbit float64, env PathEnvelope, model VNICMod
 		// gbit > 0 in done-start seconds).
 		rate := gbit / (done - start)
 		rtt := jitterRTT(src, queueLatencyMs(model.BaseRTTms, queued, rate), model.RTTJitterFrac)
-		latencies[i] = (done-r.TimeSec)*1000 + rtt
+		latencies = append(latencies, (done-r.TimeSec)*1000+rtt)
 	}
 	return latencies, nil
 }

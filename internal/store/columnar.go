@@ -667,8 +667,9 @@ func (r *colReader) header() (CellRecord, int, error) {
 }
 
 // workload decodes the workload that ends a payload and refuses any
-// bytes after it.
-func (r *colReader) workload() (*workload.CellMetrics, error) {
+// bytes after it. A flag-2 workload is decoded into s (see
+// readWorkload); a flag-1 one always into arrays of its own.
+func (r *colReader) workload(s *workloadScratch) (*workload.CellMetrics, error) {
 	flag, err := r.byte()
 	if err != nil {
 		return nil, fmt.Errorf("workload flag: %w", err)
@@ -681,7 +682,7 @@ func (r *colReader) workload() (*workload.CellMetrics, error) {
 			return nil, fmt.Errorf("workload blob: %w", err)
 		}
 	case 2:
-		if wl, err = readWorkload(r); err != nil {
+		if wl, err = readWorkload(r, s); err != nil {
 			return nil, fmt.Errorf("workload: %w", err)
 		}
 	default:
@@ -710,7 +711,7 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 			return CellRecord{}, fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	if rec.Workload, err = r.workload(); err != nil {
+	if rec.Workload, err = r.workload(nil); err != nil {
 		return CellRecord{}, err
 	}
 	return rec, nil
@@ -718,43 +719,63 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 
 // decodeBandwidthPayload decodes one complete frame payload as
 // decodeCellPayload does, accepting and refusing the same payloads
-// with the same errors, but decodes only the bandwidth column, into bw
-// (grown as needed), and steps over the other four with the skip
-// kernel. The record's Series holds no points.
-func decodeBandwidthPayload(payload []byte, bw []float64) (CellRecord, []float64, error) {
+// with the same errors, but decodes only the bandwidth column, into
+// s.bw (grown as needed), and steps over the other four with the skip
+// kernel. The record's Series holds no points, and a flag-2 workload
+// is decoded into s.workload, so both are valid until s decodes the
+// next payload.
+func decodeBandwidthPayload(payload []byte, s *BandwidthScratch) (CellRecord, error) {
 	r := &colReader{b: payload}
 	rec, n, err := r.header()
 	if err != nil {
-		return CellRecord{}, bw, err
+		return CellRecord{}, err
 	}
-	bw = slices.Grow(bw[:0], n)[:n]
+	s.bw = slices.Grow(s.bw[:0], n)[:n]
 	for f, name := range pointFields {
 		if f == bandwidthField {
-			err = r.column(column{field: floatsField, floats: bw})
+			err = r.column(column{field: floatsField, floats: s.bw})
 		} else {
 			r.off, err = skipDeltas(r.b, r.off, n)
 		}
 		if err != nil {
-			return CellRecord{}, bw, fmt.Errorf("%s: %w", name, err)
+			return CellRecord{}, fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	if rec.Workload, err = r.workload(); err != nil {
-		return CellRecord{}, bw, err
+	if rec.Workload, err = r.workload(&s.workload); err != nil {
+		return CellRecord{}, err
 	}
-	return rec, bw, nil
+	return rec, nil
 }
 
-// readWorkload decodes a flag-2 workload: the client columns.
-func readWorkload(r *colReader) (*workload.CellMetrics, error) {
+// workloadScratch is the part of a BandwidthScratch that flag-2
+// workloads decode into: the workload, its Clients array and one array
+// every client's latencies are carved from.
+type workloadScratch struct {
+	wl      workload.CellMetrics
+	clients []workload.ClientMetrics
+	lats    []float64
+}
+
+// readWorkload decodes a flag-2 workload: the client columns. With a
+// nil s every slice of the result is an array of its own; with one,
+// the result is s.wl, its Clients array and latency columns reused
+// from the previous decode into s, and is valid until the next.
+func readWorkload(r *colReader, s *workloadScratch) (*workload.CellMetrics, error) {
 	// A client costs at least 3 bytes: two empty strings and a ulen.
 	n, isNil, err := r.count(3)
 	if err != nil {
 		return nil, fmt.Errorf("clients: %w", err)
 	}
-	wl := &workload.CellMetrics{}
-	if !isNil {
-		wl.Clients = make([]workload.ClientMetrics, n)
+	var wl *workload.CellMetrics
+	var clients *[]workload.ClientMetrics
+	var lats *[]float64
+	if s == nil {
+		wl = &workload.CellMetrics{}
+	} else {
+		s.clients, s.lats = s.clients[:0], s.lats[:0]
+		wl, clients, lats = &s.wl, &s.clients, &s.lats
 	}
+	wl.Clients = carve(clients, isNil, n)
 	for i := range wl.Clients {
 		c := &wl.Clients[i]
 		if c.ID, err = r.str(); err != nil {
@@ -768,14 +789,29 @@ func readWorkload(r *colReader) (*workload.CellMetrics, error) {
 		if err != nil {
 			return nil, fmt.Errorf("client %d latencies: %w", i, err)
 		}
-		if !isNil {
-			c.LatencyMs = make([]float64, m)
-		}
+		c.LatencyMs = carve(lats, isNil, m)
 		if err := r.column(column{field: floatsField, floats: c.LatencyMs}); err != nil {
 			return nil, fmt.Errorf("client %d latency column: %w", i, err)
 		}
 	}
 	return wl, nil
+}
+
+// carve returns the slice a ulen of isNil and n decodes to: nil, or n
+// elements. Without a buffer they get an array of their own; with one
+// they are carved from *buf past its length, which grows as needed, by
+// a full slice expression, so an append to them never reaches the next
+// carve's. An empty slice is non-nil either way.
+func carve[E any](buf *[]E, isNil bool, n int) []E {
+	switch {
+	case isNil:
+		return nil
+	case buf == nil || n == 0:
+		return make([]E, n)
+	}
+	start := len(*buf)
+	*buf = slices.Grow(*buf, n)[:start+n]
+	return (*buf)[start : start+n : start+n]
 }
 
 // readWorkloadJSON decodes a flag-1 workload, the JSON blob stores
@@ -873,18 +909,12 @@ func readCellsColumnar(b []byte) ([]CellRecord, error) {
 }
 
 // readBandwidthsColumnar walks a cells.col image as readCellsColumnar
-// does, decoding each frame with decodeBandwidthPayload into bw, and
+// does, decoding each frame with decodeBandwidthPayload into s, and
 // calls visit with each kept record and its bandwidth column, which
-// the next frame reuses. It returns bw, grown as needed.
-func readBandwidthsColumnar(b []byte, bw []float64, visit func(CellRecord, []float64)) ([]float64, error) {
-	decode := func(payload []byte) (CellRecord, error) {
-		var rec CellRecord
-		var err error
-		rec, bw, err = decodeBandwidthPayload(payload, bw)
-		return rec, err
-	}
-	err := walkFrames(b, decode, func(rec CellRecord) { visit(rec, bw) })
-	return bw, err
+// the next frame reuses, as it does the record's workload.
+func readBandwidthsColumnar(b []byte, s *BandwidthScratch, visit func(CellRecord, []float64)) error {
+	decode := func(payload []byte) (CellRecord, error) { return decodeBandwidthPayload(payload, s) }
+	return walkFrames(b, decode, func(rec CellRecord) { visit(rec, s.bw) })
 }
 
 // truncateTornFrames drops a structurally torn trailing frame from a

@@ -609,7 +609,9 @@ func checkBandwidthCells(t *testing.T, st *Store, scratch *BandwidthScratch, run
 	t.Helper()
 	var got []BandwidthCell
 	err := st.BandwidthCells(runID, enc, scratch, func(c BandwidthCell) {
-		c.Bandwidth = slices.Clone(c.Bandwidth) // the read reuses it
+		// The read reuses both for the next cell.
+		c.Bandwidth = slices.Clone(c.Bandwidth)
+		c.Workload = cloneWorkload(c.Workload)
 		got = append(got, c)
 	})
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -640,6 +642,18 @@ func checkBandwidthCells(t *testing.T, st *Store, scratch *BandwidthScratch, run
 			t.Fatalf("cell %q: BandwidthCells workload %+v, Cells %+v", rec.Label, c.Workload, rec.Workload)
 		}
 	}
+}
+
+// cloneWorkload deep-copies a workload, nil and empty slices kept apart.
+func cloneWorkload(wl *workload.CellMetrics) *workload.CellMetrics {
+	if wl == nil {
+		return nil
+	}
+	c := &workload.CellMetrics{Clients: slices.Clone(wl.Clients)}
+	for i := range c.Clients {
+		c.Clients[i].LatencyMs = slices.Clone(c.Clients[i].LatencyMs)
+	}
+	return c
 }
 
 // sameWorkload reports whether two workloads hold the same clients,
@@ -753,6 +767,70 @@ func TestBandwidthCellsMatchCells(t *testing.T) {
 		t.Fatalf("Cells read %d cells, %v; want %d", len(cells), err, len(res.Cells))
 	}
 	checkBandwidthCells(t, st, &scratch, "jsonl", EncodingJSONL, cells, err)
+}
+
+// TestBandwidthCellsWarmReadAllocatesNoLatencies: a second read of a
+// columnar traffic run through one scratch decodes every workload into
+// the scratch. Beyond what the same cells cost to read without
+// traffic, it allocates only each client's ID and class strings: no
+// workload, no Clients array and no latency array.
+func TestBandwidthCellsWarmReadAllocatesNoLatencies(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := &workload.Spec{AggregateRPS: 2, RequestKB: 8192, Clients: []workload.Client{
+		{ID: "web", RateFraction: 0.7, SLOClass: "interactive", Arrival: workload.Arrival{Process: workload.Poisson}},
+		{ID: "etl", RateFraction: 0.3, SLOClass: "batch", Arrival: workload.Arrival{Process: workload.Gamma, CV: 2}},
+	}}
+	for runID, wl := range map[string]*workload.Spec{"traffic": traffic, "bare": nil} {
+		spec := goldenSpec(t)
+		spec.Workload = wl
+		run, err := st.CreateWithMeta(runID, spec, RunMeta{CreatedUnix: 1, Encoding: EncodingColumnar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Sink = run
+		res, err := fleet.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// warmReads reads a run once to warm a scratch, then measures the
+	// reads after it, and counts the cells, clients and requests read.
+	warmReads := func(runID string) (allocs float64, cells, clients, requests int) {
+		var scratch BandwidthScratch
+		read := func() {
+			cells, clients, requests = 0, 0, 0
+			err := st.BandwidthCells(runID, EncodingColumnar, &scratch, func(c BandwidthCell) {
+				cells++
+				if c.Workload != nil {
+					clients += len(c.Workload.Clients)
+					requests += c.Workload.Requests()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		return testing.AllocsPerRun(10, read), cells, clients, requests
+	}
+	bare, bareCells, _, _ := warmReads("bare")
+	got, cells, clients, requests := warmReads("traffic")
+	if cells != bareCells || clients != 2*cells || requests == 0 {
+		t.Fatalf("read %d traffic cells with %d clients and %d requests, %d bare cells", cells, clients, requests, bareCells)
+	}
+	if extra := got - bare; extra > float64(2*clients) {
+		t.Errorf("a warm read of %d traffic cells allocates %v times more than one without traffic, want at most %d (two strings a client)",
+			cells, extra, 2*clients)
+	}
 }
 
 // TestColumnarStoreEndToEnd drives the full Sink path in columnar

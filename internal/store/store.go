@@ -481,6 +481,7 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 
 // BandwidthCell is one stored cell as BandwidthCells reads it: the
 // record's identity, its series' bandwidth column and its workload.
+// Bandwidth and Workload are valid only until visit returns.
 type BandwidthCell struct {
 	Label    string
 	Cloud    string
@@ -490,25 +491,31 @@ type BandwidthCell struct {
 	// Bandwidth is the series' BandwidthGbps column, in a buffer of the
 	// read's BandwidthScratch that the next cell reuses.
 	Bandwidth []float64
-	Workload  *workload.CellMetrics
+	// Workload is the cell's served traffic. A columnar run's workload
+	// is decoded into the read's BandwidthScratch, its Clients array
+	// and latencies reused by the next cell.
+	Workload *workload.CellMetrics
 }
 
 // BandwidthScratch holds the buffers behind BandwidthCells: the cells
-// file and one cell's bandwidth column. The zero value is ready; one
-// BandwidthScratch serves any number of runs read one after another,
-// which then reuse its buffers instead of allocating their own.
+// file, one cell's bandwidth column and one cell's workload. The zero
+// value is ready; one BandwidthScratch serves any number of runs read
+// one after another, which then reuse its buffers instead of
+// allocating their own.
 type BandwidthScratch struct {
-	file []byte
-	bw   []float64
+	file     []byte
+	bw       []float64
+	workload workloadScratch
 }
 
 // BandwidthCells reads one run's cells as Cells does — the same cells
 // kept, in the same order, and the same errors — and calls visit with
-// each cell's identity, bandwidth column and workload. enc is the
-// run's cell encoding, as its manifest names it. A columnar run's
-// frames are read for those fields alone: the time, retransmissions,
-// RTT and CPU columns are checked and stepped over, never decoded. A
-// JSONL run is decoded whole.
+// each cell's identity, bandwidth column and workload, the last two
+// valid until visit returns. enc is the run's cell encoding, as its
+// manifest names it. A columnar run's frames are read for those fields
+// alone, the column and workload decoded into scratch: the time,
+// retransmissions, RTT and CPU columns are checked and stepped over,
+// never decoded. A JSONL run is decoded whole.
 func (s *Store) BandwidthCells(runID, enc string, scratch *BandwidthScratch, visit func(BandwidthCell)) error {
 	if !runIDPattern.MatchString(runID) {
 		return fmt.Errorf("store: run id %q must match %s", runID, runIDPattern)
@@ -523,7 +530,7 @@ func (s *Store) BandwidthCells(runID, enc string, scratch *BandwidthScratch, vis
 			Rep: rec.Rep, Bandwidth: bw, Workload: rec.Workload}
 	}
 	if enc == EncodingColumnar {
-		scratch.bw, err = readBandwidthsColumnar(b, scratch.bw, func(rec CellRecord, bw []float64) { visit(cell(rec, bw)) })
+		err = readBandwidthsColumnar(b, scratch, func(rec CellRecord, bw []float64) { visit(cell(rec, bw)) })
 		if err != nil {
 			return fmt.Errorf("store: run %q cells: %w", runID, err)
 		}
