@@ -12,15 +12,19 @@ import (
 
 // The reference below is progressive filling as it was before frozen
 // flows became flags and resources kept counts: assignRates with its
-// map of frozen flows, and the step that called it, verbatim but for
-// the branch counts they add to hits. TestAssignRatesMatchesReference
-// pins the filling to it, step for step and bit for bit.
+// map of frozen flows, run on every step, and the step that called it,
+// verbatim but for the branch counts they add to hits.
+// TestAssignRatesMatchesReference and FuzzAssignRates pin the filling
+// to it, step for step and bit for bit.
 
 // fillHits counts the filling's branches: rounds whose increment is
 // zero, flows frozen on a saturated resource and at their demand, and
-// rounds that stop on a zero increment with nothing frozen.
+// rounds that stop on a zero increment with nothing frozen; and, of the
+// steps that begin with the flow set of the last fill, those that skip
+// the fill and those that fill because a capacity changed.
 type fillHits struct {
 	zeroInc, saturated, headroom, stalled int
+	skipped, capacityFills                int
 }
 
 // refAssignRates is Network.assignRates as it was.
@@ -143,7 +147,7 @@ func refAssignRates(n *Network, hits *fillHits) {
 func refStep(n *Network, maxDt float64, hits *fillHits) float64 {
 	refAssignRates(n, hits)
 
-	dt := math.Min(maxDt, n.MaxStep)
+	dt := math.Min(maxDt, maxStep)
 	for _, f := range n.flows {
 		if f.rate > 0 {
 			if t := f.Remaining / f.rate; t < dt {
@@ -262,58 +266,133 @@ func fillPair(t *testing.T, seed uint64, src *simrand.Source) (a, b *fillNet, dr
 	return build(), build(), draw
 }
 
-func TestAssignRatesMatchesReference(t *testing.T) {
-	var hits fillHits
-	for seed := uint64(1); seed <= 30; seed++ {
-		src := simrand.New(seed)
-		a, b, draw := fillPair(t, seed, src)
-		// Several flows per NIC, and with 2–3 NICs several per pair.
-		for k := len(a.n.order) * (2 + src.Intn(3)); k > 0; k-- {
+// capBits appends the bits of the capacities each NIC's last fill read.
+func capBits(dst []uint64, n *Network) []uint64 {
+	for _, nic := range n.order {
+		dst = append(dst, math.Float64bits(nic.egressCap), math.Float64bits(nic.ingressCap))
+	}
+	return dst
+}
+
+// matchFill runs the networks fillPair builds from seed, one stepping
+// with Network.step and one with refStep, until every flow has ended,
+// and fails at the first step where a dt, the clock, a flow's rate,
+// volume left or completion time, a NIC's rate or volume moved, or the
+// completion order differs in a single bit.
+func matchFill(t *testing.T, seed uint64, hits *fillHits) {
+	src := simrand.New(seed)
+	a, b, draw := fillPair(t, seed, src)
+	// Several flows per NIC, and with 2–3 NICs several per pair.
+	for k := len(a.n.order) * (2 + src.Intn(3)); k > 0; k-- {
+		from, to, gbit, demand := draw()
+		a.start(t, from, to, gbit, demand)
+		b.start(t, from, to, gbit, demand)
+	}
+	var before, after []uint64
+	for step := 0; step < 200 || a.n.ActiveFlows() > 0; step++ {
+		if step == 20000 {
+			t.Fatalf("seed %d: %d flows still active after %d steps", seed, a.n.ActiveFlows(), step)
+		}
+		stale := a.n.stale
+		before = capBits(before[:0], a.n)
+		got, want := a.n.step(1e6), refStep(b.n, 1e6, hits)
+		if !stale {
+			if after = capBits(after[:0], a.n); slices.Equal(before, after) {
+				hits.skipped++
+			} else {
+				hits.capacityFills++
+			}
+		}
+		if !sameBits(got, want) || !sameBits(a.n.Now(), b.n.Now()) {
+			t.Fatalf("seed %d step %d: dt %v to %v, reference %v to %v", seed, step, got, a.n.Now(), want, b.n.Now())
+		}
+		for i, f := range a.flows {
+			g := b.flows[i]
+			if !sameBits(f.rate, g.rate) || !sameBits(f.Remaining, g.Remaining) || !sameBits(f.CompletedAt, g.CompletedAt) {
+				t.Fatalf("seed %d step %d flow %d: rate %v, %v Gbit left, done at %v; reference %v, %v, %v",
+					seed, step, f.ID, f.rate, f.Remaining, f.CompletedAt, g.rate, g.Remaining, g.CompletedAt)
+			}
+		}
+		for i, nic := range a.n.order {
+			ref := b.n.order[i]
+			if !sameBits(nic.CurrentRateGbps(), ref.CurrentRateGbps()) || !sameBits(nic.MovedGbit(), ref.MovedGbit()) {
+				t.Fatalf("seed %d step %d NIC %s: rate %v, moved %v; reference %v, %v",
+					seed, step, nic.Name, nic.CurrentRateGbps(), nic.MovedGbit(), ref.CurrentRateGbps(), ref.MovedGbit())
+			}
+		}
+		if !slices.Equal(a.done, b.done) {
+			t.Fatalf("seed %d step %d: completions %v, reference %v", seed, step, a.done, b.done)
+		}
+		// Flows arrive mid-run for the first 200 steps.
+		for step < 200 && src.Bernoulli(0.05) {
 			from, to, gbit, demand := draw()
 			a.start(t, from, to, gbit, demand)
 			b.start(t, from, to, gbit, demand)
 		}
-		for step := 0; step < 200 || a.n.ActiveFlows() > 0; step++ {
-			if step == 20000 {
-				t.Fatalf("seed %d: %d flows still active after %d steps", seed, a.n.ActiveFlows(), step)
-			}
-			got, want := a.n.step(1e6), refStep(b.n, 1e6, &hits)
-			if !sameBits(got, want) || !sameBits(a.n.Now(), b.n.Now()) {
-				t.Fatalf("seed %d step %d: dt %v to %v, reference %v to %v", seed, step, got, a.n.Now(), want, b.n.Now())
-			}
-			for i, f := range a.flows {
-				g := b.flows[i]
-				if !sameBits(f.rate, g.rate) || !sameBits(f.Remaining, g.Remaining) || !sameBits(f.CompletedAt, g.CompletedAt) {
-					t.Fatalf("seed %d step %d flow %d: rate %v, %v Gbit left, done at %v; reference %v, %v, %v",
-						seed, step, f.ID, f.rate, f.Remaining, f.CompletedAt, g.rate, g.Remaining, g.CompletedAt)
-				}
-			}
-			for i, nic := range a.n.order {
-				ref := b.n.order[i]
-				if !sameBits(nic.CurrentRateGbps(), ref.CurrentRateGbps()) || !sameBits(nic.MovedGbit(), ref.MovedGbit()) {
-					t.Fatalf("seed %d step %d NIC %s: rate %v, moved %v; reference %v, %v",
-						seed, step, nic.Name, nic.CurrentRateGbps(), nic.MovedGbit(), ref.CurrentRateGbps(), ref.MovedGbit())
-				}
-			}
-			if !slices.Equal(a.done, b.done) {
-				t.Fatalf("seed %d step %d: completions %v, reference %v", seed, step, a.done, b.done)
-			}
-			// Flows arrive mid-run for the first 200 steps.
-			for step < 200 && src.Bernoulli(0.05) {
-				from, to, gbit, demand := draw()
-				a.start(t, from, to, gbit, demand)
-				b.start(t, from, to, gbit, demand)
-			}
-		}
 	}
-	t.Logf("rounds with a zero increment %d, saturation freezes %d, headroom freezes %d",
-		hits.zeroInc, hits.saturated, hits.headroom)
-	if hits.zeroInc == 0 || hits.saturated == 0 || hits.headroom == 0 {
-		t.Errorf("branches reached: %+v, want a zero increment, a saturation freeze and a headroom freeze", hits)
+}
+
+func TestAssignRatesMatchesReference(t *testing.T) {
+	var hits fillHits
+	for seed := uint64(1); seed <= 30; seed++ {
+		matchFill(t, seed, &hits)
+	}
+	t.Logf("rounds with a zero increment %d, saturation freezes %d, headroom freezes %d, skipped fills %d, fills on a capacity change alone %d",
+		hits.zeroInc, hits.saturated, hits.headroom, hits.skipped, hits.capacityFills)
+	if hits.zeroInc == 0 || hits.saturated == 0 || hits.headroom == 0 || hits.skipped == 0 || hits.capacityFills == 0 {
+		t.Errorf("branches reached: %+v, want a zero increment, a saturation freeze, a headroom freeze, a skipped fill and a fill on a capacity change alone", hits)
 	}
 	// assignRates has no stalled-round break: a zero increment always
 	// freezes a flow in its own round.
 	if hits.stalled != 0 {
 		t.Errorf("%d rounds froze nothing on a zero increment, want 0", hits.stalled)
 	}
+}
+
+// TestAssignRatesEarlyStop covers the fill's early stop. A shaper whose
+// rate turns negative makes the first increment negative, so the fill
+// stops with its flow unfrozen: the flow's rate must drop to the level
+// it reached, zero, as the reference's does, stay there while the fill
+// is skipped, and return with the shaper's rate.
+func TestAssignRatesEarlyStop(t *testing.T) {
+	var nets [2]*Network
+	var shapers [2]*FixedShaper
+	var flows [2]*Flow
+	for i := range nets {
+		nets[i], shapers[i] = NewNetwork(), &FixedShaper{RateGbps: 10}
+		if _, err := nets[i].AddNIC("src", shapers[i], 10); err != nil {
+			t.Fatal(err)
+		}
+		fixedNIC(t, nets[i], "dst", 10)
+		f, err := nets[i].StartFlow("src", "dst", 100, math.Inf(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows[i] = f
+	}
+	var hits fillHits
+	for step, gbps := range []float64{10, -1, -1, 10} {
+		shapers[0].RateGbps, shapers[1].RateGbps = gbps, gbps
+		got, want := nets[0].step(1e6), refStep(nets[1], 1e6, &hits)
+		if !sameBits(got, want) || !sameBits(flows[0].rate, flows[1].rate) {
+			t.Fatalf("step %d at %g Gbps: dt %v, rate %v; reference %v, %v", step, gbps, got, flows[0].rate, want, flows[1].rate)
+		}
+	}
+	if flows[0].rate != 10 {
+		t.Errorf("rate %v after the shaper's rate returned to 10", flows[0].rate)
+	}
+}
+
+// FuzzAssignRates runs matchFill on the networks of any seed.
+func FuzzAssignRates(f *testing.F) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		var hits fillHits
+		matchFill(t, seed, &hits)
+		if hits.stalled != 0 {
+			t.Errorf("seed %d: %d rounds froze nothing on a zero increment, want 0", seed, hits.stalled)
+		}
+	})
 }

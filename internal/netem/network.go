@@ -42,6 +42,9 @@ type NIC struct {
 	// egressRes and ingressRes index this NIC's resources in the
 	// table of the current assignRates.
 	egressRes, ingressRes int
+	// egressCap and ingressCap are the capacities the last
+	// assignRates read for this NIC while it had flows.
+	egressCap, ingressCap float64
 }
 
 // MovedGbit returns the cumulative egress volume in Gbit.
@@ -57,6 +60,7 @@ type Flow struct {
 	Src, Dst  *NIC
 	Remaining float64 // Gbit left to move
 	// Demand caps the flow's rate (Gbps); +Inf for greedy flows.
+	// StartFlow fixes it for the flow's life.
 	Demand float64
 	// OnComplete, if non-nil, fires when the flow finishes, with the
 	// virtual completion time.
@@ -80,7 +84,11 @@ type Network struct {
 	flows     []*Flow
 	nextID    int
 	completed int
-	MaxStep   float64 // cap on a single advance; default 1 s
+	// stale is set when a flow starts or ends or a NIC is added, so
+	// the next assignRates fills.
+	stale bool
+	// capped counts the flows whose demand is not +Inf.
+	capped int
 
 	// Buffers reused from step to step: the resource table and the
 	// step's completions.
@@ -88,9 +96,12 @@ type Network struct {
 	done []*Flow
 }
 
+// maxStep caps a single advance, in seconds.
+const maxStep = 1
+
 // NewNetwork returns an empty network at virtual time zero.
 func NewNetwork() *Network {
-	return &Network{nics: make(map[string]*NIC), MaxStep: 1}
+	return &Network{nics: make(map[string]*NIC)}
 }
 
 // Now returns the virtual time in seconds.
@@ -110,6 +121,7 @@ func (n *Network) AddNIC(name string, egress Shaper, ingressGbps float64) (*NIC,
 	nic := &NIC{Name: name, Egress: egress, IngressGbps: ingressGbps}
 	n.nics[name] = nic
 	n.order = append(n.order, nic)
+	n.stale = true
 	return nic, nil
 }
 
@@ -149,6 +161,10 @@ func (n *Network) StartFlow(src, dst string, gbit, demand float64, onComplete fu
 	n.flows = append(n.flows, f)
 	s.outFlows = append(s.outFlows, f)
 	d.inFlows = append(d.inFlows, f)
+	n.stale = true
+	if !math.IsInf(demand, 1) {
+		n.capped++
+	}
 	return f, nil
 }
 
@@ -170,42 +186,64 @@ type resource struct {
 // production sharing model; the aggregate-pipe simplification it is
 // benchmarked against lives in the ablation suite.
 //
-// A frozen flow carries a flag, and each resource counts its unfrozen
-// flows; freezing a flow decrements the counts of its source's egress
-// and its destination's ingress. A round charges a resource inc by one
-// subtraction per unfrozen flow: a single inc*count rounds differently,
-// and every Spark timing pinned in internal/workloads would move.
+// The rates depend only on the flow set, the flows' demands and the
+// capacities, so when no flow has started or ended since the last fill
+// and every capacity reads the same bits as it did then, the rates that
+// fill assigned still hold and the fill is skipped.
+//
+// Every unfrozen flow is raised from zero by the same increments in the
+// same order, so its rate is the running level, which a flow keeps when
+// it freezes. A frozen flow carries a flag, and each resource counts
+// its unfrozen flows; freezing a flow decrements the counts of its
+// source's egress and its destination's ingress. A round charges a
+// resource inc by one subtraction per unfrozen flow: a single inc*count
+// rounds differently, and every Spark timing pinned in
+// internal/workloads would move. A greedy flow's headroom is +Inf and
+// it never freezes at its demand, so flows are scanned for headroom
+// only while one of them has a demand other than +Inf.
 func (n *Network) assignRates() {
+	stale := n.stale
 	n.res = n.res[:0]
 	for _, nic := range n.order {
 		if len(nic.outFlows) > 0 {
+			c := nic.Egress.Rate(infDemand)
+			stale = stale || math.Float64bits(c) != math.Float64bits(nic.egressCap)
+			nic.egressCap = c
 			nic.egressRes = len(n.res)
 			n.res = append(n.res, resource{
-				cap:      nic.Egress.Rate(infDemand),
+				cap:      c,
 				flows:    nic.outFlows,
 				unfrozen: len(nic.outFlows),
 			})
 		}
 		if len(nic.inFlows) > 0 {
+			c := nic.IngressGbps
+			stale = stale || math.Float64bits(c) != math.Float64bits(nic.ingressCap)
+			nic.ingressCap = c
 			nic.ingressRes = len(n.res)
 			n.res = append(n.res, resource{
-				cap:      nic.IngressGbps,
+				cap:      c,
 				flows:    nic.inFlows,
 				unfrozen: len(nic.inFlows),
 			})
 		}
 	}
+	if !stale {
+		return
+	}
+	n.stale = false
 	res := n.res
 
 	frozen := 0
+	level := 0.0
 	freeze := func(f *Flow) {
+		f.rate = level
 		f.frozen = true
 		frozen++
 		res[f.Src.egressRes].unfrozen--
 		res[f.Dst.ingressRes].unfrozen--
 	}
 	for _, f := range n.flows {
-		f.rate = 0
 		f.frozen = false
 	}
 
@@ -222,14 +260,22 @@ func (n *Network) assignRates() {
 				inc = share
 			}
 		}
-		for _, f := range n.flows {
-			if !f.frozen {
-				if head := f.Demand - f.rate; head < inc {
-					inc = head
+		if n.capped > 0 {
+			for _, f := range n.flows {
+				if !f.frozen {
+					if head := f.Demand - level; head < inc {
+						inc = head
+					}
 				}
 			}
 		}
 		if math.IsInf(inc, 1) || inc < 0 {
+			// The flows left unfrozen keep the level they reached.
+			for _, f := range n.flows {
+				if !f.frozen {
+					f.rate = level
+				}
+			}
 			break
 		}
 
@@ -243,11 +289,7 @@ func (n *Network) assignRates() {
 				r.cap = 0
 			}
 		}
-		for _, f := range n.flows {
-			if !f.frozen {
-				f.rate += inc
-			}
-		}
+		level += inc
 
 		// Freeze flows at demand or on saturated resources. Every round
 		// freezes a flow: a zero increment comes from a zero-capacity
@@ -262,9 +304,11 @@ func (n *Network) assignRates() {
 				}
 			}
 		}
-		for _, f := range n.flows {
-			if !f.frozen && f.rate >= f.Demand-1e-12 {
-				freeze(f)
+		if n.capped > 0 {
+			for _, f := range n.flows {
+				if !f.frozen && level >= f.Demand-1e-12 {
+					freeze(f)
+				}
 			}
 		}
 	}
@@ -283,7 +327,7 @@ func (n *Network) assignRates() {
 func (n *Network) step(maxDt float64) float64 {
 	n.assignRates()
 
-	dt := math.Min(maxDt, n.MaxStep)
+	dt := math.Min(maxDt, maxStep)
 	for _, f := range n.flows {
 		if f.rate > 0 {
 			if t := f.Remaining / f.rate; t < dt {
@@ -337,6 +381,10 @@ func (n *Network) step(maxDt float64) float64 {
 }
 
 func (n *Network) removeFlow(f *Flow) {
+	n.stale = true
+	if !math.IsInf(f.Demand, 1) {
+		n.capped--
+	}
 	n.flows = removeFromSlice(n.flows, f)
 	f.Src.outFlows = removeFromSlice(f.Src.outFlows, f)
 	f.Dst.inFlows = removeFromSlice(f.Dst.inFlows, f)

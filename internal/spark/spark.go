@@ -14,8 +14,10 @@
 package spark
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cloudvar/internal/netem"
@@ -392,12 +394,69 @@ func (c *Cluster) nodeMoved() []float64 {
 	return out
 }
 
-// computeEvent is a pending task-compute completion.
+// computeEvent is a pending task-compute completion; seq is its place
+// in the stage's schedule order.
 type computeEvent struct {
 	at   float64
+	seq  int
 	task *TaskTrace
 	node int
 	slot int
+}
+
+// computeHeap is a stage's pending computes, a binary min-heap keyed by
+// completion time, so its top is the next completion.
+type computeHeap []computeEvent
+
+func (h computeHeap) less(i, j int) bool { return h[i].at < h[j].at }
+
+func (h *computeHeap) push(ev computeEvent) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *computeHeap) pop() computeEvent {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(s) {
+			break
+		}
+		if r := m + 1; r < len(s) && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
+}
+
+// popDue pops every compute due by limit into dst[:0] and returns it in
+// schedule order: the order in which the computes retire, which decides
+// the slots dispatch reuses.
+func (h *computeHeap) popDue(limit float64, dst []computeEvent) []computeEvent {
+	dst = dst[:0]
+	for len(*h) > 0 && (*h)[0].at <= limit {
+		dst = append(dst, h.pop())
+	}
+	slices.SortFunc(dst, func(a, b computeEvent) int { return cmp.Compare(a.seq, b.seq) })
+	return dst
 }
 
 func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, opts RunOptions) (StageResult, error) {
@@ -414,8 +473,14 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 	pending := spec.Tasks
 	launched := 0
 	remaining := spec.Tasks
-	var computes []computeEvent
-	traces := make([]*TaskTrace, 0, spec.Tasks)
+	tasks := make([]TaskTrace, spec.Tasks)
+	var computes computeHeap
+	var due []computeEvent
+	scheduled := 0
+	schedule := func(at float64, task *TaskTrace, node, slot int) {
+		computes.push(computeEvent{at: at, seq: scheduled, task: task, node: node, slot: slot})
+		scheduled++
+	}
 
 	taskDuration := func(node, slot int) float64 {
 		d := spec.ComputeSec * c.nodeSpeed[node]
@@ -460,11 +525,11 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 			idx := launched
 			launched++
 
-			tt := &TaskTrace{
+			tt := &tasks[idx]
+			*tt = TaskTrace{
 				Stage: stageIdx, Index: idx, ExecNode: best,
 				PeerNode: -1, Start: c.net.Now(),
 			}
-			traces = append(traces, tt)
 
 			if spec.ShuffleGbit > 0 {
 				// Shuffle source: spread deterministically over the
@@ -485,10 +550,7 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 				_, err := c.net.StartFlow(c.names[peer], c.names[best],
 					spec.ShuffleGbit, math.Inf(1), func(now float64) {
 						trace.ShuffleAt = now
-						computes = append(computes, computeEvent{
-							at: now + taskDuration(node, nodeSlot), task: trace,
-							node: node, slot: nodeSlot,
-						})
+						schedule(now+taskDuration(node, nodeSlot), trace, node, nodeSlot)
 					})
 				if err != nil {
 					// Flow creation only fails on programmer error
@@ -497,10 +559,7 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 				}
 			} else {
 				tt.ShuffleAt = tt.Start
-				computes = append(computes, computeEvent{
-					at: c.net.Now() + taskDuration(best, slot), task: tt,
-					node: best, slot: slot,
-				})
+				schedule(c.net.Now()+taskDuration(best, slot), tt, best, slot)
 			}
 		}
 	}
@@ -508,12 +567,10 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 	for remaining > 0 {
 		dispatch()
 
-		// Earliest pending compute completion.
+		// The heap's top is the earliest pending compute completion.
 		nextCompute := math.Inf(1)
-		for _, ev := range computes {
-			if ev.at < nextCompute {
-				nextCompute = ev.at
-			}
+		if len(computes) > 0 {
+			nextCompute = computes[0].at
 		}
 
 		bound := math.Min(nextCompute, *nextSample)
@@ -544,27 +601,19 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 			}
 		}
 
-		// Retire due computes.
-		kept := computes[:0]
-		for _, ev := range computes {
-			if ev.at <= now+1e-9 {
-				ev.task.End = ev.at
-				freeList[ev.node] = append(freeList[ev.node], ev.slot)
-				if c.slotFreedAt != nil {
-					c.slotFreedAt[ev.node][ev.slot] = ev.at
-				}
-				remaining--
-			} else {
-				kept = append(kept, ev)
+		due = computes.popDue(now+1e-9, due)
+		for _, ev := range due {
+			ev.task.End = ev.at
+			freeList[ev.node] = append(freeList[ev.node], ev.slot)
+			if c.slotFreedAt != nil {
+				c.slotFreedAt[ev.node][ev.slot] = ev.at
 			}
+			remaining--
 		}
-		computes = kept
 	}
 
 	sr.End = c.net.Now()
-	for _, tt := range traces {
-		sr.Tasks = append(sr.Tasks, *tt)
-	}
+	sr.Tasks = tasks
 	sr.Straggle = straggleRatio(sr.Tasks)
 	return sr, nil
 }

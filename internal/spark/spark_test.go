@@ -2,6 +2,7 @@ package spark
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,6 +343,74 @@ func TestJobResultBookkeeping(t *testing.T) {
 		if len(sr.Tasks) == 0 {
 			t.Error("stage recorded no tasks")
 		}
+	}
+}
+
+// TestComputeHeapPopsDueLikeScan holds computeHeap to the scan it
+// replaced: computes kept in a slice in schedule order, the next
+// completion the least time in it, and each event's due computes
+// retired in slice order while the rest keep theirs. Completion times
+// fall on a quarter-second grid, so many are equal, and some sit within
+// 1e-9 of a grid point on either side; the clock stops at the next
+// completion, just short of it, or between events.
+func TestComputeHeapPopsDueLikeScan(t *testing.T) {
+	src := simrand.New(1)
+	var h computeHeap
+	var scan, due, want []computeEvent
+	now, scheduled, retired := 0.0, 0, 0
+	for event := 0; event < 5000; event++ {
+		for k := src.Intn(4); k > 0; k-- {
+			at := now + float64(src.Intn(5))*0.25
+			if src.Bernoulli(0.3) {
+				at += float64(src.Intn(5)-2) * 4e-10
+			}
+			ev := computeEvent{at: at, seq: scheduled, node: src.Intn(3), slot: scheduled}
+			scheduled++
+			h.push(ev)
+			scan = append(scan, ev)
+		}
+		next := math.Inf(1)
+		for _, ev := range scan {
+			if ev.at < next {
+				next = ev.at
+			}
+		}
+		top := math.Inf(1)
+		if len(h) > 0 {
+			top = h[0].at
+		}
+		if math.Float64bits(top) != math.Float64bits(next) {
+			t.Fatalf("event %d: heap's next completion %v, scan's %v", event, top, next)
+		}
+		if math.IsInf(next, 1) {
+			continue
+		}
+		switch src.Intn(3) {
+		case 0:
+			now = next
+		case 1:
+			now = math.Max(now, next-6e-10)
+		default:
+			now = math.Max(now, next-src.Uniform(0, 0.3))
+		}
+		want = want[:0]
+		kept := scan[:0]
+		for _, ev := range scan {
+			if ev.at <= now+1e-9 {
+				want = append(want, ev)
+			} else {
+				kept = append(kept, ev)
+			}
+		}
+		scan = kept
+		due = h.popDue(now+1e-9, due)
+		if !slices.Equal(due, want) {
+			t.Fatalf("event %d at %v: heap retires %v, scan %v", event, now, due, want)
+		}
+		retired += len(due)
+	}
+	if len(h) != len(scan) || retired == 0 {
+		t.Fatalf("%d computes left in the heap, %d in the scan, %d retired", len(h), len(scan), retired)
 	}
 }
 

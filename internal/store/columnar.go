@@ -561,16 +561,23 @@ func varintError(kind string, off, n int) error {
 }
 
 func (r *colReader) str() (string, error) {
+	b, err := r.strBytes()
+	return string(b), err
+}
+
+// strBytes steps over a string and returns its bytes, which alias the
+// payload.
+func (r *colReader) strBytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > maxColumnarString || r.off+int(n) > len(r.b) {
-		return "", fmt.Errorf("string of %d bytes at offset %d exceeds payload", n, r.off)
+		return nil, fmt.Errorf("string of %d bytes at offset %d exceeds payload", n, r.off)
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 // count reads a ulen: isNil for 0, else the element count n, refused
@@ -611,9 +618,10 @@ func (r *colReader) byte() (byte, error) {
 }
 
 // header decodes a payload's header, everything before its series
-// columns, into a record whose Series holds the series label and
-// interval but no points, and returns the point count.
-func (r *colReader) header() (CellRecord, int, error) {
+// columns, and returns the point count. With series set, the record's
+// Series holds the series label and interval but no points; without,
+// both are checked and stepped over and Series stays nil.
+func (r *colReader) header(series bool) (CellRecord, int, error) {
 	var rec CellRecord
 	var err error
 	fail := func(what string, err error) (CellRecord, int, error) {
@@ -641,16 +649,17 @@ func (r *colReader) header() (CellRecord, int, error) {
 		return fail("rep", err)
 	}
 	rec.Rep = int(rep)
-	series := &trace.Series{}
-	if series.Label, err = r.str(); err != nil {
+	label, err := r.strBytes()
+	if err != nil {
 		return fail("series label", err)
 	}
 	bits, err := r.u64le()
 	if err != nil {
 		return fail("interval", err)
 	}
-	series.IntervalSec = math.Float64frombits(bits)
-	rec.Series = series
+	if series {
+		rec.Series = &trace.Series{Label: string(label), IntervalSec: math.Float64frombits(bits)}
+	}
 	n, err := r.uvarint()
 	if err != nil {
 		return fail("npoints", err)
@@ -697,7 +706,7 @@ func (r *colReader) workload(s *workloadScratch) (*workload.CellMetrics, error) 
 // decodeCellPayload decodes one complete frame payload.
 func decodeCellPayload(payload []byte) (CellRecord, error) {
 	r := &colReader{b: payload}
-	rec, n, err := r.header()
+	rec, n, err := r.header(true)
 	if err != nil {
 		return CellRecord{}, err
 	}
@@ -721,12 +730,12 @@ func decodeCellPayload(payload []byte) (CellRecord, error) {
 // decodeCellPayload does, accepting and refusing the same payloads
 // with the same errors, but decodes only the bandwidth column, into
 // s.bw (grown as needed), and steps over the other four with the skip
-// kernel. The record's Series holds no points, and a flag-2 workload
-// is decoded into s.workload, so both are valid until s decodes the
-// next payload.
+// kernel. The record has no Series, and a flag-2 workload is decoded
+// into s.workload, so it and s.bw are valid until s decodes the next
+// payload.
 func decodeBandwidthPayload(payload []byte, s *BandwidthScratch) (CellRecord, error) {
 	r := &colReader{b: payload}
-	rec, n, err := r.header()
+	rec, n, err := r.header(false)
 	if err != nil {
 		return CellRecord{}, err
 	}

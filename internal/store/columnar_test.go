@@ -773,7 +773,8 @@ func TestBandwidthCellsMatchCells(t *testing.T) {
 // columnar traffic run through one scratch decodes every workload into
 // the scratch. Beyond what the same cells cost to read without
 // traffic, it allocates only each client's ID and class strings: no
-// workload, no Clients array and no latency array.
+// workload, no Clients array and no latency array. Without traffic,
+// the read of two cells allocates no series and no series label.
 func TestBandwidthCellsWarmReadAllocatesNoLatencies(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -823,6 +824,10 @@ func TestBandwidthCellsWarmReadAllocatesNoLatencies(t *testing.T) {
 		return testing.AllocsPerRun(10, read), cells, clients, requests
 	}
 	bare, bareCells, _, _ := warmReads("bare")
+	if bareCells != 2 || bare > 14 {
+		t.Errorf("a warm read of %d cells without traffic allocates %v times, want 2 cells and at most 14 (no series or series label)",
+			bareCells, bare)
+	}
 	got, cells, clients, requests := warmReads("traffic")
 	if cells != bareCells || clients != 2*cells || requests == 0 {
 		t.Fatalf("read %d traffic cells with %d clients and %d requests, %d bare cells", cells, clients, requests, bareCells)
