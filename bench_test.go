@@ -165,19 +165,21 @@ func BenchmarkAblationShuffleModel(b *testing.B) {
 	b.Run("max-min-network", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := netem.NewNetwork()
-			for k := 0; k < nodes; k++ {
-				name := nodeName(k)
-				if _, err := n.AddNIC(name, &netem.FixedShaper{RateGbps: 10}, 10); err != nil {
+			nics := make([]*netem.NIC, nodes)
+			for k := range nics {
+				nic, err := n.AddNIC(&netem.FixedShaper{RateGbps: 10}, 10)
+				if err != nil {
 					b.Fatal(err)
 				}
+				nics[k] = nic
 			}
 			for k := 0; k < nodes*4; k++ {
-				src := nodeName(k % nodes)
-				dst := nodeName((k + 1 + k/nodes) % nodes)
+				src := nics[k%nodes]
+				dst := nics[(k+1+k/nodes)%nodes]
 				if src == dst {
-					dst = nodeName((k + 2) % nodes)
+					dst = nics[(k+2)%nodes]
 				}
-				if _, err := n.StartFlow(src, dst, flowGbit, math.Inf(1), nil); err != nil {
+				if err := n.StartFlow(src, dst, flowGbit, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -235,8 +237,4 @@ func BenchmarkPublicFacade(b *testing.B) {
 		_ = bucket.Transfer(10, 60)
 		_ = src.Float64()
 	}
-}
-
-func nodeName(i int) string {
-	return string([]byte{'n', byte('a' + i%26), byte('0' + i/26)})
 }

@@ -77,25 +77,20 @@ type CampaignScratch struct {
 // against a fresh VM pair from the profile, producing the 10-second
 // (or per-burst) summarised series behind Figures 4, 5, 6, 9 and 10.
 func RunCampaign(p Profile, regime trace.Regime, cfg CampaignConfig, src *simrand.Source) (*trace.Series, error) {
-	return RunCampaignScratch(p, regime, cfg, src, nil)
+	return RunCampaignObserved(p, regime, cfg, src, nil, nil)
 }
 
-// RunCampaignScratch is RunCampaign with an explicit scratch arena
-// (nil for a private one). The returned series is always freshly
-// allocated — only burst-transient buffers live in the scratch — and
-// is bit-identical for equal inputs regardless of how the scratch was
-// previously used.
-func RunCampaignScratch(p Profile, regime trace.Regime, cfg CampaignConfig, src *simrand.Source, scratch *CampaignScratch) (*trace.Series, error) {
-	return RunCampaignObserved(p, regime, cfg, src, scratch, nil)
-}
-
-// RunCampaignObserved is RunCampaignScratch with a streaming hook:
-// observe (when non-nil) sees every bin point in append order, at the
-// moment it is produced. It is the attachment point for bounded-memory
-// summarisation (internal/sketch): a streaming consumer absorbs each
-// point as the campaign runs instead of re-walking the series after
-// the fact, so a future series-free mode needs no new measurement
-// path. The observer must not retain the point.
+// RunCampaignObserved is RunCampaign with an explicit scratch arena
+// (nil for a private one) and a streaming hook. The returned series is
+// always freshly allocated — only burst-transient buffers live in the
+// scratch — and is bit-identical for equal inputs regardless of how
+// the scratch was previously used. observe (when non-nil) sees every
+// bin point in append order, at the moment it is produced. It is the
+// attachment point for bounded-memory summarisation (internal/sketch):
+// a streaming consumer absorbs each point as the campaign runs instead
+// of re-walking the series after the fact, so a future series-free
+// mode needs no new measurement path. The observer must not retain the
+// point.
 func RunCampaignObserved(p Profile, regime trace.Regime, cfg CampaignConfig, src *simrand.Source, scratch *CampaignScratch, observe func(trace.Point)) (*trace.Series, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -201,7 +196,7 @@ func RunAllRegimes(p Profile, cfg CampaignConfig, src *simrand.Source) (RegimeCo
 	out := RegimeComparison{Profile: p, Series: make(map[string]*trace.Series)}
 	var scratch CampaignScratch
 	for _, regime := range trace.Regimes() {
-		series, err := RunCampaignScratch(p, regime, cfg, src.Substream("campaign/"+regime.Name), &scratch)
+		series, err := RunCampaignObserved(p, regime, cfg, src.Substream("campaign/"+regime.Name), &scratch, nil)
 		if err != nil {
 			return out, fmt.Errorf("cloudmodel: regime %s: %w", regime.Name, err)
 		}

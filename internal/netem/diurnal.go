@@ -5,28 +5,21 @@ import (
 	"math"
 )
 
-// DiurnalShaper modulates an inner shaper's permitted rate with a
-// smooth periodic factor — the day/night contention cycle that shared
+// NewDiurnalShaper modulates inner's permitted rate with a smooth
+// periodic factor — the day/night contention cycle that shared
 // research clouds exhibit, and the reason the paper (F5.4) recommends
 // spreading repetitions "over longer time frames, different diurnal or
 // calendar cycles". The factor is
 //
-//	1 - Depth/2 + Depth/2 · cos(2π · (t - PhaseSec)/PeriodSec)
+//	1 - depth/2 + depth/2 · cos(2π · (t - phaseSec)/periodSec)
 //
-// so capacity peaks at t = PhaseSec and dips by Depth at the opposite
-// phase. The shaper tracks virtual time internally through
-// Transfer/Idle calls, like every other shaper in this package.
-//
-// DiurnalShaper is a thin veneer over EnvelopeShaper with a cosine
-// envelope re-sampled every PeriodSec/128 (so the sinusoid is tracked
-// within ~1% of its period).
-type DiurnalShaper struct {
-	*EnvelopeShaper
-}
-
-// NewDiurnalShaper wraps inner with a cycle of the given period and
-// depth (fraction of capacity lost at the trough, in [0, 1)).
-func NewDiurnalShaper(inner Shaper, periodSec, depth, phaseSec float64) (*DiurnalShaper, error) {
+// so capacity peaks at t = phaseSec and dips by depth (the fraction of
+// capacity lost at the trough, in [0, 1)) at the opposite phase. The
+// result is an EnvelopeShaper that re-samples the cosine every
+// periodSec/128, tracking the sinusoid within ~1% of its period, and
+// follows virtual time through Transfer/Idle calls like every other
+// shaper in this package.
+func NewDiurnalShaper(inner Shaper, periodSec, depth, phaseSec float64) (*EnvelopeShaper, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("netem: nil inner shaper")
 	}
@@ -40,9 +33,5 @@ func NewDiurnalShaper(inner Shaper, periodSec, depth, phaseSec float64) (*Diurna
 		theta := 2 * math.Pi * (t - phaseSec) / periodSec
 		return 1 - depth/2 + depth/2*math.Cos(theta)
 	}
-	env, err := NewEnvelopeShaper(inner, factor, periodSec/128)
-	if err != nil {
-		return nil, err
-	}
-	return &DiurnalShaper{EnvelopeShaper: env}, nil
+	return NewEnvelopeShaper(inner, factor, periodSec/128)
 }

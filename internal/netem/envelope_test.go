@@ -108,8 +108,8 @@ func TestEnvelopeShaperNextTransition(t *testing.T) {
 	}
 }
 
-// TestDiurnalMatchesEnvelope pins the refactor: DiurnalShaper must be
-// exactly an EnvelopeShaper with the cosine factor.
+// TestDiurnalMatchesEnvelope pins NewDiurnalShaper to an EnvelopeShaper
+// with the cosine factor, re-sampled every period/128.
 func TestDiurnalMatchesEnvelope(t *testing.T) {
 	const period, depth, phase = 100.0, 0.5, 10.0
 	d, err := NewDiurnalShaper(&FixedShaper{RateGbps: 10}, period, depth, phase)

@@ -13,28 +13,29 @@ import (
 // The reference below is progressive filling as it was before frozen
 // flows became flags and resources kept counts: assignRates with its
 // map of frozen flows, run on every step, and the step that called it,
-// verbatim but for the branch counts they add to hits.
+// verbatim but for the branch counts they add to hits and for flows
+// being greedy, which never freeze at a demand.
 // TestAssignRatesMatchesReference and FuzzAssignRates pin the filling
 // to it, step for step and bit for bit.
 
 // fillHits counts the filling's branches: rounds whose increment is
-// zero, flows frozen on a saturated resource and at their demand, and
-// rounds that stop on a zero increment with nothing frozen; and, of the
-// steps that begin with the flow set of the last fill, those that skip
-// the fill and those that fill because a capacity changed.
+// zero, flows frozen on a saturated resource, and rounds that stop on a
+// zero increment with nothing frozen; and, of the steps that begin with
+// the flow set of the last fill, those that skip the fill and those
+// that fill because a capacity changed.
 type fillHits struct {
-	zeroInc, saturated, headroom, stalled int
-	skipped, capacityFills                int
+	zeroInc, saturated, stalled int
+	skipped, capacityFills      int
 }
 
 // refAssignRates is Network.assignRates as it was.
 func refAssignRates(n *Network, hits *fillHits) {
 	type refResource struct {
 		cap   float64
-		flows []*Flow
+		flows []*flow
 	}
 	var resources []*refResource
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		if len(nic.outFlows) > 0 {
 			resources = append(resources, &refResource{
 				cap:   nic.Egress.Rate(infDemand),
@@ -49,14 +50,13 @@ func refAssignRates(n *Network, hits *fillHits) {
 		}
 	}
 
-	frozen := make(map[*Flow]bool, len(n.flows))
+	frozen := make(map[*flow]bool, len(n.flows))
 	for _, f := range n.flows {
 		f.rate = 0
 	}
 
 	for len(frozen) < len(n.flows) {
-		// Increment = min over resources of remaining/unfrozen count,
-		// and over flows of demand headroom.
+		// Increment = min over resources of remaining/unfrozen count.
 		inc := math.Inf(1)
 		for _, r := range resources {
 			unfrozen := 0
@@ -70,13 +70,6 @@ func refAssignRates(n *Network, hits *fillHits) {
 			}
 			if share := r.cap / float64(unfrozen); share < inc {
 				inc = share
-			}
-		}
-		for _, f := range n.flows {
-			if !frozen[f] {
-				if head := f.Demand - f.rate; head < inc {
-					inc = head
-				}
 			}
 		}
 		if math.IsInf(inc, 1) || inc < 0 {
@@ -103,7 +96,7 @@ func refAssignRates(n *Network, hits *fillHits) {
 			}
 		}
 
-		// Freeze flows at demand or on saturated resources.
+		// Freeze flows on saturated resources.
 		progressed := false
 		for _, r := range resources {
 			if r.cap == 0 {
@@ -114,13 +107,6 @@ func refAssignRates(n *Network, hits *fillHits) {
 						hits.saturated++
 					}
 				}
-			}
-		}
-		for _, f := range n.flows {
-			if !frozen[f] && f.rate >= f.Demand-1e-12 {
-				frozen[f] = true
-				progressed = true
-				hits.headroom++
 			}
 		}
 		if !progressed {
@@ -134,7 +120,7 @@ func refAssignRates(n *Network, hits *fillHits) {
 		}
 	}
 
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		agg := 0.0
 		for _, f := range nic.outFlows {
 			agg += f.rate
@@ -144,18 +130,18 @@ func refAssignRates(n *Network, hits *fillHits) {
 }
 
 // refStep is Network.step as it was, filling with refAssignRates.
-func refStep(n *Network, maxDt float64, hits *fillHits) float64 {
+func refStep(n *Network, maxDt float64, hits *fillHits) bool {
 	refAssignRates(n, hits)
 
 	dt := math.Min(maxDt, maxStep)
 	for _, f := range n.flows {
 		if f.rate > 0 {
-			if t := f.Remaining / f.rate; t < dt {
+			if t := f.remaining / f.rate; t < dt {
 				dt = t
 			}
 		}
 	}
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		if t := nic.Egress.NextTransition(nic.lastRate); t < dt {
 			dt = t
 		}
@@ -165,7 +151,7 @@ func refStep(n *Network, maxDt float64, hits *fillHits) float64 {
 	}
 
 	// Advance shapers with their achieved aggregate rates.
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		if nic.lastRate > 0 {
 			nic.movedGbit += nic.Egress.Transfer(nic.lastRate, dt)
 		} else {
@@ -174,59 +160,63 @@ func refStep(n *Network, maxDt float64, hits *fillHits) float64 {
 	}
 
 	// Advance flows and collect completions.
-	var done []*Flow
+	var done []*flow
 	for _, f := range n.flows {
-		f.Remaining -= f.rate * dt
-		if f.Remaining <= 1e-9 {
-			f.Remaining = 0
-			f.CompletedAt = n.now + dt
+		f.remaining -= f.rate * dt
+		if f.remaining <= 1e-9 {
+			f.remaining = 0
 			done = append(done, f)
 		}
 	}
 	n.now += dt
-	n.completed += len(done)
 	for _, f := range done {
 		n.removeFlow(f)
 	}
 	for _, f := range done {
-		if f.OnComplete != nil {
-			f.OnComplete(n.now)
+		if f.onComplete != nil {
+			f.onComplete(n.now)
 		}
 	}
-	return dt
+	return len(done) > 0
 }
 
-// fillNet is one network of a matched pair, with the flows it started
-// in start order and the IDs of the flows it completed in completion
-// order.
+// fillNet is one network of a matched pair, with its NICs, the flows
+// it started in start order, and its completions in completion order.
 type fillNet struct {
 	n     *Network
-	flows []*Flow
-	done  []int
+	nics  []*NIC
+	flows []*flow
+	done  []completion
 }
 
-// start begins a flow; completing a flow whose ID is a multiple of
-// three starts one of half its size back from its destination.
-func (net *fillNet) start(t *testing.T, from, to string, gbit, demand float64) {
-	var f *Flow
-	f, err := net.n.StartFlow(from, to, gbit, demand, func(float64) {
-		net.done = append(net.done, f.ID)
-		if f.ID%3 == 0 && gbit > 1 {
-			net.start(t, to, from, gbit/2, demand)
+// completion is a flow's place in start order, from 1, and the bits of
+// the time its onComplete received.
+type completion struct {
+	id     int
+	atBits uint64
+}
+
+// start begins a flow; completing every third flow started starts one
+// of half its size back from its destination.
+func (net *fillNet) start(t *testing.T, from, to int, gbit float64) {
+	id := len(net.flows) + 1
+	err := net.n.StartFlow(net.nics[from], net.nics[to], gbit, func(now float64) {
+		net.done = append(net.done, completion{id, math.Float64bits(now)})
+		if id%3 == 0 && gbit > 1 {
+			net.start(t, to, from, gbit/2)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.flows = append(net.flows, f)
+	net.flows = append(net.flows, net.n.flows[len(net.n.flows)-1])
 }
 
 // fillPair builds two identical networks of 2–16 NICs whose egress is
 // fixed, a small token bucket that throttles mid-run, or a sampled
 // capacity that is zero three tenths of the time, and returns a draw
-// of a flow between two distinct NICs: greedy, or capped at a demand
-// of 0.5–6 Gbps.
-func fillPair(t *testing.T, seed uint64, src *simrand.Source) (a, b *fillNet, draw func() (from, to string, gbit, demand float64)) {
+// of a flow between two distinct NICs.
+func fillPair(t *testing.T, seed uint64, src *simrand.Source) (a, b *fillNet, draw func() (from, to int, gbit float64)) {
 	t.Helper()
 	nics := 2 + src.Intn(15)
 	zeroOften := simrand.MustQuantileDist([]float64{0, 0.3, 1}, []float64{0, 0, 9})
@@ -248,27 +238,25 @@ func fillPair(t *testing.T, seed uint64, src *simrand.Source) (a, b *fillNet, dr
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := net.n.AddNIC(fmt.Sprint(i), sh, ingress[i]); err != nil {
+			nic, err := net.n.AddNIC(sh, ingress[i])
+			if err != nil {
 				t.Fatal(err)
 			}
+			net.nics = append(net.nics, nic)
 		}
 		return net
 	}
-	draw = func() (from, to string, gbit, demand float64) {
+	draw = func() (from, to int, gbit float64) {
 		s := src.Intn(nics)
 		d := (s + 1 + src.Intn(nics-1)) % nics
-		demand = math.Inf(1)
-		if src.Bernoulli(0.4) {
-			demand = src.Uniform(0.5, 6)
-		}
-		return fmt.Sprint(s), fmt.Sprint(d), src.Uniform(1, 50), demand
+		return s, d, src.Uniform(1, 50)
 	}
 	return build(), build(), draw
 }
 
 // capBits appends the bits of the capacities each NIC's last fill read.
 func capBits(dst []uint64, n *Network) []uint64 {
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		dst = append(dst, math.Float64bits(nic.egressCap), math.Float64bits(nic.ingressCap))
 	}
 	return dst
@@ -276,48 +264,61 @@ func capBits(dst []uint64, n *Network) []uint64 {
 
 // matchFill runs the networks fillPair builds from seed, one stepping
 // with Network.step and one with refStep, until every flow has ended,
-// and fails at the first step where a dt, the clock, a flow's rate,
-// volume left or completion time, a NIC's rate or volume moved, or the
-// completion order differs in a single bit.
+// and fails at the first step where whether a flow completed, the
+// clock, a flow's rate or volume left, a NIC's rate or volume moved, or
+// the completions' order or times differ in a single bit, or where a
+// step that begins with the last fill's flows fills although no
+// capacity changed or skips the fill although one did.
 func matchFill(t *testing.T, seed uint64, hits *fillHits) {
 	src := simrand.New(seed)
 	a, b, draw := fillPair(t, seed, src)
 	// Several flows per NIC, and with 2–3 NICs several per pair.
-	for k := len(a.n.order) * (2 + src.Intn(3)); k > 0; k-- {
-		from, to, gbit, demand := draw()
-		a.start(t, from, to, gbit, demand)
-		b.start(t, from, to, gbit, demand)
+	for k := len(a.nics) * (2 + src.Intn(3)); k > 0; k-- {
+		from, to, gbit := draw()
+		a.start(t, from, to, gbit)
+		b.start(t, from, to, gbit)
 	}
 	var before, after []uint64
+	var live []*flow
 	for step := 0; step < 200 || a.n.ActiveFlows() > 0; step++ {
 		if step == 20000 {
 			t.Fatalf("seed %d: %d flows still active after %d steps", seed, a.n.ActiveFlows(), step)
+		}
+		// A fill that runs freezes a flow; a skipped fill leaves every
+		// frozen flag as it was, cleared here.
+		live = append(live[:0], a.n.flows...)
+		for _, f := range live {
+			f.frozen = false
 		}
 		stale := a.n.stale
 		before = capBits(before[:0], a.n)
 		got, want := a.n.step(1e6), refStep(b.n, 1e6, hits)
 		if !stale {
-			if after = capBits(after[:0], a.n); slices.Equal(before, after) {
+			same := slices.Equal(before, capBits(after[:0], a.n))
+			if filled := slices.ContainsFunc(live, func(f *flow) bool { return f.frozen }); filled == same {
+				t.Fatalf("seed %d step %d: filled %v with the last fill's flows and capacities unchanged %v", seed, step, filled, same)
+			}
+			if same {
 				hits.skipped++
 			} else {
 				hits.capacityFills++
 			}
 		}
-		if !sameBits(got, want) || !sameBits(a.n.Now(), b.n.Now()) {
-			t.Fatalf("seed %d step %d: dt %v to %v, reference %v to %v", seed, step, got, a.n.Now(), want, b.n.Now())
+		if got != want || !sameBits(a.n.Now(), b.n.Now()) {
+			t.Fatalf("seed %d step %d: completed %v, now %v; reference %v, %v", seed, step, got, a.n.Now(), want, b.n.Now())
 		}
 		for i, f := range a.flows {
 			g := b.flows[i]
-			if !sameBits(f.rate, g.rate) || !sameBits(f.Remaining, g.Remaining) || !sameBits(f.CompletedAt, g.CompletedAt) {
-				t.Fatalf("seed %d step %d flow %d: rate %v, %v Gbit left, done at %v; reference %v, %v, %v",
-					seed, step, f.ID, f.rate, f.Remaining, f.CompletedAt, g.rate, g.Remaining, g.CompletedAt)
+			if !sameBits(f.rate, g.rate) || !sameBits(f.remaining, g.remaining) {
+				t.Fatalf("seed %d step %d flow %d: rate %v, %v Gbit left; reference %v, %v",
+					seed, step, i+1, f.rate, f.remaining, g.rate, g.remaining)
 			}
 		}
-		for i, nic := range a.n.order {
-			ref := b.n.order[i]
+		for i, nic := range a.nics {
+			ref := b.nics[i]
 			if !sameBits(nic.CurrentRateGbps(), ref.CurrentRateGbps()) || !sameBits(nic.MovedGbit(), ref.MovedGbit()) {
-				t.Fatalf("seed %d step %d NIC %s: rate %v, moved %v; reference %v, %v",
-					seed, step, nic.Name, nic.CurrentRateGbps(), nic.MovedGbit(), ref.CurrentRateGbps(), ref.MovedGbit())
+				t.Fatalf("seed %d step %d NIC %d: rate %v, moved %v; reference %v, %v",
+					seed, step, i, nic.CurrentRateGbps(), nic.MovedGbit(), ref.CurrentRateGbps(), ref.MovedGbit())
 			}
 		}
 		if !slices.Equal(a.done, b.done) {
@@ -325,9 +326,9 @@ func matchFill(t *testing.T, seed uint64, hits *fillHits) {
 		}
 		// Flows arrive mid-run for the first 200 steps.
 		for step < 200 && src.Bernoulli(0.05) {
-			from, to, gbit, demand := draw()
-			a.start(t, from, to, gbit, demand)
-			b.start(t, from, to, gbit, demand)
+			from, to, gbit := draw()
+			a.start(t, from, to, gbit)
+			b.start(t, from, to, gbit)
 		}
 	}
 }
@@ -337,10 +338,10 @@ func TestAssignRatesMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		matchFill(t, seed, &hits)
 	}
-	t.Logf("rounds with a zero increment %d, saturation freezes %d, headroom freezes %d, skipped fills %d, fills on a capacity change alone %d",
-		hits.zeroInc, hits.saturated, hits.headroom, hits.skipped, hits.capacityFills)
-	if hits.zeroInc == 0 || hits.saturated == 0 || hits.headroom == 0 || hits.skipped == 0 || hits.capacityFills == 0 {
-		t.Errorf("branches reached: %+v, want a zero increment, a saturation freeze, a headroom freeze, a skipped fill and a fill on a capacity change alone", hits)
+	t.Logf("rounds with a zero increment %d, saturation freezes %d, skipped fills %d, fills on a capacity change alone %d",
+		hits.zeroInc, hits.saturated, hits.skipped, hits.capacityFills)
+	if hits.zeroInc == 0 || hits.saturated == 0 || hits.skipped == 0 || hits.capacityFills == 0 {
+		t.Errorf("branches reached: %+v, want a zero increment, a saturation freeze, a skipped fill and a fill on a capacity change alone", hits)
 	}
 	// assignRates has no stalled-round break: a zero increment always
 	// freezes a flow in its own round.
@@ -357,25 +358,23 @@ func TestAssignRatesMatchesReference(t *testing.T) {
 func TestAssignRatesEarlyStop(t *testing.T) {
 	var nets [2]*Network
 	var shapers [2]*FixedShaper
-	var flows [2]*Flow
+	var flows [2]*flow
 	for i := range nets {
 		nets[i], shapers[i] = NewNetwork(), &FixedShaper{RateGbps: 10}
-		if _, err := nets[i].AddNIC("src", shapers[i], 10); err != nil {
-			t.Fatal(err)
-		}
-		fixedNIC(t, nets[i], "dst", 10)
-		f, err := nets[i].StartFlow("src", "dst", 100, math.Inf(1), nil)
+		src, err := nets[i].AddNIC(shapers[i], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flows[i] = f
+		startFlow(t, nets[i], src, fixedNIC(t, nets[i], 10), 100, nil)
+		flows[i] = nets[i].flows[0]
 	}
 	var hits fillHits
 	for step, gbps := range []float64{10, -1, -1, 10} {
 		shapers[0].RateGbps, shapers[1].RateGbps = gbps, gbps
-		got, want := nets[0].step(1e6), refStep(nets[1], 1e6, &hits)
-		if !sameBits(got, want) || !sameBits(flows[0].rate, flows[1].rate) {
-			t.Fatalf("step %d at %g Gbps: dt %v, rate %v; reference %v, %v", step, gbps, got, flows[0].rate, want, flows[1].rate)
+		nets[0].step(1e6)
+		refStep(nets[1], 1e6, &hits)
+		if !sameBits(nets[0].Now(), nets[1].Now()) || !sameBits(flows[0].rate, flows[1].rate) {
+			t.Fatalf("step %d at %g Gbps: now %v, rate %v; reference %v, %v", step, gbps, nets[0].Now(), flows[0].rate, nets[1].Now(), flows[1].rate)
 		}
 	}
 	if flows[0].rate != 10 {

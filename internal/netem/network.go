@@ -4,14 +4,15 @@
 // behaviour — token buckets, per-core QoS, stochastic noise — without
 // the confounding variability of a real cloud.
 //
-// Network moves flows at their max-min fair-share rates through NICs
-// whose egress is a Shaper. Its virtual clock advances in exact steps,
-// each ending at the next flow completion or shaper regime transition,
-// so no integration error accumulates and a run replays bit for bit
-// from the same inputs and seeds. RunIperf and ServeRequests drive a
-// single shaped path with one saturating stream or with a request
-// stream; VNICModel adds the virtual NIC's latency and retransmission
-// behaviour.
+// Network moves greedy flows between the NICs AddNIC returns, at their
+// max-min fair-share rates, through each NIC's shaped egress and its
+// ingress line rate. Its virtual clock advances in exact steps, each
+// ending at the next flow completion or shaper regime transition, so no
+// integration error accumulates and a run replays bit for bit from the
+// same inputs and seeds; RunUntilEvent is its one run loop. RunIperf
+// and ServeRequests drive a single shaped path with one saturating
+// stream or with a request stream; VNICModel adds the virtual NIC's
+// latency and retransmission behaviour.
 package netem
 
 import (
@@ -28,12 +29,11 @@ const infDemand = 1e12
 // (the paper's token buckets throttle the sending VM), while ingress
 // is bounded by the instance's line rate.
 type NIC struct {
-	Name        string
 	Egress      Shaper
 	IngressGbps float64
 
-	outFlows []*Flow
-	inFlows  []*Flow
+	outFlows []*flow
+	inFlows  []*flow
 
 	// movedGbit accumulates all egress volume, for tracing.
 	movedGbit float64
@@ -54,20 +54,13 @@ func (n *NIC) MovedGbit() float64 { return n.movedGbit }
 // most recent simulation step.
 func (n *NIC) CurrentRateGbps() float64 { return n.lastRate }
 
-// Flow is a fluid-model data transfer between two NICs.
-type Flow struct {
-	ID        int
-	Src, Dst  *NIC
-	Remaining float64 // Gbit left to move
-	// Demand caps the flow's rate (Gbps); +Inf for greedy flows.
-	// StartFlow fixes it for the flow's life.
-	Demand float64
-	// OnComplete, if non-nil, fires when the flow finishes, with the
-	// virtual completion time.
-	OnComplete func(now float64)
-
-	StartedAt   float64
-	CompletedAt float64
+// flow is a greedy fluid-model data transfer between two NICs: it takes
+// whatever max-min share its source's egress and its destination's
+// ingress leave it.
+type flow struct {
+	src, dst   *NIC
+	remaining  float64 // Gbit left to move
+	onComplete func(now float64)
 
 	rate   float64 // current max-min assigned rate
 	frozen bool    // rate fixed for the rest of this assignRates
@@ -78,94 +71,59 @@ type Flow struct {
 // advancing in exact steps bounded by flow completions and shaper
 // regime transitions, so no integration error accumulates.
 type Network struct {
-	now       float64
-	nics      map[string]*NIC
-	order     []*NIC // deterministic iteration order
-	flows     []*Flow
-	nextID    int
-	completed int
+	now   float64
+	nics  []*NIC // in AddNIC order, the order every pass visits them
+	flows []*flow
 	// stale is set when a flow starts or ends or a NIC is added, so
 	// the next assignRates fills.
 	stale bool
-	// capped counts the flows whose demand is not +Inf.
-	capped int
 
 	// Buffers reused from step to step: the resource table and the
 	// step's completions.
 	res  []resource
-	done []*Flow
+	done []*flow
 }
 
 // maxStep caps a single advance, in seconds.
 const maxStep = 1
 
 // NewNetwork returns an empty network at virtual time zero.
-func NewNetwork() *Network {
-	return &Network{nics: make(map[string]*NIC)}
-}
+func NewNetwork() *Network { return &Network{} }
 
 // Now returns the virtual time in seconds.
 func (n *Network) Now() float64 { return n.now }
 
-// AddNIC registers a NIC. Names must be unique.
-func (n *Network) AddNIC(name string, egress Shaper, ingressGbps float64) (*NIC, error) {
-	if _, dup := n.nics[name]; dup {
-		return nil, fmt.Errorf("netem: duplicate NIC %q", name)
-	}
+// AddNIC adds a NIC with the given egress shaper and ingress line rate
+// and returns it; flows run between the NICs it returns.
+func (n *Network) AddNIC(egress Shaper, ingressGbps float64) (*NIC, error) {
 	if egress == nil {
-		return nil, fmt.Errorf("netem: NIC %q needs an egress shaper", name)
+		return nil, fmt.Errorf("netem: NIC needs an egress shaper")
 	}
 	if ingressGbps <= 0 {
-		return nil, fmt.Errorf("netem: NIC %q needs positive ingress capacity", name)
+		return nil, fmt.Errorf("netem: NIC needs positive ingress capacity, got %g", ingressGbps)
 	}
-	nic := &NIC{Name: name, Egress: egress, IngressGbps: ingressGbps}
-	n.nics[name] = nic
-	n.order = append(n.order, nic)
+	nic := &NIC{Egress: egress, IngressGbps: ingressGbps}
+	n.nics = append(n.nics, nic)
 	n.stale = true
 	return nic, nil
 }
 
-// NIC looks up a NIC by name.
-func (n *Network) NIC(name string) (*NIC, bool) {
-	nic, ok := n.nics[name]
-	return nic, ok
-}
-
-// StartFlow begins moving gbit of data from src to dst. demand caps
-// the flow rate (pass math.Inf(1) for greedy). The returned flow is
-// live until its Remaining reaches zero.
-func (n *Network) StartFlow(src, dst string, gbit, demand float64, onComplete func(now float64)) (*Flow, error) {
-	s, ok := n.nics[src]
-	if !ok {
-		return nil, fmt.Errorf("netem: unknown source NIC %q", src)
-	}
-	d, ok := n.nics[dst]
-	if !ok {
-		return nil, fmt.Errorf("netem: unknown destination NIC %q", dst)
-	}
-	if s == d {
-		return nil, fmt.Errorf("netem: flow from %q to itself", src)
+// StartFlow begins moving gbit of data from src to dst, two NICs of n,
+// as a greedy flow. onComplete, if non-nil, fires when the flow
+// finishes, with the virtual completion time.
+func (n *Network) StartFlow(src, dst *NIC, gbit float64, onComplete func(now float64)) error {
+	if src == dst {
+		return fmt.Errorf("netem: flow from a NIC to itself")
 	}
 	if gbit <= 0 {
-		return nil, fmt.Errorf("netem: non-positive flow size %g", gbit)
+		return fmt.Errorf("netem: non-positive flow size %g", gbit)
 	}
-	if demand <= 0 {
-		return nil, fmt.Errorf("netem: non-positive flow demand %g", demand)
-	}
-	n.nextID++
-	f := &Flow{
-		ID: n.nextID, Src: s, Dst: d,
-		Remaining: gbit, Demand: demand,
-		OnComplete: onComplete, StartedAt: n.now,
-	}
+	f := &flow{src: src, dst: dst, remaining: gbit, onComplete: onComplete}
 	n.flows = append(n.flows, f)
-	s.outFlows = append(s.outFlows, f)
-	d.inFlows = append(d.inFlows, f)
+	src.outFlows = append(src.outFlows, f)
+	dst.inFlows = append(dst.inFlows, f)
 	n.stale = true
-	if !math.IsInf(demand, 1) {
-		n.capped++
-	}
-	return f, nil
+	return nil
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -175,7 +133,7 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // its ingress line rate.
 type resource struct {
 	cap   float64
-	flows []*Flow
+	flows []*flow
 	// unfrozen counts the flows whose rate may still grow.
 	unfrozen int
 }
@@ -186,10 +144,10 @@ type resource struct {
 // production sharing model; the aggregate-pipe simplification it is
 // benchmarked against lives in the ablation suite.
 //
-// The rates depend only on the flow set, the flows' demands and the
-// capacities, so when no flow has started or ended since the last fill
-// and every capacity reads the same bits as it did then, the rates that
-// fill assigned still hold and the fill is skipped.
+// The rates depend only on the flow set and the capacities, so when no
+// flow has started or ended since the last fill and every capacity
+// reads the same bits as it did then, the rates that fill assigned
+// still hold and the fill is skipped.
 //
 // Every unfrozen flow is raised from zero by the same increments in the
 // same order, so its rate is the running level, which a flow keeps when
@@ -198,13 +156,11 @@ type resource struct {
 // source's egress and its destination's ingress. A round charges a
 // resource inc by one subtraction per unfrozen flow: a single inc*count
 // rounds differently, and every Spark timing pinned in
-// internal/workloads would move. A greedy flow's headroom is +Inf and
-// it never freezes at its demand, so flows are scanned for headroom
-// only while one of them has a demand other than +Inf.
+// internal/workloads would move.
 func (n *Network) assignRates() {
 	stale := n.stale
 	n.res = n.res[:0]
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		if len(nic.outFlows) > 0 {
 			c := nic.Egress.Rate(infDemand)
 			stale = stale || math.Float64bits(c) != math.Float64bits(nic.egressCap)
@@ -236,20 +192,19 @@ func (n *Network) assignRates() {
 
 	frozen := 0
 	level := 0.0
-	freeze := func(f *Flow) {
+	freeze := func(f *flow) {
 		f.rate = level
 		f.frozen = true
 		frozen++
-		res[f.Src.egressRes].unfrozen--
-		res[f.Dst.ingressRes].unfrozen--
+		res[f.src.egressRes].unfrozen--
+		res[f.dst.ingressRes].unfrozen--
 	}
 	for _, f := range n.flows {
 		f.frozen = false
 	}
 
 	for frozen < len(n.flows) {
-		// Increment = min over resources of remaining/unfrozen count,
-		// and over flows of demand headroom.
+		// Increment = min over resources of remaining/unfrozen count.
 		inc := math.Inf(1)
 		for i := range res {
 			r := &res[i]
@@ -258,15 +213,6 @@ func (n *Network) assignRates() {
 			}
 			if share := r.cap / float64(r.unfrozen); share < inc {
 				inc = share
-			}
-		}
-		if n.capped > 0 {
-			for _, f := range n.flows {
-				if !f.frozen {
-					if head := f.Demand - level; head < inc {
-						inc = head
-					}
-				}
 			}
 		}
 		if math.IsInf(inc, 1) || inc < 0 {
@@ -291,9 +237,9 @@ func (n *Network) assignRates() {
 		}
 		level += inc
 
-		// Freeze flows at demand or on saturated resources. Every round
-		// freezes a flow: a zero increment comes from a zero-capacity
-		// resource or a zero headroom, and freezes its flows here.
+		// Freeze flows on saturated resources. Every round freezes a
+		// flow: a zero increment comes from a zero-capacity resource,
+		// and freezes its flows here.
 		for i := range res {
 			r := &res[i]
 			if r.cap == 0 && r.unfrozen > 0 {
@@ -304,16 +250,9 @@ func (n *Network) assignRates() {
 				}
 			}
 		}
-		if n.capped > 0 {
-			for _, f := range n.flows {
-				if !f.frozen && level >= f.Demand-1e-12 {
-					freeze(f)
-				}
-			}
-		}
 	}
 
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		agg := 0.0
 		for _, f := range nic.outFlows {
 			agg += f.rate
@@ -322,20 +261,20 @@ func (n *Network) assignRates() {
 	}
 }
 
-// step advances the simulation by one exact interval, at most
-// maxDt seconds, and returns the interval taken.
-func (n *Network) step(maxDt float64) float64 {
+// step advances the simulation by one exact interval, at most maxDt
+// seconds, and reports whether a flow completed in it.
+func (n *Network) step(maxDt float64) bool {
 	n.assignRates()
 
 	dt := math.Min(maxDt, maxStep)
 	for _, f := range n.flows {
 		if f.rate > 0 {
-			if t := f.Remaining / f.rate; t < dt {
+			if t := f.remaining / f.rate; t < dt {
 				dt = t
 			}
 		}
 	}
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		if t := nic.Egress.NextTransition(nic.lastRate); t < dt {
 			dt = t
 		}
@@ -345,7 +284,7 @@ func (n *Network) step(maxDt float64) float64 {
 	}
 
 	// Advance shapers with their achieved aggregate rates.
-	for _, nic := range n.order {
+	for _, nic := range n.nics {
 		if nic.lastRate > 0 {
 			nic.movedGbit += nic.Egress.Transfer(nic.lastRate, dt)
 		} else {
@@ -356,41 +295,37 @@ func (n *Network) step(maxDt float64) float64 {
 	// Advance flows and collect completions.
 	done := n.done[:0]
 	for _, f := range n.flows {
-		f.Remaining -= f.rate * dt
-		if f.Remaining <= 1e-9 {
-			f.Remaining = 0
-			f.CompletedAt = n.now + dt
+		f.remaining -= f.rate * dt
+		if f.remaining <= 1e-9 {
+			f.remaining = 0
 			done = append(done, f)
 		}
 	}
 	n.now += dt
-	n.completed += len(done)
 	for _, f := range done {
 		n.removeFlow(f)
 	}
 	// A callback that steps the network collects into its own slice.
 	n.done = nil
 	for _, f := range done {
-		if f.OnComplete != nil {
-			f.OnComplete(n.now)
+		if f.onComplete != nil {
+			f.onComplete(n.now)
 		}
 	}
+	completed := len(done) > 0
 	clear(done)
 	n.done = done[:0]
-	return dt
+	return completed
 }
 
-func (n *Network) removeFlow(f *Flow) {
+func (n *Network) removeFlow(f *flow) {
 	n.stale = true
-	if !math.IsInf(f.Demand, 1) {
-		n.capped--
-	}
 	n.flows = removeFromSlice(n.flows, f)
-	f.Src.outFlows = removeFromSlice(f.Src.outFlows, f)
-	f.Dst.inFlows = removeFromSlice(f.Dst.inFlows, f)
+	f.src.outFlows = removeFromSlice(f.src.outFlows, f)
+	f.dst.inFlows = removeFromSlice(f.dst.inFlows, f)
 }
 
-func removeFromSlice(s []*Flow, f *Flow) []*Flow {
+func removeFromSlice(s []*flow, f *flow) []*flow {
 	for i, v := range s {
 		if v == f {
 			return append(s[:i], s[i+1:]...)
@@ -400,50 +335,36 @@ func removeFromSlice(s []*Flow, f *Flow) []*Flow {
 }
 
 // RunUntil advances virtual time to exactly t, progressing flows and
-// shapers along the way.
+// shapers along the way. It takes back the rounding error by which a
+// step that ends a flow at t may pass it.
 func (n *Network) RunUntil(t float64) {
-	if t < n.now {
-		panic(fmt.Sprintf("netem: RunUntil(%g) before now %g", t, n.now))
-	}
-	for n.now < t-1e-12 {
-		if len(n.flows) == 0 {
-			gap := t - n.now
-			for _, nic := range n.order {
-				nic.Egress.Idle(gap)
-				nic.lastRate = 0
-			}
-			n.now = t
-			break
-		}
-		n.step(t - n.now)
+	for n.RunUntilEvent(t) && n.now < t {
 	}
 	n.now = t
 }
 
 // RunUntilEvent advances until at least one flow completes or t is
 // reached, whichever is first, and reports whether a completion
-// occurred. With no active flows it advances directly to t (shapers
+// occurred; a step that ends a flow at t may leave the clock a rounding
+// error past t. With no active flows it advances directly to t (shapers
 // idle and refill along the way). Higher-level simulators (the Spark
 // engine) use this to interleave network progress with compute events.
 func (n *Network) RunUntilEvent(t float64) bool {
 	if t < n.now {
-		panic(fmt.Sprintf("netem: RunUntilEvent(%g) before now %g", t, n.now))
+		panic(fmt.Sprintf("netem: run to %g before now %g", t, n.now))
 	}
-	before := n.completed
 	for n.now < t-1e-12 {
 		if len(n.flows) == 0 {
 			// Nothing in flight: idle all shapers across the gap in
 			// one jump.
 			gap := t - n.now
-			for _, nic := range n.order {
+			for _, nic := range n.nics {
 				nic.Egress.Idle(gap)
 				nic.lastRate = 0
 			}
-			n.now = t
-			return false
+			break
 		}
-		n.step(t - n.now)
-		if n.completed > before {
+		if n.step(t - n.now) {
 			return true
 		}
 	}

@@ -17,24 +17,28 @@ func runWhileActive(n *Network, maxTime float64) {
 	}
 }
 
-func fixedNIC(t *testing.T, n *Network, name string, gbps float64) *NIC {
+func fixedNIC(t *testing.T, n *Network, gbps float64) *NIC {
 	t.Helper()
-	nic, err := n.AddNIC(name, &FixedShaper{RateGbps: gbps}, gbps)
+	nic, err := n.AddNIC(&FixedShaper{RateGbps: gbps}, gbps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return nic
 }
 
-func TestSingleFlowCompletion(t *testing.T) {
-	n := NewNetwork()
-	fixedNIC(t, n, "a", 10)
-	fixedNIC(t, n, "b", 10)
-	var doneAt float64
-	_, err := n.StartFlow("a", "b", 100, math.Inf(1), func(now float64) { doneAt = now })
-	if err != nil {
+// startFlow starts a flow that must be valid.
+func startFlow(t *testing.T, n *Network, src, dst *NIC, gbit float64, onComplete func(now float64)) {
+	t.Helper()
+	if err := n.StartFlow(src, dst, gbit, onComplete); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestSingleFlowCompletion(t *testing.T) {
+	n := NewNetwork()
+	a, b := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
+	var doneAt float64
+	startFlow(t, n, a, b, 100, func(now float64) { doneAt = now })
 	runWhileActive(n, 1e6)
 	// 100 Gbit at 10 Gbps = 10 s.
 	if math.Abs(doneAt-10) > 1e-6 {
@@ -47,12 +51,10 @@ func TestSingleFlowCompletion(t *testing.T) {
 
 func TestTwoFlowsShareEgress(t *testing.T) {
 	n := NewNetwork()
-	fixedNIC(t, n, "src", 10)
-	fixedNIC(t, n, "d1", 10)
-	fixedNIC(t, n, "d2", 10)
+	src, d1, d2 := fixedNIC(t, n, 10), fixedNIC(t, n, 10), fixedNIC(t, n, 10)
 	var t1, t2 float64
-	_, _ = n.StartFlow("src", "d1", 50, math.Inf(1), func(now float64) { t1 = now })
-	_, _ = n.StartFlow("src", "d2", 50, math.Inf(1), func(now float64) { t2 = now })
+	startFlow(t, n, src, d1, 50, func(now float64) { t1 = now })
+	startFlow(t, n, src, d2, 50, func(now float64) { t2 = now })
 	runWhileActive(n, 1e6)
 	// Each flow gets 5 Gbps: 10 s each.
 	if math.Abs(t1-10) > 1e-6 || math.Abs(t2-10) > 1e-6 {
@@ -62,32 +64,34 @@ func TestTwoFlowsShareEgress(t *testing.T) {
 
 func TestMaxMinUnusedShareRedistributed(t *testing.T) {
 	n := NewNetwork()
-	fixedNIC(t, n, "src", 10)
-	fixedNIC(t, n, "d1", 10)
-	fixedNIC(t, n, "d2", 10)
-	// Flow 1 capped at 2 Gbps by its own demand; flow 2 greedy.
-	// Max-min should give flow 2 the remaining 8 Gbps, not 5.
-	f1, _ := n.StartFlow("src", "d1", 1000, 2, nil)
-	f2, _ := n.StartFlow("src", "d2", 1000, math.Inf(1), nil)
-	n.RunUntil(1)
-	if math.Abs(f1.rate-2) > 1e-9 {
-		t.Errorf("capped flow rate = %g, want 2", f1.rate)
+	src, d2 := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
+	d1, err := n.AddNIC(&FixedShaper{RateGbps: 10}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(f2.rate-8) > 1e-9 {
-		t.Errorf("greedy flow rate = %g, want 8 (max-min)", f2.rate)
+	// Flow 1 is held at 2 Gbps by its destination's ingress; flow 2
+	// has no other bottleneck. Max-min should give flow 2 the remaining
+	// 8 Gbps of the shared egress, not 5.
+	startFlow(t, n, src, d1, 1000, nil)
+	startFlow(t, n, src, d2, 1000, nil)
+	n.RunUntil(1)
+	if f1 := n.flows[0]; math.Abs(f1.rate-2) > 1e-9 {
+		t.Errorf("ingress-bound flow rate = %g, want 2", f1.rate)
+	}
+	if f2 := n.flows[1]; math.Abs(f2.rate-8) > 1e-9 {
+		t.Errorf("egress-bound flow rate = %g, want 8 (max-min)", f2.rate)
 	}
 }
 
 func TestIngressBottleneck(t *testing.T) {
 	n := NewNetwork()
-	fixedNIC(t, n, "s1", 10)
-	fixedNIC(t, n, "s2", 10)
+	s1, s2 := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
 	// Destination ingress is 10; two senders converge.
-	fixedNIC(t, n, "dst", 10)
-	f1, _ := n.StartFlow("s1", "dst", 1000, math.Inf(1), nil)
-	f2, _ := n.StartFlow("s2", "dst", 1000, math.Inf(1), nil)
+	dst := fixedNIC(t, n, 10)
+	startFlow(t, n, s1, dst, 1000, nil)
+	startFlow(t, n, s2, dst, 1000, nil)
 	n.RunUntil(1)
-	if math.Abs(f1.rate-5) > 1e-9 || math.Abs(f2.rate-5) > 1e-9 {
+	if f1, f2 := n.flows[0], n.flows[1]; math.Abs(f1.rate-5) > 1e-9 || math.Abs(f2.rate-5) > 1e-9 {
 		t.Errorf("converging rates = %g, %g; want 5, 5", f1.rate, f2.rate)
 	}
 }
@@ -95,9 +99,8 @@ func TestIngressBottleneck(t *testing.T) {
 func TestFlowConservation(t *testing.T) {
 	// Volume accounting: moved bytes equal flow sizes at completion.
 	n := NewNetwork()
-	src := fixedNIC(t, n, "src", 10)
-	fixedNIC(t, n, "dst", 10)
-	_, _ = n.StartFlow("src", "dst", 123.25, math.Inf(1), nil)
+	src, dst := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
+	startFlow(t, n, src, dst, 123.25, nil)
 	runWhileActive(n, 1e6)
 	if math.Abs(src.MovedGbit()-123.25) > 1e-6 {
 		t.Errorf("NIC moved %g Gbit, want 123.25", src.MovedGbit())
@@ -112,12 +115,13 @@ func TestTokenBucketThrottleMidFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.AddNIC("src", sh, 10); err != nil {
+	src, err := n.AddNIC(sh, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fixedNIC(t, n, "dst", 10)
+	dst := fixedNIC(t, n, 10)
 	var doneAt float64
-	_, _ = n.StartFlow("src", "dst", 150, math.Inf(1), func(now float64) { doneAt = now })
+	startFlow(t, n, src, dst, 150, func(now float64) { doneAt = now })
 	runWhileActive(n, 1e6)
 	// High phase: bucket empties after 90/(10-1) = 10 s, moving 100
 	// Gbit. Remaining 50 Gbit at 1 Gbps: 50 s. Total 60 s.
@@ -167,41 +171,27 @@ func TestSampledShaperErrors(t *testing.T) {
 
 func TestNetworkValidation(t *testing.T) {
 	n := NewNetwork()
-	if _, err := n.AddNIC("a", nil, 10); err == nil {
+	if _, err := n.AddNIC(nil, 10); err == nil {
 		t.Error("nil shaper should error")
 	}
-	if _, err := n.AddNIC("a", &FixedShaper{RateGbps: 1}, 0); err == nil {
+	if _, err := n.AddNIC(&FixedShaper{RateGbps: 1}, 0); err == nil {
 		t.Error("zero ingress should error")
 	}
-	if _, err := n.AddNIC("a", &FixedShaper{RateGbps: 1}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AddNIC("a", &FixedShaper{RateGbps: 1}, 10); err == nil {
-		t.Error("duplicate NIC should error")
-	}
-	if _, err := n.StartFlow("a", "missing", 1, 1, nil); err == nil {
-		t.Error("unknown dst should error")
-	}
-	if _, err := n.StartFlow("missing", "a", 1, 1, nil); err == nil {
-		t.Error("unknown src should error")
-	}
-	if _, err := n.StartFlow("a", "a", 1, 1, nil); err == nil {
+	a, b := fixedNIC(t, n, 1), fixedNIC(t, n, 1)
+	if err := n.StartFlow(a, a, 1, nil); err == nil {
 		t.Error("self flow should error")
 	}
-	if _, err := n.AddNIC("b", &FixedShaper{RateGbps: 1}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.StartFlow("a", "b", 0, 1, nil); err == nil {
+	if err := n.StartFlow(a, b, 0, nil); err == nil {
 		t.Error("zero size should error")
 	}
-	if _, err := n.StartFlow("a", "b", 1, 0, nil); err == nil {
-		t.Error("zero demand should error")
+	if n.ActiveFlows() != 0 {
+		t.Errorf("%d flows started by invalid calls", n.ActiveFlows())
 	}
 }
 
 func TestRunUntilAdvancesIdleTime(t *testing.T) {
 	n := NewNetwork()
-	fixedNIC(t, n, "a", 10)
+	fixedNIC(t, n, 10)
 	n.RunUntil(100)
 	if n.Now() != 100 {
 		t.Errorf("idle network clock = %g", n.Now())
@@ -214,6 +204,26 @@ func TestRunUntilAdvancesIdleTime(t *testing.T) {
 	n.RunUntil(50)
 }
 
+// TestRunUntilOvershoot: a step to the target time can end one ulp
+// past it, as now+(t-now) rounds up, and a flow that ends in that step
+// must not leave RunUntil past its target or make it panic.
+func TestRunUntilOvershoot(t *testing.T) {
+	n := NewNetwork()
+	src, dst := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
+	start, end := 3*0x1p-54, 0.5+3*0x1p-53
+	if start+(end-start) <= end {
+		t.Fatal("the step from start to end does not overshoot end")
+	}
+	n.RunUntil(start)
+	// The flow needs 1e-11 s more than the step: it ends within the
+	// completion threshold.
+	startFlow(t, n, src, dst, 10*(end-start)+1e-10, nil)
+	n.RunUntil(end)
+	if n.Now() != end || n.ActiveFlows() != 0 {
+		t.Errorf("now %v with %d flows, want %v with none", n.Now(), n.ActiveFlows(), end)
+	}
+}
+
 // TestFlowVolumeProperty: for random topologies and flow sizes, the
 // sum of all NIC egress volumes equals the sum of completed flow
 // sizes (fluid conservation).
@@ -223,22 +233,16 @@ func TestFlowVolumeProperty(t *testing.T) {
 			return true
 		}
 		n := NewNetwork()
-		if _, err := n.AddNIC("src", &FixedShaper{RateGbps: 10}, 10); err != nil {
-			return false
-		}
-		if _, err := n.AddNIC("dst", &FixedShaper{RateGbps: 10}, 10); err != nil {
-			return false
-		}
+		src, dst := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
 		total := 0.0
 		for _, s := range sizes {
 			size := float64(s%500) + 1
 			total += size
-			if _, err := n.StartFlow("src", "dst", size, math.Inf(1), nil); err != nil {
+			if err := n.StartFlow(src, dst, size, nil); err != nil {
 				return false
 			}
 		}
 		runWhileActive(n, 1e9)
-		src, _ := n.NIC("src")
 		return math.Abs(src.MovedGbit()-total) < 1e-3*total+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -249,16 +253,16 @@ func TestFlowVolumeProperty(t *testing.T) {
 func BenchmarkNetworkManyFlows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := NewNetwork()
-		for k := 0; k < 12; k++ {
-			name := string(rune('a' + k))
-			if _, err := n.AddNIC(name, &FixedShaper{RateGbps: 10}, 10); err != nil {
+		nics := make([]*NIC, 12)
+		for k := range nics {
+			nic, err := n.AddNIC(&FixedShaper{RateGbps: 10}, 10)
+			if err != nil {
 				b.Fatal(err)
 			}
+			nics[k] = nic
 		}
-		for k := 0; k < 12; k++ {
-			src := string(rune('a' + k))
-			dst := string(rune('a' + (k+1)%12))
-			if _, err := n.StartFlow(src, dst, 100, math.Inf(1), nil); err != nil {
+		for k, src := range nics {
+			if err := n.StartFlow(src, nics[(k+1)%len(nics)], 100, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -221,7 +221,7 @@ func TestRunIperfConfigErrors(t *testing.T) {
 		{DurationSec: 1, WriteBytes: 1, BinSec: math.Inf(1)},
 		// Bins, and RTT samples, too many to allocate.
 		{DurationSec: 3.6e15, WriteBytes: 1, BinSec: 10},
-		{DurationSec: 1, WriteBytes: 1, BinSec: 1, RTTSamplesPerBin: 1 << 62},
+		{DurationSec: 1, WriteBytes: 1, BinSec: 1, RTTSamplesPerBin: math.MaxInt32},
 	}
 	for i, cfg := range bad {
 		if _, err := RunIperf(sh, EC2VNIC(), cfg, src); err == nil {

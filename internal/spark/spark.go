@@ -193,8 +193,7 @@ func (c ClusterConfig) Validate() error {
 type Cluster struct {
 	cfg       ClusterConfig
 	net       *netem.Network
-	shapers   []netem.Shaper
-	names     []string // NIC name per node, formatted once
+	nics      []*netem.NIC // one per node
 	src       *simrand.Source
 	nodeSpeed []float64 // per-node compute-time multipliers
 	// cpuBuckets[node][slot] holds per-vCPU credit buckets when
@@ -220,16 +219,13 @@ func NewCluster(cfg ClusterConfig, src *simrand.Source) (*Cluster, error) {
 			c.nodeSpeed[i] = src.LogNormal(0, cfg.NodeSpeedNoiseFrac)
 		}
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		sh := cfg.NewShaper(i)
-		if sh == nil {
-			return nil, fmt.Errorf("spark: shaper factory returned nil for node %d", i)
+	c.nics = make([]*netem.NIC, cfg.Nodes)
+	for i := range c.nics {
+		nic, err := c.net.AddNIC(cfg.NewShaper(i), cfg.IngressGbps)
+		if err != nil {
+			return nil, fmt.Errorf("spark: node %d: %w", i, err)
 		}
-		c.shapers = append(c.shapers, sh)
-		c.names = append(c.names, nodeName(i))
-		if _, err := c.net.AddNIC(c.names[i], sh, cfg.IngressGbps); err != nil {
-			return nil, err
-		}
+		c.nics[i] = nic
 	}
 	if cfg.CPUBurst != nil {
 		bp := cfg.CPUBurst.bucketParams()
@@ -265,8 +261,6 @@ func (c *Cluster) CPUCredits() []float64 {
 	return out
 }
 
-func nodeName(i int) string { return fmt.Sprintf("node%02d", i) }
-
 // Nodes returns the cluster size.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
@@ -275,8 +269,8 @@ func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 // axis.
 func (c *Cluster) NodeTokens() []float64 {
 	out := make([]float64, c.cfg.Nodes)
-	for i, sh := range c.shapers {
-		if bs, ok := sh.(*netem.BucketShaper); ok {
+	for i, nic := range c.nics {
+		if bs, ok := nic.Egress.(*netem.BucketShaper); ok {
 			out[i] = bs.Bucket.Tokens()
 		} else {
 			out[i] = math.NaN()
@@ -387,8 +381,7 @@ func (c *Cluster) RunJob(job Job, opts RunOptions) (JobResult, error) {
 
 func (c *Cluster) nodeMoved() []float64 {
 	out := make([]float64, c.cfg.Nodes)
-	for i := 0; i < c.cfg.Nodes; i++ {
-		nic, _ := c.net.NIC(c.names[i])
+	for i, nic := range c.nics {
 		out[i] = nic.MovedGbit()
 	}
 	return out
@@ -547,14 +540,13 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 				node := best
 				nodeSlot := slot
 				trace := tt
-				_, err := c.net.StartFlow(c.names[peer], c.names[best],
-					spec.ShuffleGbit, math.Inf(1), func(now float64) {
-						trace.ShuffleAt = now
-						schedule(now+taskDuration(node, nodeSlot), trace, node, nodeSlot)
-					})
+				err := c.net.StartFlow(c.nics[peer], c.nics[best], spec.ShuffleGbit, func(now float64) {
+					trace.ShuffleAt = now
+					schedule(now+taskDuration(node, nodeSlot), trace, node, nodeSlot)
+				})
 				if err != nil {
-					// Flow creation only fails on programmer error
-					// (bad names/sizes validated above).
+					// Flow creation only fails on programmer error: the
+					// peer is another node and the size was validated.
 					panic(fmt.Sprintf("spark: shuffle flow: %v", err))
 				}
 			} else {
@@ -573,23 +565,19 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 			nextCompute = computes[0].at
 		}
 
+		// With no flow in flight, RunUntilEvent idles the network to the
+		// bound in one jump.
 		bound := math.Min(nextCompute, *nextSample)
-		if math.IsInf(bound, 1) && c.net.ActiveFlows() == 0 {
-			return sr, fmt.Errorf("deadlock: no computes, no flows, %d tasks unfinished", remaining)
-		}
-
-		if c.net.ActiveFlows() > 0 {
-			if math.IsInf(bound, 1) {
-				// Only flows in flight: run until one completes.
-				horizon := c.net.Now() + 1e7
-				if !c.net.RunUntilEvent(horizon) {
-					return sr, fmt.Errorf("flows stalled beyond horizon")
-				}
-			} else {
-				c.net.RunUntilEvent(bound)
+		flowsOnly := math.IsInf(bound, 1)
+		if flowsOnly {
+			if c.net.ActiveFlows() == 0 {
+				return sr, fmt.Errorf("deadlock: no computes, no flows, %d tasks unfinished", remaining)
 			}
-		} else {
-			c.net.RunUntil(bound)
+			// Only flows in flight: run until one completes.
+			bound = c.net.Now() + 1e7
+		}
+		if !c.net.RunUntilEvent(bound) && flowsOnly {
+			return sr, fmt.Errorf("flows stalled beyond horizon")
 		}
 		now := c.net.Now()
 
@@ -620,8 +608,7 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 
 func (c *Cluster) nodeRates() []float64 {
 	out := make([]float64, c.cfg.Nodes)
-	for i := 0; i < c.cfg.Nodes; i++ {
-		nic, _ := c.net.NIC(c.names[i])
+	for i, nic := range c.nics {
 		out[i] = nic.CurrentRateGbps()
 	}
 	return out

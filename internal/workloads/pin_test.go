@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"cloudvar/internal/netem"
 	"cloudvar/internal/simrand"
 	"cloudvar/internal/spark"
 )
@@ -54,6 +55,45 @@ func TestSuiteTimingsPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("suite timings digest %s, pinned %s", got, want)
+	}
+}
+
+// TestCPUCreditTimingsPinned runs every app twice on a fresh cluster
+// whose vCPUs draw on CPU-credit buckets, and hashes the bits of every
+// job runtime and task end. Four slots per node retire computes that
+// are due together, so the pin holds the order in which a stage retires
+// them: it decides which slot, and so which credit bucket, each node
+// hands the next task.
+func TestCPUCreditTimingsPinned(t *testing.T) {
+	const want = "f0ce00dca3eec9dbb9fdfdb82e9f393a614f242ead868fcfcc2ead3cc5122e40"
+	cfg := spark.ClusterConfig{
+		Nodes:        4,
+		SlotsPerNode: 4,
+		NewShaper:    func(int) netem.Shaper { return &netem.FixedShaper{RateGbps: 10} },
+		IngressGbps:  10,
+		CPUBurst:     &spark.CPUBurstParams{BudgetCPUSec: 30, BaselineFrac: 0.3, EarnRate: 0.3},
+	}
+	h := sha256.New()
+	for _, app := range AllApps() {
+		c, err := spark.NewCluster(cfg, simrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			res, err := c.RunJob(app.Job, spark.RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			hashBits(h, res.Runtime())
+			for _, s := range res.Stages {
+				for _, task := range s.Tasks {
+					hashBits(h, task.End)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("CPU-credit timings digest %s, pinned %s", got, want)
 	}
 }
 
