@@ -749,13 +749,12 @@ func executeCells(spec CampaignSpec, cells []Cell, stored map[string]StoredCell,
 
 // workerScratch is one fleet worker's reusable arena: the campaign
 // bin buffers, the request-replay buffers, and the summarizer state
-// (the bandwidth column and its sample in exact mode, the streaming
-// sketch in sketch mode). Contents never outlive a cell: the arenas
-// lend memory, never state.
+// (the sample that holds the bandwidth column in exact mode, the
+// streaming sketch in sketch mode). Contents never outlive a cell: the
+// arenas lend memory, never state.
 type workerScratch struct {
 	campaign cloudmodel.CampaignScratch
 	workload cloudmodel.WorkloadScratch
-	bw       []float64
 	sample   stats.Sample
 	stream   sketch.Stream
 }
@@ -772,8 +771,7 @@ func summarizeSeries(mode SummarizeMode, series *trace.Series, scratch *workerSc
 		}
 		return scratch.stream.Summary()
 	}
-	scratch.bw = series.AppendBandwidths(scratch.bw[:0])
-	return scratch.sample.Reset(scratch.bw).Summary()
+	return scratch.sample.Fill(series.AppendBandwidths).Summary()
 }
 
 // runCell measures one cell on its own substream. Panics are folded
@@ -816,8 +814,7 @@ func runCell(spec CampaignSpec, c Cell, scratch *workerScratch) (res CellResult)
 	}
 	// Summarise through the scratch: same bits as series.Summary(),
 	// no per-cell column copy or sort buffer.
-	scratch.bw = series.AppendBandwidths(scratch.bw[:0])
-	return CellResult{Cell: c, Series: series, Summary: scratch.sample.Reset(scratch.bw).Summary(), Workload: wl}
+	return CellResult{Cell: c, Series: series, Summary: scratch.sample.Fill(series.AppendBandwidths).Summary(), Workload: wl}
 }
 
 // groupResults rolls cell results up into per-(profile, regime)

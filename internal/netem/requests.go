@@ -12,6 +12,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"cloudvar/internal/simrand"
@@ -36,14 +37,18 @@ type PathEnvelope struct {
 }
 
 // Validate checks the envelope: parallel non-empty columns,
-// non-decreasing times, non-negative bandwidths with at least one
-// positive value (an all-idle path could never serve a request).
+// non-decreasing times (so none is NaN), non-negative bandwidths with
+// at least one positive value (an all-idle path could never serve a
+// request).
 func (e PathEnvelope) Validate() error {
 	if len(e.Times) == 0 || len(e.Times) != len(e.Gbps) {
 		return fmt.Errorf("netem: envelope has %d times and %d bandwidths", len(e.Times), len(e.Gbps))
 	}
 	positive := false
 	for i := range e.Times {
+		if math.IsNaN(e.Times[i]) {
+			return fmt.Errorf("netem: envelope time %d is NaN", i)
+		}
 		if i > 0 && e.Times[i] < e.Times[i-1] {
 			return fmt.Errorf("netem: envelope time %d (%g s) precedes time %d", i, e.Times[i], i-1)
 		}
@@ -60,31 +65,16 @@ func (e PathEnvelope) Validate() error {
 	return nil
 }
 
-// at returns the interval index covering time t (the last interval
-// for t beyond the end, the first for t before the start).
-func (e PathEnvelope) at(t float64) int {
-	// Linear scan from a hint would do, but callers advance
-	// monotonically; binary search keeps this correct for any use.
-	lo, hi := 0, len(e.Times)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if e.Times[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // transferEnd returns when a transfer of gbit starting at start
-// completes under the envelope. Beyond the last interval the final
-// bandwidth persists; if that is zero the transfer can still complete
-// only within the envelope, otherwise an error reports the stall.
-func (e PathEnvelope) transferEnd(start, gbit float64) (float64, error) {
+// completes under the envelope, where i is the interval covering start:
+// the last with Times[i] <= start, or 0 when start precedes Times[0].
+// Beyond the last interval the final bandwidth persists; if that is
+// zero the transfer can still complete only within the envelope,
+// otherwise an error reports the stall.
+func (e PathEnvelope) transferEnd(i int, start, gbit float64) (float64, error) {
 	t := start
 	remaining := gbit
-	for i := e.at(t); i < len(e.Times); i++ {
+	for ; i < len(e.Times); i++ {
 		if t < e.Times[i] {
 			t = e.Times[i]
 		}
@@ -129,6 +119,7 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 	latencies := slices.Grow(dst, len(reqs))
 	queued := model.queuedBytes(writeBytes, false)
 	free := 0.0 // when the server next idles
+	seg := 0    // the envelope interval covering start
 	for i, r := range reqs {
 		if i > 0 && r.TimeSec < reqs[i-1].TimeSec {
 			return nil, fmt.Errorf("netem: request %d (%g s) precedes request %d", i, r.TimeSec, i-1)
@@ -137,7 +128,16 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 		if free > start {
 			start = free
 		}
-		done, err := env.transferEnd(start, gbit)
+		// Starts never decrease, so the cursor only walks forward. A
+		// NaN arrival or completion (a NaN or infinite bandwidth can
+		// give one) breaks that; the walk then restarts at interval 0.
+		if !(start >= env.Times[seg]) {
+			seg = 0
+		}
+		for seg+1 < len(env.Times) && env.Times[seg+1] <= start {
+			seg++
+		}
+		done, err := env.transferEnd(seg, start, gbit)
 		if err != nil {
 			return nil, fmt.Errorf("netem: request %d: %w", i, err)
 		}

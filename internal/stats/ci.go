@@ -42,11 +42,11 @@ func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 // Thm 2.1), which the paper uses for both medians (Figure 3a) and the
 // 90th percentile (Figure 3b).
 //
-// The number of samples below the true q-quantile is Binomial(n, q);
+// The number B of samples below the true q-quantile is Binomial(n, q);
 // the interval [X(l), X(u)] (1-based order statistics) covers the true
-// quantile with probability BinomialCDF(u-1) - BinomialCDF(l-1), so we
-// pick l as large and u as small as possible while keeping each tail's
-// uncovered probability at most (1-conf)/2.
+// quantile with probability P(l <= B <= u-1), so we pick l as large
+// and u as small as possible while keeping each tail's uncovered
+// probability at most (1-conf)/2.
 //
 // An error is returned when n is too small for the requested confidence
 // (e.g. n=3 cannot support a 95% median CI; the paper makes exactly
@@ -75,9 +75,9 @@ func errCIUnachievable(n int, conf, q float64) error {
 
 // quantileOrderIndices returns 1-based order-statistic indices (l, u)
 // such that [X(l), X(u)] covers the q-quantile with confidence at
-// least 1-alpha, splitting alpha evenly between tails. For n > 100 a
-// normal approximation to the binomial is used (as Le Boudec suggests);
-// otherwise exact binomial tail sums.
+// least 1-alpha, splitting alpha evenly between tails, for 0 < q < 1.
+// For n > 100 a normal approximation to the binomial is used (as Le
+// Boudec suggests); otherwise exact binomial tail sums.
 func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 	if n > 100 {
 		z := NormalQuantile(1 - alpha/2)
@@ -97,30 +97,32 @@ func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 		return l, u, true
 	}
 	// Exact: coverage of [X(l), X(u)] is P(l <= B <= u-1) =
-	// BinomialCDF(u-1) - BinomialCDF(l-1), where B ~ Binomial(n, q)
-	// counts samples below the true quantile. First try to give each
-	// tail alpha/2; when a tail cannot meet its half even at the
+	// cdf[u-1] - cdf[l-1], where B ~ Binomial(n, q) counts samples
+	// below the true quantile and cdf[k] = P(B <= k). First try to give
+	// each tail alpha/2; when a tail cannot meet its half even at the
 	// extreme order statistic (common for tail quantiles, e.g. the
 	// p90 of n=30), fall back to the extreme and grant the other tail
 	// the remaining risk budget — the asymmetric allocation Le Boudec
-	// permits.
+	// permits. Both searches and the check below read cdf[0..n-1],
+	// filled once.
+	var buf [100]float64
+	cdf := buf[:n]
+	binomialCDFs(cdf, n, q)
 	half := alpha / 2
-	upperLoss := func(u int) float64 { return 1 - BinomialCDF(n, q, u-1) }
-	lowerLoss := func(l int) float64 { return BinomialCDF(n, q, l-1) }
 
 	u = n
 	for cand := n; cand >= 1; cand-- {
-		if upperLoss(cand) <= half {
+		if 1-cdf[cand-1] <= half {
 			u = cand
 		} else {
 			break
 		}
 	}
 	// Lower index gets whatever risk the upper tail left unused.
-	lowerBudget := alpha - upperLoss(u)
+	lowerBudget := alpha - (1 - cdf[u-1])
 	l = 1
 	for cand := 1; cand <= n; cand++ {
-		if lowerLoss(cand) <= lowerBudget {
+		if cdf[cand-1] <= lowerBudget {
 			l = cand
 		} else {
 			break
@@ -132,11 +134,31 @@ func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 	// Verify achieved coverage; the loops above are conservative but
 	// double-check the extreme-order-statistic corner (coverage of
 	// [X(1), X(n)] is 1 - q^n - (1-q)^n, which can still miss alpha).
-	coverage := BinomialCDF(n, q, u-1) - BinomialCDF(n, q, l-1)
+	coverage := cdf[u-1] - cdf[l-1]
 	if coverage < 1-alpha-1e-12 {
 		return 0, 0, false
 	}
 	return l, u, true
+}
+
+// binomialCDFs fills cdf[k] with P(B <= k), B ~ Binomial(n, q), for
+// every k < len(cdf) <= n, where 0 < q < 1 (every caller has checked
+// q). It sums the PMF terms once, in order, each computed in log space
+// for numerical stability, and clamps each partial sum at 1 as it
+// stores it, so cdf[k] carries the bits of summing terms 0..k on its
+// own.
+func binomialCDFs(cdf []float64, n int, q float64) {
+	lg := func(x float64) float64 {
+		v, _ := math.Lgamma(x)
+		return v
+	}
+	lgN, logQ, logNotQ := lg(float64(n+1)), math.Log(q), math.Log(1-q)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Exp(lgN - lg(float64(k+1)) - lg(float64(n-k+1)) +
+			float64(k)*logQ + float64(n-k)*logNotQ)
+		cdf[k] = min(sum, 1)
+	}
 }
 
 // MedianCI is QuantileCI at q = 0.5.

@@ -244,7 +244,7 @@ func TestQuantileOrderIndicesExactSmallN(t *testing.T) {
 	if l != 1 || u != 6 {
 		t.Errorf("indices = (%d, %d), want (1, 6)", l, u)
 	}
-	coverage := BinomialCDF(6, 0.5, u-1) - BinomialCDF(6, 0.5, l-1)
+	coverage := refBinomialCDF(6, 0.5, u-1) - refBinomialCDF(6, 0.5, l-1)
 	if coverage < 0.95 {
 		t.Errorf("achieved coverage %g < 0.95", coverage)
 	}
@@ -283,24 +283,156 @@ func TestNormalQuantileKnownValues(t *testing.T) {
 	}
 }
 
+// refBinomialPMF, refBinomialCDF and refQuantileOrderIndices are the
+// exact-branch code quantileOrderIndices ran before binomialCDFs,
+// verbatim: every search step summed the PMF from k = 0 again.
+// TestQuantileOrderIndicesMatchReference holds the one-pass fill to
+// them bit for bit.
+
+// refBinomialPMF returns P(X = k) for X ~ Binomial(n, p), computed in log
+// space for numerical stability at large n.
+func refBinomialPMF(n int, p float64, k int) float64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	if p <= 0 {
+		if k == 0 {
+			return 1
+		}
+		return 0
+	}
+	if p >= 1 {
+		if k == n {
+			return 1
+		}
+		return 0
+	}
+	lg := func(x float64) float64 {
+		v, _ := math.Lgamma(x)
+		return v
+	}
+	logPMF := lg(float64(n+1)) - lg(float64(k+1)) - lg(float64(n-k+1)) +
+		float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
+	return math.Exp(logPMF)
+}
+
+// refBinomialCDF returns P(X <= k) for X ~ Binomial(n, p).
+func refBinomialCDF(n int, p float64, k int) float64 {
+	if k < 0 {
+		return 0
+	}
+	if k >= n {
+		return 1
+	}
+	// Sum from the tail with fewer terms for efficiency.
+	sum := 0.0
+	for i := 0; i <= k; i++ {
+		sum += refBinomialPMF(n, p, i)
+	}
+	if sum > 1 {
+		sum = 1
+	}
+	return sum
+}
+
+// refQuantileOrderIndices is quantileOrderIndices' exact branch
+// (n <= 100) over refBinomialCDF.
+func refQuantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
+	half := alpha / 2
+	upperLoss := func(u int) float64 { return 1 - refBinomialCDF(n, q, u-1) }
+	lowerLoss := func(l int) float64 { return refBinomialCDF(n, q, l-1) }
+
+	u = n
+	for cand := n; cand >= 1; cand-- {
+		if upperLoss(cand) <= half {
+			u = cand
+		} else {
+			break
+		}
+	}
+	// Lower index gets whatever risk the upper tail left unused.
+	lowerBudget := alpha - upperLoss(u)
+	l = 1
+	for cand := 1; cand <= n; cand++ {
+		if lowerLoss(cand) <= lowerBudget {
+			l = cand
+		} else {
+			break
+		}
+	}
+	if l >= u {
+		return 0, 0, false
+	}
+	// Verify achieved coverage; the loops above are conservative but
+	// double-check the extreme-order-statistic corner (coverage of
+	// [X(1), X(n)] is 1 - q^n - (1-q)^n, which can still miss alpha).
+	coverage := refBinomialCDF(n, q, u-1) - refBinomialCDF(n, q, l-1)
+	if coverage < 1-alpha-1e-12 {
+		return 0, 0, false
+	}
+	return l, u, true
+}
+
+// TestQuantileOrderIndicesMatchReference holds the exact branch's one
+// binomial pass to the per-step sums it replaced: every cdf[k] with
+// refBinomialCDF's bits, and the same (l, u, ok), for n = 1..100 at
+// quantiles from 1e-9 to 1-1e-9 and confidences from 0.5 to 0.999,
+// then at seeded random (q, alpha).
+func TestQuantileOrderIndicesMatchReference(t *testing.T) {
+	qs := []float64{1e-9, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1 - 1e-9}
+	alphas := []float64{0.001, 0.01, 0.05, 0.1, 0.5}
+	checkCDF := func(n int, q float64) {
+		t.Helper()
+		var cdf [100]float64
+		binomialCDFs(cdf[:n], n, q)
+		for k := 0; k < n; k++ {
+			if want := refBinomialCDF(n, q, k); math.Float64bits(cdf[k]) != math.Float64bits(want) {
+				t.Fatalf("n=%d q=%v: cdf[%d] = %v (%#x), reference %v (%#x)", n, q, k, cdf[k], math.Float64bits(cdf[k]), want, math.Float64bits(want))
+			}
+		}
+	}
+	checkIndices := func(n int, q, alpha float64) {
+		t.Helper()
+		l, u, ok := quantileOrderIndices(n, q, alpha)
+		wl, wu, wok := refQuantileOrderIndices(n, q, alpha)
+		if l != wl || u != wu || ok != wok {
+			t.Fatalf("n=%d q=%v alpha=%v: indices (%d, %d, %v), reference (%d, %d, %v)", n, q, alpha, l, u, ok, wl, wu, wok)
+		}
+	}
+	for n := 1; n <= 100; n++ {
+		for _, q := range qs {
+			checkCDF(n, q)
+			for _, alpha := range alphas {
+				checkIndices(n, q, alpha)
+			}
+		}
+	}
+	src := simrand.New(27)
+	for i := 0; i < 500; i++ {
+		n, q := 1+src.Intn(100), src.Float64()
+		checkCDF(n, q)
+		checkIndices(n, q, src.Float64())
+	}
+}
+
 func TestBinomialPMFCDF(t *testing.T) {
 	// Binomial(4, 0.5): pmf = 1/16, 4/16, 6/16, 4/16, 1/16.
 	want := []float64{1.0 / 16, 4.0 / 16, 6.0 / 16, 4.0 / 16, 1.0 / 16}
 	for k, w := range want {
-		if got := BinomialPMF(4, 0.5, k); math.Abs(got-w) > 1e-12 {
+		if got := refBinomialPMF(4, 0.5, k); math.Abs(got-w) > 1e-12 {
 			t.Errorf("PMF(4,0.5,%d) = %g, want %g", k, got, w)
 		}
 	}
-	if got := BinomialCDF(4, 0.5, 1); math.Abs(got-5.0/16) > 1e-12 {
+	if got := refBinomialCDF(4, 0.5, 1); math.Abs(got-5.0/16) > 1e-12 {
 		t.Errorf("CDF(4,0.5,1) = %g", got)
 	}
-	if BinomialCDF(4, 0.5, -1) != 0 || BinomialCDF(4, 0.5, 4) != 1 {
+	if refBinomialCDF(4, 0.5, -1) != 0 || refBinomialCDF(4, 0.5, 4) != 1 {
 		t.Error("CDF boundary values wrong")
 	}
-	if BinomialPMF(4, 0.5, -1) != 0 || BinomialPMF(4, 0.5, 5) != 0 {
+	if refBinomialPMF(4, 0.5, -1) != 0 || refBinomialPMF(4, 0.5, 5) != 0 {
 		t.Error("PMF out of support should be 0")
 	}
-	if BinomialPMF(4, 0, 0) != 1 || BinomialPMF(4, 1, 4) != 1 {
+	if refBinomialPMF(4, 0, 0) != 1 || refBinomialPMF(4, 1, 4) != 1 {
 		t.Error("degenerate p handling wrong")
 	}
 }
@@ -310,7 +442,7 @@ func TestBinomialCDFSumsToOne(t *testing.T) {
 		for _, p := range []float64{0.1, 0.5, 0.9} {
 			total := 0.0
 			for k := 0; k <= n; k++ {
-				total += BinomialPMF(n, p, k)
+				total += refBinomialPMF(n, p, k)
 			}
 			if math.Abs(total-1) > 1e-9 {
 				t.Errorf("PMF(n=%d,p=%g) sums to %g", n, p, total)

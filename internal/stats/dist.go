@@ -67,49 +67,3 @@ func NormalQuantile(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p), computed in log
-// space for numerical stability at large n.
-func BinomialPMF(n int, p float64, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lg := func(x float64) float64 {
-		v, _ := math.Lgamma(x)
-		return v
-	}
-	logPMF := lg(float64(n+1)) - lg(float64(k+1)) - lg(float64(n-k+1)) +
-		float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
-	return math.Exp(logPMF)
-}
-
-// BinomialCDF returns P(X <= k) for X ~ Binomial(n, p).
-func BinomialCDF(n int, p float64, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	// Sum from the tail with fewer terms for efficiency.
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += BinomialPMF(n, p, i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}

@@ -20,19 +20,24 @@ func Quantile(xs []float64, p float64) float64 {
 	return SelectQuantile(append([]float64(nil), xs...), p)
 }
 
-// SelectQuantile is Quantile computed in place: it reorders xs instead
-// of copying it, so a caller that reuses one scratch buffer allocates
-// nothing. The answer is bit-identical to QuantileSorted over xs sorted
-// by sort.Float64s (NaNs first; any NaN answer is a NaN), with one
-// exception: when xs holds both −0 and +0, a zero answer may differ in
-// sign, because the two compare equal and sort.Float64s leaves their
-// order unspecified too.
+// SelectQuantile is Quantile computed in place: it may reorder xs
+// instead of copying it, so a caller that reuses one scratch buffer
+// allocates nothing. The answer is bit-identical to QuantileSorted over
+// xs sorted by sort.Float64s (NaNs first; any NaN answer is a NaN),
+// with one exception: when xs holds both −0 and +0, a zero answer may
+// differ in sign, because the two compare equal and sort.Float64s
+// leaves their order unspecified too. An order statistic among the
+// largest maxTail (a p99 of up to about 3,000 values) comes from one
+// pass that leaves xs as it is (selectTail).
 func SelectQuantile(xs []float64, p float64) float64 {
 	n := len(xs)
 	if n == 0 || p < 0 || p > 1 || math.IsNaN(p) {
 		return math.NaN()
 	}
 	lo, frac, interp := quantileIndex(n, p)
+	if n-lo <= maxTail {
+		return selectTail(xs, lo, frac, interp)
+	}
 	nans := gatherNaNs(xs)
 	if lo < nans {
 		return xs[lo]
@@ -52,6 +57,60 @@ func SelectQuantile(xs []float64, p float64) float64 {
 		}
 	}
 	return rest[k] + frac*(next-rest[k])
+}
+
+// maxTail is the most order statistics, counted down from the
+// largest, that selectTail keeps.
+const maxTail = 32
+
+// selectTail is SelectQuantile for an order statistic lo at most
+// maxTail from the top (len(xs)-lo <= maxTail). One pass keeps the
+// len(xs)-lo largest non-NaN values in ascending order and counts the
+// NaNs, which sort first: when at least lo+1 values are NaN the answer
+// is the NaN gatherNaNs would move to index lo, the lo-th in input
+// order; otherwise the kept values are the sorted ranks lo and up, and
+// the answer interpolates between the first two of them as
+// SelectQuantile does. xs is left as it is.
+func selectTail(xs []float64, lo int, frac float64, interp bool) float64 {
+	m := len(xs) - lo
+	var top [maxTail]float64
+	kept, nans := 0, 0
+	var nanAtLo float64
+	for _, x := range xs {
+		if kept == m && x <= top[0] {
+			continue // the common case once top is full; false for a NaN
+		}
+		switch {
+		case x != x: // NaN
+			if nans == lo {
+				nanAtLo = x
+			}
+			nans++
+		case kept < m:
+			// Insert into the sorted top[:kept].
+			j := kept
+			for ; j > 0 && x < top[j-1]; j-- {
+				top[j] = top[j-1]
+			}
+			top[j] = x
+			kept++
+		default:
+			// x displaces the smallest kept value.
+			j := 0
+			for ; j+1 < m && top[j+1] < x; j++ {
+				top[j] = top[j+1]
+			}
+			top[j] = x
+		}
+	}
+	if lo < nans {
+		return nanAtLo
+	}
+	// len(xs)-nans >= m values are not NaN, so top[:m] is full.
+	if !interp {
+		return top[0]
+	}
+	return top[0] + frac*(top[1]-top[0])
 }
 
 // gatherNaNs moves the NaNs in xs to its front, where the

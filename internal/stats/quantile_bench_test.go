@@ -149,3 +149,20 @@ func BenchmarkStatsSamplePush(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStatsSelectTail measures the per-class p99 the traffic path
+// selects in every cell (workload.ClassTails): SelectQuantile over
+// 1,000 latencies in a reused buffer, an order statistic the tail pass
+// answers in one pass.
+func BenchmarkStatsSelectTail(b *testing.B) {
+	xs := benchSample(1000)
+	buf := make([]float64, len(xs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, xs)
+		if v := SelectQuantile(buf, 0.99); v <= 0 {
+			b.Fatal("bad p99")
+		}
+	}
+}

@@ -55,9 +55,20 @@ type Sample struct {
 // Reset loads xs into the sample, reusing the internal buffers. The
 // input is copied, never aliased or mutated.
 func (s *Sample) Reset(xs []float64) *Sample {
-	s.load(xs)
-	s.mean = Mean(xs)
-	s.variance = Variance(xs)
+	return s.Fill(func(dst []float64) []float64 { return append(dst, xs...) })
+}
+
+// Fill is Reset(fill(nil)) without the intermediate slice: fill
+// appends the observations straight into the sample's reused buffer,
+// so a column gathered from a larger record (for example
+// trace.Series.AppendBandwidths) is copied once. The moments are
+// captured over the buffer in fill's order, before any query reorders
+// it.
+func (s *Sample) Fill(fill func(dst []float64) []float64) *Sample {
+	s.buf = fill(s.buf[:0])
+	s.sorted = false
+	s.mean = Mean(s.buf)
+	s.variance = Variance(s.buf)
 	s.momentsValid = true
 	return s
 }

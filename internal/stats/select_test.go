@@ -49,8 +49,10 @@ func mixesZeros(xs []float64) bool {
 }
 
 // checkSelect compares Quantile and SelectQuantile with the sort-based
-// reference at p, and checks that Quantile leaves xs untouched and that
-// SelectQuantile only permutes its buffer.
+// reference at p, and SelectQuantile with refSelectQuantile bit for
+// bit (NaN payloads too, up to the sign of a mixed zero), and checks
+// that Quantile leaves xs untouched and that SelectQuantile only
+// permutes its buffer.
 func checkSelect(t *testing.T, name string, xs []float64, p float64) {
 	t.Helper()
 	want := refQuantile(xs, p)
@@ -64,8 +66,12 @@ func checkSelect(t *testing.T, name string, xs []float64, p float64) {
 		}
 	}
 	buf := append([]float64(nil), xs...)
-	if got := SelectQuantile(buf, p); !sameQuantile(got, want, xs) {
+	got := SelectQuantile(buf, p)
+	if !sameQuantile(got, want, xs) {
 		t.Errorf("%s: SelectQuantile(p=%v) = %v, sort gives %v", name, p, got, want)
+	}
+	if ref := refSelectQuantile(append([]float64(nil), xs...), p); math.Float64bits(got) != math.Float64bits(ref) && !(got == 0 && ref == 0 && mixesZeros(xs)) {
+		t.Errorf("%s: SelectQuantile(p=%v) = %v (%#x), the selecting path gives %v (%#x)", name, p, got, math.Float64bits(got), ref, math.Float64bits(ref))
 	}
 	if !samePermutation(buf, xs) {
 		t.Errorf("%s: SelectQuantile(p=%v) changed the multiset of its buffer", name, p)
@@ -243,6 +249,120 @@ func TestSelectQuantileAllocs(t *testing.T) {
 	}
 }
 
+// refSelectQuantile is SelectQuantile before its tail pass, verbatim:
+// every order statistic gathers the NaNs and selects.
+func refSelectQuantile(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 0 || p < 0 || p > 1 || math.IsNaN(p) {
+		return math.NaN()
+	}
+	lo, frac, interp := quantileIndex(n, p)
+	nans := gatherNaNs(xs)
+	if lo < nans {
+		return xs[lo]
+	}
+	rest := xs[nans:]
+	k := lo - nans
+	selectKth(rest, k)
+	if !interp {
+		return rest[k]
+	}
+	// Every element after position k sorts no earlier than rest[k], so
+	// the next order statistic is their minimum.
+	next := rest[k+1]
+	for _, x := range rest[k+2:] {
+		if x < next {
+			next = x
+		}
+	}
+	return rest[k] + frac*(next-rest[k])
+}
+
+// tailSizes returns the smallest and the largest n in [1, limit] whose
+// p-quantile reads the order statistic m from the top (n-lo == m).
+func tailSizes(p float64, m, limit int) []int {
+	var ns []int
+	for n := 1; n <= limit; n++ {
+		if lo, _, _ := quantileIndex(n, p); n-lo == m {
+			if len(ns) < 2 {
+				ns = append(ns, n)
+			} else {
+				ns[1] = n
+			}
+		}
+	}
+	return ns
+}
+
+// TestSelectTailBoundary runs checkSelect on both sides of the tail
+// pass's reach (n-lo of 1, 2, 31 and 32 take it, 33 does not), at the
+// smallest and largest n of each reach, so the pass answers with the
+// selecting path's bits, NaN payloads included (a NaN answer is the
+// lo-th NaN in input order). The inputs carry NaN counts below, at and
+// above lo, infinities at and around the kept ranks, ties, and equal
+// values. The tail pass must leave its input as it is.
+func TestSelectTailBoundary(t *testing.T) {
+	inf := math.Inf(1)
+	// nanN returns a NaN whose payload names i.
+	nanN := func(i int) float64 { return math.Float64frombits(0x7ff8000000000000 | uint64(i+1)) }
+	for _, p := range []float64{0.9, 0.99, 0.999, 1} {
+		for _, m := range []int{1, 2, 31, 32, 33} {
+			for _, n := range tailSizes(p, m, 40000) {
+				lo, _, _ := quantileIndex(n, p)
+				src := simrand.New(uint64(1000*m + n))
+				draw := func(f func(i int) float64) []float64 {
+					xs := make([]float64, n)
+					for i := range xs {
+						xs[i] = f(i)
+					}
+					return xs
+				}
+				normal := draw(func(int) float64 { return src.Normal(50, 10) })
+				in := map[string][]float64{
+					"normal":     normal,
+					"ties":       draw(func(int) float64 { return float64(src.Intn(4)) }),
+					"equal":      draw(func(int) float64 { return 7 }),
+					"ascending":  draw(func(i int) float64 { return float64(i) }),
+					"descending": draw(func(i int) float64 { return float64(n - i) }),
+				}
+				// NaN counts below, at and above lo, at random places.
+				for _, nans := range []int{lo - 1, lo, lo + 1, lo + 2, n} {
+					if nans < 0 || nans > n {
+						continue
+					}
+					xs := slices.Clone(normal)
+					for j, i := range src.Perm(n)[:nans] {
+						xs[i] = nanN(j)
+					}
+					in[fmt.Sprintf("nans=%d", nans)] = xs
+				}
+				// +Inf at the kept ranks and around them, -Inf below.
+				for _, infs := range []int{1, m - 1, m, m + 1} {
+					if infs < 1 || infs >= n {
+						continue
+					}
+					xs := slices.Clone(normal)
+					perm := src.Perm(n)
+					for _, i := range perm[:infs] {
+						xs[i] = inf
+					}
+					xs[perm[infs]] = -inf
+					in[fmt.Sprintf("infs=%d", infs)] = xs
+				}
+				for name, xs := range in {
+					label := fmt.Sprintf("p=%v n=%d n-lo=%d %s", p, n, m, name)
+					checkSelect(t, label, xs, p)
+					buf := slices.Clone(xs)
+					SelectQuantile(buf, p)
+					if m <= maxTail && !slices.EqualFunc(buf, xs, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+						t.Errorf("%s: the tail pass reordered its input", label)
+					}
+				}
+			}
+		}
+	}
+}
+
 // floatsFromBytes reads little-endian float64s, ignoring a short tail.
 func floatsFromBytes(b []byte) []float64 {
 	xs := make([]float64, len(b)/8)
@@ -299,7 +419,35 @@ func quantileSelectSeeds() map[string]quantileSelectSeed {
 		"seed-summary-five":      seed("five", 0.5),
 		"seed-summary-ties":      seed("ties", 0.5),
 		"seed-summary-inf-tails": seed("inf-tails", 0.99),
+		// Tails, which a pass that keeps the largest values answers:
+		// the NaN at lo (the 11th of 11), two infinities on the ranks
+		// a p99 interpolates between, and at p = 0.75 the last size
+		// inside the pass's reach and the first past it (n-lo of 32
+		// and 33).
+		"seed-tail-nan-at-lo":  {data: floatsToBytes(tailNaNAtLo()), p: 0.9},
+		"seed-tail-infs":       {data: floatsToBytes(tailInfs()), p: 0.99},
+		"seed-tail-reach":      {data: floatsToBytes(in["normal-1000"][:125]), p: 0.75},
+		"seed-tail-past-reach": {data: floatsToBytes(in["normal-1000"][:126]), p: 0.75},
 	}
+}
+
+// tailNaNAtLo returns 13 values, 11 of them NaNs with distinct
+// payloads: the p90 (lo = 10) is the 11th NaN.
+func tailNaNAtLo() []float64 {
+	xs := []float64{4, 9}
+	for i := 0; i < 11; i++ {
+		xs = append(xs, math.Float64frombits(0x7ff8000000000000|uint64(i+1)))
+	}
+	xs[0], xs[6] = xs[6], xs[0]
+	return xs
+}
+
+// tailInfs returns 40 values whose two largest are +Inf, the ranks the
+// p99 (lo = 38) interpolates between.
+func tailInfs() []float64 {
+	xs := slices.Clone(selectInputs()["normal-100"][:40])
+	xs[7], xs[29] = math.Inf(1), math.Inf(1)
+	return xs
 }
 
 func FuzzQuantileSelect(f *testing.F) {
