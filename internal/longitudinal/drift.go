@@ -78,8 +78,8 @@ func NewCell(c store.BandwidthCell, tails *workload.TailScratch) Cell {
 // Load reads the named runs from the store, in the given order (the
 // first run is the drift baseline). It reads each run's manifest and
 // cells once and reduces every cell to its Cell as it is read, so a
-// columnar run's time, retransmissions, RTT and CPU columns are never
-// decoded.
+// columnar run is held a frame at a time, never whole, and its time,
+// retransmissions, RTT and CPU columns are never decoded.
 func Load(st *store.Store, runIDs ...string) ([]RunData, error) {
 	if st == nil {
 		return nil, fmt.Errorf("longitudinal: nil store")

@@ -159,35 +159,35 @@ type resource struct {
 // internal/workloads would move.
 func (n *Network) assignRates() {
 	stale := n.stale
-	n.res = n.res[:0]
 	for _, nic := range n.nics {
 		if len(nic.outFlows) > 0 {
 			c := nic.Egress.Rate(infDemand)
 			stale = stale || math.Float64bits(c) != math.Float64bits(nic.egressCap)
 			nic.egressCap = c
-			nic.egressRes = len(n.res)
-			n.res = append(n.res, resource{
-				cap:      c,
-				flows:    nic.outFlows,
-				unfrozen: len(nic.outFlows),
-			})
 		}
 		if len(nic.inFlows) > 0 {
 			c := nic.IngressGbps
 			stale = stale || math.Float64bits(c) != math.Float64bits(nic.ingressCap)
 			nic.ingressCap = c
-			nic.ingressRes = len(n.res)
-			n.res = append(n.res, resource{
-				cap:      c,
-				flows:    nic.inFlows,
-				unfrozen: len(nic.inFlows),
-			})
 		}
 	}
 	if !stale {
 		return
 	}
 	n.stale = false
+	// Only a fill that runs builds the resource table, from the
+	// capacities just read.
+	n.res = n.res[:0]
+	for _, nic := range n.nics {
+		if len(nic.outFlows) > 0 {
+			nic.egressRes = len(n.res)
+			n.res = append(n.res, resource{cap: nic.egressCap, flows: nic.outFlows, unfrozen: len(nic.outFlows)})
+		}
+		if len(nic.inFlows) > 0 {
+			nic.ingressRes = len(n.res)
+			n.res = append(n.res, resource{cap: nic.ingressCap, flows: nic.inFlows, unfrozen: len(nic.inFlows)})
+		}
+	}
 	res := n.res
 
 	frozen := 0

@@ -37,9 +37,11 @@ type PathEnvelope struct {
 }
 
 // Validate checks the envelope: parallel non-empty columns,
-// non-decreasing times (so none is NaN), non-negative bandwidths with
-// at least one positive value (an all-idle path could never serve a
-// request).
+// non-decreasing times (so none is NaN), finite non-negative
+// bandwidths with at least one positive value (an all-idle path could
+// never serve a request). A NaN bandwidth, or an infinite one over a
+// zero-width interval, would give a NaN completion, and every request
+// after it a wrong latency.
 func (e PathEnvelope) Validate() error {
 	if len(e.Times) == 0 || len(e.Times) != len(e.Gbps) {
 		return fmt.Errorf("netem: envelope has %d times and %d bandwidths", len(e.Times), len(e.Gbps))
@@ -51,6 +53,9 @@ func (e PathEnvelope) Validate() error {
 		}
 		if i > 0 && e.Times[i] < e.Times[i-1] {
 			return fmt.Errorf("netem: envelope time %d (%g s) precedes time %d", i, e.Times[i], i-1)
+		}
+		if g := e.Gbps[i]; math.IsNaN(g) || math.IsInf(g, 0) {
+			return fmt.Errorf("netem: envelope bandwidth %d is %g", i, g)
 		}
 		if e.Gbps[i] < 0 {
 			return fmt.Errorf("netem: envelope bandwidth %d is negative", i)
@@ -103,12 +108,12 @@ func (e PathEnvelope) transferEnd(i int, start, gbit float64) (float64, error) {
 // ServeRequests plays a request stream through a fluid FIFO
 // single-server queue over the envelope. reqs must be sorted by
 // TimeSec (ties in any fixed order — the order is part of the
-// deterministic contract). Each request transfers gbit gigabits; its
-// latency is queueing wait + transfer time + one vNIC RTT sample,
-// in milliseconds, appended to dst in input order; dst grows at most
-// once, before the first request is served. src drives only the RTT
-// samples, so equal (reqs, gbit, envelope, model, src) inputs give
-// byte-identical latencies.
+// deterministic contract); a NaN arrival is refused. Each request
+// transfers gbit gigabits; its latency is queueing wait + transfer
+// time + one vNIC RTT sample, in milliseconds, appended to dst in
+// input order; dst grows at most once, before the first request is
+// served. src drives only the RTT samples, so equal (reqs, gbit,
+// envelope, model, src) inputs give byte-identical latencies.
 func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope, model VNICModel, writeBytes int, src *simrand.Source) ([]float64, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
@@ -118,22 +123,25 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 	}
 	latencies := slices.Grow(dst, len(reqs))
 	queued := model.queuedBytes(writeBytes, false)
-	free := 0.0 // when the server next idles
-	seg := 0    // the envelope interval covering start
+	free := 0.0          // when the server next idles
+	seg := 0             // the envelope interval covering start
+	last := math.Inf(-1) // the previous arrival
 	for i, r := range reqs {
-		if i > 0 && r.TimeSec < reqs[i-1].TimeSec {
+		// One comparison refuses both an arrival before the previous one
+		// and a NaN arrival, which no comparison orders.
+		if !(r.TimeSec >= last) {
+			if math.IsNaN(r.TimeSec) {
+				return nil, fmt.Errorf("netem: request %d arrival is NaN", i)
+			}
 			return nil, fmt.Errorf("netem: request %d (%g s) precedes request %d", i, r.TimeSec, i-1)
 		}
+		last = r.TimeSec
 		start := r.TimeSec
 		if free > start {
 			start = free
 		}
-		// Starts never decrease, so the cursor only walks forward. A
-		// NaN arrival or completion (a NaN or infinite bandwidth can
-		// give one) breaks that; the walk then restarts at interval 0.
-		if !(start >= env.Times[seg]) {
-			seg = 0
-		}
+		// Arrivals are ordered and bandwidths finite, so completions and
+		// starts never decrease and the cursor only walks forward.
 		for seg+1 < len(env.Times) && env.Times[seg+1] <= start {
 			seg++
 		}

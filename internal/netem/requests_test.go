@@ -110,11 +110,30 @@ type serveCase struct {
 
 // matchServe replays c through ServeRequests and the reference from
 // the same RTT seed and fails unless both give the same error, or the
-// same latencies bit for bit.
+// same latencies bit for bit, and unless a nil error comes with no NaN
+// latency. The reference serves a NaN arrival, which ServeRequests
+// refuses: a case with one is held to the reference over the requests
+// before it, and then to that refusal. Both refuse a NaN or infinite
+// envelope bandwidth through Validate; with the ordered finite times
+// and non-negative bandwidths seededServe builds, the first such
+// bandwidth is the refusal.
 func matchServe(t *testing.T, name string, c serveCase) {
 	t.Helper()
 	got, err := ServeRequests(nil, c.reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
-	want, wantErr := refServeRequests(nil, c.reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
+	reqs := c.reqs
+	nan := slices.IndexFunc(reqs, func(r Request) bool { return math.IsNaN(r.TimeSec) })
+	if nan >= 0 {
+		reqs = reqs[:nan]
+	}
+	want, wantErr := refServeRequests(nil, reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
+	if nan >= 0 && wantErr == nil {
+		want, wantErr = nil, fmt.Errorf("netem: request %d arrival is NaN", nan)
+	}
+	if i := slices.IndexFunc(c.env.Gbps, func(g float64) bool { return math.IsNaN(g) || math.IsInf(g, 0) }); i >= 0 {
+		if refusal := fmt.Sprintf("netem: envelope bandwidth %d is %g", i, c.env.Gbps[i]); fmt.Sprint(err) != refusal {
+			t.Fatalf("%s: error %v, want %s", name, err, refusal)
+		}
+	}
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
 	}
@@ -124,6 +143,9 @@ func matchServe(t *testing.T, name string, c serveCase) {
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: request %d latency %v (%#x), reference %v (%#x)", name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+		if math.IsNaN(got[i]) {
+			t.Fatalf("%s: request %d latency is NaN with a nil error", name, i)
 		}
 	}
 }
@@ -142,10 +164,10 @@ func requestsAt(times ...float64) []Request {
 // before or after 0, bandwidths that are zero one interval in three,
 // and up to 80 arrivals, tied one in four, some before the envelope's
 // first time and some past its last. One seed in eight puts a NaN or
-// an infinite bandwidth into the envelope, whose NaN completions let a
-// later start fall below an earlier one, and one in sixteen a NaN
-// arrival; one in sixteen takes arrivals out of order, and one in
-// twenty asks a non-positive volume, which both loops must refuse alike.
+// an infinite bandwidth into the envelope and one in sixteen a NaN
+// arrival, which ServeRequests must refuse; one in sixteen takes
+// arrivals out of order, and one in twenty asks a non-positive volume,
+// which both loops must refuse alike.
 func seededServe(seed uint64) serveCase {
 	src := simrand.New(seed)
 	n := 1 + src.Intn(40)
@@ -195,11 +217,33 @@ func seededServe(seed uint64) serveCase {
 
 // TestServeRequestsMatchesReference holds the cursor to the binary
 // search on named envelopes and request streams, then on the seeded
-// replays FuzzServeRequests starts from.
+// replays FuzzServeRequests starts from. A NaN or infinite bandwidth
+// and a NaN arrival are refused, naming the bandwidth or request: each
+// would give a NaN completion and wrong latencies after it.
 func TestServeRequestsMatchesReference(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	env := func(times, gbps []float64) PathEnvelope { return PathEnvelope{Times: times, Gbps: gbps} }
 	ec2 := EC2VNIC()
+	refusals := map[string]struct {
+		c    serveCase
+		want string
+	}{
+		"nan-bandwidth": {serveCase{env([]float64{0, 1, 2, 3}, []float64{1, 1, nan, 1}), requestsAt(0, 0.1, 0.2, 0.3, 5), 1.5, ec2, 9000},
+			"netem: envelope bandwidth 2 is NaN"},
+		"inf-duplicate": {serveCase{env([]float64{0, 1, 1, 2}, []float64{1, inf, 2, 1}), requestsAt(0, 0.5, 1, 3), 0.5, ec2, 9000},
+			"netem: envelope bandwidth 1 is +Inf"},
+		"nan-arrival": {serveCase{env([]float64{0, 1, 2, 3}, []float64{1, 2, 3, 4}), requestsAt(2.5, nan, 0.5, 1, 3), 0.2, ec2, 9000},
+			"netem: request 1 arrival is NaN"},
+		"nan-first-arrival": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(nan, 0.5), 0.2, ec2, 9000},
+			"netem: request 0 arrival is NaN"},
+	}
+	for name, r := range refusals {
+		c := r.c
+		got, err := ServeRequests(nil, c.reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
+		if got != nil || fmt.Sprint(err) != r.want {
+			t.Errorf("%s: %d latencies, error %v; want none and %s", name, len(got), err, r.want)
+		}
+	}
 	cases := map[string]serveCase{
 		"duplicate-times": {env([]float64{0, 1, 1, 1, 2, 3}, []float64{1, 2, 0, 4, 0.5, 1}), requestsAt(0, 0.5, 1, 1, 1.5, 2, 2.5, 4), 0.7, ec2, 9000},
 		"zero-intervals":  {env([]float64{0, 1, 2, 3, 4}, []float64{0, 3, 0, 0, 2}), requestsAt(0, 0.2, 1.5, 2, 2.5, 3.5), 2, ec2, 9000},
@@ -208,9 +252,6 @@ func TestServeRequestsMatchesReference(t *testing.T) {
 		"tied":            {env([]float64{0, 0.5, 1}, []float64{4, 1, 2}), requestsAt(0.25, 0.25, 0.25, 0.75, 0.75), 0.4, ec2, 9000},
 		"one-interval":    {env([]float64{2}, []float64{3}), requestsAt(0, 1, 2, 3), 1, ec2, 9000},
 		"stall-past-end":  {env([]float64{0, 1, 2}, []float64{1, 1, 0}), requestsAt(0, 0.5, 1), 0.6, ec2, 9000},
-		"nan-bandwidth":   {env([]float64{0, 1, 2, 3}, []float64{1, 1, nan, 1}), requestsAt(0, 0.1, 0.2, 0.3, 5), 1.5, ec2, 9000},
-		"inf-duplicate":   {env([]float64{0, 1, 1, 2}, []float64{1, inf, 2, 1}), requestsAt(0, 0.5, 1, 3), 0.5, ec2, 9000},
-		"nan-arrival":     {env([]float64{0, 1, 2, 3}, []float64{1, 2, 3, 4}), requestsAt(2.5, nan, 0.5, 1, 3), 0.2, ec2, 9000},
 		"out-of-order":    {env([]float64{0, 1}, []float64{1, 1}), requestsAt(1, 0.5), 0.2, ec2, 9000},
 		"no-volume":       {env([]float64{0, 1}, []float64{1, 1}), requestsAt(1), 0, ec2, 9000},
 		"no-bandwidth":    {env([]float64{0, 1}, []float64{0, 0}), requestsAt(1), 1, ec2, 9000},

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 	"os"
@@ -502,11 +504,11 @@ func skipDeltas(b []byte, off, n int) (int, error) {
 // a frame cut short anywhere, a CRC mismatch, an undecodable payload
 // or a schema this binary does not speak is an error.
 func DecodeCellFrame(b []byte) (CellRecord, int, error) {
-	payloadStart, payloadLen, tornAt, err := nextFrame(b, 0)
+	payloadStart, payloadLen, torn, err := nextFrame(b, 0)
 	if err != nil {
 		return CellRecord{}, 0, err
 	}
-	if tornAt >= 0 {
+	if torn {
 		return CellRecord{}, 0, fmt.Errorf("frame truncated: %d bytes hold no complete frame", len(b))
 	}
 	rec, err := decodeFrame(b, payloadStart, payloadLen, decodeCellPayload)
@@ -849,27 +851,29 @@ func readWorkloadJSON(r *colReader) (*workload.CellMetrics, error) {
 	return &wl, nil
 }
 
-// nextFrame parses one frame header at b[off:]. It distinguishes a
-// structurally torn tail (the file ended mid-frame: tornAt >= 0 gives
-// the truncation offset) from a corrupt header (err != nil).
-func nextFrame(b []byte, off int) (payloadStart, payloadLen, tornAt int, err error) {
-	n, hdr := binary.Uvarint(b[off:])
+// nextFrame parses the frame header at the start of b, whose first
+// byte is at offset off of its file or body, the offset its errors
+// name. It returns where the frame's payload starts in b and its
+// length. A frame b cuts short is torn: in its header (payloadStart and
+// payloadLen are then 0) or in its payload (payloadStart+payloadLen is
+// then the length b must reach to hold it). A corrupt header is an
+// error. Whether b holds a frame depends only on its first
+// payloadStart+payloadLen bytes, so a reader that holds a prefix of the
+// input can ask again once it has read more.
+func nextFrame(b []byte, off int) (payloadStart, payloadLen int, torn bool, err error) {
+	n, hdr := binary.Uvarint(b)
 	if hdr == 0 {
-		// Varint ran off the end of the file: torn header.
-		return 0, 0, off, nil
+		// The varint runs off the end of b: a torn header.
+		return 0, 0, true, nil
 	}
 	if hdr < 0 {
-		return 0, 0, -1, fmt.Errorf("malformed frame length at offset %d", off)
+		return 0, 0, false, fmt.Errorf("malformed frame length at offset %d", off)
 	}
 	if n > maxColumnarFrame {
-		return 0, 0, -1, fmt.Errorf("frame of %d bytes at offset %d exceeds limit", n, off)
+		return 0, 0, false, fmt.Errorf("frame of %d bytes at offset %d exceeds limit", n, off)
 	}
-	payloadStart = off + hdr + 4
-	if payloadStart+int(n) > len(b) {
-		// Frame extends past EOF: torn at the frame start.
-		return 0, 0, off, nil
-	}
-	return payloadStart, int(n), -1, nil
+	payloadStart = hdr + 4
+	return payloadStart, int(n), payloadStart+int(n) > len(b), nil
 }
 
 // frameCRC reads the stored checksum of the frame whose payload starts
@@ -878,52 +882,78 @@ func frameCRC(b []byte, payloadStart int) uint32 {
 	return binary.LittleEndian.Uint32(b[payloadStart-4:])
 }
 
-// walkFrames decodes every complete frame of a cells.col image, in
-// order, with decodeFrame and decode, and calls keep with the first
-// record of each label (later appends of a label can only come from
-// concurrent writers). It ignores a structurally torn tail (crashed
-// writer — the interrupted cell re-executes on resume) but fails
-// loudly on a corrupt complete frame (CRC mismatch or undecodable
-// payload), mirroring the JSONL reader's bad-line behaviour.
-func walkFrames(b []byte, decode func(payload []byte) (CellRecord, error), keep func(CellRecord)) error {
+// frameChunk is the least window a cells file larger than it is read
+// through: the read-ahead between frames. A frame larger than the
+// window grows it.
+const frameChunk = 64 << 10
+
+// readFrames decodes every complete frame of the cells.col file r
+// reads, in order, with decodeFrame and decode, and calls keep with
+// the first record of each label (later appends of a label can only
+// come from concurrent writers). It ignores a structurally torn tail
+// (a crashed writer: the interrupted cell re-executes on resume) but
+// fails loudly on a corrupt complete frame (a CRC mismatch or an
+// undecodable payload), naming its file offset, as the JSONL reader
+// fails on a bad line. It reads r to EOF.
+//
+// The file passes through *window, which the read reuses and leaves
+// behind for the next: the bytes after the frame being decoded are
+// moved to its front and more are read behind them. The window grows
+// only when it is full and the frame at its front needs more: to that
+// frame's length with a sixteenth to spare when the file's size (-1
+// when unknown) says the frame lies inside it, else to at most twice
+// its size, so a length field claiming more than the file holds
+// allocates no more than the bytes that arrive. decode sees the
+// payload in the window, so what keep receives must not alias it.
+func readFrames(r io.Reader, size int64, window *[]byte, decode func(payload []byte) (CellRecord, error), keep func(CellRecord)) error {
+	buf := (*window)[:0]
+	defer func() { *window = buf[:0] }()
 	seen := make(map[string]bool)
-	for off := 0; off < len(b); {
-		payloadStart, payloadLen, tornAt, err := nextFrame(b, off)
+	pos, off, eof := 0, 0, false
+	for {
+		payloadStart, payloadLen, torn, err := nextFrame(buf[pos:], off)
 		if err != nil {
 			return err
 		}
-		if tornAt >= 0 {
-			return nil // torn tail: everything before it is intact
+		if torn {
+			if eof {
+				return nil // a torn tail, or the end of the file: every frame before it is intact
+			}
+			// Refill: a torn header needs one more byte, a torn payload the
+			// rest of its frame.
+			need := max(payloadStart+payloadLen, len(buf)-pos+1)
+			buf = buf[:copy(buf, buf[pos:])]
+			pos = 0
+			for len(buf) < need && !eof {
+				if len(buf) == cap(buf) {
+					grow := need + need/16
+					if int64(off)+int64(need) > size {
+						grow = min(grow, max(2*cap(buf), bytes.MinRead))
+					}
+					buf = append(make([]byte, 0, grow), buf...)
+				}
+				n, err := r.Read(buf[len(buf):cap(buf)])
+				buf = buf[:len(buf)+n]
+				if err == io.EOF {
+					eof = true
+				} else if err != nil {
+					return err
+				}
+			}
+			continue
 		}
-		rec, err := decodeFrame(b, payloadStart, payloadLen, decode)
+		frameLen := payloadStart + payloadLen
+		rec, err := decodeFrame(buf[pos:pos+frameLen], payloadStart, payloadLen, decode)
 		if err != nil {
 			return fmt.Errorf("frame at offset %d: %w", off, err)
 		}
-		off = payloadStart + payloadLen
+		pos += frameLen
+		off += frameLen
 		if !seen[rec.Label] {
 			seen[rec.Label] = true
 			keep(rec)
 		}
 	}
-	return nil
-}
-
-// readCellsColumnar decodes the records of a cells.col image.
-func readCellsColumnar(b []byte) ([]CellRecord, error) {
-	var out []CellRecord
-	if err := walkFrames(b, decodeCellPayload, func(rec CellRecord) { out = append(out, rec) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// readBandwidthsColumnar walks a cells.col image as readCellsColumnar
-// does, decoding each frame with decodeBandwidthPayload into s, and
-// calls visit with each kept record and its bandwidth column, which
-// the next frame reuses, as it does the record's workload.
-func readBandwidthsColumnar(b []byte, s *BandwidthScratch, visit func(CellRecord, []float64)) error {
-	decode := func(payload []byte) (CellRecord, error) { return decodeBandwidthPayload(payload, s) }
-	return walkFrames(b, decode, func(rec CellRecord) { visit(rec, s.bw) })
 }
 
 // truncateTornFrames drops a structurally torn trailing frame from a
@@ -942,16 +972,16 @@ func truncateTornFrames(path string) error {
 	}
 	off := 0
 	for off < len(b) {
-		payloadStart, payloadLen, tornAt, err := nextFrame(b, off)
+		payloadStart, payloadLen, torn, err := nextFrame(b[off:], off)
 		if err != nil {
 			return nil // mid-file corruption: loud at read time, not repairable here
 		}
-		if tornAt >= 0 {
-			return os.Truncate(path, int64(tornAt))
+		if torn {
+			return os.Truncate(path, int64(off))
 		}
 		// CRC and payload validity are deliberately not checked here:
 		// a complete-but-corrupt frame is damage, not a torn append.
-		off = payloadStart + payloadLen
+		off += payloadStart + payloadLen
 	}
 	return nil
 }

@@ -149,7 +149,7 @@ func TestCellFrameLenExact(t *testing.T) {
 func TestColumnarRoundTrip(t *testing.T) {
 	recs := columnarRecords(t)
 	buf := encodeAll(t, recs)
-	got, err := readCellsColumnar(buf)
+	got, err := readImage(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,6 +440,11 @@ func TestColumnarShapes(t *testing.T) {
 //  7. BandwidthCells fails exactly when Cells fails, with the same
 //     error, and otherwise yields Cells' records in order: their
 //     identities, bandwidth columns bit for bit, and workloads.
+//  8. Cells and BandwidthCells, which read the file frame by frame
+//     through a window, read what the whole-image reference in
+//     frames_test.go reads: the same records or cells, bit for bit, or
+//     the same error text. So does readFrames fed a byte, or half of
+//     what it asks, a read from an empty window.
 //
 // validColumnarSeedFrame is the one complete frame the seed corpus and
 // the append-after-recovery check share.
@@ -498,6 +503,12 @@ func FuzzColumnarDecode(f *testing.F) {
 		// (1) Arbitrary bytes must not panic; errors are fine.
 		before, beforeErr := st.Cells("r1")
 
+		// (8) The frame walker reads what the whole image holds.
+		ref, refErr := refCells(st, "r1")
+		matchReference(t, "Cells", before, beforeErr, ref, refErr)
+		matchBandwidthReference(t, st, &BandwidthScratch{})
+		matchReaders(t, data)
+
 		// (7) The column-selective read agrees with the full one, read
 		// afresh and again through the buffers of the first read.
 		var scratch BandwidthScratch
@@ -545,7 +556,7 @@ func FuzzColumnarDecode(f *testing.F) {
 			// once reaches a fixed point of the codec, and decoding it
 			// yields the same records.
 			enc1 := encodeAll(t, before)
-			dec1, err := readCellsColumnar(enc1)
+			dec1, err := readImage(enc1)
 			if err != nil {
 				t.Fatalf("re-encoded records do not decode: %v", err)
 			}
@@ -1059,7 +1070,7 @@ func TestMergeShardsFlag1Duplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := readCellsColumnar(b)
+	recs, err := readImage(b)
 	if err != nil {
 		t.Fatal(err)
 	}

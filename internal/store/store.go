@@ -41,6 +41,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -465,16 +466,19 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 	default:
 		return nil, err
 	}
-	b, err := s.readCellsFile(runID, enc, nil)
+	if enc == EncodingColumnar {
+		// The read has a window of its own, and the records decode into
+		// arrays and strings of their own, none of them in the window.
+		var out []CellRecord
+		var window []byte
+		if err := s.readColumnar(runID, &window, decodeCellPayload, func(rec CellRecord) { out = append(out, rec) }); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	b, err := s.readCellsFile(runID, nil)
 	if err != nil {
 		return nil, err
-	}
-	if enc == EncodingColumnar {
-		recs, err := readCellsColumnar(b)
-		if err != nil {
-			return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
-		}
-		return recs, nil
 	}
 	return readCellsJSONL(runID, b)
 }
@@ -497,11 +501,11 @@ type BandwidthCell struct {
 	Workload *workload.CellMetrics
 }
 
-// BandwidthScratch holds the buffers behind BandwidthCells: the cells
-// file, one cell's bandwidth column and one cell's workload. The zero
-// value is ready; one BandwidthScratch serves any number of runs read
-// one after another, which then reuse its buffers instead of
-// allocating their own.
+// BandwidthScratch holds the buffers behind BandwidthCells: a columnar
+// run's read window (a JSONL run's whole file), one cell's bandwidth
+// column and one cell's workload. The zero value is ready; one
+// BandwidthScratch serves any number of runs read one after another,
+// which then reuse its buffers instead of allocating their own.
 type BandwidthScratch struct {
 	file     []byte
 	bw       []float64
@@ -512,30 +516,29 @@ type BandwidthScratch struct {
 // kept, in the same order, and the same errors — and calls visit with
 // each cell's identity, bandwidth column and workload, the last two
 // valid until visit returns. enc is the run's cell encoding, as its
-// manifest names it. A columnar run's frames are read for those fields
-// alone, the column and workload decoded into scratch: the time,
-// retransmissions, RTT and CPU columns are checked and stepped over,
-// never decoded. A JSONL run is decoded whole.
+// manifest names it. A columnar run's file is read frame by frame
+// through the scratch's window, so the read holds about one frame of
+// it, not the file; each frame is read for those fields alone, the
+// column and workload decoded into scratch: the time, retransmissions,
+// RTT and CPU columns are checked and stepped over, never decoded. A
+// JSONL run is read and decoded whole.
 func (s *Store) BandwidthCells(runID, enc string, scratch *BandwidthScratch, visit func(BandwidthCell)) error {
 	if !runIDPattern.MatchString(runID) {
 		return fmt.Errorf("store: run id %q must match %s", runID, runIDPattern)
 	}
-	b, err := s.readCellsFile(runID, enc, scratch.file)
-	if err != nil {
-		return err
-	}
-	scratch.file = b
 	cell := func(rec CellRecord, bw []float64) BandwidthCell {
 		return BandwidthCell{Label: rec.Label, Cloud: rec.Cloud, Instance: rec.Instance, Regime: rec.Regime,
 			Rep: rec.Rep, Bandwidth: bw, Workload: rec.Workload}
 	}
 	if enc == EncodingColumnar {
-		err = readBandwidthsColumnar(b, scratch, func(rec CellRecord, bw []float64) { visit(cell(rec, bw)) })
-		if err != nil {
-			return fmt.Errorf("store: run %q cells: %w", runID, err)
-		}
-		return nil
+		decode := func(payload []byte) (CellRecord, error) { return decodeBandwidthPayload(payload, scratch) }
+		return s.readColumnar(runID, &scratch.file, decode, func(rec CellRecord) { visit(cell(rec, scratch.bw)) })
 	}
+	b, err := s.readCellsFile(runID, scratch.file)
+	if err != nil {
+		return err
+	}
+	scratch.file = b
 	recs, err := readCellsJSONL(runID, b)
 	if err != nil {
 		return err
@@ -547,13 +550,53 @@ func (s *Store) BandwidthCells(runID, enc string, scratch *BandwidthScratch, vis
 	return nil
 }
 
-// readCellsFile reads a run's cells file in encoding enc into dst's
-// array when the file fits, else into a new array with a sixteenth to
-// spare: the runs of one campaign matrix hold files of about one size,
-// so the next run read through the same buffer fits too. A run created
-// but never measured has no file and reads as empty.
-func (s *Store) readCellsFile(runID, enc string, dst []byte) ([]byte, error) {
-	f, err := os.Open(filepath.Join(s.runDir(runID), cellsFileName(enc)))
+// readColumnar reads a columnar run's cells.col with readFrames
+// through *window. A window smaller than frameChunk, or than the whole
+// file and 512 bytes when that is less, is first replaced by a new one
+// of that size that also holds the file's first frame when the file
+// does, with a sixteenth to spare: the frames of one campaign matrix,
+// and the runs of one, are of about one size, so the frames and runs
+// read next through the window mostly fit it too, and a small run
+// reads into no more than a whole-file buffer. A run created but never
+// measured has no file and reads as empty.
+func (s *Store) readColumnar(runID string, window *[]byte, decode func(payload []byte) (CellRecord, error), keep func(CellRecord)) error {
+	f, err := os.Open(filepath.Join(s.runDir(runID), cellsFileName(EncodingColumnar)))
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: run %q cells: %w", runID, err)
+	}
+	defer f.Close()
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	want := frameChunk
+	if size >= 0 && size+bytes.MinRead < frameChunk {
+		want = int(size) + bytes.MinRead
+	}
+	if cap(*window) < want {
+		var hdr [frameHeaderMax]byte
+		n, _ := f.ReadAt(hdr[:], 0) // a short or failed read leaves the header to readFrames
+		if payloadStart, payloadLen, _, err := nextFrame(hdr[:n], 0); err == nil && int64(payloadStart+payloadLen) <= size {
+			want = max(want, payloadStart+payloadLen)
+		}
+		*window = make([]byte, 0, want+want/16)
+	}
+	if err := readFrames(f, size, window, decode, keep); err != nil {
+		return fmt.Errorf("store: run %q cells: %w", runID, err)
+	}
+	return nil
+}
+
+// readCellsFile reads a JSONL run's cells file into dst's array when
+// the file fits, else into a new array with a sixteenth to spare: the
+// runs of one campaign matrix hold files of about one size, so the
+// next run read through the same buffer fits too. A run created but
+// never measured has no file and reads as empty.
+func (s *Store) readCellsFile(runID string, dst []byte) ([]byte, error) {
+	f, err := os.Open(filepath.Join(s.runDir(runID), cellsFileName(EncodingJSONL)))
 	if os.IsNotExist(err) {
 		return dst[:0], nil
 	}
@@ -740,9 +783,15 @@ func NewCellRecord(res fleet.CellResult) (CellRecord, error) {
 // appendRecord appends rec to dst in the cell encoding enc: a CRC
 // frame for columnar runs, a JSON line for JSONL runs. Put and the
 // shard merge both write through it, so a merged record's bytes are
-// the bytes a single-process run appends.
+// the bytes a single-process run appends. A frame is sized before it is
+// encoded: dst grows at most once, with a sixteenth to spare, so the
+// buffer a caller reuses for the frames of one campaign's cells, which
+// are of about one size, seldom grows again.
 func appendRecord(dst []byte, enc string, rec CellRecord) ([]byte, error) {
 	if enc == EncodingColumnar {
+		if need := CellFrameLen(rec) + CellFrameHeadroom; cap(dst)-len(dst) < need {
+			dst = slices.Grow(dst, need+need/16)
+		}
 		return AppendCellFrame(dst, rec)
 	}
 	b, err := json.Marshal(rec)

@@ -171,6 +171,43 @@ func BenchmarkStoreRecoveryColumnar(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreBandwidthCells measures the drift read of one columnar
+// run of 16 cells of 24 emulated hours (8640 bins each), 2.1 MB on
+// disk in frames of up to 207 KB, through a fresh BandwidthScratch
+// each op: the frame walk and each frame's CRC, header and bandwidth
+// column, the other four columns stepped over. Its B/op is gated: the
+// read holds the file a frame at a time, so reading the whole file
+// into memory again would multiply it.
+//
+//	go test ./internal/store -run '^$' -bench BenchmarkStoreBandwidthCells -benchmem
+func BenchmarkStoreBandwidthCells(b *testing.B) {
+	st := testutil.TempStore(b)
+	spec := testutil.EC2Spec(b, 7, 1)
+	spec.Repetitions = 8
+	spec.Config = cloudmodel.DefaultCampaignConfig(24 * 3600)
+	run, err := st.CreateWithMeta("bw", spec, store.RunMeta{CreatedUnix: 1, Encoding: store.EncodingColumnar})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Sink = run
+	benchSpecCells(b, spec)
+	if err := run.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var scratch store.BandwidthScratch
+		cells := 0
+		if err := st.BandwidthCells("bw", store.EncodingColumnar, &scratch, func(store.BandwidthCell) { cells++ }); err != nil {
+			b.Fatal(err)
+		}
+		if cells != 16 {
+			b.Fatalf("read %d cells, want 16", cells)
+		}
+	}
+}
+
 // workloadBenchSpec is testutil.EC2Spec serving a two-client traffic
 // mix, so every cell carries per-request latency columns.
 func workloadBenchSpec(b *testing.B) fleet.CampaignSpec {

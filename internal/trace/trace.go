@@ -45,11 +45,18 @@ func NewSeries(label string, intervalSec float64) *Series {
 	return &Series{Label: label, IntervalSec: intervalSec}
 }
 
-// Append adds a point; times must be non-decreasing.
+// Append adds a point; times must be non-decreasing, and a NaN time,
+// which no comparison orders, is refused.
 func (s *Series) Append(p Point) error {
-	if n := len(s.Points); n > 0 && p.TimeSec < s.Points[n-1].TimeSec {
-		return fmt.Errorf("trace: point at %g s precedes last point at %g s",
-			p.TimeSec, s.Points[len(s.Points)-1].TimeSec)
+	last := math.Inf(-1)
+	if n := len(s.Points); n > 0 {
+		last = s.Points[n-1].TimeSec
+	}
+	if !(p.TimeSec >= last) {
+		if math.IsNaN(p.TimeSec) {
+			return fmt.Errorf("trace: point %d has a NaN time", len(s.Points))
+		}
+		return fmt.Errorf("trace: point at %g s precedes last point at %g s", p.TimeSec, last)
 	}
 	s.Points = append(s.Points, p)
 	return nil
@@ -62,8 +69,11 @@ func (s *Series) Bandwidths() []float64 {
 
 // AppendBandwidths appends the bandwidth column to dst and returns it
 // — the allocation-free variant for callers holding a reusable buffer
-// (the fleet's per-worker scratch).
+// (the fleet's per-worker scratch). dst grows at most once.
 func (s *Series) AppendBandwidths(dst []float64) []float64 {
+	if n := len(dst) + len(s.Points); n > cap(dst) {
+		dst = append(make([]float64, 0, n), dst...)
+	}
 	for _, p := range s.Points {
 		dst = append(dst, p.BandwidthGbps)
 	}

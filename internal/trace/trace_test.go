@@ -39,6 +39,45 @@ func TestAppendOrdering(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesNaNTime: a NaN time is not ordered against any
+// other, so Append refuses it wherever it falls, the first point
+// included, and the series keeps the points before it.
+func TestAppendRefusesNaNTime(t *testing.T) {
+	s := NewSeries("x", 10)
+	if err := s.Append(Point{TimeSec: math.NaN()}); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("first point at NaN s: error %v, want a NaN refusal", err)
+	}
+	if err := s.Append(Point{TimeSec: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(Point{TimeSec: math.NaN()}); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("second point at NaN s: error %v, want a NaN refusal", err)
+	}
+	if len(s.Points) != 1 {
+		t.Errorf("series holds %d points after two refusals, want 1", len(s.Points))
+	}
+	if err := s.Append(Point{TimeSec: math.Inf(-1)}); err == nil {
+		t.Error("a point at -Inf s after one at 0 s should fail")
+	}
+}
+
+// TestAppendBandwidthsGrowsOnce: the column is appended into dst with
+// one allocation at most, whatever dst held.
+func TestAppendBandwidthsGrowsOnce(t *testing.T) {
+	s := NewSeries("x", 10)
+	s.Points = make([]Point, 1000)
+	for i := range s.Points {
+		s.Points[i] = Point{TimeSec: float64(i), BandwidthGbps: float64(i % 7)}
+	}
+	for _, dst := range [][]float64{nil, make([]float64, 3, 10)} {
+		var got []float64
+		allocs := testing.AllocsPerRun(5, func() { got = s.AppendBandwidths(dst) })
+		if allocs > 1 || len(got) != len(dst)+len(s.Points) || got[len(got)-1] != float64(999%7) {
+			t.Errorf("appending %d bandwidths to %d: %v allocations, %d values", len(s.Points), len(dst), allocs, len(got))
+		}
+	}
+}
+
 func TestColumns(t *testing.T) {
 	s := sampleSeries(t)
 	bw := s.Bandwidths()
