@@ -108,7 +108,7 @@ func (e PathEnvelope) transferEnd(i int, start, gbit float64) (float64, error) {
 // ServeRequests plays a request stream through a fluid FIFO
 // single-server queue over the envelope. reqs must be sorted by
 // TimeSec (ties in any fixed order — the order is part of the
-// deterministic contract); a NaN arrival is refused. Each request
+// deterministic contract); a NaN or +Inf arrival is refused. Each request
 // transfers gbit gigabits; its latency is queueing wait + transfer
 // time + one vNIC RTT sample, in milliseconds, appended to dst in
 // input order; dst grows at most once, before the first request is
@@ -121,15 +121,26 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 	if gbit <= 0 {
 		return nil, fmt.Errorf("netem: request volume %g gbit must be positive", gbit)
 	}
+	// A +Inf arrival would start at +Inf and end with a NaN latency.
+	// Sorted arrivals put every +Inf last, so the loop serves the ones
+	// before the first and the refusal follows it.
+	served := len(reqs)
+	for served > 0 && math.IsInf(reqs[served-1].TimeSec, 1) {
+		served--
+	}
 	latencies := slices.Grow(dst, len(reqs))
 	queued := model.queuedBytes(writeBytes, false)
 	free := 0.0          // when the server next idles
 	seg := 0             // the envelope interval covering start
 	last := math.Inf(-1) // the previous arrival
-	for i, r := range reqs {
-		// One comparison refuses both an arrival before the previous one
-		// and a NaN arrival, which no comparison orders.
+	for i, r := range reqs[:served] {
+		// One comparison refuses an arrival before the previous one, a
+		// NaN arrival, which no comparison orders, and any arrival after
+		// a +Inf one out of order.
 		if !(r.TimeSec >= last) {
+			if math.IsInf(last, 1) {
+				return nil, infArrival(reqs, i-1)
+			}
 			if math.IsNaN(r.TimeSec) {
 				return nil, fmt.Errorf("netem: request %d arrival is NaN", i)
 			}
@@ -147,6 +158,10 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 		}
 		done, err := env.transferEnd(seg, start, gbit)
 		if err != nil {
+			if math.IsInf(start, 1) {
+				// A +Inf arrival out of order stalls past a zero last bandwidth.
+				return nil, infArrival(reqs, i)
+			}
 			return nil, fmt.Errorf("netem: request %d: %w", i, err)
 		}
 		free = done
@@ -157,5 +172,17 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 		rtt := jitterRTT(src, queueLatencyMs(model.BaseRTTms, queued, rate), model.RTTJitterFrac)
 		latencies = append(latencies, (done-r.TimeSec)*1000+rtt)
 	}
+	if served < len(reqs) {
+		return nil, infArrival(reqs, served)
+	}
 	return latencies, nil
+}
+
+// infArrival refuses the first of the +Inf arrivals that run up to
+// request i.
+func infArrival(reqs []Request, i int) error {
+	for i > 0 && math.IsInf(reqs[i-1].TimeSec, 1) {
+		i--
+	}
+	return fmt.Errorf("netem: request %d arrival is +Inf", i)
 }

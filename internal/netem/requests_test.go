@@ -111,23 +111,23 @@ type serveCase struct {
 // matchServe replays c through ServeRequests and the reference from
 // the same RTT seed and fails unless both give the same error, or the
 // same latencies bit for bit, and unless a nil error comes with no NaN
-// latency. The reference serves a NaN arrival, which ServeRequests
-// refuses: a case with one is held to the reference over the requests
-// before it, and then to that refusal. Both refuse a NaN or infinite
-// envelope bandwidth through Validate; with the ordered finite times
-// and non-negative bandwidths seededServe builds, the first such
-// bandwidth is the refusal.
+// latency. The reference serves a NaN or +Inf arrival, which
+// ServeRequests refuses: a case with one is held to the reference over
+// the requests before the first, and then to that one's refusal. Both
+// refuse a NaN or infinite envelope bandwidth through Validate; with
+// the ordered finite times and non-negative bandwidths seededServe
+// builds, the first such bandwidth is the refusal.
 func matchServe(t *testing.T, name string, c serveCase) {
 	t.Helper()
 	got, err := ServeRequests(nil, c.reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
 	reqs := c.reqs
-	nan := slices.IndexFunc(reqs, func(r Request) bool { return math.IsNaN(r.TimeSec) })
-	if nan >= 0 {
-		reqs = reqs[:nan]
+	odd := slices.IndexFunc(reqs, func(r Request) bool { return math.IsNaN(r.TimeSec) || math.IsInf(r.TimeSec, 1) })
+	if odd >= 0 {
+		reqs = reqs[:odd]
 	}
 	want, wantErr := refServeRequests(nil, reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
-	if nan >= 0 && wantErr == nil {
-		want, wantErr = nil, fmt.Errorf("netem: request %d arrival is NaN", nan)
+	if odd >= 0 && wantErr == nil {
+		want, wantErr = nil, fmt.Errorf("netem: request %d arrival is %g", odd, c.reqs[odd].TimeSec)
 	}
 	if i := slices.IndexFunc(c.env.Gbps, func(g float64) bool { return math.IsNaN(g) || math.IsInf(g, 0) }); i >= 0 {
 		if refusal := fmt.Sprintf("netem: envelope bandwidth %d is %g", i, c.env.Gbps[i]); fmt.Sprint(err) != refusal {
@@ -164,10 +164,10 @@ func requestsAt(times ...float64) []Request {
 // before or after 0, bandwidths that are zero one interval in three,
 // and up to 80 arrivals, tied one in four, some before the envelope's
 // first time and some past its last. One seed in eight puts a NaN or
-// an infinite bandwidth into the envelope and one in sixteen a NaN
-// arrival, which ServeRequests must refuse; one in sixteen takes
-// arrivals out of order, and one in twenty asks a non-positive volume,
-// which both loops must refuse alike.
+// an infinite bandwidth into the envelope, one in sixteen a NaN arrival
+// and one in sixteen a tail of +Inf arrivals, which ServeRequests must
+// refuse; one in sixteen takes arrivals out of order, and one in twenty
+// asks a non-positive volume, which both loops must refuse alike.
 func seededServe(seed uint64) serveCase {
 	src := simrand.New(seed)
 	n := 1 + src.Intn(40)
@@ -209,6 +209,10 @@ func seededServe(seed uint64) serveCase {
 		case 1:
 			i := 1 + src.Intn(len(reqs)-1)
 			reqs[i].TimeSec = reqs[i-1].TimeSec - 1
+		case 2:
+			for i := src.Intn(len(reqs)); i < len(reqs); i++ {
+				reqs[i].TimeSec = math.Inf(1)
+			}
 		}
 	}
 	c.reqs = reqs
@@ -218,8 +222,8 @@ func seededServe(seed uint64) serveCase {
 // TestServeRequestsMatchesReference holds the cursor to the binary
 // search on named envelopes and request streams, then on the seeded
 // replays FuzzServeRequests starts from. A NaN or infinite bandwidth
-// and a NaN arrival are refused, naming the bandwidth or request: each
-// would give a NaN completion and wrong latencies after it.
+// and a NaN or +Inf arrival are refused, naming the bandwidth or
+// request: each would give a NaN completion or latency.
 func TestServeRequestsMatchesReference(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	env := func(times, gbps []float64) PathEnvelope { return PathEnvelope{Times: times, Gbps: gbps} }
@@ -236,6 +240,18 @@ func TestServeRequestsMatchesReference(t *testing.T) {
 			"netem: request 1 arrival is NaN"},
 		"nan-first-arrival": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(nan, 0.5), 0.2, ec2, 9000},
 			"netem: request 0 arrival is NaN"},
+		"inf-arrival": {serveCase{env([]float64{0, 1, 2}, []float64{1, 1, 1}), requestsAt(0, 0.5, inf), 0.5, ec2, 9000},
+			"netem: request 2 arrival is +Inf"},
+		"inf-arrivals": {serveCase{env([]float64{0, 1, 2}, []float64{1, 1, 1}), requestsAt(0, inf, inf), 0.5, ec2, 9000},
+			"netem: request 1 arrival is +Inf"},
+		"inf-then-nan": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(0, inf, nan), 0.5, ec2, 9000},
+			"netem: request 1 arrival is +Inf"},
+		"nan-then-inf": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(0, nan, inf), 0.5, ec2, 9000},
+			"netem: request 1 arrival is NaN"},
+		"inf-out-of-order": {serveCase{env([]float64{0, 1}, []float64{1, 0}), requestsAt(0, inf, 3), 0.5, ec2, 9000},
+			"netem: request 1 arrival is +Inf"},
+		"disorder-then-inf": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(2, 1, inf), 0.5, ec2, 9000},
+			"netem: request 1 (1 s) precedes request 0"},
 	}
 	for name, r := range refusals {
 		c := r.c
@@ -243,6 +259,7 @@ func TestServeRequestsMatchesReference(t *testing.T) {
 		if got != nil || fmt.Sprint(err) != r.want {
 			t.Errorf("%s: %d latencies, error %v; want none and %s", name, len(got), err, r.want)
 		}
+		matchServe(t, name, c)
 	}
 	cases := map[string]serveCase{
 		"duplicate-times": {env([]float64{0, 1, 1, 1, 2, 3}, []float64{1, 2, 0, 4, 0.5, 1}), requestsAt(0, 0.5, 1, 1, 1.5, 2, 2.5, 4), 0.7, ec2, 9000},

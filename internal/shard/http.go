@@ -16,7 +16,7 @@ package shard
 //	                    a restart, resuming) the worker's
 //	                    shard-stamped store run on first use; answers
 //	                    a frame or an error per cell
-//	                    (appendExecuteResponse)
+//	                    (writeExecuteResponse)
 //	GET  /v1/shard    — the worker's persisted shard, as
 //	                    store.ShardData.Encode bytes (Run never asks:
 //	                    it merges the execute answers)
@@ -24,11 +24,15 @@ package shard
 //	GET  /v1/health   — heartbeat (the breaker's half-open probe)
 //	GET  /healthz     — liveness
 //
-// Both frames answers are encoded into one buffer sized up front and
-// carry a Content-Length, so the client reads each into one allocation
-// of that length (capped by maxBodyPrealloc). A 200 answer from
-// execute or shard in any other media type comes from a worker
-// speaking another wire format; the client refuses it as a fatal
+// Both frames answers carry a Content-Length. An execute answer
+// crosses the wire a frame at a time: the worker sizes it in one pass,
+// then writes each result through one buffer sized for the largest, and
+// the client decodes each frame as it arrives, from one reused buffer
+// that only arrived or declared bytes size (readExecuteResponse). The
+// shard answer is encoded whole and read into one allocation of its
+// length (capped by maxBodyPrealloc). A 200 answer from execute or shard
+// in any other media type comes from a worker speaking another wire
+// format; the client reads it to its end and refuses it as a fatal
 // wire-skew error instead of retrying it into local fallback.
 // Errors travel as a uniform JSON envelope (ErrorBody) with the
 // status repeated in the body, so clients never have to scrape
@@ -41,6 +45,7 @@ package shard
 // skew between binaries must fail loudly, not corrupt a store.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -48,9 +53,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -75,46 +80,66 @@ type executeRequest struct {
 // cells: execute results and store.ShardData.
 const framesMediaType = "application/vnd.cloudvar.frames"
 
-// appendExecuteResponse encodes the answer to POST /v1/execute, one
-// result per requested cell, in request order. Per-cell errors travel
-// as strings — they are campaign facts, not transport failures.
+// writeExecuteResponse answers POST /v1/execute: one result per
+// requested cell, in request order. Per-cell errors travel as strings —
+// they are campaign facts, not transport failures.
 //
 //	response := uvarint(count) result{count}
 //	result   := byte(0) frame                   (store.AppendCellFrame)
 //	          | byte(1) str(label) str(error)
 //	str      := uvarint(len) bytes
 //
-// The answer's length is computed first, so dst grows at most once.
-func appendExecuteResponse(dst []byte, results []fleet.CellResult) ([]byte, error) {
+// A first pass sizes the answer with store.CellFrameLen, so that it
+// carries its Content-Length, and answers a 500 envelope instead, before
+// anything is written, for a record AppendCellFrame would refuse. The
+// results then go out one at a time through one buffer sized for the
+// largest.
+func writeExecuteResponse(w http.ResponseWriter, results []fleet.CellResult) {
 	recs := make([]store.CellRecord, len(results))
-	size := binary.MaxVarintLen64 + store.CellFrameHeadroom
+	size, largest := uvarintLen(uint64(len(results))), 0
+	for i, res := range results {
+		n := 1
+		if res.Err != nil {
+			n += wireStringLen(res.Cell.Label()) + wireStringLen(res.Err.Error())
+		} else {
+			rec, err := store.NewCellRecord(res)
+			if err != nil {
+				WriteHTTPError(w, http.StatusInternalServerError, err)
+				return
+			}
+			frame := store.CellFrameLen(rec)
+			if frame == 0 {
+				// A record without a frame: AppendCellFrame names why.
+				_, err := store.AppendCellFrame(nil, rec)
+				WriteHTTPError(w, http.StatusInternalServerError, err)
+				return
+			}
+			recs[i] = rec
+			n += frame
+		}
+		size += n
+		largest = max(largest, n)
+	}
+	w.Header().Set("Content-Type", framesMediaType)
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	buf := make([]byte, 0, binary.MaxVarintLen64+largest+store.CellFrameHeadroom)
+	buf = binary.AppendUvarint(buf, uint64(len(results)))
 	for i, res := range results {
 		if res.Err != nil {
-			size += 1 + wireStringLen(res.Cell.Label()) + wireStringLen(res.Err.Error())
-			continue
+			buf = appendWireString(appendWireString(append(buf, 1), res.Cell.Label()), res.Err.Error())
+		} else {
+			var err error
+			if buf, err = store.AppendCellFrame(append(buf, 0), recs[i]); err != nil {
+				return // unreachable: the sizing pass refused what AppendCellFrame refuses
+			}
 		}
-		rec, err := store.NewCellRecord(res)
-		if err != nil {
-			return nil, err
+		// A failed write leaves the answer short of its length: the
+		// coordinator reads it torn and retries.
+		if _, err := w.Write(buf); err != nil {
+			return
 		}
-		recs[i] = rec
-		size += 1 + store.CellFrameLen(rec)
+		buf = buf[:0]
 	}
-	dst = slices.Grow(dst, size)
-	dst = binary.AppendUvarint(dst, uint64(len(results)))
-	for i, res := range results {
-		if res.Err != nil {
-			dst = append(dst, 1)
-			dst = appendWireString(dst, res.Cell.Label())
-			dst = appendWireString(dst, res.Err.Error())
-			continue
-		}
-		var err error
-		if dst, err = store.AppendCellFrame(append(dst, 0), recs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 func appendWireString(dst []byte, s string) []byte {
@@ -123,46 +148,56 @@ func appendWireString(dst []byte, s string) []byte {
 }
 
 func wireStringLen(s string) int {
-	var n [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(n[:], uint64(len(s))) + len(s)
+	return uvarintLen(uint64(len(s))) + len(s)
 }
 
-// decodeExecuteResponse decodes the answer to an execute request for
-// cells: exactly one result per cell, in order, each naming its cell,
-// and nothing after the last. Summaries are left to the caller, which
-// knows the campaign's summary mode.
-func decodeExecuteResponse(b []byte, cells []fleet.Cell) ([]fleet.CellResult, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, fmt.Errorf("malformed result count")
+func uvarintLen(v uint64) int {
+	var n [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(n[:], v)
+}
+
+// readExecuteResponse decodes the answer to an execute request for
+// cells as it arrives from body: exactly one result per cell, in order,
+// each naming its cell, and nothing after the last. Summaries are left
+// to the caller, which knows the campaign's summary mode.
+//
+// declared is the body's declared length, -1 when none was declared.
+// Each frame and string is read into one buffer the answer reuses, and
+// only bytes that arrived size it: a length that claims more than the
+// declared body has left is refused before anything is allocated, a
+// declared length of up to maxBodyPrealloc sizes the buffer for the
+// frame it vouches for, with a sixteenth to spare for the next, and
+// otherwise the buffer grows only as bytes arrive, at most doubling.
+func readExecuteResponse(body io.Reader, declared int64, cells []fleet.Cell) ([]fleet.CellResult, error) {
+	a := &answerReader{br: bufio.NewReader(body), size: declared}
+	n, err := a.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("result count: %w", err)
 	}
 	if n != uint64(len(cells)) {
 		return nil, fmt.Errorf("%d results for %d cells", n, len(cells))
 	}
 	results := make([]fleet.CellResult, len(cells))
 	for i, cell := range cells {
-		if off >= len(b) {
-			return nil, fmt.Errorf("truncated before result %d of %d", i, n)
+		tag, err := a.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("truncated before result %d of %d: %w", i, n, torn(err))
 		}
-		tag := b[off]
-		off++
 		res := fleet.CellResult{Cell: cell}
 		var label string
 		switch tag {
 		case 0:
-			rec, m, err := store.DecodeCellFrame(b[off:])
+			rec, err := a.frame()
 			if err != nil {
 				return nil, fmt.Errorf("result %d: %w", i, err)
 			}
-			off += m
 			label, res.Series, res.Workload = rec.Label, rec.Series, rec.Workload
 		case 1:
 			var msg string
-			var err error
-			if label, off, err = readWireString(b, off); err != nil {
+			if label, err = a.str(); err != nil {
 				return nil, fmt.Errorf("result %d label: %w", i, err)
 			}
-			if msg, off, err = readWireString(b, off); err != nil {
+			if msg, err = a.str(); err != nil {
 				return nil, fmt.Errorf("result %d error: %w", i, err)
 			}
 			res.Err = errors.New(msg)
@@ -174,23 +209,121 @@ func decodeExecuteResponse(b []byte, cells []fleet.Cell) ([]fleet.CellResult, er
 		}
 		results[i] = res
 	}
-	if off != len(b) {
-		return nil, fmt.Errorf("%d trailing bytes after %d results", len(b)-off, n)
+	if _, err := a.ReadByte(); err != io.EOF {
+		if err == nil {
+			return nil, fmt.Errorf("trailing bytes after %d results", n)
+		}
+		return nil, fmt.Errorf("after %d results: %w", n, err)
 	}
 	return results, nil
 }
 
-func readWireString(b []byte, off int) (string, int, error) {
-	n, k := binary.Uvarint(b[off:])
-	if k <= 0 {
-		return "", 0, fmt.Errorf("malformed length at offset %d", off)
+// answerReader is the read side of one execute answer.
+type answerReader struct {
+	br *bufio.Reader
+	// size is the answer's declared length (-1 when undeclared), off
+	// the bytes read so far.
+	size, off int64
+	// buf holds the frame or string being read, and hdr the length
+	// varint of a frame, with one byte past the widest to tell an
+	// overflowing varint from one the answer cuts short.
+	buf []byte
+	hdr [binary.MaxVarintLen64 + 1]byte
+}
+
+func (a *answerReader) ReadByte() (byte, error) {
+	c, err := a.br.ReadByte()
+	if err == nil {
+		a.off++
 	}
-	off += k
-	// Compare in uint64 space: int(n) of a length >= 2^63 is negative.
-	if n > uint64(len(b)-off) {
-		return "", 0, fmt.Errorf("string of %d bytes at offset %d exceeds the body", n, off)
+	return c, err
+}
+
+func (a *answerReader) uvarint() (uint64, error) {
+	v, err := binary.ReadUvarint(a)
+	return v, torn(err)
+}
+
+// str reads a str.
+func (a *answerReader) str() (string, error) {
+	n, err := a.uvarint()
+	if err != nil {
+		return "", err
 	}
-	return string(b[off : off+int(n)]), off + int(n), nil
+	if err := a.read(nil, n); err != nil {
+		return "", err
+	}
+	return string(a.buf), nil
+}
+
+// frame reads a frame into buf and decodes it. Its records alias
+// nothing in buf.
+func (a *answerReader) frame() (store.CellRecord, error) {
+	// The length varint is kept: DecodeCellFrame reads the frame whole.
+	k := 0
+	for k == 0 || a.hdr[k-1] >= 0x80 && k < len(a.hdr) {
+		c, err := a.ReadByte()
+		if err != nil {
+			return store.CellRecord{}, torn(err)
+		}
+		a.hdr[k] = c
+		k++
+	}
+	// The CRC's 4 bytes and the payload follow. A length no frame can
+	// have, one that overflows or runs to 2^64, is refused as
+	// DecodeCellFrame refuses it.
+	n, m := binary.Uvarint(a.hdr[:k])
+	if m <= 0 || n > math.MaxUint64-4 {
+		_, _, err := store.DecodeCellFrame(a.hdr[:k])
+		return store.CellRecord{}, err
+	}
+	if err := a.read(a.hdr[:k], n+4); err != nil {
+		return store.CellRecord{}, err
+	}
+	rec, _, err := store.DecodeCellFrame(a.buf)
+	return rec, err
+}
+
+// read fills buf with prefix and the answer's next n bytes.
+func (a *answerReader) read(prefix []byte, n uint64) error {
+	if a.size >= 0 && n > uint64(max(a.size-a.off, 0)) {
+		return fmt.Errorf("%d bytes claimed at offset %d of a %d-byte answer", n, a.off, a.size)
+	}
+	end := uint64(len(prefix)) + n
+	buf := a.buf[:0]
+	if end > uint64(cap(buf)) {
+		switch {
+		case a.size >= 0 && end <= maxBodyPrealloc:
+			// The declared length vouches for the bytes.
+			buf = make([]byte, 0, end+end/16)
+		case cap(buf) < bytes.MinRead:
+			buf = make([]byte, 0, bytes.MinRead)
+		}
+	}
+	buf = append(buf, prefix...)
+	for uint64(len(buf)) < end {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(end, 2*uint64(cap(buf)))), buf...)
+		}
+		m, err := io.ReadFull(a.br, buf[len(buf):min(end, uint64(cap(buf)))])
+		buf = buf[:len(buf)+m]
+		a.off += int64(m)
+		if err != nil {
+			a.buf = buf
+			return torn(err)
+		}
+	}
+	a.buf = buf
+	return nil
+}
+
+// torn reports an answer that ends early as io.ErrUnexpectedEOF, also
+// where a read meets its end at once.
+func torn(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // WorkerServer is the worker-process side of the HTTP transport: it
@@ -375,12 +508,7 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 		WriteHTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
-	b, err := appendExecuteResponse(nil, results)
-	if err != nil {
-		WriteHTTPError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeFrames(w, b)
+	writeExecuteResponse(w, results)
 }
 
 // writeFrames answers with a frames body and its Content-Length, which
@@ -496,7 +624,7 @@ func (w *HTTPWorker) Begin(rc RunContext, index, count int) error {
 }
 
 // Execute implements Worker: ship labels out, rebuild full results
-// from the returned frames.
+// from the frames as they arrive.
 func (w *HTTPWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 	labels := make([]string, len(cells))
 	for i, c := range cells {
@@ -514,13 +642,19 @@ func (w *HTTPWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: encoding execute request: %w", err)
 	}
-	b, err := w.frames(http.MethodPost, "/v1/execute", body)
+	var results []fleet.CellResult
+	err = w.roundTrip(http.MethodPost, "/v1/execute", body, func(resp *http.Response) error {
+		if err := w.framesOnly(resp, "/v1/execute"); err != nil {
+			return err
+		}
+		var err error
+		if results, err = readExecuteResponse(resp.Body, resp.ContentLength, cells); err != nil {
+			return fmt.Errorf("shard: decoding worker %s execute response: %w", w.URL, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	results, err := decodeExecuteResponse(b, cells)
-	if err != nil {
-		return nil, fmt.Errorf("shard: decoding worker %s execute response: %w", w.URL, err)
 	}
 	for i := range results {
 		if results[i].Err == nil {
@@ -532,7 +666,17 @@ func (w *HTTPWorker) Execute(cells []fleet.Cell) ([]fleet.CellResult, error) {
 
 // Shard implements Worker: fetch the worker's persisted shard store.
 func (w *HTTPWorker) Shard() (store.ShardData, bool, error) {
-	b, err := w.frames(http.MethodGet, "/v1/shard?run="+w.rc.RunID, nil)
+	path := "/v1/shard?run=" + w.rc.RunID
+	var b []byte
+	err := w.roundTrip(http.MethodGet, path, nil, func(resp *http.Response) (err error) {
+		if err := w.framesOnly(resp, path); err != nil {
+			return err
+		}
+		if b, err = readBody(resp); err != nil {
+			return fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
+		}
+		return nil
+	})
 	var se *StatusError
 	if errors.As(err, &se) && se.Code == http.StatusNotFound {
 		// The worker never persisted anything for this run — the
@@ -554,8 +698,7 @@ func (w *HTTPWorker) Shard() (store.ShardData, bool, error) {
 // Health implements HealthChecker: the breaker's half-open probe. A
 // nil return means the worker process is up and answering.
 func (w *HTTPWorker) Health() error {
-	_, _, err := w.call(http.MethodGet, "/v1/health", nil)
-	return err
+	return w.roundTrip(http.MethodGet, "/v1/health", nil, w.discard)
 }
 
 // Close implements Worker: release the remote store handle. A dead
@@ -565,7 +708,7 @@ func (w *HTTPWorker) Close() error {
 	if w.rc.RunID == "" {
 		return nil
 	}
-	_, _, _ = w.call(http.MethodPost, "/v1/close?run="+w.rc.RunID, nil)
+	_ = w.roundTrip(http.MethodPost, "/v1/close?run="+w.rc.RunID, nil, w.discard)
 	return nil
 }
 
@@ -583,26 +726,36 @@ func (e *wireSkewError) Error() string {
 		e.url, e.path, e.contentType, framesMediaType)
 }
 
-// frames is call for the cell-carrying endpoints: it also requires the
-// 200 answer to be in framesMediaType.
-func (w *HTTPWorker) frames(method, path string, body []byte) ([]byte, error) {
-	ct, b, err := w.call(method, path, body)
-	if err != nil {
-		return nil, err
+// framesOnly refuses a 200 answer to a cell-carrying call that is not
+// in framesMediaType, as wire skew, once it has read the answer to its
+// end: a torn answer stays a transient transport failure.
+func (w *HTTPWorker) framesOnly(resp *http.Response, path string) error {
+	ct := resp.Header.Get("Content-Type")
+	if mt, _, err := mime.ParseMediaType(ct); err == nil && mt == framesMediaType {
+		return nil
 	}
-	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != framesMediaType {
-		return nil, &wireSkewError{url: w.URL, path: path, contentType: ct}
+	if err := w.discard(resp); err != nil {
+		return err
 	}
-	return b, nil
+	return &wireSkewError{url: w.URL, path: path, contentType: ct}
 }
 
-// call issues one request (a JSON body when body is non-nil), bounded
-// by AttemptTimeout when set, and returns the Content-Type and body of
-// a 200 answer. Any failure — transport, deadline, torn body, non-2xx —
-// is a worker-level error the coordinator's retry machinery
-// classifies: StatusError carries the code for the transient/fatal
-// split, everything else is transient.
-func (w *HTTPWorker) call(method, path string, body []byte) (string, []byte, error) {
+// discard reads an answer to its end.
+func (w *HTTPWorker) discard(resp *http.Response) error {
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
+	}
+	return nil
+}
+
+// roundTrip issues one request (a JSON body when body is non-nil),
+// bounded by AttemptTimeout when set, and hands a 200 answer to read
+// before it closes the body. Any failure — transport, deadline, torn
+// body, non-2xx — is a worker-level error the coordinator's retry
+// machinery classifies: StatusError carries the code for the
+// transient/fatal split, wireSkewError is fatal, everything else is
+// transient.
+func (w *HTTPWorker) roundTrip(method, path string, body []byte, read func(*http.Response) error) error {
 	ctx := context.Background()
 	if w.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -615,29 +768,29 @@ func (w *HTTPWorker) call(method, path string, body []byte) (string, []byte, err
 	}
 	req, err := http.NewRequestWithContext(ctx, method, w.URL+path, rd)
 	if err != nil {
-		return "", nil, fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
+		return fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := w.client().Do(req)
 	if err != nil {
-		return "", nil, fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
+		return fmt.Errorf("shard: calling worker %s: %w", w.URL, err)
 	}
 	defer resp.Body.Close()
-	b, err := readBody(resp)
-	if err != nil {
-		return "", nil, fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
-	}
 	if resp.StatusCode != http.StatusOK {
-		return "", nil, &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
+		b, err := readBody(resp)
+		if err != nil {
+			return fmt.Errorf("shard: reading worker %s response: %w", w.URL, err)
+		}
+		return &StatusError{URL: w.URL, Code: resp.StatusCode, Msg: errorMessage(b)}
 	}
-	return resp.Header.Get("Content-Type"), b, nil
+	return read(resp)
 }
 
 // maxBodyPrealloc caps the allocation a response's Content-Length may
-// size before any byte of the body has arrived. A worker's frames
-// answer for one batch or one shard stays far below it.
+// size before any byte of the body has arrived. A worker's shard answer
+// and any one frame of an execute answer stay far below it.
 const maxBodyPrealloc = 64 << 20
 
 // readBody reads a response body. A body of declared length up to

@@ -2,10 +2,11 @@ package shard
 
 // Fuzz target for the execute-response decoder — the bytes a
 // coordinator accepts from a worker for every Execute call. The
-// contract: decodeExecuteResponse never panics on arbitrary input,
-// an accepted response holds exactly one result per requested cell,
-// in order, each either an error or a series, and
-// encode∘decode is a fixed point.
+// contract: readExecuteResponse never panics on arbitrary input, it
+// accepts and refuses what the byte-slice decoder it replaced does,
+// however the bytes arrive, an accepted response holds exactly one
+// result per requested cell, in order, each either an error or a
+// series, and encode∘decode is a fixed point.
 
 import (
 	"bytes"
@@ -13,11 +14,16 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"testing"
+	"testing/iotest"
 
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
@@ -55,13 +61,126 @@ func wireResults(tb testing.TB) []fleet.CellResult {
 	}
 }
 
+// encodeResponse is the answer the worker's writer sends for results.
 func encodeResponse(tb testing.TB, results []fleet.CellResult) []byte {
 	tb.Helper()
-	b, err := appendExecuteResponse(nil, results)
-	if err != nil {
-		tb.Fatal(err)
+	rec := httptest.NewRecorder()
+	writeExecuteResponse(rec, results)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("writer answered %d: %s", rec.Code, rec.Body)
 	}
-	return b
+	return rec.Body.Bytes()
+}
+
+// refDecodeExecuteResponse and refReadWireString are the byte-slice
+// decoder that read a whole execute answer before readExecuteResponse
+// decoded it as it arrives, verbatim. FuzzDecodeExecuteResponse holds
+// the stream decoder to them.
+
+// refDecodeExecuteResponse decodes the answer to an execute request for
+// cells: exactly one result per cell, in order, each naming its cell,
+// and nothing after the last. Summaries are left to the caller, which
+// knows the campaign's summary mode.
+func refDecodeExecuteResponse(b []byte, cells []fleet.Cell) ([]fleet.CellResult, error) {
+	n, off := binary.Uvarint(b)
+	if off <= 0 {
+		return nil, fmt.Errorf("malformed result count")
+	}
+	if n != uint64(len(cells)) {
+		return nil, fmt.Errorf("%d results for %d cells", n, len(cells))
+	}
+	results := make([]fleet.CellResult, len(cells))
+	for i, cell := range cells {
+		if off >= len(b) {
+			return nil, fmt.Errorf("truncated before result %d of %d", i, n)
+		}
+		tag := b[off]
+		off++
+		res := fleet.CellResult{Cell: cell}
+		var label string
+		switch tag {
+		case 0:
+			rec, m, err := store.DecodeCellFrame(b[off:])
+			if err != nil {
+				return nil, fmt.Errorf("result %d: %w", i, err)
+			}
+			off += m
+			label, res.Series, res.Workload = rec.Label, rec.Series, rec.Workload
+		case 1:
+			var msg string
+			var err error
+			if label, off, err = refReadWireString(b, off); err != nil {
+				return nil, fmt.Errorf("result %d label: %w", i, err)
+			}
+			if msg, off, err = refReadWireString(b, off); err != nil {
+				return nil, fmt.Errorf("result %d error: %w", i, err)
+			}
+			res.Err = errors.New(msg)
+		default:
+			return nil, fmt.Errorf("result %d has tag %d, want 0 (frame) or 1 (error)", i, tag)
+		}
+		if want := cell.Label(); label != want {
+			return nil, fmt.Errorf("result %d is cell %s, want %s", i, label, want)
+		}
+		results[i] = res
+	}
+	if off != len(b) {
+		return nil, fmt.Errorf("%d trailing bytes after %d results", len(b)-off, n)
+	}
+	return results, nil
+}
+
+func refReadWireString(b []byte, off int) (string, int, error) {
+	n, k := binary.Uvarint(b[off:])
+	if k <= 0 {
+		return "", 0, fmt.Errorf("malformed length at offset %d", off)
+	}
+	off += k
+	// Compare in uint64 space: int(n) of a length >= 2^63 is negative.
+	if n > uint64(len(b)-off) {
+		return "", 0, fmt.Errorf("string of %d bytes at offset %d exceeds the body", n, off)
+	}
+	return string(b[off : off+int(n)]), off + int(n), nil
+}
+
+// streamFeeds are the ways an answer's bytes reach the stream decoder:
+// whole, a byte per read, half of what each read asks, and the last
+// bytes with io.EOF.
+var streamFeeds = []struct {
+	name string
+	feed func(b []byte) io.Reader
+}{
+	{"whole", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+	{"data-err", func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) }},
+}
+
+// matchStream decodes data through readExecuteResponse from every feed,
+// with its length declared and undeclared, and fails unless each decode
+// refuses what the reference refuses and accepts what it accepts, with
+// results that re-encode to the same bytes: labels, errors, and every
+// float of series and workloads bit for bit.
+func matchStream(t *testing.T, data []byte, cells []fleet.Cell, want []fleet.CellResult, wantErr error) {
+	t.Helper()
+	var wantBytes []byte
+	if wantErr == nil {
+		wantBytes = encodeResponse(t, want)
+	}
+	for _, f := range streamFeeds {
+		for _, declared := range []int64{int64(len(data)), -1} {
+			got, err := readExecuteResponse(f.feed(data), declared, cells)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s feed, declared %d: stream error %v, reference %v", f.name, declared, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if gotBytes := encodeResponse(t, got); !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatalf("%s feed, declared %d: the stream decoded other results than the reference", f.name, declared)
+			}
+		}
+	}
 }
 
 // executeResponseSeeds returns the seed corpus, keyed by committed
@@ -120,7 +239,11 @@ func FuzzDecodeExecuteResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (1) Arbitrary bytes must never panic; errors are fine.
-		results, err := decodeExecuteResponse(data, cells)
+		results, err := refDecodeExecuteResponse(data, cells)
+		// (4) The stream decoder refuses exactly what the reference
+		// refuses, however the bytes arrive, and otherwise decodes the
+		// same results.
+		matchStream(t, data, cells, results, err)
 		if err != nil {
 			return
 		}
@@ -138,18 +261,12 @@ func FuzzDecodeExecuteResponse(f *testing.F) {
 			}
 		}
 		// (3) Idempotent recovery: encode∘decode is a fixed point.
-		enc1, err := appendExecuteResponse(nil, results)
-		if err != nil {
-			t.Fatalf("accepted answer does not re-encode: %v", err)
-		}
-		again, err := decodeExecuteResponse(enc1, cells)
+		enc1 := encodeResponse(t, results)
+		again, err := readExecuteResponse(bytes.NewReader(enc1), int64(len(enc1)), cells)
 		if err != nil {
 			t.Fatalf("re-encoded answer does not decode: %v", err)
 		}
-		enc2, err := appendExecuteResponse(nil, again)
-		if err != nil {
-			t.Fatalf("second encode failed: %v", err)
-		}
+		enc2 := encodeResponse(t, again)
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatal("encode(decode(encode(r))) != encode(r): recovery is not idempotent")
 		}
@@ -162,7 +279,7 @@ func FuzzDecodeExecuteResponse(f *testing.F) {
 func TestExecuteResponseShapes(t *testing.T) {
 	cells := wireCells(t)
 	for name, data := range executeResponseSeeds(t) {
-		results, err := decodeExecuteResponse(data, cells)
+		results, err := readExecuteResponse(bytes.NewReader(data), int64(len(data)), cells)
 		if name != "seed-valid" {
 			if err == nil {
 				t.Errorf("%s: decoded %d results, want an error", name, len(results))

@@ -99,13 +99,30 @@ const (
 	maxColumnarFrame  = 1 << 30
 )
 
-// encodeCellPayload appends rec's columnar payload (no framing) to dst.
-func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
+// frameRefusal is the error AppendCellFrame refuses rec with, nil when
+// rec has a frame: a record without a series, or a label or workload
+// client name the decoder would refuse as too long.
+func frameRefusal(rec CellRecord) error {
 	if rec.Series == nil {
-		return nil, fmt.Errorf("store: cell %s has no series", rec.Label)
+		return fmt.Errorf("store: cell %s has no series", rec.Label)
 	}
 	if len(rec.Label) > maxColumnarString || len(rec.Series.Label) > maxColumnarString {
-		return nil, fmt.Errorf("store: cell %s: label too long to encode", rec.Label)
+		return fmt.Errorf("store: cell %s: label too long to encode", rec.Label)
+	}
+	if rec.Workload != nil {
+		for _, c := range rec.Workload.Clients {
+			if len(c.ID) > maxColumnarString || len(c.Class) > maxColumnarString {
+				return fmt.Errorf("store: cell %s: workload client name too long to encode", rec.Label)
+			}
+		}
+	}
+	return nil
+}
+
+// encodeCellPayload appends rec's columnar payload (no framing) to dst.
+func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
+	if err := frameRefusal(rec); err != nil {
+		return nil, err
 	}
 	pts := rec.Series.Points
 	dst = binary.AppendUvarint(dst, uint64(rec.Schema))
@@ -127,9 +144,6 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 	clients := rec.Workload.Clients
 	dst = appendLen(dst, clients == nil, len(clients))
 	for _, c := range clients {
-		if len(c.ID) > maxColumnarString || len(c.Class) > maxColumnarString {
-			return nil, fmt.Errorf("store: cell %s: workload client name too long to encode", rec.Label)
-		}
 		dst = appendString(dst, c.ID)
 		dst = appendString(dst, c.Class)
 		dst = appendLen(dst, c.LatencyMs == nil, len(c.LatencyMs))
@@ -180,10 +194,10 @@ func AppendCellFrame(dst []byte, rec CellRecord) ([]byte, error) {
 // for rec, so a caller can size one buffer for many frames. While it
 // encodes, AppendCellFrame writes up to CellFrameHeadroom bytes past
 // the frame's end, so such a buffer needs that much spare capacity
-// too. A record AppendCellFrame refuses has no frame; its length here
-// is meaningless.
+// too. A record AppendCellFrame refuses has no frame: its length here
+// is 0, which no frame has.
 func CellFrameLen(rec CellRecord) int {
-	if rec.Series == nil {
+	if frameRefusal(rec) != nil {
 		return 0
 	}
 	n := cellPayloadLen(rec)
@@ -962,26 +976,31 @@ func readFrames(r io.Reader, size int64, window *[]byte, decode func(payload []b
 // bytes is corruption, which recovery leaves in place for the reader
 // to report. Idempotent — the truncation point is a frame boundary, so
 // a second pass finds nothing torn.
-func truncateTornFrames(path string) error {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	off := 0
-	for off < len(b) {
-		payloadStart, payloadLen, torn, err := nextFrame(b[off:], off)
+func truncateTornFrames(path string) error { return truncateAt(path, tornFrameOffset) }
+
+// tornFrameOffset walks the frame headers of f, a file of size bytes,
+// and returns the offset of its torn trailing frame, -1 when it has
+// none. It reads one header per frame, so a repair holds a few bytes,
+// not the file.
+func tornFrameOffset(f *os.File, size int64) (int64, error) {
+	// One byte past the widest length varint tells an overflowing
+	// varint from one the file cuts short.
+	var hdr [binary.MaxVarintLen64 + 1]byte
+	for off := int64(0); off < size; {
+		n, err := f.ReadAt(hdr[:min(int64(len(hdr)), size-off)], off)
 		if err != nil {
-			return nil // mid-file corruption: loud at read time, not repairable here
+			return 0, err
 		}
-		if torn {
-			return os.Truncate(path, int64(off))
+		payloadStart, payloadLen, torn, err := nextFrame(hdr[:n], int(off))
+		if err != nil {
+			return -1, nil // mid-file corruption: loud at read time, not repairable here
+		}
+		if torn && payloadStart == 0 || int64(payloadStart)+int64(payloadLen) > size-off {
+			return off, nil
 		}
 		// CRC and payload validity are deliberately not checked here:
 		// a complete-but-corrupt frame is damage, not a torn append.
-		off += payloadStart + payloadLen
+		off += int64(payloadStart + payloadLen)
 	}
-	return nil
+	return -1, nil
 }

@@ -430,7 +430,9 @@ func TestColumnarShapes(t *testing.T) {
 // recovery path, mirroring FuzzCellsRecovery's contract:
 //
 //  1. Cells never panics, whatever is on disk.
-//  2. truncateTornFrames never grows the file and is idempotent.
+//  2. truncateTornFrames never grows the file and is idempotent, and
+//     it cuts where the whole-file version it replaced
+//     (refTruncateTornFrames, repair_test.go) cuts.
 //  3. Recovery never loses complete frames: Cells sees the same
 //     records before and after truncation.
 //  4. A frame appended after recovery is read back intact.
@@ -515,7 +517,9 @@ func FuzzColumnarDecode(f *testing.F) {
 		checkBandwidthCells(t, st, &scratch, "r1", EncodingColumnar, before, beforeErr)
 		checkBandwidthCells(t, st, &scratch, "r1", EncodingColumnar, before, beforeErr)
 
-		// (2) Recovery never grows the file and is idempotent.
+		// (2) Recovery never grows the file and is idempotent, and cuts
+		// where the whole-file reference cuts.
+		matchRepair(t, "cells.col", data, truncateTornFrames, refTruncateTornFrames)
 		if err := truncateTornFrames(path); err != nil {
 			t.Fatalf("truncateTornFrames: %v", err)
 		}

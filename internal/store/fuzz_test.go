@@ -61,7 +61,8 @@ func validRecordLine(t *testing.T, label string) []byte {
 //
 //  1. Cells never panics, whatever is on disk.
 //  2. truncateTornTail leaves a file that is empty or ends in '\n',
-//     and never grows it.
+//     and never grows it; it cuts where the whole-file version it
+//     replaced (refTruncateTornTail, repair_test.go) cuts.
 //  3. Re-running recovery on a recovered file is a no-op
 //     (idempotence).
 //  4. A record appended after recovery is read back intact — the
@@ -87,7 +88,9 @@ func FuzzCellsRecovery(f *testing.F) {
 		// (1) Reading arbitrary bytes must not panic; errors are fine.
 		before, beforeErr := st.Cells("r1")
 
-		// (2) Recovery truncates to the last complete line.
+		// (2) Recovery truncates to the last complete line, as the
+		// whole-file reference does.
+		matchRepair(t, "cells.jsonl", data, truncateTornTail, refTruncateTornTail)
 		if err := truncateTornTail(path); err != nil {
 			t.Fatalf("truncateTornTail: %v", err)
 		}

@@ -705,18 +705,59 @@ func (s *Store) appendRun(m Manifest) (*Run, error) {
 
 // truncateTornTail truncates path to its last complete line. Missing
 // files are fine (a fresh run).
-func truncateTornTail(path string) error {
-	b, err := os.ReadFile(path)
+func truncateTornTail(path string) error { return truncateAt(path, tornLineOffset) }
+
+// truncateAt truncates path at the offset cut finds in the file, -1
+// for none. Missing files are fine (a fresh run).
+func truncateAt(path string, cut func(f *os.File, size int64) (int64, error)) error {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if i := strings.LastIndexByte(string(b), '\n'); i != len(b)-1 {
-		return os.Truncate(path, int64(i+1))
+	off := int64(-1)
+	info, err := f.Stat()
+	if err == nil {
+		off, err = cut(f, info.Size())
 	}
-	return nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || off < 0 {
+		return err
+	}
+	return os.Truncate(path, off)
+}
+
+// tailChunk is how much of a cells.jsonl file tornLineOffset reads at a
+// time, back from its end.
+const tailChunk = 4 << 10
+
+// tornLineOffset returns the offset just past the last newline of f, a
+// file of size bytes, -1 when f is empty or ends in one. It reads f
+// back from its end, a chunk at a time, only as far as that newline.
+func tornLineOffset(f *os.File, size int64) (int64, error) {
+	buf := make([]byte, min(size, tailChunk))
+	for end := size; end > 0; {
+		start := max(end-tailChunk, 0)
+		b := buf[:end-start]
+		if _, err := f.ReadAt(b, start); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
+			if off := start + int64(i) + 1; off < size {
+				return off, nil
+			}
+			return -1, nil
+		}
+		end = start
+	}
+	if size == 0 {
+		return -1, nil
+	}
+	return 0, nil
 }
 
 // Manifest returns the run's manifest.

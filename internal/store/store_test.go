@@ -1,13 +1,17 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
@@ -441,5 +445,69 @@ func TestCreateWithMetaRecordsExperimentSpec(t *testing.T) {
 	}
 	if _, err := st.CreateWithMeta("day3", spec, store.RunMeta{ExperimentSpec: []byte("{broken")}); err == nil {
 		t.Fatal("invalid spec JSON should be rejected")
+	}
+}
+
+// TestResumeMemoryIsAFrame: resuming a columnar run of several MB whose
+// last frame is torn allocates less than one of its frames, where the
+// whole-file repair allocated the file.
+func TestResumeMemoryIsAFrame(t *testing.T) {
+	st := testutil.TempStore(t)
+	spec := testutil.EC2Spec(t, 7, 1)
+	spec.Repetitions = 12
+	spec.Config = cloudmodel.DefaultCampaignConfig(24 * 3600)
+	run, err := st.CreateWithMeta("week", spec, store.RunMeta{CreatedUnix: 1, Encoding: store.EncodingColumnar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Sink = run
+	res, err := fleet.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	smallest := math.MaxInt
+	for _, c := range res.Cells {
+		rec, err := store.NewCellRecord(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smallest = min(smallest, store.CellFrameLen(rec))
+	}
+	path := filepath.Join(st.Dir(), "runs", "week", "cells.col")
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(intact) < 2<<20 {
+		t.Fatalf("the run holds %d bytes, not several MB", len(intact))
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		// A crashed writer's half frame.
+		if err := os.WriteFile(path, append(intact, intact[:smallest/2]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run, err := st.Resume("week", spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Close(); err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, intact) {
+			t.Fatalf("resume left %d bytes (%v), want the %d intact", len(b), err, len(intact))
+		}
+	}
+	t.Logf("resuming the %d-byte run allocates %d bytes; its smallest frame is %d", len(intact), least, smallest)
+	if least >= uint64(smallest) {
+		t.Errorf("resuming the %d-byte run allocates %d bytes, at least its smallest frame's %d", len(intact), least, smallest)
 	}
 }
