@@ -179,7 +179,7 @@ func BenchmarkAblationShuffleModel(b *testing.B) {
 				if src == dst {
 					dst = nics[(k+2)%nodes]
 				}
-				if err := n.StartFlow(src, dst, flowGbit, nil); err != nil {
+				if err := n.StartFlow(src, dst, flowGbit, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

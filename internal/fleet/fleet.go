@@ -392,7 +392,7 @@ type Cell struct {
 // substream and names its series, so it must be unique within a spec
 // and must not depend on enumeration order.
 func (c Cell) Label() string {
-	return fmt.Sprintf("%s/%s/%s/rep%d", c.Profile.Cloud, c.Profile.Instance, c.Regime.Name, c.Rep)
+	return c.Profile.Cloud + "/" + c.Profile.Instance + "/" + c.Regime.Name + "/rep" + strconv.Itoa(c.Rep)
 }
 
 // Cells enumerates the spec's matrix in deterministic order:

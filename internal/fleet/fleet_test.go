@@ -1,11 +1,13 @@
 package fleet_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/fleet"
 	"cloudvar/internal/netem"
 	"cloudvar/internal/simrand"
@@ -316,6 +318,31 @@ func TestRunPanickingProgressHook(t *testing.T) {
 	for _, c := range res.Cells {
 		if c.Err == nil && c.Series == nil {
 			t.Fatalf("cell %s has neither series nor error", c.Cell.Label())
+		}
+	}
+}
+
+// TestCellLabelMatchesSprintf holds Label, built by concatenation, to
+// the fmt.Sprintf form it replaced, byte for byte: over empty,
+// non-ASCII and invalid UTF-8 names and over reps whose digit count
+// changes.
+func TestCellLabelMatchesSprintf(t *testing.T) {
+	names := []string{"", "ec2", "c5.xlarge", "5-30", "ünïcödé/クラウド", "\xff\xfe\xc3", "%s%d"}
+	for _, cloud := range names {
+		for _, instance := range names {
+			for _, regime := range names {
+				for _, rep := range []int{0, 9, 10, 99, 100, math.MaxInt} {
+					c := fleet.Cell{
+						Profile: cloudmodel.Profile{Cloud: cloud, Instance: instance},
+						Regime:  trace.Regime{Name: regime},
+						Rep:     rep,
+					}
+					want := fmt.Sprintf("%s/%s/%s/rep%d", cloud, instance, regime, rep)
+					if got := c.Label(); got != want {
+						t.Fatalf("Label() = %q, Sprintf %q", got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -174,7 +174,7 @@ func refStep(n *Network, maxDt float64, hits *fillHits) bool {
 	}
 	for _, f := range done {
 		if f.onComplete != nil {
-			f.onComplete(n.now)
+			f.onComplete(n.now, f.tag)
 		}
 	}
 	return len(done) > 0
@@ -189,8 +189,8 @@ type fillNet struct {
 	done  []completion
 }
 
-// completion is a flow's place in start order, from 1, and the bits of
-// the time its onComplete received.
+// completion is the tag its onComplete received, the flow's place in
+// start order from 1, and the bits of the time.
 type completion struct {
 	id     int
 	atBits uint64
@@ -200,12 +200,12 @@ type completion struct {
 // of half its size back from its destination.
 func (net *fillNet) start(t *testing.T, from, to int, gbit float64) {
 	id := len(net.flows) + 1
-	err := net.n.StartFlow(net.nics[from], net.nics[to], gbit, func(now float64) {
-		net.done = append(net.done, completion{id, math.Float64bits(now)})
+	err := net.n.StartFlow(net.nics[from], net.nics[to], gbit, func(now float64, tag int) {
+		net.done = append(net.done, completion{tag, math.Float64bits(now)})
 		if id%3 == 0 && gbit > 1 {
 			net.start(t, to, from, gbit/2)
 		}
-	})
+	}, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,23 +279,19 @@ func matchFill(t *testing.T, seed uint64, hits *fillHits) {
 		b.start(t, from, to, gbit)
 	}
 	var before, after []uint64
-	var live []*flow
 	for step := 0; step < 200 || a.n.ActiveFlows() > 0; step++ {
 		if step == 20000 {
 			t.Fatalf("seed %d: %d flows still active after %d steps", seed, a.n.ActiveFlows(), step)
 		}
-		// A fill that runs freezes a flow; a skipped fill leaves every
-		// frozen flag as it was, cleared here.
-		live = append(live[:0], a.n.flows...)
-		for _, f := range live {
-			f.frozen = false
-		}
+		// A fill that runs builds the resource table; a skipped fill
+		// leaves it as emptied here.
+		a.n.res = a.n.res[:0]
 		stale := a.n.stale
 		before = capBits(before[:0], a.n)
 		got, want := a.n.step(1e6), refStep(b.n, 1e6, hits)
 		if !stale {
 			same := slices.Equal(before, capBits(after[:0], a.n))
-			if filled := slices.ContainsFunc(live, func(f *flow) bool { return f.frozen }); filled == same {
+			if filled := len(a.n.res) > 0; filled == same {
 				t.Fatalf("seed %d step %d: filled %v with the last fill's flows and capacities unchanged %v", seed, step, filled, same)
 			}
 			if same {

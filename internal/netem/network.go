@@ -60,10 +60,13 @@ func (n *NIC) CurrentRateGbps() float64 { return n.lastRate }
 type flow struct {
 	src, dst   *NIC
 	remaining  float64 // Gbit left to move
-	onComplete func(now float64)
+	onComplete func(now float64, tag int)
+	tag        int // handed to onComplete
 
-	rate   float64 // current max-min assigned rate
-	frozen bool    // rate fixed for the rest of this assignRates
+	// rate is the current max-min assigned rate. During assignRates a
+	// negative rate marks a flow whose rate may still grow; a frozen
+	// flow holds the level it froze at, never negative.
+	rate float64
 }
 
 // Network is the fluid-flow simulator: flows progress at their max-min
@@ -110,15 +113,16 @@ func (n *Network) AddNIC(egress Shaper, ingressGbps float64) (*NIC, error) {
 
 // StartFlow begins moving gbit of data from src to dst, two NICs of n,
 // as a greedy flow. onComplete, if non-nil, fires when the flow
-// finishes, with the virtual completion time.
-func (n *Network) StartFlow(src, dst *NIC, gbit float64, onComplete func(now float64)) error {
+// finishes, with the virtual completion time and tag, so one handler
+// can serve many flows.
+func (n *Network) StartFlow(src, dst *NIC, gbit float64, onComplete func(now float64, tag int), tag int) error {
 	if src == dst {
 		return fmt.Errorf("netem: flow from a NIC to itself")
 	}
 	if gbit <= 0 {
 		return fmt.Errorf("netem: non-positive flow size %g", gbit)
 	}
-	f := &flow{src: src, dst: dst, remaining: gbit, onComplete: onComplete}
+	f := &flow{src: src, dst: dst, remaining: gbit, onComplete: onComplete, tag: tag}
 	n.flows = append(n.flows, f)
 	src.outFlows = append(src.outFlows, f)
 	dst.inFlows = append(dst.inFlows, f)
@@ -151,11 +155,11 @@ type resource struct {
 //
 // Every unfrozen flow is raised from zero by the same increments in the
 // same order, so its rate is the running level, which a flow keeps when
-// it freezes. A frozen flow carries a flag, and each resource counts
-// its unfrozen flows; freezing a flow decrements the counts of its
-// source's egress and its destination's ingress. A round charges a
-// resource inc by one subtraction per unfrozen flow: a single inc*count
-// rounds differently, and every Spark timing pinned in
+// it freezes. A flow is unfrozen while its rate is negative, and each
+// resource counts its unfrozen flows; freezing a flow decrements the
+// counts of its source's egress and its destination's ingress. A round
+// charges a resource inc by one subtraction per unfrozen flow: a single
+// inc*count rounds differently, and every Spark timing pinned in
 // internal/workloads would move.
 func (n *Network) assignRates() {
 	stale := n.stale
@@ -194,13 +198,12 @@ func (n *Network) assignRates() {
 	level := 0.0
 	freeze := func(f *flow) {
 		f.rate = level
-		f.frozen = true
 		frozen++
 		res[f.src.egressRes].unfrozen--
 		res[f.dst.ingressRes].unfrozen--
 	}
 	for _, f := range n.flows {
-		f.frozen = false
+		f.rate = -1
 	}
 
 	for frozen < len(n.flows) {
@@ -218,7 +221,7 @@ func (n *Network) assignRates() {
 		if math.IsInf(inc, 1) || inc < 0 {
 			// The flows left unfrozen keep the level they reached.
 			for _, f := range n.flows {
-				if !f.frozen {
+				if f.rate < 0 {
 					f.rate = level
 				}
 			}
@@ -244,7 +247,7 @@ func (n *Network) assignRates() {
 			r := &res[i]
 			if r.cap == 0 && r.unfrozen > 0 {
 				for _, f := range r.flows {
-					if !f.frozen {
+					if f.rate < 0 {
 						freeze(f)
 					}
 				}
@@ -309,7 +312,7 @@ func (n *Network) step(maxDt float64) bool {
 	n.done = nil
 	for _, f := range done {
 		if f.onComplete != nil {
-			f.onComplete(n.now)
+			f.onComplete(n.now, f.tag)
 		}
 	}
 	completed := len(done) > 0

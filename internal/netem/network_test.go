@@ -26,10 +26,10 @@ func fixedNIC(t *testing.T, n *Network, gbps float64) *NIC {
 	return nic
 }
 
-// startFlow starts a flow that must be valid.
-func startFlow(t *testing.T, n *Network, src, dst *NIC, gbit float64, onComplete func(now float64)) {
+// startFlow starts a flow that must be valid, with tag 0.
+func startFlow(t *testing.T, n *Network, src, dst *NIC, gbit float64, onComplete func(now float64, tag int)) {
 	t.Helper()
-	if err := n.StartFlow(src, dst, gbit, onComplete); err != nil {
+	if err := n.StartFlow(src, dst, gbit, onComplete, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +38,7 @@ func TestSingleFlowCompletion(t *testing.T) {
 	n := NewNetwork()
 	a, b := fixedNIC(t, n, 10), fixedNIC(t, n, 10)
 	var doneAt float64
-	startFlow(t, n, a, b, 100, func(now float64) { doneAt = now })
+	startFlow(t, n, a, b, 100, func(now float64, _ int) { doneAt = now })
 	runWhileActive(n, 1e6)
 	// 100 Gbit at 10 Gbps = 10 s.
 	if math.Abs(doneAt-10) > 1e-6 {
@@ -53,12 +53,41 @@ func TestTwoFlowsShareEgress(t *testing.T) {
 	n := NewNetwork()
 	src, d1, d2 := fixedNIC(t, n, 10), fixedNIC(t, n, 10), fixedNIC(t, n, 10)
 	var t1, t2 float64
-	startFlow(t, n, src, d1, 50, func(now float64) { t1 = now })
-	startFlow(t, n, src, d2, 50, func(now float64) { t2 = now })
+	startFlow(t, n, src, d1, 50, func(now float64, _ int) { t1 = now })
+	startFlow(t, n, src, d2, 50, func(now float64, _ int) { t2 = now })
 	runWhileActive(n, 1e6)
 	// Each flow gets 5 Gbps: 10 s each.
 	if math.Abs(t1-10) > 1e-6 || math.Abs(t2-10) > 1e-6 {
 		t.Errorf("completions at %g, %g; want 10, 10", t1, t2)
+	}
+}
+
+// TestFlowTagsReachOneHandler: flows started with one handler tell it
+// apart by their tags. Three flows of 10, 20 and 30 Gbit share a
+// 10 Gbps egress, so they end at 3, 5 and 6 s.
+func TestFlowTagsReachOneHandler(t *testing.T) {
+	n := NewNetwork()
+	src := fixedNIC(t, n, 10)
+	type done struct {
+		tag int
+		at  float64
+	}
+	var got []done
+	handler := func(now float64, tag int) { got = append(got, done{tag, now}) }
+	for i, gbit := range []float64{10, 20, 30} {
+		if err := n.StartFlow(src, fixedNIC(t, n, 10), gbit, handler, 7+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runWhileActive(n, 1e6)
+	want := []done{{7, 3}, {8, 5}, {9, 6}}
+	if len(got) != len(want) {
+		t.Fatalf("completions %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i].tag != want[i].tag || math.Abs(got[i].at-want[i].at) > 1e-6 {
+			t.Errorf("completions %v, want %v", got, want)
+		}
 	}
 }
 
@@ -121,7 +150,7 @@ func TestTokenBucketThrottleMidFlow(t *testing.T) {
 	}
 	dst := fixedNIC(t, n, 10)
 	var doneAt float64
-	startFlow(t, n, src, dst, 150, func(now float64) { doneAt = now })
+	startFlow(t, n, src, dst, 150, func(now float64, _ int) { doneAt = now })
 	runWhileActive(n, 1e6)
 	// High phase: bucket empties after 90/(10-1) = 10 s, moving 100
 	// Gbit. Remaining 50 Gbit at 1 Gbps: 50 s. Total 60 s.
@@ -178,10 +207,10 @@ func TestNetworkValidation(t *testing.T) {
 		t.Error("zero ingress should error")
 	}
 	a, b := fixedNIC(t, n, 1), fixedNIC(t, n, 1)
-	if err := n.StartFlow(a, a, 1, nil); err == nil {
+	if err := n.StartFlow(a, a, 1, nil, 0); err == nil {
 		t.Error("self flow should error")
 	}
-	if err := n.StartFlow(a, b, 0, nil); err == nil {
+	if err := n.StartFlow(a, b, 0, nil, 0); err == nil {
 		t.Error("zero size should error")
 	}
 	if n.ActiveFlows() != 0 {
@@ -238,7 +267,7 @@ func TestFlowVolumeProperty(t *testing.T) {
 		for _, s := range sizes {
 			size := float64(s%500) + 1
 			total += size
-			if err := n.StartFlow(src, dst, size, nil); err != nil {
+			if err := n.StartFlow(src, dst, size, nil, 0); err != nil {
 				return false
 			}
 		}
@@ -262,7 +291,7 @@ func BenchmarkNetworkManyFlows(b *testing.B) {
 			nics[k] = nic
 		}
 		for k, src := range nics {
-			if err := n.StartFlow(src, nics[(k+1)%len(nics)], 100, nil); err != nil {
+			if err := n.StartFlow(src, nics[(k+1)%len(nics)], 100, nil, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -108,8 +108,8 @@ func (e PathEnvelope) transferEnd(i int, start, gbit float64) (float64, error) {
 // ServeRequests plays a request stream through a fluid FIFO
 // single-server queue over the envelope. reqs must be sorted by
 // TimeSec (ties in any fixed order — the order is part of the
-// deterministic contract); a NaN or +Inf arrival is refused. Each request
-// transfers gbit gigabits; its latency is queueing wait + transfer
+// deterministic contract); a NaN or infinite arrival is refused. Each
+// request transfers gbit gigabits; its latency is queueing wait + transfer
 // time + one vNIC RTT sample, in milliseconds, appended to dst in
 // input order; dst grows at most once, before the first request is
 // served. src drives only the RTT samples, so equal (reqs, gbit,
@@ -120,6 +120,12 @@ func ServeRequests(dst []float64, reqs []Request, gbit float64, env PathEnvelope
 	}
 	if gbit <= 0 {
 		return nil, fmt.Errorf("netem: request volume %g gbit must be positive", gbit)
+	}
+	// A -Inf arrival would start at the idle server's 0 and wait an
+	// infinite time. Sorted arrivals put every -Inf first, and the
+	// order check refuses one after a finite arrival.
+	if len(reqs) > 0 && math.IsInf(reqs[0].TimeSec, -1) {
+		return nil, fmt.Errorf("netem: request 0 arrival is -Inf")
 	}
 	// A +Inf arrival would start at +Inf and end with a NaN latency.
 	// Sorted arrivals put every +Inf last, so the loop serves the ones

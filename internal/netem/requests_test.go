@@ -111,17 +111,21 @@ type serveCase struct {
 // matchServe replays c through ServeRequests and the reference from
 // the same RTT seed and fails unless both give the same error, or the
 // same latencies bit for bit, and unless a nil error comes with no NaN
-// latency. The reference serves a NaN or +Inf arrival, which
-// ServeRequests refuses: a case with one is held to the reference over
-// the requests before the first, and then to that one's refusal. Both
-// refuse a NaN or infinite envelope bandwidth through Validate; with
-// the ordered finite times and non-negative bandwidths seededServe
-// builds, the first such bandwidth is the refusal.
+// or infinite latency. The reference serves a NaN or +Inf arrival and a
+// -Inf first arrival, which ServeRequests refuses: a case with one is
+// held to the reference over the requests before the first, and then
+// to that one's refusal. Both refuse a NaN or infinite envelope
+// bandwidth through Validate; with the ordered finite times and
+// non-negative bandwidths seededServe builds, the first such bandwidth
+// is the refusal.
 func matchServe(t *testing.T, name string, c serveCase) {
 	t.Helper()
 	got, err := ServeRequests(nil, c.reqs, c.gbit, c.env, c.model, c.write, simrand.New(9))
 	reqs := c.reqs
 	odd := slices.IndexFunc(reqs, func(r Request) bool { return math.IsNaN(r.TimeSec) || math.IsInf(r.TimeSec, 1) })
+	if len(reqs) > 0 && math.IsInf(reqs[0].TimeSec, -1) {
+		odd = 0
+	}
 	if odd >= 0 {
 		reqs = reqs[:odd]
 	}
@@ -144,8 +148,8 @@ func matchServe(t *testing.T, name string, c serveCase) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: request %d latency %v (%#x), reference %v (%#x)", name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
-		if math.IsNaN(got[i]) {
-			t.Fatalf("%s: request %d latency is NaN with a nil error", name, i)
+		if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
+			t.Fatalf("%s: request %d latency is %v with a nil error", name, i, got[i])
 		}
 	}
 }
@@ -164,10 +168,11 @@ func requestsAt(times ...float64) []Request {
 // before or after 0, bandwidths that are zero one interval in three,
 // and up to 80 arrivals, tied one in four, some before the envelope's
 // first time and some past its last. One seed in eight puts a NaN or
-// an infinite bandwidth into the envelope, one in sixteen a NaN arrival
-// and one in sixteen a tail of +Inf arrivals, which ServeRequests must
-// refuse; one in sixteen takes arrivals out of order, and one in twenty
-// asks a non-positive volume, which both loops must refuse alike.
+// an infinite bandwidth into the envelope, one in sixteen a NaN arrival,
+// one in sixteen a tail of +Inf arrivals and one in sixteen a head of
+// -Inf arrivals, which ServeRequests must refuse; one in sixteen takes
+// arrivals out of order, and one in twenty asks a non-positive volume,
+// which both loops must refuse alike.
 func seededServe(seed uint64) serveCase {
 	src := simrand.New(seed)
 	n := 1 + src.Intn(40)
@@ -213,6 +218,10 @@ func seededServe(seed uint64) serveCase {
 			for i := src.Intn(len(reqs)); i < len(reqs); i++ {
 				reqs[i].TimeSec = math.Inf(1)
 			}
+		case 3:
+			for i := src.Intn(len(reqs)); i >= 0; i-- {
+				reqs[i].TimeSec = math.Inf(-1)
+			}
 		}
 	}
 	c.reqs = reqs
@@ -221,9 +230,10 @@ func seededServe(seed uint64) serveCase {
 
 // TestServeRequestsMatchesReference holds the cursor to the binary
 // search on named envelopes and request streams, then on the seeded
-// replays FuzzServeRequests starts from. A NaN or infinite bandwidth
-// and a NaN or +Inf arrival are refused, naming the bandwidth or
-// request: each would give a NaN completion or latency.
+// replays FuzzServeRequests starts from. A NaN or infinite bandwidth,
+// a NaN or +Inf arrival and a -Inf first arrival are refused, naming
+// the bandwidth or request: each would give a NaN completion or an
+// infinite latency.
 func TestServeRequestsMatchesReference(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	env := func(times, gbps []float64) PathEnvelope { return PathEnvelope{Times: times, Gbps: gbps} }
@@ -252,6 +262,12 @@ func TestServeRequestsMatchesReference(t *testing.T) {
 			"netem: request 1 arrival is +Inf"},
 		"disorder-then-inf": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(2, 1, inf), 0.5, ec2, 9000},
 			"netem: request 1 (1 s) precedes request 0"},
+		"neg-inf-first-arrival": {serveCase{env([]float64{0, 1, 2}, []float64{1, 1, 1}), requestsAt(-inf, 0.5, 1), 0.5, ec2, 9000},
+			"netem: request 0 arrival is -Inf"},
+		"neg-inf-arrivals": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(-inf, -inf, inf), 0.5, ec2, 9000},
+			"netem: request 0 arrival is -Inf"},
+		"neg-inf-after-finite": {serveCase{env([]float64{0, 1}, []float64{1, 1}), requestsAt(0, -inf), 0.5, ec2, 9000},
+			"netem: request 1 (-Inf s) precedes request 0"},
 	}
 	for name, r := range refusals {
 		c := r.c

@@ -189,7 +189,9 @@ func (c ClusterConfig) Validate() error {
 
 // Cluster is a live simulated cluster. Create a fresh Cluster per
 // experiment repetition to model "fresh VMs"; reuse one across
-// repetitions to model the paper's Figure 19 carry-over state.
+// repetitions to model the paper's Figure 19 carry-over state. A
+// Cluster runs one job at a time: its stages share one working memory,
+// so it is not safe for concurrent use.
 type Cluster struct {
 	cfg       ClusterConfig
 	net       *netem.Network
@@ -201,6 +203,68 @@ type Cluster struct {
 	// went idle so credits accrue across gaps.
 	cpuBuckets  [][]*tokenbucket.Bucket
 	slotFreedAt [][]float64
+	// stage is the working memory of the running stage.
+	stage stageScratch
+}
+
+// stageScratch is the working memory that every stage on a cluster
+// reuses, so a stage allocates its task traces, which are its result,
+// and its two closures, and nothing per task. runStage resets it at
+// stage start, so a stage that returned an error leaves nothing behind
+// in it. A task holds its slot until its compute retires, so no stage
+// has more than Nodes × SlotsPerNode computes pending, and the compute
+// heap and the due list are sized to that once.
+type stageScratch struct {
+	// gen counts the stages run, so a shuffle read that a failed stage
+	// left in flight can tell when it completes during a later stage.
+	gen       int
+	computes  computeHeap
+	scheduled int // computes pushed this stage: the next one's seq
+	due       []computeEvent
+	// free[node] holds the node's free slot indices (slot identity
+	// matters when per-vCPU CPU-credit buckets are active), a window
+	// of one backing array with room for all of the node's slots.
+	free [][]int
+	// reader[node*SlotsPerNode+slot] is the task whose shuffle read
+	// holds the slot.
+	reader    []int
+	durations []float64 // straggleRatio's buffer
+}
+
+func newStageScratch(nodes, slots int) stageScratch {
+	s := stageScratch{
+		computes: make(computeHeap, 0, nodes*slots),
+		due:      make([]computeEvent, 0, nodes*slots),
+		free:     make([][]int, nodes),
+		reader:   make([]int, nodes*slots),
+	}
+	backing := make([]int, nodes*slots)
+	for i := range s.free {
+		s.free[i] = backing[i*slots : (i+1)*slots : (i+1)*slots]
+	}
+	return s
+}
+
+// reset readies the scratch for a new stage: no compute pending and
+// every node's slots free, listed 0…S−1 so that dispatch hands out the
+// highest first.
+func (s *stageScratch) reset() {
+	s.gen++
+	s.computes = s.computes[:0]
+	s.scheduled = 0
+	for i, free := range s.free {
+		free = free[:cap(free)]
+		for slot := range free {
+			free[slot] = slot
+		}
+		s.free[i] = free
+	}
+}
+
+// schedule pushes a task's compute completion at at.
+func (s *stageScratch) schedule(at float64, task *TaskTrace, node, slot int) {
+	s.computes.push(computeEvent{at: at, seq: s.scheduled, task: task, node: node, slot: slot})
+	s.scheduled++
 }
 
 // NewCluster builds the cluster and its emulated network.
@@ -211,7 +275,7 @@ func NewCluster(cfg ClusterConfig, src *simrand.Source) (*Cluster, error) {
 	if src == nil {
 		return nil, fmt.Errorf("spark: nil random source")
 	}
-	c := &Cluster{cfg: cfg, net: netem.NewNetwork(), src: src}
+	c := &Cluster{cfg: cfg, net: netem.NewNetwork(), src: src, stage: newStageScratch(cfg.Nodes, cfg.SlotsPerNode)}
 	c.nodeSpeed = make([]float64, cfg.Nodes)
 	for i := range c.nodeSpeed {
 		c.nodeSpeed[i] = 1
@@ -354,8 +418,13 @@ func (c *Cluster) RunJob(job Job, opts RunOptions) (JobResult, error) {
 		return JobResult{}, fmt.Errorf("spark: sampler requires positive interval")
 	}
 
-	res := JobResult{Job: job.Name, Start: c.net.Now()}
-	startGbit := c.nodeMoved()
+	res := JobResult{Job: job.Name, Start: c.net.Now(), Stages: make([]StageResult, 0, len(job.Stages))}
+	// moved holds each node's egress counter at the start until the job
+	// ends, and then becomes the job's NodeGbit.
+	moved := make([]float64, c.cfg.Nodes)
+	for i, nic := range c.nics {
+		moved[i] = nic.MovedGbit()
+	}
 
 	nextSample := math.Inf(1)
 	if opts.Sampler != nil {
@@ -371,20 +440,11 @@ func (c *Cluster) RunJob(job Job, opts RunOptions) (JobResult, error) {
 	}
 
 	res.End = c.net.Now()
-	endGbit := c.nodeMoved()
-	res.NodeGbit = make([]float64, c.cfg.Nodes)
-	for i := range res.NodeGbit {
-		res.NodeGbit[i] = endGbit[i] - startGbit[i]
-	}
-	return res, nil
-}
-
-func (c *Cluster) nodeMoved() []float64 {
-	out := make([]float64, c.cfg.Nodes)
 	for i, nic := range c.nics {
-		out[i] = nic.MovedGbit()
+		moved[i] = nic.MovedGbit() - moved[i]
 	}
-	return out
+	res.NodeGbit = moved
+	return res, nil
 }
 
 // computeEvent is a pending task-compute completion; seq is its place
@@ -455,25 +515,14 @@ func (h *computeHeap) popDue(limit float64, dst []computeEvent) []computeEvent {
 func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, opts RunOptions) (StageResult, error) {
 	sr := StageResult{Name: spec.Name, Start: c.net.Now()}
 
-	// freeList holds each node's available slot indices; slot
-	// identity matters when per-vCPU CPU-credit buckets are active.
-	freeList := make([][]int, c.cfg.Nodes)
-	for i := range freeList {
-		for sIdx := 0; sIdx < c.cfg.SlotsPerNode; sIdx++ {
-			freeList[i] = append(freeList[i], sIdx)
-		}
-	}
+	st := &c.stage
+	st.reset()
+	gen := st.gen
+	slots := c.cfg.SlotsPerNode
 	pending := spec.Tasks
 	launched := 0
 	remaining := spec.Tasks
 	tasks := make([]TaskTrace, spec.Tasks)
-	var computes computeHeap
-	var due []computeEvent
-	scheduled := 0
-	schedule := func(at float64, task *TaskTrace, node, slot int) {
-		computes.push(computeEvent{at: at, seq: scheduled, task: task, node: node, slot: slot})
-		scheduled++
-	}
 
 	taskDuration := func(node, slot int) float64 {
 		d := spec.ComputeSec * c.nodeSpeed[node]
@@ -497,23 +546,40 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 		return d
 	}
 
+	// shuffleDone ends every shuffle read of the stage. A read's tag is
+	// the slot its task holds, node*SlotsPerNode + slot. A read that
+	// this stage left in flight when it failed may end during a later
+	// stage: it still draws its task's compute time, as it did when
+	// each read had a closure of its own, but it retires nowhere.
+	shuffleDone := func(now float64, tag int) {
+		node, slot := tag/slots, tag%slots
+		if gen != st.gen {
+			taskDuration(node, slot)
+			return
+		}
+		tt := &tasks[st.reader[tag]]
+		tt.ShuffleAt = now
+		st.schedule(now+taskDuration(node, slot), tt, node, slot)
+	}
+
 	// dispatch fills free slots with pending tasks, round-robin over
 	// nodes for deterministic balance.
 	dispatch := func() {
+		free := st.free
 		for pending > 0 {
 			// Pick the node with the most free slots (ties by index),
 			// mimicking Spark's spread-out default.
 			best := -1
 			for i := 0; i < c.cfg.Nodes; i++ {
-				if len(freeList[i]) > 0 && (best < 0 || len(freeList[i]) > len(freeList[best])) {
+				if len(free[i]) > 0 && (best < 0 || len(free[i]) > len(free[best])) {
 					best = i
 				}
 			}
 			if best < 0 {
 				return
 			}
-			slot := freeList[best][len(freeList[best])-1]
-			freeList[best] = freeList[best][:len(freeList[best])-1]
+			slot := free[best][len(free[best])-1]
+			free[best] = free[best][:len(free[best])-1]
 			pending--
 			idx := launched
 			launched++
@@ -537,21 +603,16 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 					}
 				}
 				tt.PeerNode = peer
-				node := best
-				nodeSlot := slot
-				trace := tt
-				err := c.net.StartFlow(c.nics[peer], c.nics[best], spec.ShuffleGbit, func(now float64) {
-					trace.ShuffleAt = now
-					schedule(now+taskDuration(node, nodeSlot), trace, node, nodeSlot)
-				})
-				if err != nil {
+				tag := best*slots + slot
+				st.reader[tag] = idx
+				if err := c.net.StartFlow(c.nics[peer], c.nics[best], spec.ShuffleGbit, shuffleDone, tag); err != nil {
 					// Flow creation only fails on programmer error: the
 					// peer is another node and the size was validated.
 					panic(fmt.Sprintf("spark: shuffle flow: %v", err))
 				}
 			} else {
 				tt.ShuffleAt = tt.Start
-				schedule(c.net.Now()+taskDuration(best, slot), tt, best, slot)
+				st.schedule(c.net.Now()+taskDuration(best, slot), tt, best, slot)
 			}
 		}
 	}
@@ -561,8 +622,8 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 
 		// The heap's top is the earliest pending compute completion.
 		nextCompute := math.Inf(1)
-		if len(computes) > 0 {
-			nextCompute = computes[0].at
+		if len(st.computes) > 0 {
+			nextCompute = st.computes[0].at
 		}
 
 		// With no flow in flight, RunUntilEvent idles the network to the
@@ -589,10 +650,10 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 			}
 		}
 
-		due = computes.popDue(now+1e-9, due)
-		for _, ev := range due {
+		st.due = st.computes.popDue(now+1e-9, st.due)
+		for _, ev := range st.due {
 			ev.task.End = ev.at
-			freeList[ev.node] = append(freeList[ev.node], ev.slot)
+			st.free[ev.node] = append(st.free[ev.node], ev.slot)
 			if c.slotFreedAt != nil {
 				c.slotFreedAt[ev.node][ev.slot] = ev.at
 			}
@@ -602,7 +663,7 @@ func (c *Cluster) runStage(stageIdx int, spec StageSpec, nextSample *float64, op
 
 	sr.End = c.net.Now()
 	sr.Tasks = tasks
-	sr.Straggle = straggleRatio(sr.Tasks)
+	sr.Straggle = st.straggleRatio(sr.Tasks)
 	return sr, nil
 }
 
@@ -615,11 +676,12 @@ func (c *Cluster) nodeRates() []float64 {
 }
 
 // straggleRatio is slowest task duration / median task duration.
-func straggleRatio(tasks []TaskTrace) float64 {
+func (s *stageScratch) straggleRatio(tasks []TaskTrace) float64 {
 	if len(tasks) == 0 {
 		return 0
 	}
-	durations := make([]float64, len(tasks))
+	durations := slices.Grow(s.durations[:0], len(tasks))[:len(tasks)]
+	s.durations = durations
 	for i, t := range tasks {
 		durations[i] = t.End - t.Start
 	}
