@@ -29,7 +29,6 @@ import (
 
 	"cloudvar/internal/expspec"
 	"cloudvar/internal/figures"
-	"cloudvar/internal/fleet/pool"
 )
 
 func main() {
@@ -121,27 +120,15 @@ func execute(plan expspec.Artifacts, stdout, stderr io.Writer) int {
 		return 1
 	}
 	cfg := figures.Config{Seed: plan.Seed, Scale: plan.Scale}
-	if err := cfg.Validate(); err != nil {
-		return fatal(err)
+	ids := plan.IDs
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = figures.IDs()
 	}
-
-	var results []figures.ArtifactResult
-	if len(plan.IDs) == 1 && plan.IDs[0] == "all" {
-		all, err := figures.GenerateEach(cfg, plan.Workers)
-		if err != nil {
-			return fatal(err)
-		}
-		results = all
-	} else {
-		// Explicit ID lists fan out like "all" does: results come back
-		// in list order, so output stays deterministic at any worker
-		// count.
-		tables, errs := pool.Collect(len(plan.IDs), plan.Workers, func(i int) (figures.Table, error) {
-			return figures.Generate(plan.IDs[i], cfg)
-		})
-		for i, id := range plan.IDs {
-			results = append(results, figures.ArtifactResult{ID: id, Table: tables[i], Err: errs[i]})
-		}
+	// Results come back in list order, so output stays deterministic at
+	// any worker count.
+	results, err := figures.GenerateEach(cfg, ids, plan.Workers)
+	if err != nil {
+		return fatal(err)
 	}
 
 	var failed []figures.ArtifactResult

@@ -14,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"cloudvar/internal/simrand"
@@ -79,18 +78,9 @@ func main() {
 	}
 }
 
+// probeOnce probes one incarnation as Figure 11 does.
 func probeOnce(params tokenbucket.Params) (tokenbucket.Inferred, error) {
-	b := tokenbucket.MustNew(params)
-	probeLen := params.TimeToEmpty() * 1.5
-	if math.IsInf(probeLen, 1) || probeLen < 600 {
-		probeLen = 600
-	}
-	bins := int(probeLen / 10)
-	series := make([]float64, bins)
-	for i := range series {
-		series[i] = b.Transfer(1e12, 10) / 10
-	}
-	return tokenbucket.InferParams(series, 10, 1)
+	return tokenbucket.Probe(params)
 }
 
 func analyzeFile(path string, interval, refill float64) error {

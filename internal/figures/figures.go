@@ -170,26 +170,22 @@ type ArtifactResult struct {
 	Err   error
 }
 
-// GenerateEach produces every artifact concurrently across at most
-// workers goroutines (<= 0 means GOMAXPROCS) with per-artifact error
-// isolation: one failing generator does not stop the others. Results
-// come back in ID order regardless of scheduling, and each generator
-// seeds its own randomness from cfg.Seed, so the tables are
-// bit-identical to sequential generation.
-func GenerateEach(cfg Config, workers int) ([]ArtifactResult, error) {
+// GenerateEach produces the artifacts ids names concurrently across at
+// most workers goroutines (<= 0 means GOMAXPROCS) with per-artifact
+// error isolation: one failing generator, or an unknown ID, does not
+// stop the others. Results come back in the order of ids regardless of
+// scheduling, and each generator seeds its own randomness from
+// cfg.Seed, so the tables are bit-identical to sequential generation.
+func GenerateEach(cfg Config, ids []string, workers int) ([]ArtifactResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ids := IDs()
 	tables, errs := pool.Collect(len(ids), workers, func(i int) (Table, error) {
-		return registry[ids[i]](cfg)
+		return Generate(ids[i], cfg)
 	})
 	out := make([]ArtifactResult, len(ids))
 	for i, id := range ids {
-		out[i] = ArtifactResult{ID: id, Table: tables[i]}
-		if errs[i] != nil {
-			out[i].Err = fmt.Errorf("figures: generating %s: %w", id, errs[i])
-		}
+		out[i] = ArtifactResult{ID: id, Table: tables[i], Err: errs[i]}
 	}
 	return out, nil
 }

@@ -111,7 +111,7 @@ func TestAllArtifactsGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates every artifact")
 	}
-	results, err := GenerateEach(quick, 0)
+	results, err := GenerateEach(quick, IDs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestGenerateEachParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates every artifact")
 	}
-	results, err := GenerateEach(quick, 8)
+	results, err := GenerateEach(quick, IDs(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,18 @@ func TestGenerateEachParallelDeterminism(t *testing.T) {
 			t.Errorf("%s: parallel table differs from sequential", id)
 		}
 	}
-	if _, err := GenerateEach(Config{Scale: -1}, 2); err == nil {
+	if _, err := GenerateEach(Config{Scale: -1}, IDs(), 2); err == nil {
 		t.Error("invalid config should error")
+	}
+	// An unknown ID fails alone, with Generate's own error.
+	some, err := GenerateEach(quick, []string{"figure99", "table2"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want := Generate("figure99", quick); some[0].ID != "figure99" || some[0].Err == nil || some[0].Err.Error() != want.Error() {
+		t.Errorf("figure99: %v, want Generate's %v", some[0].Err, want)
+	}
+	if some[1].ID != "table2" || some[1].Err != nil {
+		t.Errorf("table2 beside an unknown ID: %v", some[1].Err)
 	}
 }

@@ -348,19 +348,7 @@ func Figure11(cfg Config) (Table, error) {
 	for _, spec := range tokenbucket.C5Family() {
 		var ttes, highs, lows, budgets []float64
 		for k := 0; k < probes; k++ {
-			params := spec.Incarnate(src)
-			b := tokenbucket.MustNew(params)
-			// Full-speed probe until well past depletion.
-			probeLen := params.TimeToEmpty() * 1.5
-			if math.IsInf(probeLen, 1) || probeLen < 600 {
-				probeLen = 600
-			}
-			bins := int(probeLen / 10)
-			traceVals := make([]float64, bins)
-			for i := range traceVals {
-				traceVals[i] = b.Transfer(1e12, 10) / 10
-			}
-			inf, err := tokenbucket.InferParams(traceVals, 10, 1)
+			inf, err := tokenbucket.Probe(spec.Incarnate(src))
 			if err != nil {
 				// A 15% jittered budget can occasionally push the
 				// transition outside the probe; record nothing.

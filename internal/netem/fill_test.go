@@ -129,23 +129,31 @@ func refAssignRates(n *Network, hits *fillHits) {
 	}
 }
 
-// refStep is Network.step as it was, filling with refAssignRates.
+// refStep is Network.step, filling with refAssignRates: it picks each
+// step's length as step does, so the two fills meet the same steps.
 func refStep(n *Network, maxDt float64, hits *fillHits) bool {
 	refAssignRates(n, hits)
 
 	dt := math.Min(maxDt, maxStep)
+	moving := false
 	for _, f := range n.flows {
 		if f.rate > 0 {
+			moving = true
 			if t := f.remaining / f.rate; t < dt {
 				dt = t
 			}
 		}
 	}
+	wake := math.Inf(1)
 	for _, nic := range n.nics {
-		if t := nic.Egress.NextTransition(nic.lastRate); t < dt {
-			dt = t
+		if t := nic.Egress.NextTransition(nic.lastRate); t < wake {
+			wake = t
 		}
 	}
+	if !moving && wake >= maxDt {
+		dt = maxDt
+	}
+	dt = math.Min(dt, wake)
 	if dt < 1e-9 {
 		dt = 1e-9 // floor to guarantee progress through regime flips
 	}

@@ -270,18 +270,27 @@ func (n *Network) step(maxDt float64) bool {
 	n.assignRates()
 
 	dt := math.Min(maxDt, maxStep)
+	moving := false
 	for _, f := range n.flows {
 		if f.rate > 0 {
+			moving = true
 			if t := f.remaining / f.rate; t < dt {
 				dt = t
 			}
 		}
 	}
+	wake := math.Inf(1)
 	for _, nic := range n.nics {
-		if t := nic.Egress.NextTransition(nic.lastRate); t < dt {
-			dt = t
+		if t := nic.Egress.NextTransition(nic.lastRate); t < wake {
+			wake = t
 		}
 	}
+	if !moving && wake >= maxDt {
+		// A stall no shaper ends before maxDt lasts the whole interval:
+		// one step, not one per maxStep.
+		dt = maxDt
+	}
+	dt = math.Min(dt, wake)
 	if dt < 1e-9 {
 		dt = 1e-9 // floor to guarantee progress through regime flips
 	}

@@ -27,13 +27,13 @@ package shard
 // Both frames answers carry a Content-Length. An execute answer
 // crosses the wire a frame at a time: the worker sizes it in one pass,
 // then writes each result through one buffer sized for the largest, and
-// the client decodes each frame as it arrives, from one reused buffer
-// that only arrived or declared bytes size (readExecuteResponse). The
-// shard answer is encoded whole and read into one allocation of its
-// length (capped by maxBodyPrealloc). A 200 answer from execute or shard
-// in any other media type comes from a worker speaking another wire
-// format; the client reads it to its end and refuses it as a fatal
-// wire-skew error instead of retrying it into local fallback.
+// the client decodes each frame as it arrives through one frame.Reader
+// (readExecuteResponse). The shard answer is encoded whole and read
+// into one allocation of its length (capped by maxBodyPrealloc), which
+// store.DecodeShardData reads through a frame.Reader. A 200 answer from
+// execute or shard in any other media type comes from a worker speaking
+// another wire format; the client reads it to its end and refuses it as
+// a fatal wire-skew error instead of retrying it into local fallback.
 // Errors travel as a uniform JSON envelope (ErrorBody) with the
 // status repeated in the body, so clients never have to scrape
 // plain-text bodies; request bodies are capped with MaxBytesReader.
@@ -45,7 +45,6 @@ package shard
 // skew between binaries must fail loudly, not corrupt a store.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -53,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"mime"
 	"net/http"
 	"strconv"
@@ -62,6 +60,7 @@ import (
 
 	"cloudvar/internal/expspec"
 	"cloudvar/internal/fleet"
+	"cloudvar/internal/frame"
 	"cloudvar/internal/store"
 )
 
@@ -86,8 +85,7 @@ const framesMediaType = "application/vnd.cloudvar.frames"
 //
 //	response := uvarint(count) result{count}
 //	result   := byte(0) frame                   (store.AppendCellFrame)
-//	          | byte(1) str(label) str(error)
-//	str      := uvarint(len) bytes
+//	          | byte(1) str(label) str(error)   (frame.AppendString)
 //
 // A first pass sizes the answer with store.CellFrameLen, so that it
 // carries its Content-Length, and answers a 500 envelope instead, before
@@ -96,26 +94,26 @@ const framesMediaType = "application/vnd.cloudvar.frames"
 // largest.
 func writeExecuteResponse(w http.ResponseWriter, results []fleet.CellResult) {
 	recs := make([]store.CellRecord, len(results))
-	size, largest := uvarintLen(uint64(len(results))), 0
+	size, largest := frame.UvarintLen(uint64(len(results))), 0
 	for i, res := range results {
 		n := 1
 		if res.Err != nil {
-			n += wireStringLen(res.Cell.Label()) + wireStringLen(res.Err.Error())
+			n += frame.StringLen(res.Cell.Label()) + frame.StringLen(res.Err.Error())
 		} else {
 			rec, err := store.NewCellRecord(res)
 			if err != nil {
 				WriteHTTPError(w, http.StatusInternalServerError, err)
 				return
 			}
-			frame := store.CellFrameLen(rec)
-			if frame == 0 {
+			frameLen := store.CellFrameLen(rec)
+			if frameLen == 0 {
 				// A record without a frame: AppendCellFrame names why.
 				_, err := store.AppendCellFrame(nil, rec)
 				WriteHTTPError(w, http.StatusInternalServerError, err)
 				return
 			}
 			recs[i] = rec
-			n += frame
+			n += frameLen
 		}
 		size += n
 		largest = max(largest, n)
@@ -126,7 +124,7 @@ func writeExecuteResponse(w http.ResponseWriter, results []fleet.CellResult) {
 	buf = binary.AppendUvarint(buf, uint64(len(results)))
 	for i, res := range results {
 		if res.Err != nil {
-			buf = appendWireString(appendWireString(append(buf, 1), res.Cell.Label()), res.Err.Error())
+			buf = frame.AppendString(frame.AppendString(append(buf, 1), res.Cell.Label()), res.Err.Error())
 		} else {
 			var err error
 			if buf, err = store.AppendCellFrame(append(buf, 0), recs[i]); err != nil {
@@ -142,35 +140,16 @@ func writeExecuteResponse(w http.ResponseWriter, results []fleet.CellResult) {
 	}
 }
 
-func appendWireString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func wireStringLen(s string) int {
-	return uvarintLen(uint64(len(s))) + len(s)
-}
-
-func uvarintLen(v uint64) int {
-	var n [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(n[:], v)
-}
-
 // readExecuteResponse decodes the answer to an execute request for
-// cells as it arrives from body: exactly one result per cell, in order,
-// each naming its cell, and nothing after the last. Summaries are left
-// to the caller, which knows the campaign's summary mode.
-//
-// declared is the body's declared length, -1 when none was declared.
-// Each frame and string is read into one buffer the answer reuses, and
-// only bytes that arrived size it: a length that claims more than the
-// declared body has left is refused before anything is allocated, a
-// declared length of up to maxBodyPrealloc sizes the buffer for the
-// frame it vouches for, with a sixteenth to spare for the next, and
-// otherwise the buffer grows only as bytes arrive, at most doubling.
+// cells as it arrives from body, a stream of declared bytes (-1 when
+// none were declared): exactly one result per cell, in order, each
+// naming its cell, and nothing after the last. Summaries are left to
+// the caller, which knows the campaign's summary mode. The answer is
+// read through one frame.Reader, so its buffer holds about the largest
+// frame or string, and only bytes that arrived or were declared size it.
 func readExecuteResponse(body io.Reader, declared int64, cells []fleet.Cell) ([]fleet.CellResult, error) {
-	a := &answerReader{br: bufio.NewReader(body), size: declared}
-	n, err := a.uvarint()
+	r := frame.NewReader(body, declared, nil)
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("result count: %w", err)
 	}
@@ -179,28 +158,33 @@ func readExecuteResponse(body io.Reader, declared int64, cells []fleet.Cell) ([]
 	}
 	results := make([]fleet.CellResult, len(cells))
 	for i, cell := range cells {
-		tag, err := a.ReadByte()
+		tag, err := r.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("truncated before result %d of %d: %w", i, n, torn(err))
+			return nil, fmt.Errorf("truncated before result %d of %d: %w", i, n, err)
 		}
 		res := fleet.CellResult{Cell: cell}
 		var label string
 		switch tag {
 		case 0:
-			rec, err := a.frame()
+			payload, err := r.Next()
+			var rec store.CellRecord
+			if err == nil {
+				rec, err = store.DecodeCellPayload(payload)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("result %d: %w", i, err)
 			}
 			label, res.Series, res.Workload = rec.Label, rec.Series, rec.Workload
 		case 1:
-			var msg string
-			if label, err = a.str(); err != nil {
+			b, err := r.Str()
+			if err != nil {
 				return nil, fmt.Errorf("result %d label: %w", i, err)
 			}
-			if msg, err = a.str(); err != nil {
+			label = string(b)
+			if b, err = r.Str(); err != nil {
 				return nil, fmt.Errorf("result %d error: %w", i, err)
 			}
-			res.Err = errors.New(msg)
+			res.Err = errors.New(string(b))
 		default:
 			return nil, fmt.Errorf("result %d has tag %d, want 0 (frame) or 1 (error)", i, tag)
 		}
@@ -209,121 +193,13 @@ func readExecuteResponse(body io.Reader, declared int64, cells []fleet.Cell) ([]
 		}
 		results[i] = res
 	}
-	if _, err := a.ReadByte(); err != io.EOF {
+	if _, err := r.ReadByte(); err != io.EOF {
 		if err == nil {
 			return nil, fmt.Errorf("trailing bytes after %d results", n)
 		}
 		return nil, fmt.Errorf("after %d results: %w", n, err)
 	}
 	return results, nil
-}
-
-// answerReader is the read side of one execute answer.
-type answerReader struct {
-	br *bufio.Reader
-	// size is the answer's declared length (-1 when undeclared), off
-	// the bytes read so far.
-	size, off int64
-	// buf holds the frame or string being read, and hdr the length
-	// varint of a frame, with one byte past the widest to tell an
-	// overflowing varint from one the answer cuts short.
-	buf []byte
-	hdr [binary.MaxVarintLen64 + 1]byte
-}
-
-func (a *answerReader) ReadByte() (byte, error) {
-	c, err := a.br.ReadByte()
-	if err == nil {
-		a.off++
-	}
-	return c, err
-}
-
-func (a *answerReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(a)
-	return v, torn(err)
-}
-
-// str reads a str.
-func (a *answerReader) str() (string, error) {
-	n, err := a.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if err := a.read(nil, n); err != nil {
-		return "", err
-	}
-	return string(a.buf), nil
-}
-
-// frame reads a frame into buf and decodes it. Its records alias
-// nothing in buf.
-func (a *answerReader) frame() (store.CellRecord, error) {
-	// The length varint is kept: DecodeCellFrame reads the frame whole.
-	k := 0
-	for k == 0 || a.hdr[k-1] >= 0x80 && k < len(a.hdr) {
-		c, err := a.ReadByte()
-		if err != nil {
-			return store.CellRecord{}, torn(err)
-		}
-		a.hdr[k] = c
-		k++
-	}
-	// The CRC's 4 bytes and the payload follow. A length no frame can
-	// have, one that overflows or runs to 2^64, is refused as
-	// DecodeCellFrame refuses it.
-	n, m := binary.Uvarint(a.hdr[:k])
-	if m <= 0 || n > math.MaxUint64-4 {
-		_, _, err := store.DecodeCellFrame(a.hdr[:k])
-		return store.CellRecord{}, err
-	}
-	if err := a.read(a.hdr[:k], n+4); err != nil {
-		return store.CellRecord{}, err
-	}
-	rec, _, err := store.DecodeCellFrame(a.buf)
-	return rec, err
-}
-
-// read fills buf with prefix and the answer's next n bytes.
-func (a *answerReader) read(prefix []byte, n uint64) error {
-	if a.size >= 0 && n > uint64(max(a.size-a.off, 0)) {
-		return fmt.Errorf("%d bytes claimed at offset %d of a %d-byte answer", n, a.off, a.size)
-	}
-	end := uint64(len(prefix)) + n
-	buf := a.buf[:0]
-	if end > uint64(cap(buf)) {
-		switch {
-		case a.size >= 0 && end <= maxBodyPrealloc:
-			// The declared length vouches for the bytes.
-			buf = make([]byte, 0, end+end/16)
-		case cap(buf) < bytes.MinRead:
-			buf = make([]byte, 0, bytes.MinRead)
-		}
-	}
-	buf = append(buf, prefix...)
-	for uint64(len(buf)) < end {
-		if len(buf) == cap(buf) {
-			buf = append(make([]byte, 0, min(end, 2*uint64(cap(buf)))), buf...)
-		}
-		m, err := io.ReadFull(a.br, buf[len(buf):min(end, uint64(cap(buf)))])
-		buf = buf[:len(buf)+m]
-		a.off += int64(m)
-		if err != nil {
-			a.buf = buf
-			return torn(err)
-		}
-	}
-	a.buf = buf
-	return nil
-}
-
-// torn reports an answer that ends early as io.ErrUnexpectedEOF, also
-// where a read meets its end at once.
-func torn(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // WorkerServer is the worker-process side of the HTTP transport: it
@@ -790,7 +666,7 @@ func (w *HTTPWorker) roundTrip(method, path string, body []byte, read func(*http
 
 // maxBodyPrealloc caps the allocation a response's Content-Length may
 // size before any byte of the body has arrived. A worker's shard answer
-// and any one frame of an execute answer stay far below it.
+// stays far below it.
 const maxBodyPrealloc = 64 << 20
 
 // readBody reads a response body. A body of declared length up to

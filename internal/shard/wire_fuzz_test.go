@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,6 +27,7 @@ import (
 	"testing/iotest"
 
 	"cloudvar/internal/fleet"
+	"cloudvar/internal/frame"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/trace"
@@ -100,7 +102,7 @@ func refDecodeExecuteResponse(b []byte, cells []fleet.Cell) ([]fleet.CellResult,
 		var label string
 		switch tag {
 		case 0:
-			rec, m, err := store.DecodeCellFrame(b[off:])
+			rec, m, err := refDecodeCellFrame(b[off:])
 			if err != nil {
 				return nil, fmt.Errorf("result %d: %w", i, err)
 			}
@@ -128,6 +130,26 @@ func refDecodeExecuteResponse(b []byte, cells []fleet.Cell) ([]fleet.CellResult,
 		return nil, fmt.Errorf("%d trailing bytes after %d results", len(b)-off, n)
 	}
 	return results, nil
+}
+
+// refDecodeCellFrame decodes the complete frame at the start of b and
+// returns its record and the frame's length: a frame cut short
+// anywhere, a length over frame.MaxPayload, a CRC mismatch or a payload
+// store.DecodeCellPayload refuses is an error.
+func refDecodeCellFrame(b []byte) (store.CellRecord, int, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > frame.MaxPayload {
+		return store.CellRecord{}, 0, fmt.Errorf("malformed frame length")
+	}
+	if uint64(len(b)-k) < 4+n {
+		return store.CellRecord{}, 0, fmt.Errorf("frame truncated: %d bytes hold no complete frame", len(b))
+	}
+	payload := b[k+4 : k+4+int(n)]
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(b[k:]); got != want {
+		return store.CellRecord{}, 0, fmt.Errorf("crc %08x != recorded %08x", got, want)
+	}
+	rec, err := store.DecodeCellPayload(payload)
+	return rec, k + 4 + int(n), err
 }
 
 func refReadWireString(b []byte, off int) (string, int, error) {

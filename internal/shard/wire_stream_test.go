@@ -13,15 +13,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/fleet"
+	"cloudvar/internal/frame"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/trace"
@@ -90,6 +93,18 @@ func allocated(f func()) uint64 {
 	return least
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
 // beginStub binds an HTTPWorker to a stub server that answers whatever
 // it is asked with handler.
 func beginStub(t *testing.T, handler http.HandlerFunc) *HTTPWorker {
@@ -117,9 +132,9 @@ func straddlingAnswer(t *testing.T, at, points int) []byte {
 	}
 	// The count, the first tag and label, the message and the second
 	// tag come before the frame; the message's length takes 2 bytes.
-	lead := 1 + 1 + wireStringLen(cells[0].Label()) + 1
+	lead := 1 + 1 + frame.StringLen(cells[0].Label()) + 1
 	msg := strings.Repeat("x", at-lead-2)
-	if lead+wireStringLen(msg) != at {
+	if lead+frame.StringLen(msg) != at {
 		t.Fatalf("a message of %d bytes does not put the frame at %d", len(msg), at)
 	}
 	b := encodeResponse(t, []fleet.CellResult{
@@ -178,6 +193,18 @@ func TestExecuteStreamEdges(t *testing.T) {
 		}
 		if grew >= 1<<20 {
 			t.Errorf("the call allocated %d bytes for a 100-byte answer", grew)
+		}
+	})
+
+	t.Run("an undeclared claim over the frame limit is refused at its header", func(t *testing.T) {
+		head := binary.AppendUvarint([]byte{1, 0}, frame.MaxPayload+1)
+		b := append(append(head, 0, 0, 0, 0), make([]byte, 64<<10)...)
+		src := &countingReader{r: iotest.OneByteReader(bytes.NewReader(b))}
+		if _, err := readExecuteResponse(src, -1, cells[:1]); err == nil {
+			t.Fatal("a frame claiming more than the limit decoded")
+		}
+		if src.n > len(head)+4 {
+			t.Errorf("read %d bytes of the answer before refusing it; its frame header ends at %d", src.n, len(head)+4)
 		}
 	})
 

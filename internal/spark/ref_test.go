@@ -447,8 +447,8 @@ func (w *wakeShaper) NextTransition(float64) float64 {
 // clusters and jobs seeds 1–200 build, and on one whose shuffle stalls.
 // There node 0's egress passes nothing until 20 s past the horizon
 // that a stage waits on flows alone, so the first job's shuffle stage
-// fails with its reads from node 0 in flight (the stall takes about a
-// second a cluster). Those reads end 20 s into the next job, draw
+// fails with its reads from node 0 in flight. Those reads end 20 s
+// into the next job, draw
 // their tasks' compute times and retire nowhere; every later job must
 // still match the reference.
 func TestRunJobMatchesReference(t *testing.T) {
@@ -492,6 +492,52 @@ func TestRunJobMatchesReference(t *testing.T) {
 			t.Fatalf("job %d after the stall: error %v, %d reads in flight", job, err, c.net.ActiveFlows())
 		}
 	})
+}
+
+// stepCounter counts the network steps that reach a shaper: each step
+// transfers through or idles every egress once.
+type stepCounter struct {
+	netem.Shaper
+	steps int
+}
+
+func (s *stepCounter) Transfer(demand, dt float64) float64 {
+	s.steps++
+	return s.Shaper.Transfer(demand, dt)
+}
+
+func (s *stepCounter) Idle(dt float64) {
+	s.steps++
+	s.Shaper.Idle(dt)
+}
+
+// TestStallFailsInFewSteps: the stall case's shuffle, behind an egress
+// asleep past the flow horizon, fails on the horizon within a few
+// network steps, not one per second of the horizon's 10^7.
+func TestStallFailsInFewSteps(t *testing.T) {
+	asleep := &stepCounter{Shaper: &wakeShaper{asleep: 1e7 + 20, RateGbps: 10}}
+	c, err := NewCluster(ClusterConfig{
+		Nodes: 2, SlotsPerNode: 2, IngressGbps: 10,
+		NewShaper: func(node int) netem.Shaper {
+			if node == 0 {
+				return asleep
+			}
+			return &netem.FixedShaper{RateGbps: 10}
+		},
+	}, simrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.RunJob(Job{Name: "stalls", Stages: []StageSpec{
+		{Name: "scan", Tasks: 4, ComputeSec: 5},
+		{Name: "join", Tasks: 4, ShuffleGbit: 5, ComputeSec: 5, HotPeerFrac: 1, SkewFrac: 0.2},
+	}}, RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "flows stalled beyond horizon") {
+		t.Fatalf("error %v, want the horizon's", err)
+	}
+	if asleep.steps > 100 {
+		t.Errorf("the stall took %d network steps, want at most 100", asleep.steps)
+	}
 }
 
 // FuzzRunJob holds the engine to the reference on the case any seed

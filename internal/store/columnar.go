@@ -1,17 +1,16 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/bits"
-	"os"
 	"slices"
 
+	"cloudvar/internal/frame"
 	"cloudvar/internal/trace"
 	"cloudvar/internal/workload"
 )
@@ -32,9 +31,9 @@ import (
 // Columns are coded a word at a time, deltaChunk values per step, with
 // exactly the bytes encoding/binary writes and the inputs it accepts.
 //
-// File layout (cells.col, append-only, one frame per cell):
+// File layout (cells.col, append-only, one frame per cell; frame and
+// str are internal/frame's):
 //
-//	frame    := uvarint(len(payload)) || crc32-IEEE(payload) LE || payload
 //	payload  := uvarint(cellSchema)
 //	            str(label) str(cloud) str(instance) str(regime)
 //	            uvarint(rep)
@@ -47,22 +46,19 @@ import (
 //	          | byte(2) ulen(clients) client*
 //	          | byte(1) uvarint(len) json(workload)   (read only)
 //	client   := str(id) str(class) ulen(latencies) lcol
-//	str      := uvarint(len) || bytes
 //	ulen     := uvarint(0) for a nil slice | uvarint(n+1) for n elements
 //	fcol     := npoints × varint(bits_i - bits_{i-1})   (wrapping, bits_{-1}=0)
 //	lcol     := the same delta coding over one client's latencies
 //	icol     := npoints × varint(v_i - v_{i-1})         (v_{-1}=0)
 //
-// The CRC rides inside the frame so torn-tail recovery stays purely
-// structural (same contract as JSONL's "drop text after the last
-// newline"): an interrupted append is truncated at the frame start,
-// while a CRC or decode failure on a *complete* frame is loud
-// corruption, never silently dropped. Workload latencies are columns
-// like the series: ulen keeps nil and empty slices apart, so a decoded
-// record re-marshals to the same JSON as the one encoded. Flag 1 (the
-// workload as a JSON blob) is what stores written before flag 2 hold;
-// it is still read, and the merge rewrites such cells as flag 2. An
-// empty series decodes with nil Points.
+// As JSONL drops text after the last newline, an interrupted append is
+// truncated at the frame start, while a CRC or decode failure on a
+// *complete* frame is loud corruption, never silently dropped. Workload
+// latencies are columns like the series: ulen keeps nil and empty
+// slices apart, so a decoded record re-marshals to the same JSON as the
+// one encoded. Flag 1 (the workload as a JSON blob) is what stores
+// written before flag 2 hold; it is still read, and the merge rewrites
+// such cells as flag 2. An empty series decodes with nil Points.
 
 // Cell-encoding names as stamped in the manifest. The empty string
 // means JSONL so every pre-columnar manifest reads back unchanged.
@@ -92,12 +88,10 @@ func cellsFileName(enc string) string {
 	return "cells.jsonl"
 }
 
-// caps against adversarial lengths: a decoder must never allocate more
-// than the input could possibly justify.
-const (
-	maxColumnarString = 1 << 16 // cell labels, regime names
-	maxColumnarFrame  = 1 << 30
-)
+// maxColumnarString caps cell labels, regime names and client names
+// against adversarial lengths: a decoder must never allocate more than
+// the input could possibly justify. frame.MaxPayload caps the frame.
+const maxColumnarString = 1 << 16
 
 // frameRefusal is the error AppendCellFrame refuses rec with, nil when
 // rec has a frame: a record without a series, or a label or workload
@@ -126,12 +120,12 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 	}
 	pts := rec.Series.Points
 	dst = binary.AppendUvarint(dst, uint64(rec.Schema))
-	dst = appendString(dst, rec.Label)
-	dst = appendString(dst, rec.Cloud)
-	dst = appendString(dst, rec.Instance)
-	dst = appendString(dst, rec.Regime)
+	dst = frame.AppendString(dst, rec.Label)
+	dst = frame.AppendString(dst, rec.Cloud)
+	dst = frame.AppendString(dst, rec.Instance)
+	dst = frame.AppendString(dst, rec.Regime)
 	dst = binary.AppendUvarint(dst, uint64(rec.Rep))
-	dst = appendString(dst, rec.Series.Label)
+	dst = frame.AppendString(dst, rec.Series.Label)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Series.IntervalSec))
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
 	for f := range pointFields {
@@ -144,17 +138,12 @@ func encodeCellPayload(dst []byte, rec CellRecord) ([]byte, error) {
 	clients := rec.Workload.Clients
 	dst = appendLen(dst, clients == nil, len(clients))
 	for _, c := range clients {
-		dst = appendString(dst, c.ID)
-		dst = appendString(dst, c.Class)
+		dst = frame.AppendString(dst, c.ID)
+		dst = frame.AppendString(dst, c.Class)
 		dst = appendLen(dst, c.LatencyMs == nil, len(c.LatencyMs))
 		dst = appendColumn(dst, column{field: floatsField, floats: c.LatencyMs})
 	}
 	return dst, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // appendLen appends a ulen: 0 for a nil slice, n+1 for n elements.
@@ -165,29 +154,11 @@ func appendLen(dst []byte, isNil bool, n int) []byte {
 	return binary.AppendUvarint(dst, uint64(n)+1)
 }
 
-// frameHeaderMax is the widest frame header: a maximal length varint
-// and the CRC.
-const frameHeaderMax = binary.MaxVarintLen64 + 4
-
 // AppendCellFrame appends rec to dst as one complete frame — a
 // cells.col record, and the unit a cell record crosses the wire in.
 // On error dst is returned unchanged.
 func AppendCellFrame(dst []byte, rec CellRecord) ([]byte, error) {
-	// Encode the payload behind room for the widest header, then close
-	// the gap once its length (and so the header's width) is known:
-	// one memmove instead of a scratch buffer and a copy.
-	start := len(dst)
-	var hdr [frameHeaderMax]byte
-	out, err := encodeCellPayload(append(dst, hdr[:]...), rec)
-	if err != nil {
-		return dst[:start], err
-	}
-	payload := out[start+frameHeaderMax:]
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
-	n = copy(out[start:], hdr[:n+4])
-	n += copy(out[start+n:], payload)
-	return out[:start+n], nil
+	return frame.Append(dst, func(b []byte) ([]byte, error) { return encodeCellPayload(b, rec) })
 }
 
 // CellFrameLen returns the length of the frame AppendCellFrame appends
@@ -200,25 +171,24 @@ func CellFrameLen(rec CellRecord) int {
 	if frameRefusal(rec) != nil {
 		return 0
 	}
-	n := cellPayloadLen(rec)
-	return uvarintLen(uint64(n)) + 4 + n
+	return frame.Len(cellPayloadLen(rec))
 }
 
 // CellFrameHeadroom is the spare capacity, beyond the total of their
 // CellFrameLen, that a buffer needs to take frames without growing:
 // AppendCellFrame encodes behind a reserved widest header and then
 // closes the gap.
-const CellFrameHeadroom = frameHeaderMax
+const CellFrameHeadroom = frame.MaxHeader
 
 // cellPayloadLen is the length of encodeCellPayload's output for rec,
 // computed field by field in the same order.
 func cellPayloadLen(rec CellRecord) int {
 	pts := rec.Series.Points
-	n := uvarintLen(uint64(rec.Schema)) +
-		stringLen(rec.Label) + stringLen(rec.Cloud) + stringLen(rec.Instance) + stringLen(rec.Regime) +
-		uvarintLen(uint64(rec.Rep)) +
-		stringLen(rec.Series.Label) + 8 +
-		uvarintLen(uint64(len(pts)))
+	n := frame.UvarintLen(uint64(rec.Schema)) +
+		frame.StringLen(rec.Label) + frame.StringLen(rec.Cloud) + frame.StringLen(rec.Instance) + frame.StringLen(rec.Regime) +
+		frame.UvarintLen(uint64(rec.Rep)) +
+		frame.StringLen(rec.Series.Label) + 8 +
+		frame.UvarintLen(uint64(len(pts)))
 	for f := range pointFields {
 		n += columnLen(column{field: f, pts: pts})
 	}
@@ -229,23 +199,18 @@ func cellPayloadLen(rec CellRecord) int {
 	clients := rec.Workload.Clients
 	n += lenLen(clients == nil, len(clients))
 	for _, c := range clients {
-		n += stringLen(c.ID) + stringLen(c.Class) + lenLen(c.LatencyMs == nil, len(c.LatencyMs))
+		n += frame.StringLen(c.ID) + frame.StringLen(c.Class) + lenLen(c.LatencyMs == nil, len(c.LatencyMs))
 		n += columnLen(column{field: floatsField, floats: c.LatencyMs})
 	}
 	return n
 }
-
-// uvarintLen is the length of binary.AppendUvarint's encoding of v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // lenLen is the length of appendLen's encoding.
 func lenLen(isNil bool, n int) int {
 	if isNil {
 		return 1
 	}
-	return uvarintLen(uint64(n) + 1)
+	return frame.UvarintLen(uint64(n) + 1)
 }
 
 // Column kernels. Every fcol, icol and lcol has one coding: zigzag
@@ -380,7 +345,7 @@ func columnLen(c column) int {
 		w := words[:min(n-i, deltaChunk)]
 		c.gather(w, i)
 		for _, v := range w {
-			size += uvarintLen(zigzag(v - prev))
+			size += frame.UvarintLen(zigzag(v - prev))
 			prev = v
 		}
 	}
@@ -425,7 +390,7 @@ func appendDeltas(dst []byte, words []uint64, prev uint64) ([]byte, uint64) {
 		x := u&0x000000000fffffff | (u&0x00fffffff0000000)<<4
 		x = x&0x00003fff00003fff | (x&0x0fffc0000fffc000)<<2
 		x = x&0x007f007f007f007f | (x&0x3f803f803f803f80)<<1
-		size := uvarintLen(u)
+		size := frame.UvarintLen(u)
 		x |= 0x8080808080808080 & (uint64(1)<<(8*size-8) - 1) // stop bits on all but the last byte
 		binary.LittleEndian.PutUint64(dst[n:n+8], x)
 		dst = dst[:n+size]
@@ -512,41 +477,38 @@ func skipDeltas(b []byte, off, n int) (int, error) {
 	return p, nil
 }
 
-// DecodeCellFrame decodes the complete frame at the start of b and
-// returns its record and the frame's length in bytes. It is the strict
-// reader for frames that arrive whole (ShardData, execute answers):
-// a frame cut short anywhere, a CRC mismatch, an undecodable payload
-// or a schema this binary does not speak is an error.
-func DecodeCellFrame(b []byte) (CellRecord, int, error) {
-	payloadStart, payloadLen, torn, err := nextFrame(b, 0)
-	if err != nil {
-		return CellRecord{}, 0, err
-	}
-	if torn {
-		return CellRecord{}, 0, fmt.Errorf("frame truncated: %d bytes hold no complete frame", len(b))
-	}
-	rec, err := decodeFrame(b, payloadStart, payloadLen, decodeCellPayload)
-	if err != nil {
-		return CellRecord{}, 0, err
-	}
-	return rec, payloadStart + payloadLen, nil
+// DecodeCellPayload decodes the payload of a cell's frame, as
+// frame.Reader.Next returns it, into a record that aliases nothing in
+// payload, and refuses a schema this binary does not speak.
+func DecodeCellPayload(payload []byte) (CellRecord, error) {
+	return checkSchema(decodeCellPayload(payload))
 }
 
-// decodeFrame checks the CRC of the complete frame whose payload is
-// b[payloadStart:payloadStart+payloadLen], decodes the payload with
-// decode, and refuses a schema outside this binary's range.
-func decodeFrame(b []byte, payloadStart, payloadLen int, decode func(payload []byte) (CellRecord, error)) (CellRecord, error) {
-	payload := b[payloadStart : payloadStart+payloadLen]
-	if got, want := crc32.ChecksumIEEE(payload), frameCRC(b, payloadStart); got != want {
-		return CellRecord{}, fmt.Errorf("crc %08x != recorded %08x", got, want)
+// checkSchema passes on a decoded record, or refuses it when decoding
+// failed or its schema lies outside this binary's range.
+func checkSchema(rec CellRecord, err error) (CellRecord, error) {
+	if err == nil && (rec.Schema < MinSchemaVersion || rec.Schema > SchemaVersion) {
+		err = fmt.Errorf("cell %q has schema %d, this binary speaks %d-%d",
+			rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
 	}
-	rec, err := decode(payload)
 	if err != nil {
 		return CellRecord{}, err
 	}
-	if rec.Schema < MinSchemaVersion || rec.Schema > SchemaVersion {
-		return CellRecord{}, fmt.Errorf("cell %q has schema %d, this binary speaks %d-%d",
-			rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
+	return rec, nil
+}
+
+// readCell reads the next frame of r and decodes its payload with
+// decode, as DecodeCellPayload does, naming the frame's offset when the
+// payload is refused. r's own errors pass through as they are.
+func readCell(r *frame.Reader, decode func(payload []byte) (CellRecord, error)) (CellRecord, error) {
+	off := r.Offset()
+	payload, err := r.Next()
+	if err != nil {
+		return CellRecord{}, err
+	}
+	rec, err := checkSchema(decode(payload))
+	if err != nil {
+		return CellRecord{}, fmt.Errorf("frame at offset %d: %w", off, err)
 	}
 	return rec, nil
 }
@@ -865,104 +827,30 @@ func readWorkloadJSON(r *colReader) (*workload.CellMetrics, error) {
 	return &wl, nil
 }
 
-// nextFrame parses the frame header at the start of b, whose first
-// byte is at offset off of its file or body, the offset its errors
-// name. It returns where the frame's payload starts in b and its
-// length. A frame b cuts short is torn: in its header (payloadStart and
-// payloadLen are then 0) or in its payload (payloadStart+payloadLen is
-// then the length b must reach to hold it). A corrupt header is an
-// error. Whether b holds a frame depends only on its first
-// payloadStart+payloadLen bytes, so a reader that holds a prefix of the
-// input can ask again once it has read more.
-func nextFrame(b []byte, off int) (payloadStart, payloadLen int, torn bool, err error) {
-	n, hdr := binary.Uvarint(b)
-	if hdr == 0 {
-		// The varint runs off the end of b: a torn header.
-		return 0, 0, true, nil
-	}
-	if hdr < 0 {
-		return 0, 0, false, fmt.Errorf("malformed frame length at offset %d", off)
-	}
-	if n > maxColumnarFrame {
-		return 0, 0, false, fmt.Errorf("frame of %d bytes at offset %d exceeds limit", n, off)
-	}
-	payloadStart = hdr + 4
-	return payloadStart, int(n), payloadStart+int(n) > len(b), nil
-}
-
-// frameCRC reads the stored checksum of the frame whose payload starts
-// at payloadStart.
-func frameCRC(b []byte, payloadStart int) uint32 {
-	return binary.LittleEndian.Uint32(b[payloadStart-4:])
-}
-
-// frameChunk is the least window a cells file larger than it is read
-// through: the read-ahead between frames. A frame larger than the
-// window grows it.
-const frameChunk = 64 << 10
-
 // readFrames decodes every complete frame of the cells.col file r
-// reads, in order, with decodeFrame and decode, and calls keep with
-// the first record of each label (later appends of a label can only
-// come from concurrent writers). It ignores a structurally torn tail
-// (a crashed writer: the interrupted cell re-executes on resume) but
-// fails loudly on a corrupt complete frame (a CRC mismatch or an
-// undecodable payload), naming its file offset, as the JSONL reader
-// fails on a bad line. It reads r to EOF.
+// reads, a stream of size bytes (-1 when unknown), in order, with
+// readCell and decode, and calls keep with the first record of each
+// label (later appends of a label can only come from concurrent
+// writers). It stops at a torn tail (a crashed writer: the interrupted
+// cell re-executes on resume) but fails loudly on a corrupt complete
+// frame (a CRC mismatch or an undecodable payload), naming its file
+// offset, as the JSONL reader fails on a bad line.
 //
-// The file passes through *window, which the read reuses and leaves
-// behind for the next: the bytes after the frame being decoded are
-// moved to its front and more are read behind them. The window grows
-// only when it is full and the frame at its front needs more: to that
-// frame's length with a sixteenth to spare when the file's size (-1
-// when unknown) says the frame lies inside it, else to at most twice
-// its size, so a length field claiming more than the file holds
-// allocates no more than the bytes that arrive. decode sees the
-// payload in the window, so what keep receives must not alias it.
+// The file passes through *window, the frame.Reader's buffer, which the
+// read reuses and leaves behind for the next. decode sees the payload
+// in the window, so what keep receives must not alias it.
 func readFrames(r io.Reader, size int64, window *[]byte, decode func(payload []byte) (CellRecord, error), keep func(CellRecord)) error {
-	buf := (*window)[:0]
-	defer func() { *window = buf[:0] }()
+	fr := frame.NewReader(r, size, *window)
+	defer func() { *window = fr.Buffer() }()
 	seen := make(map[string]bool)
-	pos, off, eof := 0, 0, false
 	for {
-		payloadStart, payloadLen, torn, err := nextFrame(buf[pos:], off)
+		rec, err := readCell(fr, decode)
+		if err == io.EOF || errors.Is(err, frame.ErrTorn) {
+			return nil // the end of the file, or a torn tail: every frame before it is intact
+		}
 		if err != nil {
 			return err
 		}
-		if torn {
-			if eof {
-				return nil // a torn tail, or the end of the file: every frame before it is intact
-			}
-			// Refill: a torn header needs one more byte, a torn payload the
-			// rest of its frame.
-			need := max(payloadStart+payloadLen, len(buf)-pos+1)
-			buf = buf[:copy(buf, buf[pos:])]
-			pos = 0
-			for len(buf) < need && !eof {
-				if len(buf) == cap(buf) {
-					grow := need + need/16
-					if int64(off)+int64(need) > size {
-						grow = min(grow, max(2*cap(buf), bytes.MinRead))
-					}
-					buf = append(make([]byte, 0, grow), buf...)
-				}
-				n, err := r.Read(buf[len(buf):cap(buf)])
-				buf = buf[:len(buf)+n]
-				if err == io.EOF {
-					eof = true
-				} else if err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		frameLen := payloadStart + payloadLen
-		rec, err := decodeFrame(buf[pos:pos+frameLen], payloadStart, payloadLen, decode)
-		if err != nil {
-			return fmt.Errorf("frame at offset %d: %w", off, err)
-		}
-		pos += frameLen
-		off += frameLen
 		if !seen[rec.Label] {
 			seen[rec.Label] = true
 			keep(rec)
@@ -976,31 +864,4 @@ func readFrames(r io.Reader, size int64, window *[]byte, decode func(payload []b
 // bytes is corruption, which recovery leaves in place for the reader
 // to report. Idempotent — the truncation point is a frame boundary, so
 // a second pass finds nothing torn.
-func truncateTornFrames(path string) error { return truncateAt(path, tornFrameOffset) }
-
-// tornFrameOffset walks the frame headers of f, a file of size bytes,
-// and returns the offset of its torn trailing frame, -1 when it has
-// none. It reads one header per frame, so a repair holds a few bytes,
-// not the file.
-func tornFrameOffset(f *os.File, size int64) (int64, error) {
-	// One byte past the widest length varint tells an overflowing
-	// varint from one the file cuts short.
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	for off := int64(0); off < size; {
-		n, err := f.ReadAt(hdr[:min(int64(len(hdr)), size-off)], off)
-		if err != nil {
-			return 0, err
-		}
-		payloadStart, payloadLen, torn, err := nextFrame(hdr[:n], int(off))
-		if err != nil {
-			return -1, nil // mid-file corruption: loud at read time, not repairable here
-		}
-		if torn && payloadStart == 0 || int64(payloadStart)+int64(payloadLen) > size-off {
-			return off, nil
-		}
-		// CRC and payload validity are deliberately not checked here:
-		// a complete-but-corrupt frame is damage, not a torn append.
-		off += int64(payloadStart + payloadLen)
-	}
-	return -1, nil
-}
+func truncateTornFrames(path string) error { return truncateAt(path, frame.TornOffset) }

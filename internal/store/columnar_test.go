@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"cloudvar/internal/fleet"
+	"cloudvar/internal/frame"
 	"cloudvar/internal/trace"
 	"cloudvar/internal/workload"
 )
@@ -190,6 +191,15 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeCellFrame reads the complete frame at the start of b as the
+// store reads a frame from a stream, and returns its record and its
+// length.
+func decodeCellFrame(b []byte) (CellRecord, int, error) {
+	r := frame.NewReader(bytes.NewReader(b), int64(len(b)), nil)
+	rec, err := readCell(r, decodeCellPayload)
+	return rec, int(r.Offset()), err
+}
+
 // appendFrame frames a raw payload (length header + CRC) onto dst, for
 // hand-built frames the encoder would never write.
 func appendFrame(dst, payload []byte) []byte {
@@ -260,10 +270,10 @@ func skippedColumnFrames(tb testing.TB) map[string][]byte {
 		var p []byte
 		p = binary.AppendUvarint(p, 2) // schema
 		for _, s := range []string{"x/rep0", "ec2", "c5.xlarge", "full-speed"} {
-			p = appendString(p, s)
+			p = frame.AppendString(p, s)
 		}
 		p = binary.AppendUvarint(p, 0) // rep
-		p = appendString(p, "x/rep0")
+		p = frame.AppendString(p, "x/rep0")
 		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(10))
 		return binary.AppendUvarint(p, npoints)
 	}
@@ -995,7 +1005,7 @@ func TestFlag1FrameCompat(t *testing.T) {
 	if !bytes.Contains(frame, []byte(`{"clients":[`)) {
 		t.Fatal("fixture holds no JSON workload blob: it is not a flag-1 frame")
 	}
-	rec, n, err := DecodeCellFrame(frame)
+	rec, n, err := decodeCellFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1015,7 +1025,7 @@ func TestFlag1FrameCompat(t *testing.T) {
 	if bytes.Contains(re, []byte(`"clients"`)) || len(re) >= len(frame) {
 		t.Errorf("re-encoded frame (%d bytes, flag-1 %d) still carries the JSON blob", len(re), len(frame))
 	}
-	rec2, _, err := DecodeCellFrame(re)
+	rec2, _, err := decodeCellFrame(re)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"cloudvar/internal/frame"
 	"cloudvar/internal/simrand"
 	"cloudvar/internal/trace"
 )
@@ -325,24 +326,24 @@ func TestOverflowingVarintInCompleteFrame(t *testing.T) {
 	var p []byte
 	p = binary.AppendUvarint(p, 2) // schema
 	for _, s := range []string{"x/rep0", "ec2", "c5.xlarge", "full-speed"} {
-		p = appendString(p, s)
+		p = frame.AppendString(p, s)
 	}
 	p = binary.AppendUvarint(p, 0) // rep
-	p = appendString(p, "x/rep0")
+	p = frame.AppendString(p, "x/rep0")
 	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(10))
 	p = binary.AppendUvarint(p, 1) // one point
 	at := len(p)
 	col := append(append([]byte(nil), p...), overflow...)
 	col = append(col, 0, 0, 0, 0, 0) // the other four columns and the workload flag
-	_, _, err := DecodeCellFrame(appendFrame(nil, col))
+	_, _, err := decodeCellFrame(appendFrame(nil, col))
 	if want := fmt.Sprintf("time column: overflowing varint at offset %d", at); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("DecodeCellFrame error = %v, want it to contain %q", err, want)
+		t.Fatalf("decodeCellFrame error = %v, want it to contain %q", err, want)
 	}
 
 	hdr := append(append([]byte(nil), overflow...), 0)
-	_, _, err = DecodeCellFrame(appendFrame(nil, hdr))
+	_, _, err = decodeCellFrame(appendFrame(nil, hdr))
 	if want := "schema: overflowing uvarint at offset 0"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("DecodeCellFrame error = %v, want it to contain %q", err, want)
+		t.Fatalf("decodeCellFrame error = %v, want it to contain %q", err, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"cloudvar/internal/frame"
 	"cloudvar/internal/trace"
 )
 
@@ -71,7 +73,7 @@ func refNextFrame(b []byte, off int) (payloadStart, payloadLen, tornAt int, err 
 	if hdr < 0 {
 		return 0, 0, -1, fmt.Errorf("malformed frame length at offset %d", off)
 	}
-	if n > maxColumnarFrame {
+	if n > frame.MaxPayload {
 		return 0, 0, -1, fmt.Errorf("frame of %d bytes at offset %d exceeds limit", n, off)
 	}
 	payloadStart = off + hdr + 4
@@ -82,8 +84,27 @@ func refNextFrame(b []byte, off int) (payloadStart, payloadLen, tornAt int, err 
 	return payloadStart, int(n), -1, nil
 }
 
+// refDecodeFrame checks the CRC of the complete frame whose payload is
+// b[payloadStart:payloadStart+payloadLen], decodes the payload with
+// decode, and refuses a schema outside this binary's range.
+func refDecodeFrame(b []byte, payloadStart, payloadLen int, decode func(payload []byte) (CellRecord, error)) (CellRecord, error) {
+	payload := b[payloadStart : payloadStart+payloadLen]
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(b[payloadStart-4:]); got != want {
+		return CellRecord{}, fmt.Errorf("crc %08x != recorded %08x", got, want)
+	}
+	rec, err := decode(payload)
+	if err != nil {
+		return CellRecord{}, err
+	}
+	if rec.Schema < MinSchemaVersion || rec.Schema > SchemaVersion {
+		return CellRecord{}, fmt.Errorf("cell %q has schema %d, this binary speaks %d-%d",
+			rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
+	}
+	return rec, nil
+}
+
 // refWalkFrames decodes every complete frame of a cells.col image, in
-// order, with decodeFrame and decode, and calls keep with the first
+// order, with refDecodeFrame and decode, and calls keep with the first
 // record of each label (later appends of a label can only come from
 // concurrent writers). It ignores a structurally torn tail (crashed
 // writer — the interrupted cell re-executes on resume) but fails
@@ -99,7 +120,7 @@ func refWalkFrames(b []byte, decode func(payload []byte) (CellRecord, error), ke
 		if tornAt >= 0 {
 			return nil // torn tail: everything before it is intact
 		}
-		rec, err := decodeFrame(b, payloadStart, payloadLen, decode)
+		rec, err := refDecodeFrame(b, payloadStart, payloadLen, decode)
 		if err != nil {
 			return fmt.Errorf("frame at offset %d: %w", off, err)
 		}
@@ -282,12 +303,14 @@ func sizedFrame(tb testing.TB, label string, bw float64, size int) []byte {
 // frames concatenates frames.
 func frames(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
 
-// TestReadFramesWindowEdges reads cells files whose frames meet the
-// window's edges through Cells and BandwidthCells and holds both to the
-// whole-image reference. A fresh read's window holds w bytes, so its
-// first refill starts at file offset w.
+// TestReadFramesWindowEdges reads cells files whose frames meet read
+// edges through Cells and BandwidthCells and holds both to the
+// whole-image reference. w is 68 KiB, the window a fresh read first
+// held when reads went through a fixed 64 KiB window; frame.Reader's
+// buffer is sized by the frames, so these files meet its refills at
+// other offsets, and matchReaders meets every offset.
 func TestReadFramesWindowEdges(t *testing.T) {
-	w := frameChunk + frameChunk/16
+	w := 64<<10 + 64<<10/16
 	hostileTail := bytes.Repeat([]byte{0x5a}, 100000)
 	cases := []struct {
 		name string
@@ -342,7 +365,7 @@ func TestReadFramesWindowEdges(t *testing.T) {
 			name: "hostile length",
 			data: frames(sizedFrame(t, "a/rep0", 1, 40000), sizedFrame(t, "b/rep0", 2, 40000), sizedFrame(t, "c/rep0", 3, 40000),
 				sizedFrame(t, "d/rep0", 4, 40000), sizedFrame(t, "e/rep0", 5, 40000),
-				binary.AppendUvarint(nil, maxColumnarFrame), []byte{0, 0, 0, 0}, hostileTail),
+				binary.AppendUvarint(nil, frame.MaxPayload), []byte{0, 0, 0, 0}, hostileTail),
 			labels:  []string{"a/rep0", "b/rep0", "c/rep0", "d/rep0", "e/rep0"},
 			bounded: true,
 		},

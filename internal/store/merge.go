@@ -25,6 +25,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+
+	"cloudvar/internal/frame"
 )
 
 // ShardData is one shard store's complete contents — what shard.Run
@@ -75,7 +77,7 @@ func (d ShardData) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding shard manifest: %w", err)
 	}
-	size := uvarintLen(uint64(len(m))) + len(m) + uvarintLen(uint64(len(d.Cells))) + CellFrameHeadroom
+	size := frame.UvarintLen(uint64(len(m))) + len(m) + frame.UvarintLen(uint64(len(d.Cells))) + CellFrameHeadroom
 	for _, rec := range d.Cells {
 		size += CellFrameLen(rec)
 	}
@@ -108,39 +110,32 @@ func DecodeShardData(b []byte) (ShardData, error) {
 }
 
 func decodeShardData(b []byte) (ShardData, error) {
-	r := &colReader{b: b}
-	n, err := r.uvarint()
+	r := frame.NewReader(bytes.NewReader(b), int64(len(b)), nil)
+	m, err := r.Str()
 	if err != nil {
-		return ShardData{}, fmt.Errorf("manifest length: %w", err)
-	}
-	if n > uint64(len(b)-r.off) {
-		return ShardData{}, fmt.Errorf("manifest of %d bytes exceeds the %d bytes left", n, len(b)-r.off)
-	}
-	var d ShardData
-	if err := json.Unmarshal(b[r.off:r.off+int(n)], &d.Manifest); err != nil {
 		return ShardData{}, fmt.Errorf("manifest: %w", err)
 	}
-	r.off += int(n)
-	count, err := r.uvarint()
+	var d ShardData
+	if err := json.Unmarshal(m, &d.Manifest); err != nil {
+		return ShardData{}, fmt.Errorf("manifest: %w", err)
+	}
+	count, err := r.Uvarint()
 	if err != nil {
 		return ShardData{}, fmt.Errorf("cell count: %w", err)
 	}
-	if count > uint64(len(b)-r.off)/minCellFrame {
-		return ShardData{}, fmt.Errorf("%d cells cannot fit in the %d bytes left", count, len(b)-r.off)
+	if left := len(b) - int(r.Offset()); count > uint64(left)/minCellFrame {
+		return ShardData{}, fmt.Errorf("%d cells cannot fit in the %d bytes left", count, left)
 	}
 	if count > 0 {
 		d.Cells = make([]CellRecord, count)
 	}
 	for i := range d.Cells {
-		rec, n, err := DecodeCellFrame(b[r.off:])
-		if err != nil {
+		if d.Cells[i], err = readCell(r, decodeCellPayload); err != nil {
 			return ShardData{}, fmt.Errorf("cell %d of %d: %w", i, count, err)
 		}
-		d.Cells[i] = rec
-		r.off += n
 	}
-	if r.off != len(b) {
-		return ShardData{}, fmt.Errorf("%d trailing bytes after %d cells", len(b)-r.off, count)
+	if left := len(b) - int(r.Offset()); left != 0 {
+		return ShardData{}, fmt.Errorf("%d trailing bytes after %d cells", left, count)
 	}
 	return d, nil
 }

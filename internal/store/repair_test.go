@@ -32,16 +32,16 @@ func refTruncateTornFrames(path string) error {
 	}
 	off := 0
 	for off < len(b) {
-		payloadStart, payloadLen, torn, err := nextFrame(b[off:], off)
+		payloadStart, payloadLen, tornAt, err := refNextFrame(b, off)
 		if err != nil {
 			return nil // mid-file corruption: loud at read time, not repairable here
 		}
-		if torn {
-			return os.Truncate(path, int64(off))
+		if tornAt >= 0 {
+			return os.Truncate(path, int64(tornAt))
 		}
 		// CRC and payload validity are deliberately not checked here:
 		// a complete-but-corrupt frame is damage, not a torn append.
-		off += payloadStart + payloadLen
+		off = payloadStart + payloadLen
 	}
 	return nil
 }
@@ -106,7 +106,7 @@ func TestTornRepairMatchesReference(t *testing.T) {
 	}
 
 	frame := validColumnarSeedFrame(t)
-	big := sizedFrame(t, "big", 9.5, 3*frameChunk)
+	big := sizedFrame(t, "big", 9.5, 3*64<<10)
 	overflow := bytes.Repeat([]byte{0xff}, 10)
 	cases := map[string][]byte{
 		"empty":               nil,

@@ -551,14 +551,9 @@ func (s *Store) BandwidthCells(runID, enc string, scratch *BandwidthScratch, vis
 }
 
 // readColumnar reads a columnar run's cells.col with readFrames
-// through *window. A window smaller than frameChunk, or than the whole
-// file and 512 bytes when that is less, is first replaced by a new one
-// of that size that also holds the file's first frame when the file
-// does, with a sixteenth to spare: the frames of one campaign matrix,
-// and the runs of one, are of about one size, so the frames and runs
-// read next through the window mostly fit it too, and a small run
-// reads into no more than a whole-file buffer. A run created but never
-// measured has no file and reads as empty.
+// through *window, the file's size at open declaring the stream's
+// length. A run created but never measured has no file and reads as
+// empty.
 func (s *Store) readColumnar(runID string, window *[]byte, decode func(payload []byte) (CellRecord, error), keep func(CellRecord)) error {
 	f, err := os.Open(filepath.Join(s.runDir(runID), cellsFileName(EncodingColumnar)))
 	if os.IsNotExist(err) {
@@ -571,18 +566,6 @@ func (s *Store) readColumnar(runID string, window *[]byte, decode func(payload [
 	size := int64(-1)
 	if fi, err := f.Stat(); err == nil {
 		size = fi.Size()
-	}
-	want := frameChunk
-	if size >= 0 && size+bytes.MinRead < frameChunk {
-		want = int(size) + bytes.MinRead
-	}
-	if cap(*window) < want {
-		var hdr [frameHeaderMax]byte
-		n, _ := f.ReadAt(hdr[:], 0) // a short or failed read leaves the header to readFrames
-		if payloadStart, payloadLen, _, err := nextFrame(hdr[:n], 0); err == nil && int64(payloadStart+payloadLen) <= size {
-			want = max(want, payloadStart+payloadLen)
-		}
-		*window = make([]byte, 0, want+want/16)
 	}
 	if err := readFrames(f, size, window, decode, keep); err != nil {
 		return fmt.Errorf("store: run %q cells: %w", runID, err)
@@ -709,7 +692,7 @@ func truncateTornTail(path string) error { return truncateAt(path, tornLineOffse
 
 // truncateAt truncates path at the offset cut finds in the file, -1
 // for none. Missing files are fine (a fresh run).
-func truncateAt(path string, cut func(f *os.File, size int64) (int64, error)) error {
+func truncateAt(path string, cut func(f io.ReaderAt, size int64) (int64, error)) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -738,7 +721,7 @@ const tailChunk = 4 << 10
 // tornLineOffset returns the offset just past the last newline of f, a
 // file of size bytes, -1 when f is empty or ends in one. It reads f
 // back from its end, a chunk at a time, only as far as that newline.
-func tornLineOffset(f *os.File, size int64) (int64, error) {
+func tornLineOffset(f io.ReaderAt, size int64) (int64, error) {
 	buf := make([]byte, min(size, tailChunk))
 	for end := size; end > 0; {
 		start := max(end-tailChunk, 0)

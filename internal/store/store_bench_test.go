@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/fleet"
+	"cloudvar/internal/frame"
 	"cloudvar/internal/store"
 	"cloudvar/internal/testutil"
 	"cloudvar/internal/workload"
@@ -319,9 +321,9 @@ func BenchmarkStoreShardCodec(b *testing.B) {
 // BenchmarkStoreCellCodec measures the columnar cell codec on its own,
 // over one 24-hour EC2 cell of 8,640 bins — the cell shape of the §3
 // campaign every store read, execute answer, merge and Put codes.
-// encode appends the cell's frame to a reused buffer; decode runs
-// DecodeCellFrame on it. Both report ns/value, a value being one
-// point field (five per bin).
+// encode appends the cell's frame to a reused buffer; decode reads it
+// through a frame.Reader that reuses its buffer and DecodeCellPayload.
+// Both report ns/value, a value being one point field (five per bin).
 //
 //	go test ./internal/store -run '^$' -bench BenchmarkStoreCellCodec -benchmem
 func BenchmarkStoreCellCodec(b *testing.B) {
@@ -337,7 +339,7 @@ func BenchmarkStoreCellCodec(b *testing.B) {
 	if values != 5*8640 {
 		b.Fatalf("cell has %d bins, want 8640", len(rec.Series.Points))
 	}
-	frame, err := store.AppendCellFrame(nil, rec)
+	cellFrame, err := store.AppendCellFrame(nil, rec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,7 +347,7 @@ func BenchmarkStoreCellCodec(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
 	}
 	b.Run("encode", func(b *testing.B) {
-		buf := make([]byte, 0, len(frame)+store.CellFrameHeadroom)
+		buf := make([]byte, 0, len(cellFrame)+store.CellFrameHeadroom)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -356,12 +358,19 @@ func BenchmarkStoreCellCodec(b *testing.B) {
 		perValue(b)
 	})
 	b.Run("decode", func(b *testing.B) {
+		var buf []byte
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, n, err := store.DecodeCellFrame(frame); err != nil || n != len(frame) {
-				b.Fatalf("decoded %d of %d bytes: %v", n, len(frame), err)
+			r := frame.NewReader(bytes.NewReader(cellFrame), int64(len(cellFrame)), buf)
+			payload, err := r.Next()
+			if err == nil {
+				_, err = store.DecodeCellPayload(payload)
 			}
+			if err != nil || r.Offset() != int64(len(cellFrame)) {
+				b.Fatalf("decoded %d of %d bytes: %v", r.Offset(), len(cellFrame), err)
+			}
+			buf = r.Buffer()
 		}
 		perValue(b)
 	})

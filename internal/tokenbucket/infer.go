@@ -95,6 +95,23 @@ func InferParams(trace []float64, sampleSec, refillGbps float64) (Inferred, erro
 	return inf, nil
 }
 
+// Probe is the Figure 11 probe: it drives a fresh bucket of p at full
+// speed until well past depletion, for 1.5 × its time-to-empty but at
+// least 600 s, in 10 s bins, and infers the bucket's parameters from
+// that trace, assuming EC2's 1 Gbps refill.
+func Probe(p Params) (Inferred, error) {
+	b := MustNew(p)
+	probeLen := p.TimeToEmpty() * 1.5
+	if math.IsInf(probeLen, 1) || probeLen < 600 {
+		probeLen = 600
+	}
+	series := make([]float64, int(probeLen/10))
+	for i := range series {
+		series[i] = b.Transfer(1e12, 10) / 10
+	}
+	return InferParams(series, 10, 1)
+}
+
 // InstanceSpec describes one EC2 c5-family instance type's nominal
 // token-bucket parameters, with the incarnation-to-incarnation
 // variation the paper observed ("these parameters are not always
